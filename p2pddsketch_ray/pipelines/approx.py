@@ -1827,6 +1827,15 @@ _PRIORITY_EMPTY = pa.table({
 _PRIORITY_M = 1_000_000
 
 
+def _err_ppm(est: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """|est - exact| in parts per million of exact (floor division, as
+    the SQL twins' ``// exact_cents``); 0 where exact is 0, since a
+    segment with no revenue has no relative error to report."""
+    nonzero = exact != 0
+    return np.where(nonzero, np.abs(est - exact) * 1_000_000
+                    // np.where(nonzero, exact, 1), 0)
+
+
 def _priority_block_partial(t: pa.Table, k: int) -> pa.Table:
     """One pass over an orders block: its top-(k+1) candidate rows by
     priority (anything below a block's (k+1)-th priority can never
@@ -1916,7 +1925,7 @@ def priority_sample_revenue(sf_dir: str, k: int = 200) -> pa.Table:
     est_i = out["est"].fillna(0).to_numpy(dtype=np.int64)
     ns_i = out["ns"].fillna(0).to_numpy(dtype=np.int64)
     exact_i = out["exact"].to_numpy().astype(np.int64)
-    err = np.abs(est_i - exact_i) * 1_000_000 // exact_i
+    err = _err_ppm(est_i, exact_i)
     return pa.table({
         "o_orderpriority": pa.array(out["seg"].astype(str)),
         "n_sampled": pa.array(ns_i),
@@ -2050,7 +2059,7 @@ def priority_sample_by_segment(sf_dir: str, k: int = 60) -> pa.Table:
         est_s.append(int(np.maximum(chosen_w, tau).sum()))
     exact_i = exact["exact"].to_numpy().astype(np.int64)
     est_i = np.array(est_s, dtype=np.int64)
-    err = np.abs(est_i - exact_i) * 1_000_000 // exact_i
+    err = _err_ppm(est_i, exact_i)
     return pa.table({
         "o_orderpriority": pa.array([str(s) for s in segs]),
         "n_sampled": pa.array(np.array(n_s, dtype=np.int64)),

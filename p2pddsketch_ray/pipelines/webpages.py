@@ -89,12 +89,12 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
     """
     import time as _time
 
-    from ..sketches.ddsketch import DDSketch
     from ..sketches.minhash import (band_hashes, minhash_signatures,
                                     oph_signatures)
     from ..functions.text import (punct_count, quality_score_from_counts,
                                   stopword_count, token_count)
-    from ..stages.sketch_build import (SKETCH_FIELDS, merge_sketch_table,
+    from ..stages.sketch_build import (SKETCH_FIELDS, group_codes,
+                                       merge_sketch_table, partial_columns,
                                        sketch_rows_to_table)
 
     if signature_tier not in ("classic", "oph"):
@@ -124,31 +124,24 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
         bh = band_hashes(sig, bands)
         checksum = int(bh.sum(dtype=np.uint64) & np.uint64(0x3FFFFFFF))
 
-        # per-lang partial sketch + metric sums (vectorized group split)
-        lang = m["lang"].to_numpy(zero_copy_only=False)
+        # per-lang partial sketch rows + metric sums (columnar group split)
+        ids, group_values = group_codes(m, ["lang"])
+        n_lang = len(group_values["lang"])
         tl = m["text_len"].to_numpy(zero_copy_only=False).astype(np.float64)
         stat = np.stack([c.to_numpy(zero_copy_only=False)
                          for c in (toks, punct, stops, q_micro)], axis=1)
-        uniq, inv = np.unique(lang, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        bounds = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
-        rows, sums, counts = [], [], []
-        for g in range(len(uniq)):
-            sel = order[bounds[g]:bounds[g + 1]]
-            s = DDSketch(alpha, bin_limit, mode="uniform")
-            s.add_batch(tl[sel])
-            rows.append(s.to_row())
-            sums.append(stat[sel].sum(axis=0))
-            counts.append(sel.shape[0])
-        sums = np.asarray(sums, dtype=np.int64)
-        cpu_us = np.zeros(len(uniq), dtype=np.int64)
+        sums = np.zeros((n_lang, stat.shape[1]), dtype=np.int64)
+        np.add.at(sums, ids, stat)
+        counts = np.bincount(ids, minlength=n_lang)
+        cpu_us = np.zeros(n_lang, dtype=np.int64)
         cpu_us[0] = (_time.thread_time_ns() - t0) // 1000
-        out = sketch_rows_to_table(rows, {"lang": uniq.tolist()})
+        out = pa.table({**group_values, **partial_columns(
+            tl, ids, n_lang, alpha=alpha, bin_limit=bin_limit)})
         for name, col in (("n_docs", counts), ("tokens", sums[:, 0]),
                           ("punct", sums[:, 1]), ("stops", sums[:, 2]),
                           ("q_micro", sums[:, 3]),
                           ("band_checksum",
-                           [checksum] + [0] * (len(uniq) - 1)),
+                           [checksum] + [0] * (n_lang - 1)),
                           ("cpu_us", cpu_us)):
             out = out.append_column(name, pa.array(np.asarray(col),
                                                    type=pa.int64()))

@@ -120,10 +120,38 @@ def _collapse_keys(keys: np.ndarray, offset: int) -> np.ndarray:
 
 
 def _sum_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and their summed counts.  Each sum runs from
+    0.0 through the key's counts in input order (bincount is a sequential
+    loop), so a fold that adds bins in that order gets the same bits."""
     uniq, inv = np.unique(keys, return_inverse=True)
-    sums = np.zeros(uniq.shape[0], dtype=np.float64)
-    np.add.at(sums, inv, counts)
-    return uniq, sums
+    return uniq, np.bincount(inv, weights=counts, minlength=uniq.shape[0])
+
+
+def quantile_keys(keys: np.ndarray, counts: np.ndarray, n: float,
+                  qs) -> np.ndarray:
+    """Keys of the buckets holding each q-quantile (walk of
+    ddsketch.cc:535-547): for each q, the first key, in ascending order,
+    whose running count exceeds ``stop = q*(n-1)``.  ``keys`` must be
+    sorted ascending; one cumsum + searchsorted answers every q."""
+    qs = np.asarray(qs, dtype=np.float64)
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
+        raise ValueError("q must be in [0, 1]")
+    if qs.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    if keys.shape[0] == 0:
+        raise ValueError("empty sketch")
+    idx = np.searchsorted(np.cumsum(counts), qs * (n - 1.0), side="right")
+    return keys[np.minimum(idx, keys.shape[0] - 1)]
+
+
+def bucket_estimate(key: int, gamma: float, offset: int) -> float:
+    """Geometric-midpoint estimate of a bucket (DDS_GetRank,
+    ddsketch.cc:106-127)."""
+    if key > 0:
+        return (2.0 * math.pow(gamma, key - offset)) / (gamma + 1.0)
+    if key < 0:
+        return -(2.0 * math.pow(gamma, -key - offset)) / (gamma + 1.0)
+    return 0.0
 
 
 class DDSketch:
@@ -177,6 +205,15 @@ class DDSketch:
         """Invariant helper (DDS_SumBins, ddsketch.cc:956-970): == n."""
         return float(sum(self.bins.values()))
 
+    def _bin_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, counts) of the bins in ascending key order."""
+        keys = np.fromiter(self.bins.keys(), dtype=np.int64,
+                           count=len(self.bins))
+        counts = np.fromiter(self.bins.values(), dtype=np.float64,
+                             count=len(self.bins))
+        order = np.argsort(keys)
+        return keys[order], counts[order]
+
     # -- build -------------------------------------------------------------
 
     def add_batch(self, values, weights=None) -> None:
@@ -202,16 +239,37 @@ class DDSketch:
                 raise ValueError("weights must match values in length")
             if (w < 0).any():
                 raise ValueError("weights must be non-negative")
-            uniq, inv = np.unique(keys, return_inverse=True)
-            cnts = np.zeros(uniq.shape[0], dtype=np.float64)
-            np.add.at(cnts, inv, w)
+            uniq, cnts = _sum_by_key(keys, w)
             nonzero = cnts > 0  # zero-weight rows must not open bins
             uniq, cnts = uniq[nonzero], cnts[nonzero]
             added = float(w.sum())
+        self.add_bins(uniq, cnts, added)
+
+    def add_bins(self, keys: np.ndarray, counts: np.ndarray,
+                 added: float) -> None:
+        """Add sorted distinct ``keys`` with their ``counts`` (current
+        generation) and ``added`` to n, then enforce bin_limit -- the tail
+        of add_batch, for callers that already hold one batch's bins.
+
+        Uniform mode runs the gamma^2 collapse loop on the (keys, counts)
+        arrays and builds the bin dict once.  A collapse sums at most two
+        bins per new key, and two-term float addition commutes, so the
+        bits match collapsing the dict one step at a time."""
         bins = self.bins
-        for k, c in zip(uniq.tolist(), cnts.tolist()):
-            bins[k] = bins.get(k, 0.0) + c
         self.n += added
+        if self.mode == "uniform" and len(bins) + keys.shape[0] > self.bin_limit:
+            if bins:
+                old_keys, old_counts = self._bin_arrays()
+                keys, counts = _sum_by_key(np.concatenate([old_keys, keys]),
+                                           np.concatenate([old_counts, counts]))
+            while keys.shape[0] > self.bin_limit:
+                self.generation += 1
+                keys, counts = _sum_by_key(_collapse_keys(keys, self.offset),
+                                           counts)
+            self.bins = dict(zip(keys.tolist(), counts.tolist()))
+            return
+        for k, c in zip(keys.tolist(), counts.tolist()):
+            bins[k] = bins.get(k, 0.0) + c
         self._enforce_limit()
 
     def add(self, value: float) -> None:
@@ -227,23 +285,23 @@ class DDSketch:
             return
         keys = compute_keys(v, self.ln_gamma, self.offset)
         uniq, cnts = np.unique(keys, return_counts=True)
-        for k, c in zip(uniq.tolist(), cnts.tolist()):
-            self._delete_key(k, float(c))
-
-    def _delete_key(self, key: int, c: float) -> None:
         bins = self.bins
-        if self.mode != "uniform" and self.kmin <= key <= self.kmax and bins:
-            skeys = sorted(bins)
-            key = skeys[-1] if self.mode == "last" else skeys[0]
-        cur = bins.get(key)
-        if cur is None:
-            return
-        removed = min(c, cur)
-        if cur - removed <= 0:
-            del bins[key]
-        else:
-            bins[key] = cur - removed
-        self.n -= removed
+        ranged = self.mode != "uniform"
+        ext = None  # the extreme key, found again only once it is deleted
+        for key, c in zip(uniq.tolist(), cnts.tolist()):
+            if ranged and self.kmin <= key <= self.kmax and bins:
+                if ext not in bins:
+                    ext = max(bins) if self.mode == "last" else min(bins)
+                key = ext
+            cur = bins.get(key)
+            if cur is None:
+                continue
+            removed = min(float(c), cur)
+            if cur - removed <= 0:
+                del bins[key]
+            else:
+                bins[key] = cur - removed
+            self.n -= removed
 
     # -- collapse strategies ----------------------------------------------
 
@@ -252,34 +310,46 @@ class DDSketch:
         self.generation += 1
         if not self.bins:
             return
-        keys = np.fromiter(self.bins.keys(), dtype=np.int64, count=len(self.bins))
-        counts = np.fromiter(self.bins.values(), dtype=np.float64, count=len(self.bins))
-        new_keys = _collapse_keys(keys, self.offset)
-        uniq, sums = _sum_by_key(new_keys, counts)
+        keys, counts = self._bin_arrays()
+        uniq, sums = _sum_by_key(_collapse_keys(keys, self.offset), counts)
         self.bins = dict(zip(uniq.tolist(), sums.tolist()))
 
-    def _fold_extreme(self) -> None:
-        """Fold second-extreme bin into extreme (ddsketch.cc:788-835)."""
-        skeys = sorted(self.bins)
-        if len(skeys) < 2:
+    def _fold_excess(self) -> None:
+        """Fold every bin beyond bin_limit into the extreme bin in one step.
+
+        Same result as folding the second-extreme bin into the extreme one
+        until the limit holds (ddsketch.cc:788-835): the folded bins are
+        added to the extreme bin nearest-first, and [kmin, kmax] widens to
+        cover them, without re-sorting the keys for every fold."""
+        bins = self.bins
+        excess = min(len(bins) - self.bin_limit, len(bins) - 1)
+        if excess <= 0:
             return
+        keys = np.sort(np.fromiter(bins.keys(), dtype=np.int64,
+                                   count=len(bins)))
         if self.mode == "last":
-            ext, second = skeys[-1], skeys[-2]
+            ext, folded = int(keys[-1]), keys[-1 - excess:-1][::-1].tolist()
+            lo, hi = folded[-1], ext
         else:
-            ext, second = skeys[0], skeys[1]
-        lo, hi = min(ext, second), max(ext, second)
+            ext, folded = int(keys[0]), keys[1:1 + excess].tolist()
+            lo, hi = ext, folded[-1]
+        total = bins[ext]
+        for k in folded:
+            total += bins.pop(k)
+        bins[ext] = total
         if lo < self.kmin:
             self.kmin = lo
         if hi > self.kmax:
             self.kmax = hi
-        self.bins[ext] += self.bins.pop(second)
 
     def _enforce_limit(self) -> None:
+        if len(self.bins) <= self.bin_limit:
+            return
+        if self.mode != "uniform":
+            self._fold_excess()
+            return
         while len(self.bins) > self.bin_limit:
-            if self.mode == "uniform":
-                self.collapse()
-            else:
-                self._fold_extreme()
+            self.collapse()
 
     # -- merge -------------------------------------------------------------
 
@@ -377,16 +447,7 @@ class DDSketch:
     # -- query -------------------------------------------------------------
 
     def _bucket_estimate(self, key: int) -> float:
-        """Geometric-midpoint estimate of a bucket (DDS_GetRank,
-        ddsketch.cc:106-127)."""
-        g = self.gamma
-        if key > 0:
-            m = key - self.offset
-            return (2.0 * math.pow(g, m)) / (g + 1.0)
-        if key < 0:
-            m = -key - self.offset
-            return -(2.0 * math.pow(g, m)) / (g + 1.0)
-        return 0.0
+        return bucket_estimate(key, self.gamma, self.offset)
 
     def bucket_upper_bound(self, key: int) -> float:
         """gamma^m upper bound (DDS_GetValue, ddsketch.cc:129-150)."""
@@ -397,43 +458,30 @@ class DDSketch:
             return -math.pow(g, -key - self.offset)
         return 0.0
 
+    def quantile_keys(self, qs) -> np.ndarray:
+        """Bucket keys of every q-quantile (see ``quantile_keys``)."""
+        keys, counts = self._bin_arrays()
+        return quantile_keys(keys, counts, self.n, qs)
+
     def quantile_key(self, q: float) -> int:
-        """Key of the bucket holding the q-quantile (walk of
-        ddsketch.cc:535-547): first key, in ascending order, whose running
-        count exceeds ``stop = q*(n-1)``."""
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("q must be in [0, 1]")
-        if not self.bins:
-            raise ValueError("empty sketch")
-        keys = np.fromiter(self.bins.keys(), dtype=np.int64, count=len(self.bins))
-        order = np.argsort(keys)
-        keys = keys[order]
-        counts = np.fromiter(self.bins.values(), dtype=np.float64,
-                             count=len(self.bins))[order]
-        stop = q * (self.n - 1.0)
-        cum = np.cumsum(counts)
-        idx = int(np.searchsorted(cum, stop, side="right"))
-        if idx >= keys.shape[0]:
-            idx = keys.shape[0] - 1
-        return int(keys[idx])
+        """Key of the bucket holding the q-quantile."""
+        return int(self.quantile_keys([q])[0])
 
     def quantile(self, q: float) -> float:
         return self._bucket_estimate(self.quantile_key(q))
 
     def quantiles(self, qs) -> list[float]:
-        return [self.quantile(q) for q in qs]
+        return [self._bucket_estimate(k)
+                for k in self.quantile_keys(list(qs)).tolist()]
 
     # -- serialization -----------------------------------------------------
 
     def to_row(self) -> dict:
         """One sketch as a plain row (Arrow-friendly: list<int64> +
         list<float64> + scalars) for use as Ray Dataset data."""
-        keys = np.fromiter(self.bins.keys(), dtype=np.int64, count=len(self.bins))
-        order = np.argsort(keys)
-        counts = np.fromiter(self.bins.values(), dtype=np.float64,
-                             count=len(self.bins))[order]
+        keys, counts = self._bin_arrays()
         return {
-            "keys": keys[order],
+            "keys": keys,
             "counts": counts,
             "n": float(self.n),
             "generation": int(self.generation),

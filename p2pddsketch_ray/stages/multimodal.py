@@ -53,8 +53,9 @@ def encode_bmp(rgb: np.ndarray) -> bytes:
 def decode_bmp(buf: np.ndarray) -> np.ndarray:
     """Parse a 24-bit uncompressed BMP into a top-down (H, W, 3) uint8
     RGB raster (header math + reshape/slice on the byte buffer).
-    Compressed or non-24bpp DIBs raise ValueError: real codec formats
-    need libraries absent from this environment."""
+    Other DIB headers (e.g. BITMAPCOREHEADER), a pixel-data offset inside
+    the headers, and compressed or non-24bpp DIBs raise ValueError: real
+    codec formats need libraries absent from this environment."""
     b = np.asarray(buf, dtype=np.uint8)
     if b.size < 54 or b[0] != 0x42 or b[1] != 0x4D:
         raise ValueError("not a BMP payload")
@@ -68,6 +69,11 @@ def decode_bmp(buf: np.ndarray) -> np.ndarray:
         return v - (1 << 32) if v >= (1 << 31) else v
 
     data_off = u32(10)
+    header_size = u32(14)
+    if header_size != 40 or data_off < 14 + header_size:
+        raise ValueError(
+            "only BITMAPINFOHEADER BMPs with pixel data after the headers "
+            f"decode (DIB header size={header_size}, data offset={data_off})")
     w, hh = i32(18), i32(22)
     bpp = int(b[28]) | int(b[29]) << 8
     comp = u32(30)

@@ -16,6 +16,22 @@ phases (SURVEY.md section 3.3):
   partials are <= bin_limit bins ~ 6 KB each, so the merge stage moves
   kilobytes, not data.
 
+A DDSketch merge is a bin-wise sum, so both halves are columnar:
+
+* build (``build_partials``): ``group_codes`` turns the key columns into
+  int64 group ids (Arrow dictionary encoding, ranked by the sorted
+  dictionary); every value's bucket key is computed once per batch; one
+  ``np.unique`` over the packed int64 (group id, key) codes makes each
+  (group, key) pair a run, and the ``keys`` / ``counts`` list columns are
+  cut straight from the run offsets.  No per-group DDSketch is built,
+  except for a group with more distinct keys than ``bin_limit``, which
+  collapses (or folds) through ``DDSketch.add_bins``.
+* merge (``merged_row``): when all rows are uniform mode at one
+  generation and the union of their keys fits ``bin_limit``, the rows'
+  concatenated keys and counts are summed by key once, in row order.
+  Otherwise the columnar-decoded sketches are folded with
+  ``DDSketch.merge``.  Both give the same bits as folding row by row.
+
 All hot-path math is vectorized numpy over zero-copy Arrow columns.
 """
 
@@ -26,9 +42,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DEFAULT_ALPHA, DEFAULT_BIN_LIMIT, DEFAULT_OFFSET
-from ..sketches.ddsketch import DDSketch
+from ..sketches.ddsketch import (DDSketch, _derived_params, _sum_by_key,
+                                 bucket_estimate, compute_keys, quantile_keys)
 
 SKETCH_FIELDS = [
     ("keys", pa.list_(pa.int64())),
@@ -56,31 +74,20 @@ def sketch_rows_to_table(rows: Sequence[dict], group_values: dict | None = None)
     return pa.table(cols)
 
 
-def _sketch_from_table_row(table: pa.Table, i: int) -> DDSketch:
-    return DDSketch.from_row({
-        "keys": np.asarray(table["keys"][i].as_py(), dtype=np.int64),
-        "counts": np.asarray(table["counts"][i].as_py(), dtype=np.float64),
-        "n": table["n"][i].as_py(),
-        "generation": table["generation"][i].as_py(),
-        "alpha0": table["alpha0"][i].as_py(),
-        "bin_limit": table["bin_limit"][i].as_py(),
-        "offset": table["offset"][i].as_py(),
-        "mode": table["mode"][i].as_py(),
-        "kmin": table["kmin"][i].as_py(),
-        "kmax": table["kmax"][i].as_py(),
-    })
+def _list_column(table: pa.Table, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of a list column: row i is
+    ``values[offsets[i]:offsets[i + 1]]``."""
+    col = table[name].combine_chunks()
+    return (col.offsets.to_numpy(zero_copy_only=False),
+            col.values.to_numpy(zero_copy_only=False))
 
 
 def sketches_from_table(table: pa.Table) -> list[DDSketch]:
     """Decode every serialized-sketch row of a table with columnar
     operations (one offsets/values buffer pair per list column instead of
     per-row as_py round-trips)."""
-    keys_col = table["keys"].combine_chunks()
-    counts_col = table["counts"].combine_chunks()
-    koffs = keys_col.offsets.to_numpy(zero_copy_only=False)
-    kvals = keys_col.values.to_numpy(zero_copy_only=False)
-    coffs = counts_col.offsets.to_numpy(zero_copy_only=False)
-    cvals = counts_col.values.to_numpy(zero_copy_only=False)
+    koffs, kvals = _list_column(table, "keys")
+    coffs, cvals = _list_column(table, "counts")
     scalars = {name: table[name].to_pylist()
                for name, _ in SKETCH_FIELDS if name not in ("keys", "counts")}
     out = []
@@ -94,14 +101,53 @@ def sketches_from_table(table: pa.Table) -> list[DDSketch]:
     return out
 
 
-def merge_sketch_table(table: pa.Table) -> DDSketch:
-    """Fold all serialized-sketch rows of an Arrow table into one sketch."""
+def merged_row(table: pa.Table) -> dict:
+    """``DDSketch.to_row()`` of all serialized-sketch rows of a table
+    merged: the same bits as folding them in row order with
+    ``DDSketch.merge``.
+
+    When every row is uniform mode at one generation and the union of
+    their keys fits bin_limit, the fold never collapses, so one sum by key
+    over the concatenated key/count arrays, in row order, is the whole
+    merge.  Otherwise the columnar-decoded sketches are folded."""
     if table.num_rows == 0:
         raise ValueError("no sketch rows to merge")
-    acc = _sketch_from_table_row(table, 0)
-    for i in range(1, table.num_rows):
-        acc.merge(_sketch_from_table_row(table, i))
-    return acc
+    scalars = {name: table[name].to_numpy(zero_copy_only=False)
+               for name, _ in SKETCH_FIELDS if name not in ("keys", "counts")}
+    for name in ("alpha0", "bin_limit", "offset", "mode"):
+        if (scalars[name] != scalars[name][0]).any():
+            raise ValueError("cannot merge sketches with different parameters")
+    mode = str(scalars["mode"][0])
+    bin_limit = int(scalars["bin_limit"][0])
+    generation = int(scalars["generation"][0])
+    if mode == "uniform" and (scalars["generation"] == generation).all():
+        koffs, kvals = _list_column(table, "keys")
+        coffs, cvals = _list_column(table, "counts")
+        keys, counts = _sum_by_key(kvals[koffs[0]:koffs[-1]],
+                                   cvals[coffs[0]:coffs[-1]])
+        if keys.shape[0] <= bin_limit:
+            n = np.cumsum(scalars["n"])[-1]  # the fold's n += order
+            return {
+                "keys": keys,
+                "counts": counts,
+                "n": float(n),
+                "generation": generation,
+                "alpha0": float(scalars["alpha0"][0]),
+                "bin_limit": bin_limit,
+                "offset": int(scalars["offset"][0]),
+                "mode": mode,
+                "kmin": int(scalars["kmin"].min()),
+                "kmax": int(scalars["kmax"].max()),
+            }
+    acc, *rest = sketches_from_table(table)
+    for s in rest:
+        acc.merge(s)
+    return acc.to_row()
+
+
+def merge_sketch_table(table: pa.Table) -> DDSketch:
+    """Merge all serialized-sketch rows of an Arrow table into one sketch."""
+    return DDSketch.from_row(merged_row(table))
 
 
 _SKETCH_COL_NAMES = [name for name, _ in SKETCH_FIELDS]
@@ -114,8 +160,7 @@ def _merge_block_to_row(t: pa.Table) -> pa.Table:
                       for name, typ in SKETCH_FIELDS})
     if t.num_rows == 0:
         return empty
-    return sketch_rows_to_table(
-        [merge_sketch_table(t.select(_SKETCH_COL_NAMES)).to_row()])
+    return sketch_rows_to_table([merged_row(t.select(_SKETCH_COL_NAMES))])
 
 
 def tree_merge_sketches(partials_ds, *, fanin: int = 32) -> DDSketch:
@@ -152,6 +197,135 @@ def tree_merge_sketches(partials_ds, *, fanin: int = 32) -> DDSketch:
     return merge_sketch_table(pa.concat_tables(tables))
 
 
+def group_codes(table: pa.Table, cols: Sequence[str]
+                ) -> tuple[np.ndarray, dict[str, pa.Array]]:
+    """Group id of every row by the key columns ``cols``, and each key
+    column's value per group.
+
+    Ids run 0..G-1 in ascending lexicographic key order, the order
+    ``np.unique`` gives.  Each column is dictionary-encoded and its
+    indices are replaced by their entry's rank in the sorted dictionary,
+    so only the dictionaries are sorted.  Key values come back as
+    ``pa.array(values.to_numpy().tolist())``, the types a numpy group-by
+    produces (an int32 key comes back int64, a date32 key as date32)."""
+    n = table.num_rows
+    ids, n_ids = np.zeros(n, dtype=np.int64), 1
+    ranked: list[tuple[np.ndarray, pa.Array]] = []
+    for name in cols:
+        col = table[name]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        if pa.types.is_dictionary(col.type):
+            col = col.dictionary_decode()
+        enc = pc.dictionary_encode(col, null_encoding="encode")
+        order = pc.sort_indices(enc.dictionary,
+                                null_placement="at_end").to_numpy()
+        rank = np.empty(order.shape[0], dtype=np.int64)
+        rank[order] = np.arange(order.shape[0])
+        codes = rank[enc.indices.to_numpy(zero_copy_only=False)]
+        ranked.append((codes, enc.dictionary.take(order)))
+        if len(ranked) > 1:  # renumber the (ids, codes) pairs that occur
+            uniq, ids = np.unique(ids * order.shape[0] + codes,
+                                  return_inverse=True)
+            n_ids = uniq.shape[0]
+        else:  # one column's ranks are already dense
+            ids, n_ids = codes, order.shape[0]
+    rep = np.empty(n_ids, dtype=np.int64)  # one row of every group
+    rep[ids] = np.arange(n)
+    values = {name: pa.array(sorted_dict.to_numpy(zero_copy_only=False)
+                             [codes[rep]].tolist())
+              for name, (codes, sorted_dict) in zip(cols, ranked)}
+    return ids, values
+
+
+def partial_columns(values: np.ndarray, ids: np.ndarray, n_groups: int,
+                    weights: np.ndarray | None = None, *,
+                    alpha: float = DEFAULT_ALPHA,
+                    bin_limit: int = DEFAULT_BIN_LIMIT,
+                    offset: int = DEFAULT_OFFSET,
+                    mode: str = "uniform") -> dict[str, pa.Array]:
+    """The SKETCH_FIELDS columns of one partial row per group id
+    0..n_groups-1: the rows a fresh ``DDSketch`` per group would give
+    after ``add_batch`` of that group's values (and weights), columnar.
+
+    One sort of the packed (group id, bucket key) codes makes every
+    (group, key) a run; a run's length (or its weights summed in row order)
+    is the bin count.  A group with more distinct keys than bin_limit is
+    handed to ``DDSketch.add_bins`` to collapse or fold."""
+    proto = DDSketch(alpha, bin_limit, offset, mode)  # validates params
+    keys = compute_keys(values, proto.ln_gamma, offset)
+    lo = int(keys.min()) if keys.shape[0] else 0
+    span = int(keys.max()) - lo + 1 if keys.shape[0] else 1
+    key_values = None
+    if span * n_groups >= 2**63:  # keys too spread to pack: pack their ranks
+        key_values, packed_keys = np.unique(keys, return_inverse=True)
+        span = key_values.shape[0]
+    else:
+        packed_keys = keys - lo
+    packed = ids * span + packed_keys
+    if weights is None:
+        runs, lengths = np.unique(packed, return_counts=True)
+        run_counts = lengths.astype(np.float64)
+        added = np.bincount(ids, minlength=n_groups).astype(np.float64)
+    else:
+        if (weights < 0).any():
+            raise ValueError("weights must be non-negative")
+        runs, run_of_row = np.unique(packed, return_inverse=True)
+        run_counts = np.bincount(run_of_row, weights=weights,
+                                 minlength=runs.shape[0])
+        nonzero = run_counts > 0  # zero-weight rows must not open bins
+        runs, run_counts = runs[nonzero], run_counts[nonzero]
+        # each group's weights summed as add_batch does: w.sum() of the
+        # group's rows in row order
+        by_group = np.argsort(ids, kind="stable")
+        bounds = np.searchsorted(ids[by_group], np.arange(n_groups + 1))
+        added = np.array([weights[by_group[a:b]].sum()
+                          for a, b in zip(bounds[:-1], bounds[1:])],
+                         dtype=np.float64)
+    run_ids, run_keys = np.divmod(runs, span)
+    run_keys = run_keys + lo if key_values is None else key_values[run_keys]
+    sizes = np.bincount(run_ids, minlength=n_groups)
+    n = added + 0.0  # DDSketch.n starts at 0.0 and adds
+    generation = np.zeros(n_groups, dtype=np.int64)
+    kmin = np.full(n_groups, proto.kmin, dtype=np.int64)
+    kmax = np.full(n_groups, proto.kmax, dtype=np.int64)
+    over = np.flatnonzero(sizes > bin_limit)
+    if over.size:
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        key_parts, count_parts, prev = [], [], 0
+        for g in over.tolist():
+            a, b = bounds[g], bounds[g + 1]
+            s = DDSketch(alpha, bin_limit, offset, mode)
+            s.add_bins(run_keys[a:b], run_counts[a:b], float(added[g]))
+            row = s.to_row()
+            key_parts += [run_keys[bounds[prev]:a], row["keys"]]
+            count_parts += [run_counts[bounds[prev]:a], row["counts"]]
+            prev = g + 1
+            sizes[g] = row["keys"].shape[0]
+            n[g], generation[g] = row["n"], row["generation"]
+            kmin[g], kmax[g] = row["kmin"], row["kmax"]
+        run_keys = np.concatenate(key_parts + [run_keys[bounds[prev]:]])
+        run_counts = np.concatenate(count_parts + [run_counts[bounds[prev]:]])
+    list_offsets = pa.array(np.concatenate(([0], np.cumsum(sizes))),
+                            type=pa.int32())
+    return {
+        "keys": pa.ListArray.from_arrays(
+            list_offsets, pa.array(run_keys, type=pa.int64())),
+        "counts": pa.ListArray.from_arrays(
+            list_offsets, pa.array(run_counts, type=pa.float64())),
+        "n": pa.array(n, type=pa.float64()),
+        "generation": pa.array(generation, type=pa.int64()),
+        "alpha0": pa.array(np.full(n_groups, proto.alpha0),
+                           type=pa.float64()),
+        "bin_limit": pa.array(np.full(n_groups, proto.bin_limit),
+                              type=pa.int64()),
+        "offset": pa.array(np.full(n_groups, proto.offset), type=pa.int64()),
+        "mode": pa.array([mode] * n_groups, type=pa.string()),
+        "kmin": pa.array(kmin, type=pa.int64()),
+        "kmax": pa.array(kmax, type=pa.int64()),
+    }
+
+
 def build_partials(batch: pa.Table, *, value_col: str,
                    group_cols: Sequence[str] | None = None,
                    weight_col: str | None = None,
@@ -159,7 +333,8 @@ def build_partials(batch: pa.Table, *, value_col: str,
                    bin_limit: int = DEFAULT_BIN_LIMIT,
                    offset: int = DEFAULT_OFFSET,
                    mode: str = "uniform") -> pa.Table:
-    """map_batches body: one partial-sketch row per (batch, group).
+    """map_batches body: one partial-sketch row per (batch, group), the
+    group-key columns first (no group columns: one row for the batch).
 
     Nulls in the value column are dropped (the reference's scalar stream
     has no notion of null, main.cpp:967-1000).  ``weight_col`` makes the
@@ -173,33 +348,14 @@ def build_partials(batch: pa.Table, *, value_col: str,
     values = col.to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
     weights = (batch[weight_col].to_numpy(zero_copy_only=False)
                .astype(np.float64, copy=False) if weight_col else None)
-
-    if not group_cols:
-        s = DDSketch(alpha, bin_limit, offset, mode)
-        s.add_batch(values, weights)
-        return sketch_rows_to_table([s.to_row()])
-
-    if len(group_cols) == 1:
-        gv = batch[group_cols[0]].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(gv, return_inverse=True)
-        group_values = {group_cols[0]: uniq.tolist()}
+    if group_cols:
+        ids, group_values = group_codes(batch, group_cols)
+        n_groups = len(group_values[group_cols[0]])
     else:
-        arrs = [batch[c].to_numpy(zero_copy_only=False) for c in group_cols]
-        combined = np.core.records.fromarrays(arrs)
-        uniq, inv = np.unique(combined, return_inverse=True)
-        group_values = {c: [u[j] for u in uniq.tolist()]
-                        for j, c in enumerate(group_cols)}
-
-    order = np.argsort(inv, kind="stable")
-    bounds = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
-    rows = []
-    for g in range(len(uniq)):
-        sel = order[bounds[g]:bounds[g + 1]]
-        s = DDSketch(alpha, bin_limit, offset, mode)
-        s.add_batch(values[sel],
-                    weights[sel] if weights is not None else None)
-        rows.append(s.to_row())
-    return sketch_rows_to_table(rows, group_values)
+        ids, group_values, n_groups = np.zeros(values.shape[0], np.int64), {}, 1
+    return pa.table({**group_values, **partial_columns(
+        values, ids, n_groups, weights, alpha=alpha, bin_limit=bin_limit,
+        offset=offset, mode=mode)})
 
 
 def partial_builder(value_col: str, group_cols: Sequence[str] | None = None,
@@ -213,18 +369,22 @@ def partial_builder(value_col: str, group_cols: Sequence[str] | None = None,
 def quantile_finalizer(group_cols: Sequence[str] | None,
                        quantiles: Sequence[float],
                        round_digits: int | None = None):
-    """map_groups body factory: merge a group's partial rows and emit one
-    row per quantile: group keys + (q, bucket_key, est)."""
+    """map_groups body factory: merge a group's partial rows once and emit
+    one row per quantile: group keys + (q, bucket_key, est).  One cumsum +
+    searchsorted over the merged bins answers every quantile."""
     group_cols = tuple(group_cols) if group_cols else ()
     qs = tuple(quantiles)
 
     def finalize(group: pa.Table) -> pa.Table:
-        sketch = merge_sketch_table(group)
+        row = merged_row(group)
+        gamma = _derived_params(row["alpha0"], row["generation"])[1]
         out: dict[str, list] = {c: [group[c][0].as_py()] * len(qs)
                                 for c in group_cols}
         out["q"] = list(qs)
-        out["bucket_key"] = [sketch.quantile_key(q) for q in qs]
-        ests = [sketch._bucket_estimate(k) for k in out["bucket_key"]]
+        out["bucket_key"] = quantile_keys(row["keys"], row["counts"],
+                                          row["n"], qs).tolist()
+        ests = [bucket_estimate(k, gamma, row["offset"])
+                for k in out["bucket_key"]]
         if round_digits is not None:
             ests = [round(e, round_digits) for e in ests]
         out["est"] = ests

@@ -184,6 +184,68 @@ def test_fold_mode_delete_in_collapsed_range(mode):
     assert s.bins.get(ext_key, 0) == before - 1
 
 
+def _reference_fold(s):
+    """The one-bin-at-a-time fold (ddsketch.cc:788-835): sort every key,
+    fold the second-extreme bin into the extreme one, repeat."""
+    while len(s.bins) > s.bin_limit:
+        skeys = sorted(s.bins)
+        if s.mode == "last":
+            ext, second = skeys[-1], skeys[-2]
+        else:
+            ext, second = skeys[0], skeys[1]
+        s.kmin = min(s.kmin, ext, second)
+        s.kmax = max(s.kmax, ext, second)
+        s.bins[ext] += s.bins.pop(second)
+
+
+def _reference_delete(s, values):
+    """Per-key delete that re-sorts the keys for every key in the
+    collapsed range."""
+    keys = compute_keys(np.asarray(values, dtype=np.float64), s.ln_gamma,
+                        s.offset)
+    uniq, cnts = np.unique(keys, return_counts=True)
+    for key, c in zip(uniq.tolist(), cnts.tolist()):
+        if s.kmin <= key <= s.kmax and s.bins:
+            skeys = sorted(s.bins)
+            key = skeys[-1] if s.mode == "last" else skeys[0]
+        cur = s.bins.get(key)
+        if cur is None:
+            continue
+        removed = min(float(c), cur)
+        if cur - removed <= 0:
+            del s.bins[key]
+        else:
+            s.bins[key] = cur - removed
+        s.n -= removed
+
+
+@pytest.mark.parametrize("mode", ["last", "first"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fold_excess_equals_one_bin_at_a_time_fold(mode, weighted):
+    rng = np.random.default_rng(23)
+    fast = DDSketch(DEFAULT_ALPHA, 500, mode=mode)
+    ref = DDSketch(DEFAULT_ALPHA, 500, mode=mode)
+    for size in (300, 4096, 2048):
+        v = rng.normal(100, 10, size)
+        w = rng.random(size) * 3 if weighted else None
+        fast.add_batch(v, w)
+        ref.bin_limit = 10**9           # insert without folding ...
+        ref.add_batch(v, w)
+        ref.bin_limit = 500             # ... then fold the old way
+        _reference_fold(ref)
+        assert fast.to_bytes() == ref.to_bytes()
+    assert fast.kmin <= fast.kmax
+    # deletes in the collapsed range hit the extreme bin, and once it is
+    # emptied, the next extreme one
+    ext = max(ref.bins) if mode == "last" else min(ref.bins)
+    gone = np.full(int(ref.bins[ext]) + 40, fast._bucket_estimate(ext))
+    dels = np.concatenate([gone, rng.normal(100, 10, 3000)])
+    fast.delete_batch(dels)
+    _reference_delete(ref, dels)
+    assert ext not in fast.bins
+    assert fast.to_bytes() == ref.to_bytes()
+
+
 def test_serialization_roundtrip():
     rng = np.random.default_rng(19)
     s = DDSketch(alpha=DEFAULT_ALPHA, bin_limit=100)
@@ -203,6 +265,8 @@ def test_quantile_bounds_validation():
         s.quantile(1.1)
     with pytest.raises(ValueError):
         DDSketch(alpha=PRACTICAL_ALPHA).quantile(0.5)  # empty
+    assert DDSketch(alpha=PRACTICAL_ALPHA).quantiles([]) == []
+    assert s.quantiles([]) == []
 
 
 def test_dds_incremental_update_is_bit_identical(ray_session):

@@ -44,6 +44,23 @@ def test_bmp_rejects_compressed_and_junk():
         decode_bmp(np.frombuffer(b"\xffnot-a-bmp" * 10, dtype=np.uint8))
 
 
+def test_bmp_rejects_other_dib_headers_and_early_pixel_offset():
+    import struct
+    img = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+    good = encode_bmp(img)
+    core = bytearray(good)
+    struct.pack_into("<I", core, 14, 12)           # BITMAPCOREHEADER size
+    with pytest.raises(ValueError, match="DIB header size=12"):
+        decode_bmp(np.frombuffer(bytes(core), dtype=np.uint8))
+    early = bytearray(good)
+    struct.pack_into("<I", early, 10, 14)          # pixels "inside" headers
+    with pytest.raises(ValueError, match="data offset=14"):
+        decode_bmp(np.frombuffer(bytes(early), dtype=np.uint8))
+    # the boundary itself (pixels right after the 54 header bytes) decodes
+    assert np.array_equal(decode_bmp(np.frombuffer(good, dtype=np.uint8)),
+                          img)
+
+
 @pytest.mark.parametrize("w,h", [(1, 1), (9, 11), (12, 9), (100, 3)])
 def test_ppm_roundtrip(w, h):
     rng = np.random.default_rng(w + h)

@@ -4950,6 +4950,16 @@ def test_priority_sample_by_segment_matches_duckdb(ray_session):
     assert (got["tau"] >= 0).all()
 
 
+def test_priority_sample_err_ppm_zero_exact_is_zero_without_warning():
+    from p2pddsketch_ray.pipelines.approx import _err_ppm
+    est = np.array([0, 7, 1_000_500, 999_999], dtype=np.int64)
+    exact = np.array([0, 0, 1_000_000, 1_000_000], dtype=np.int64)
+    with np.errstate(all="raise"):                 # a divide warning fails
+        got = _err_ppm(est, exact)
+    assert got.dtype == np.int64
+    assert got.tolist() == [0, 0, 500, 1]
+
+
 def test_dgim_sql_twin_matches_simulation(ray_session):
     # the closed-form SQL replica and the Ray rebuild must agree with a
     # literal single-stream DGIM simulation (two buckets per size,
