@@ -149,7 +149,7 @@ def _blob_matrix(col: pa.Array | pa.ChunkedArray,
     widths = np.diff(offs)
     if not (widths == widths[0]).all():
         raise ValueError("expected equal-length signature blobs")
-    flat = data[offs[0]:offs[-1]].copy().view(dtype)
+    flat = data.copy().view(dtype)
     return flat.reshape(n, -1)
 
 
@@ -3045,6 +3045,20 @@ _WMH_P53 = 9007199254740881          # prime < 2^53: fpm * 1024 fits int64
 _WMH_CAP = 1024                      # per-token weight cap (expansion bound)
 
 
+def _wmh_fpm(fp: np.ndarray) -> np.ndarray:
+    """fpm = md5_64 % P53 of one document's distinct tokens.  The exact
+    weighted Jaccard (np.intersect1d with assume_unique) and the SQL
+    twin's join both take fpm as the token's identity, so two distinct
+    tokens of one document that meet mod P53 raise instead of silently
+    merging."""
+    fpm = (fp % np.uint64(_WMH_P53)).astype(np.int64)
+    if np.unique(fpm).shape[0] != fpm.shape[0]:
+        raise ValueError("two distinct tokens of one document share an "
+                         "fpm value (md5_64 % P53); weighted MinHash "
+                         "needs them distinct")
+    return fpm
+
+
 def weighted_minhash_pairs(sf_dir: str, num_hashes: int = 64,
                            max_doc_id: int = 24) -> pa.Table:
     """WEIGHTED-JACCARD MinHash by integer-weight expansion (the
@@ -3103,8 +3117,7 @@ def weighted_minhash_pairs(sf_dir: str, num_hashes: int = 64,
         for s in t["text"].to_pylist():
             toks, cnts = np.unique(np.array(s.split(" "), dtype=object),
                                    return_counts=True)
-            fp = md5_uint64(toks.tolist())
-            fpm = (fp % np.uint64(_WMH_P53)).astype(np.int64)
+            fpm = _wmh_fpm(md5_uint64(toks.tolist()))
             c = np.minimum(cnts.astype(np.int64), _WMH_CAP)
             order = np.argsort(fpm)
             fpm, c = fpm[order], c[order]

@@ -3,8 +3,8 @@
 Replaces the reference's whole main() simulation (main.cpp:214-396):
 
     read -> project metric column -> map_batches(partial sketches)
-         -> groupby(keys).map_groups(merge + quantile)      # grouped
-         -> (or) distributed tree reduce of partial rows    # global
+         -> sort(keys).map_batches(merge + quantile per block) # grouped
+         -> (or) distributed tree reduce of partial rows       # global
 
 The only shuffle moves serialized partials (<= ~6 KB per (block, group)):
 classic partial aggregation, so a Zipf-skewed group key (lang ~ 60% 'en')
@@ -51,12 +51,21 @@ def dds_quantiles_global(ds: "ray.data.Dataset", value_col: str,
                          **sketch_kwargs) -> pa.Table:
     """Global quantiles: distributed partial build + distributed tree
     merge; only the single merged sketch row reaches the driver."""
-    sketch = dds_sketch_global(ds, value_col, **sketch_kwargs)
-    keys = [sketch.quantile_key(q) for q in quantiles]
+    return sketch_quantile_table(dds_sketch_global(ds, value_col,
+                                                   **sketch_kwargs),
+                                 quantiles, round_digits)
+
+
+def sketch_quantile_table(sketch: DDSketch, quantiles: Sequence[float],
+                          round_digits: int | None = None) -> pa.Table:
+    """(q, bucket_key, est) rows of a merged sketch; one
+    ``DDSketch.quantile_keys`` call answers every q."""
+    qs = list(quantiles)
+    keys = sketch.quantile_keys(qs).tolist()
     ests = [sketch._bucket_estimate(k) for k in keys]
     if round_digits is not None:
         ests = [round(e, round_digits) for e in ests]
-    return pa.table({"q": pa.array(list(quantiles), type=pa.float64()),
+    return pa.table({"q": pa.array(qs, type=pa.float64()),
                      "bucket_key": pa.array(keys, type=pa.int64()),
                      "est": pa.array(ests, type=pa.float64())})
 
@@ -133,13 +142,13 @@ def dds_quantiles_grouped(ds: "ray.data.Dataset", value_col: str,
                           quantiles: Sequence[float] = HEADLINE_QUANTILES,
                           *, round_digits: int | None = None,
                           **sketch_kwargs) -> "ray.data.Dataset":
-    """Grouped quantiles: shuffle only the partial rows, then merge+query
-    per group.  Output: one row per (group, q) with columns
-    group_cols + [q, bucket_key, est]."""
+    """Grouped quantiles: sort only the partial rows by the group key, then
+    merge+query every group of a sorted block in one call.  Output: one
+    row per (group, q) with columns group_cols + [q, bucket_key, est]."""
     partials = build_partials_ds(ds, value_col, group_cols, **sketch_kwargs)
-    return partials.groupby(list(group_cols)).map_groups(
+    return partials.sort(list(group_cols)).map_batches(
         quantile_finalizer(group_cols, quantiles, round_digits),
-        batch_format="pyarrow")
+        batch_format="pyarrow", batch_size=None)
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,16 @@ def events_asof_orders(sf_dir: str) -> pa.Table:
     seconds (sum_lag_s) and the microsecond remainder (lag_rem_us,
     0..999999 after the finalize carry) -- because a single int64
     microsecond sum overflows in the 10x regime already (the sf1 tier
-    caught exactly this: 2.8e19 us > 2^63), let alone at 10^12 rows.
-    Per-row split floor(lag/1e6) + lag%1e6 is exact for the
-    non-negative as-of lags, each limb's global sum stays in int64
-    through the shuffle, and one carry normalization at finalize
-    recovers the exact total; DuckDB replays it from its HUGEINT sum."""
+    caught exactly this: 2.8e19 us > 2^63).  Per-row split
+    floor(lag/1e6) + lag%1e6 is exact for the non-negative as-of lags,
+    and one carry normalization at finalize recovers the exact total;
+    DuckDB replays it from its HUGEINT sum.  Range: the seconds limb
+    sums whole seconds, so it stays in int64 while the group's total lag
+    is below 2^63 s (~2.9e11 years: 10^12 matched rows at a mean lag
+    under ~107 days); the remainder limb adds < 10^6 per row, so it
+    stays in int64 up to ~9.2e12 rows.  Both limbs sum non-negative
+    terms, so finalize raises on a negative limb: the sign a sum takes
+    after wrapping past 2^63 once."""
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                    columns=["ts", "user_id", "event_type"])
     orders = ray.data.read_parquet(
@@ -308,6 +313,8 @@ def events_asof_orders(sf_dir: str) -> pa.Table:
         # carry normalization: exact total = lag_s * 1e6 + lag_r
         s = t["lag_s"].to_numpy(zero_copy_only=False).astype(np.int64)
         r = t["lag_r"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if (s < 0).any() or (r < 0).any():
+            raise OverflowError("as-of lag limb sum wrapped past int64")
         return pa.table({
             "event_type": t["event_type"],
             "o_orderpriority": t["o_orderpriority"],

@@ -7,7 +7,7 @@ per lang.
          html dropped immediately after -- the binary column dominates
          bytes and must not travel further, SURVEY.md section 7.3)
       -> map_batches(partial DDSketches per (block, lang))
-      -> groupby(lang).map_groups(merge + quantile)  /  driver fold
+      -> sort(lang).map_batches(merge + quantile per block)  /  tree merge
 
 Optionally re-extracts text from html and enforces the per-url
 byte-identity invariant inline.
@@ -25,7 +25,8 @@ import ray.data
 
 from ..config import HEADLINE_QUANTILES, PRACTICAL_ALPHA
 from ..stages.extract import extract_text_column
-from .quantiles import dds_quantiles_global, dds_quantiles_grouped
+from .quantiles import (dds_quantiles_global, dds_quantiles_grouped,
+                        sketch_quantile_table)
 
 
 def project_metrics(batch: pa.Table, verify_extraction: bool = False) -> pa.Table:
@@ -180,13 +181,7 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
     # driver fold over <= n_lang rows: global sketch + totals
     glob_sketch = merge_sketch_table(merged.select(
         [name for name, _ in SKETCH_FIELDS]))
-    keys = [glob_sketch.quantile_key(q) for q in qs]
-    glob = pa.table({
-        "q": pa.array(list(qs), type=pa.float64()),
-        "bucket_key": pa.array(keys, type=pa.int64()),
-        "est": pa.array([glob_sketch._bucket_estimate(kk) for kk in keys],
-                        type=pa.float64()),
-    })
+    glob = sketch_quantile_table(glob_sketch, qs)
     lang_keys = [(merged["lang"][i].as_py(), q)
                  for i in range(merged.num_rows) for q in qs]
     from ..stages.sketch_build import sketches_from_table
@@ -194,8 +189,7 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
     per_lang = pa.table({
         "lang": pa.array([lk for lk, _ in lang_keys], type=pa.string()),
         "q": pa.array([q for _, q in lang_keys], type=pa.float64()),
-        "est": pa.array([s._bucket_estimate(s.quantile_key(q))
-                         for s in per_sketches for q in qs],
+        "est": pa.array([e for s in per_sketches for e in s.quantiles(qs)],
                         type=pa.float64()),
     }).sort_by([("lang", "ascending"), ("q", "ascending")])
     return {
@@ -216,11 +210,12 @@ def webpage_quantiles(paths, metric: str = "text_len",
 
     ONE distributed build pass: per-(block, lang) partial sketches are
     built once and materialized (kilobyte rows); the per-lang answers come
-    from a ``groupby(lang).map_groups`` shuffle-merge over those rows and
-    the global answer from a distributed tree reduce of the same rows
-    (identical to an ungrouped build because the exact-sum merge is
-    associative over any partitioning of the multiset).  The driver only
-    receives the final answer rows, never the partial set."""
+    from a ``sort(lang)`` shuffle of those rows, each sorted block merged
+    and queried in one ``quantile_finalizer`` call, and the global answer
+    from a distributed tree reduce of the same rows (identical to an
+    ungrouped build because the exact-sum merge is associative over any
+    partitioning of the multiset).  The driver only receives the final
+    answer rows, never the partial set."""
     import ray
     from ..stages.sketch_build import (quantile_finalizer,
                                        tree_merge_sketches)
@@ -233,19 +228,13 @@ def webpage_quantiles(paths, metric: str = "text_len",
     if by_lang:
         partials = partials.materialize()  # built once, consumed twice
 
-    glob_sketch = tree_merge_sketches(partials)
-    keys = [glob_sketch.quantile_key(q) for q in quantiles]
-    glob = pa.table({
-        "q": pa.array(list(quantiles), type=pa.float64()),
-        "bucket_key": pa.array(keys, type=pa.int64()),
-        "est": pa.array([glob_sketch._bucket_estimate(k) for k in keys],
-                        type=pa.float64()),
-    })
+    glob = sketch_quantile_table(tree_merge_sketches(partials), quantiles)
 
     grouped = None
     if by_lang:
-        grouped_ds = partials.groupby("lang").map_groups(
-            quantile_finalizer(["lang"], quantiles), batch_format="pyarrow")
+        grouped_ds = partials.sort("lang").map_batches(
+            quantile_finalizer(["lang"], quantiles), batch_format="pyarrow",
+            batch_size=None)
         tables = [t for t in map(ray.get,
                                  grouped_ds.materialize().to_arrow_refs())
                   if t.num_rows]

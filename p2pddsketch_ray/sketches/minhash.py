@@ -22,10 +22,12 @@ _GATHER_WINDOWS = 1 << 16  # shingle-gather chunk: 64k windows ~ 1.5 MB tmp
 
 
 def _string_buffer(texts) -> tuple[np.ndarray, np.ndarray]:
-    """(flat utf-8 bytes, int64 offsets) of an Arrow string column.
+    """(flat utf-8 bytes, int64 offsets from 0) of an Arrow string column.
 
     Handles both string (int32 offsets) and large_string (int64 offsets) --
-    Ray Data batches may arrive as either."""
+    Ray Data batches may arrive as either.  The bytes are only the
+    column's own: a zero-copy slice of a larger array shares its parent's
+    data buffer, which is cut to the slice's byte range."""
     arr = texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts
     if arr.null_count:
         arr = arr.fill_null("")
@@ -39,9 +41,9 @@ def _string_buffer(texts) -> tuple[np.ndarray, np.ndarray]:
     bufs = arr.buffers()
     offs = np.frombuffer(bufs[1], dtype=off_dtype, count=len(arr) + 1,
                          offset=arr.offset * off_width).astype(np.int64)
-    data = (np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None
-            else np.empty(0, dtype=np.uint8))
-    return data, offs
+    data = (np.frombuffer(bufs[2], dtype=np.uint8)[offs[0]:offs[-1]]
+            if bufs[2] is not None else np.empty(0, dtype=np.uint8))
+    return data, offs - offs[0]
 
 
 def shingle_hashes(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:

@@ -11,10 +11,11 @@ phases (SURVEY.md section 3.3):
   deterministic and resumable (SURVEY.md section 4).
 * ``distributedCommunication`` (main.cpp:475-658, gossip rounds until
   convergence) becomes one deterministic reduction over those tiny rows:
-  either ``groupby(keys).map_groups(merge)`` / ``AggregateFnV2`` (shuffle
-  tree merge) or a driver-side fold for the global (single-group) case --
-  partials are <= bin_limit bins ~ 6 KB each, so the merge stage moves
-  kilobytes, not data.
+  either ``sort(keys).map_batches(quantile_finalizer)`` (a shuffle that
+  leaves each group's rows contiguous in one block, then every group of
+  the block merged and queried in one call) or a distributed tree merge
+  for the global (single-group) case -- partials are <= bin_limit bins
+  ~ 6 KB each, so the merge stage moves kilobytes, not data.
 
 A DDSketch merge is a bin-wise sum, so both halves are columnar:
 
@@ -26,11 +27,13 @@ A DDSketch merge is a bin-wise sum, so both halves are columnar:
   cut straight from the run offsets.  No per-group DDSketch is built,
   except for a group with more distinct keys than ``bin_limit``, which
   collapses (or folds) through ``DDSketch.add_bins``.
-* merge (``merged_row``): when all rows are uniform mode at one
-  generation and the union of their keys fits ``bin_limit``, the rows'
-  concatenated keys and counts are summed by key once, in row order.
-  Otherwise the columnar-decoded sketches are folded with
-  ``DDSketch.merge``.  Both give the same bits as folding row by row.
+* merge (``merged_rows``, one ``to_row()`` dict per contiguous group of
+  rows): one pass sums the block's concatenated keys and counts by
+  (group, key), in row order.  That sum is the merge of every group whose
+  rows are uniform mode at one generation, with a key union that fits
+  ``bin_limit``; any other group folds its columnar-decoded sketches with
+  ``DDSketch.merge``.  Both give the same bits as folding each group row
+  by row.  ``merged_row`` is the one-group case.
 
 All hot-path math is vectorized numpy over zero-copy Arrow columns.
 """
@@ -45,8 +48,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_ALPHA, DEFAULT_BIN_LIMIT, DEFAULT_OFFSET
-from ..sketches.ddsketch import (DDSketch, _derived_params, _sum_by_key,
-                                 bucket_estimate, compute_keys, quantile_keys)
+from ..sketches.ddsketch import (DDSketch, _derived_params, bucket_estimate,
+                                 compute_keys, quantile_keys)
 
 SKETCH_FIELDS = [
     ("keys", pa.list_(pa.int64())),
@@ -101,48 +104,99 @@ def sketches_from_table(table: pa.Table) -> list[DDSketch]:
     return out
 
 
-def merged_row(table: pa.Table) -> dict:
-    """``DDSketch.to_row()`` of all serialized-sketch rows of a table
-    merged: the same bits as folding them in row order with
-    ``DDSketch.merge``.
+def _pack_codes(ids: np.ndarray, keys: np.ndarray, n_groups: int):
+    """int64 codes that sort (group id, key) pairs lexicographically, and
+    the function that turns codes back into (ids, keys).  Keys spread too
+    far to pack beside n_groups ids in an int64 are packed by rank."""
+    lo = int(keys.min()) if keys.shape[0] else 0
+    span = int(keys.max()) - lo + 1 if keys.shape[0] else 1
+    if span * n_groups >= 2**63:
+        key_values, key_codes = np.unique(keys, return_inverse=True)
+        span = key_values.shape[0]
+    else:
+        key_values, key_codes = None, keys - lo
 
-    When every row is uniform mode at one generation and the union of
-    their keys fits bin_limit, the fold never collapses, so one sum by key
-    over the concatenated key/count arrays, in row order, is the whole
-    merge.  Otherwise the columnar-decoded sketches are folded."""
-    if table.num_rows == 0:
+    def unpack(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        code_ids, code_keys = np.divmod(codes, span)
+        return code_ids, (code_keys + lo if key_values is None
+                          else key_values[code_keys])
+
+    return ids * span + key_codes, unpack
+
+
+def merged_rows(table: pa.Table, starts: Sequence[int]) -> list[dict]:
+    """``DDSketch.to_row()`` of every contiguous group of serialized-sketch
+    rows of a table merged, group g being rows ``starts[g]`` up to the next
+    start (the last group runs to the end): for each group, the same bits
+    as folding its rows in row order with ``DDSketch.merge``.
+
+    One pass sums every group's bins by key: one ``np.unique`` over packed
+    (group, key) codes and one ``np.bincount`` of the counts, which adds
+    each bin's counts from 0.0 in row order, as ``_sum_by_key`` does.  A
+    group whose rows are all uniform mode at one generation, with a key
+    union that fits bin_limit, never collapses in the fold, so that sum is
+    its merge.  Every other group folds its columnar-decoded sketches with
+    ``DDSketch.merge``."""
+    starts = np.asarray(starts, dtype=np.int64)
+    n_groups = starts.shape[0]
+    if (starts[0] if n_groups else table.num_rows) != 0:
+        raise ValueError("sketch rows outside every group")
+    if not n_groups:
+        return []
+    sizes = np.diff(starts, append=table.num_rows)
+    if (sizes <= 0).any():
         raise ValueError("no sketch rows to merge")
+    group_of_row = np.repeat(np.arange(n_groups), sizes)
     scalars = {name: table[name].to_numpy(zero_copy_only=False)
                for name, _ in SKETCH_FIELDS if name not in ("keys", "counts")}
+    first = {name: col[starts] for name, col in scalars.items()}
     for name in ("alpha0", "bin_limit", "offset", "mode"):
-        if (scalars[name] != scalars[name][0]).any():
+        if (scalars[name] != first[name][group_of_row]).any():
             raise ValueError("cannot merge sketches with different parameters")
-    mode = str(scalars["mode"][0])
-    bin_limit = int(scalars["bin_limit"][0])
-    generation = int(scalars["generation"][0])
-    if mode == "uniform" and (scalars["generation"] == generation).all():
-        koffs, kvals = _list_column(table, "keys")
-        coffs, cvals = _list_column(table, "counts")
-        keys, counts = _sum_by_key(kvals[koffs[0]:koffs[-1]],
-                                   cvals[coffs[0]:coffs[-1]])
-        if keys.shape[0] <= bin_limit:
-            n = np.cumsum(scalars["n"])[-1]  # the fold's n += order
-            return {
-                "keys": keys,
-                "counts": counts,
-                "n": float(n),
-                "generation": generation,
-                "alpha0": float(scalars["alpha0"][0]),
-                "bin_limit": bin_limit,
-                "offset": int(scalars["offset"][0]),
-                "mode": mode,
-                "kmin": int(scalars["kmin"].min()),
-                "kmax": int(scalars["kmax"].max()),
-            }
-    acc, *rest = sketches_from_table(table)
-    for s in rest:
-        acc.merge(s)
-    return acc.to_row()
+    fast = (first["mode"] == "uniform") & np.logical_and.reduceat(
+        scalars["generation"] == first["generation"][group_of_row], starts)
+    koffs, kvals = _list_column(table, "keys")
+    coffs, cvals = _list_column(table, "counts")
+    packed, unpack = _pack_codes(np.repeat(group_of_row, np.diff(koffs)),
+                                 kvals[koffs[0]:koffs[-1]], n_groups)
+    runs, run_of_bin = np.unique(packed, return_inverse=True)
+    sums = np.bincount(run_of_bin, weights=cvals[coffs[0]:coffs[-1]],
+                       minlength=runs.shape[0])
+    run_groups, run_keys = unpack(runs)
+    union = np.bincount(run_groups, minlength=n_groups)
+    fast &= union <= first["bin_limit"]
+    run_bounds = np.concatenate(([0], np.cumsum(union)))
+    n = np.bincount(group_of_row, weights=scalars["n"], minlength=n_groups)
+    kmin = np.minimum.reduceat(scalars["kmin"], starts)
+    kmax = np.maximum.reduceat(scalars["kmax"], starts)
+    out = []
+    for g, (a, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        if not fast[g]:
+            acc, *rest = sketches_from_table(table.slice(a, size))
+            for s in rest:
+                acc.merge(s)
+            out.append(acc.to_row())
+            continue
+        lo, hi = run_bounds[g], run_bounds[g + 1]
+        out.append({
+            "keys": run_keys[lo:hi],
+            "counts": sums[lo:hi],
+            "n": float(n[g]),
+            "generation": int(first["generation"][g]),
+            "alpha0": float(first["alpha0"][g]),
+            "bin_limit": int(first["bin_limit"][g]),
+            "offset": int(first["offset"][g]),
+            "mode": "uniform",
+            "kmin": int(kmin[g]),
+            "kmax": int(kmax[g]),
+        })
+    return out
+
+
+def merged_row(table: pa.Table) -> dict:
+    """``DDSketch.to_row()`` of all serialized-sketch rows of a table
+    merged (the one-group case of ``merged_rows``)."""
+    return merged_rows(table, [0])[0]
 
 
 def merge_sketch_table(table: pa.Table) -> DDSketch:
@@ -254,15 +308,7 @@ def partial_columns(values: np.ndarray, ids: np.ndarray, n_groups: int,
     handed to ``DDSketch.add_bins`` to collapse or fold."""
     proto = DDSketch(alpha, bin_limit, offset, mode)  # validates params
     keys = compute_keys(values, proto.ln_gamma, offset)
-    lo = int(keys.min()) if keys.shape[0] else 0
-    span = int(keys.max()) - lo + 1 if keys.shape[0] else 1
-    key_values = None
-    if span * n_groups >= 2**63:  # keys too spread to pack: pack their ranks
-        key_values, packed_keys = np.unique(keys, return_inverse=True)
-        span = key_values.shape[0]
-    else:
-        packed_keys = keys - lo
-    packed = ids * span + packed_keys
+    packed, unpack = _pack_codes(ids, keys, n_groups)
     if weights is None:
         runs, lengths = np.unique(packed, return_counts=True)
         run_counts = lengths.astype(np.float64)
@@ -282,8 +328,7 @@ def partial_columns(values: np.ndarray, ids: np.ndarray, n_groups: int,
         added = np.array([weights[by_group[a:b]].sum()
                           for a, b in zip(bounds[:-1], bounds[1:])],
                          dtype=np.float64)
-    run_ids, run_keys = np.divmod(runs, span)
-    run_keys = run_keys + lo if key_values is None else key_values[run_keys]
+    run_ids, run_keys = unpack(runs)
     sizes = np.bincount(run_ids, minlength=n_groups)
     n = added + 0.0  # DDSketch.n starts at 0.0 and adds
     generation = np.zeros(n_groups, dtype=np.int64)
@@ -369,25 +414,37 @@ def partial_builder(value_col: str, group_cols: Sequence[str] | None = None,
 def quantile_finalizer(group_cols: Sequence[str] | None,
                        quantiles: Sequence[float],
                        round_digits: int | None = None):
-    """map_groups body factory: merge a group's partial rows once and emit
-    one row per quantile: group keys + (q, bucket_key, est).  One cumsum +
-    searchsorted over the merged bins answers every quantile."""
+    """map_batches body factory over a block of partial rows holding whole
+    groups, each group's rows contiguous (a sorted block): merge every
+    group once (``merged_rows``) and emit one row per (group, quantile):
+    group keys + (q, bucket_key, est), in block order.  Group boundaries
+    are where the ``group_codes`` ids change; no group columns make the
+    block one group.  One cumsum + searchsorted over a group's merged bins
+    answers every quantile."""
     group_cols = tuple(group_cols) if group_cols else ()
     qs = tuple(quantiles)
 
-    def finalize(group: pa.Table) -> pa.Table:
-        row = merged_row(group)
-        gamma = _derived_params(row["alpha0"], row["generation"])[1]
-        out: dict[str, list] = {c: [group[c][0].as_py()] * len(qs)
-                                for c in group_cols}
-        out["q"] = list(qs)
-        out["bucket_key"] = quantile_keys(row["keys"], row["counts"],
-                                          row["n"], qs).tolist()
-        ests = [bucket_estimate(k, gamma, row["offset"])
-                for k in out["bucket_key"]]
-        if round_digits is not None:
-            ests = [round(e, round_digits) for e in ests]
-        out["est"] = ests
+    def finalize(block: pa.Table) -> pa.Table:
+        if group_cols:
+            ids = group_codes(block, group_cols)[0]
+            starts = np.flatnonzero(np.diff(ids, prepend=-1))
+        else:
+            starts = [0] if block.num_rows else []
+        rows = merged_rows(block, starts)
+        out: dict[str, list] = {
+            c: [v for v in block[c].take(starts).to_pylist() for _ in qs]
+            for c in group_cols}
+        out["q"] = list(qs) * len(rows)
+        out["bucket_key"], out["est"] = [], []
+        for row in rows:
+            gamma = _derived_params(row["alpha0"], row["generation"])[1]
+            keys = quantile_keys(row["keys"], row["counts"], row["n"],
+                                 qs).tolist()
+            ests = [bucket_estimate(k, gamma, row["offset"]) for k in keys]
+            if round_digits is not None:
+                ests = [round(e, round_digits) for e in ests]
+            out["bucket_key"] += keys
+            out["est"] += ests
         return pa.table(out)
 
     return finalize

@@ -56,6 +56,33 @@ def test_simhash_hamming_close_for_dups(pages):
     assert np.median(dists) <= 3
 
 
+def test_signatures_of_sliced_array_equal_compacted_copy(pages):
+    """A zero-copy slice shares its parent's data buffer; the kernels must
+    read only the slice's bytes and give a compacted copy's answers."""
+    from p2pddsketch_ray.pipelines.dedup import _blob_matrix
+    from p2pddsketch_ray.sketches.minhash import (_string_buffer,
+                                                  oph_signatures)
+    texts = pages["text"].combine_chunks()
+    with_nulls = pa.array(texts.to_pylist()[:600] + [None, "", None] * 10)
+    for arr in (texts, pa.array(texts.to_pylist(), type=pa.large_string()),
+                with_nulls):
+        for off, n in ((0, 200), (517, 83), (len(arr) - 90, 90)):
+            sliced = arr.slice(off, n)
+            compact = pa.array(sliced.to_pylist(), type=sliced.type)
+            data, offs = _string_buffer(sliced)
+            assert offs[0] == 0 and data.shape[0] == offs[-1]
+            assert (minhash_signatures(sliced, num_perm=16, k=5)
+                    == minhash_signatures(compact, num_perm=16, k=5)).all()
+            assert (oph_signatures(sliced, n_bins=16, k=5)
+                    == oph_signatures(compact, n_bins=16, k=5)).all()
+            assert (simhash64(sliced) == simhash64(compact)).all()
+    blobs = pa.array([np.arange(i, i + 4, dtype=np.uint64).tobytes()
+                      for i in range(10)], type=pa.binary())
+    assert (_blob_matrix(blobs.slice(3, 5))
+            == np.arange(3, 8, dtype=np.uint64)[:, None]
+            + np.arange(4, dtype=np.uint64)).all()
+
+
 # -- distributed dedup pipelines ------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -733,6 +760,16 @@ def test_weighted_minhash_matches_duckdb(ray_session):
     for c in got.columns:
         assert (got[c].to_numpy()
                 == want[c].to_numpy().astype(got[c].dtype)).all(), c
+
+
+def test_weighted_minhash_rejects_fpm_collision():
+    """Two distinct tokens whose md5_64 values meet mod P53 would merge in
+    the exact weighted Jaccard and the SQL twin's join: they raise."""
+    from p2pddsketch_ray.pipelines.dedup import _WMH_P53, _wmh_fpm
+    fp = np.array([12345, 7, 12345 + _WMH_P53], dtype=np.uint64)
+    with pytest.raises(ValueError, match="fpm"):
+        _wmh_fpm(fp)
+    assert _wmh_fpm(fp[:2]).tolist() == [12345, 7]
 
 
 def test_weighted_minhash_estimator_semantics():

@@ -8,8 +8,10 @@ import pyarrow as pa
 import pytest
 
 from p2pddsketch_ray.sketches.ddsketch import DDSketch
-from p2pddsketch_ray.stages.sketch_build import (build_partials, group_codes,
+from p2pddsketch_ray.stages.sketch_build import (SKETCH_FIELDS,
+                                                 build_partials, group_codes,
                                                  merge_sketch_table,
+                                                 merged_rows,
                                                  quantile_finalizer,
                                                  sketch_rows_to_table)
 
@@ -209,3 +211,191 @@ def test_quantile_finalizer_equals_per_q_quantile_key(batch, mode):
         assert got["bucket_key"].to_pylist() == keys
         assert got["est"].to_pylist() == [sketch._bucket_estimate(k)
                                           for k in keys]
+
+
+# -- block-level finalize: every group of a sorted block in one call ------
+
+def group_starts(table, cols):
+    """Rows where the key tuple differs from the previous row's."""
+    keys = list(zip(*[table[c].to_pylist() for c in cols]))
+    return [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+
+
+def sorted_block(batch, keys, weight_col, kw, slices, seed=0):
+    """Partials of batch slices of the given sizes, shuffled, then sorted
+    by the keys (stable, nulls last): each group's rows contiguous in a
+    random order, as a sort shuffle leaves them."""
+    bounds = np.cumsum([0] + list(slices))
+    parts = pa.concat_tables(
+        build_partials(batch.slice(a, b - a), value_col="v",
+                       group_cols=keys, weight_col=weight_col, **kw)
+        for a, b in zip(bounds[:-1], bounds[1:]) if a < batch.num_rows)
+    parts = parts.take(np.random.default_rng(seed).permutation(
+        parts.num_rows))
+    return parts.take(pa.compute.sort_indices(
+        parts, [(c, "ascending") for c in keys], null_placement="at_end"))
+
+
+def per_group_reference(block, keys, qs, round_digits=None):
+    """The finalize table rebuilt group by group from a sequential
+    DDSketch.merge fold and per-q quantile_key calls."""
+    names = [name for name, _ in SKETCH_FIELDS]
+    starts = group_starts(block, keys) + [block.num_rows]
+    out = {c: [] for c in keys}
+    out.update(q=[], bucket_key=[], est=[])
+    for a, b in zip(starts[:-1], starts[1:]):
+        sketch = fold(block.slice(a, b - a).select(names))
+        for c in keys:
+            out[c] += [block[c][a].as_py()] * len(qs)
+        for q in qs:
+            k = sketch.quantile_key(q)
+            e = sketch._bucket_estimate(k)
+            out["q"].append(q)
+            out["bucket_key"].append(k)
+            out["est"].append(e if round_digits is None
+                              else round(e, round_digits))
+    return out
+
+
+@pytest.fixture(scope="module")
+def keyed_batch(batch):
+    rng = np.random.default_rng(3)
+    n = batch.num_rows
+    return batch.append_column("sn", pa.array(
+        rng.choice(["x", "y", "z"], n), mask=rng.random(n) < 0.2))
+
+
+BLOCK_KEYS = [["s"], ["s", "s2"], ["i32"], ["d"], ["sn"]]
+# slices of 40 rows keep every partial at generation 0 under bin_limit 60
+# while a group's key union exceeds it; the 4400-row slice collapses, so
+# the same groups also mix generations
+BLOCK_SKETCH = [(dict(alpha=0.01, bin_limit=2048), [700]),
+                (dict(alpha=0.01, bin_limit=60), [40] * 40 + [4400]),
+                (dict(alpha=0.01, bin_limit=24, mode="last"), [300]),
+                (dict(alpha=0.01, bin_limit=24, mode="first"), [300])]
+
+
+@pytest.mark.parametrize("keys", BLOCK_KEYS, ids=str)
+@pytest.mark.parametrize("weight_col", [None, "w"])
+@pytest.mark.parametrize("kw,slices", BLOCK_SKETCH,
+                         ids=[str(kw) for kw, _ in BLOCK_SKETCH])
+def test_quantile_finalizer_block_equals_per_group_calls(
+        keyed_batch, keys, weight_col, kw, slices):
+    block = sorted_block(keyed_batch, keys, weight_col, kw, slices)
+    fin = quantile_finalizer(keys, QS)
+    got = fin(block)
+    starts = group_starts(block, keys) + [block.num_rows]
+    assert len(starts) > 3
+    per_group = pa.concat_tables(
+        [fin(block.slice(a, b - a)) for a, b in zip(starts[:-1], starts[1:])],
+        promote_options="default")
+    assert got.equals(per_group)
+    assert got.to_pydict() == per_group_reference(block, keys, QS)
+    if kw["bin_limit"] == 60:  # groups that mix generations fold
+        gens = [set(block["generation"][a:b].to_pylist())
+                for a, b in zip(starts[:-1], starts[1:])]
+        assert any(len(g) > 1 for g in gens)
+    if keys == ["i32"]:
+        assert got["i32"].type == pa.int64()
+
+
+def test_quantile_finalizer_block_fast_path_fallbacks():
+    """One block holding a group on the one-sum path, a group at one
+    generation whose key union exceeds bin_limit, a group of mixed
+    generations whose key union fits bin_limit, and one that does not:
+    each merges to the fold's bits."""
+    rng = np.random.default_rng(8)
+    rows, keys = [], []
+    for name, spread, size in (("a_fast", 0.02, 40), ("b_over", 3.0, 40)):
+        for _ in range(6):
+            s = DDSketch(alpha=0.01, bin_limit=64)
+            s.add_batch(rng.lognormal(0, spread, size),
+                        rng.random(size) * 2)
+            assert s.generation == 0
+            rows.append(s.to_row())
+            keys.append(name)
+    for size in (65, 3, 3):  # 65 distinct keys collapse once, to ~33
+        s = DDSketch(alpha=0.01, bin_limit=64)
+        s.add_batch(1.03 ** np.arange(size), rng.random(size) * 2)
+        rows.append(s.to_row())
+        keys.append("c_mixed_fits")
+    mixed = mixed_generation_rows(weighted=True)
+    rows += mixed.to_pylist()
+    keys += ["d_mixed"] * mixed.num_rows
+    block = sketch_rows_to_table(rows, {"g": keys})
+    fin = quantile_finalizer(["g"], QS, round_digits=4)
+    got = fin(block)
+    assert got.to_pydict() == per_group_reference(block, ["g"], QS, 4)
+    bounds = [0, 6, 12, 15, block.num_rows]
+    merged = merged_rows(block, bounds[:-1])
+    for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        group = block.slice(a, b - a).drop_columns(["g"])
+        assert DDSketch.from_row(merged[g]).to_bytes() \
+            == fold(group).to_bytes()
+    sketch = block.drop_columns(["g"])
+    assert fold(sketch.slice(0, 6)).generation == 0   # the one sum
+    assert fold(sketch.slice(6, 6)).generation > 0    # union over the limit
+    assert block["generation"].to_pylist()[12:15] == [1, 0, 0]
+    assert len(set(block["keys"][12:15].combine_chunks().flatten()
+                   .to_pylist())) <= 64
+
+
+@pytest.mark.parametrize("round_digits", [None, 0, 3])
+def test_quantile_finalizer_block_round_digits(keyed_batch, round_digits):
+    kw = dict(alpha=0.01, bin_limit=2048)
+    block = sorted_block(keyed_batch, ["s", "s2"], "w", kw, [500])
+    got = quantile_finalizer(["s", "s2"], QS, round_digits)(block)
+    assert got.to_pydict() == per_group_reference(block, ["s", "s2"], QS,
+                                                  round_digits)
+
+
+@pytest.mark.parametrize("keys", [None, ["s"], ["s", "i32"]], ids=str)
+def test_quantile_finalizer_empty_block(batch, keys):
+    block = build_partials(batch.slice(0, 10), value_col="v",
+                           group_cols=keys).slice(0, 0)
+    got = quantile_finalizer(keys, QS)(block)
+    assert got.num_rows == 0
+    assert got.column_names == list(keys or []) + ["q", "bucket_key", "est"]
+
+
+def test_merged_rows_rejects_rows_outside_groups(batch):
+    parts = build_partials(batch, value_col="v", group_cols=["s2"])
+    with pytest.raises(ValueError):
+        merged_rows(parts, [1, 2])      # row 0 in no group
+    with pytest.raises(ValueError):
+        merged_rows(parts, [0, 2, 2])   # an empty group
+    assert merged_rows(parts.slice(0, 0), []) == []
+
+
+def test_dds_quantiles_grouped_many_blocks(ray_session, keyed_batch):
+    """Many input blocks and more sort partitions than groups: one row set
+    per group, equal to one DDSketch over each group's values."""
+    import ray
+
+    from p2pddsketch_ray.pipelines.quantiles import dds_quantiles_grouped
+    table = keyed_batch.select(["v", "s2", "i32"])
+    for keys in (["s2"], ["i32", "s2"]):
+        ds = ray.data.from_arrow(table).repartition(12)
+        got = pa.concat_tables(
+            t for t in map(ray.get, dds_quantiles_grouped(
+                ds, "v", keys, QS, alpha=0.01,
+                bin_limit=2048).materialize().to_arrow_refs())
+            if t.num_rows)
+        got = got.sort_by([(c, "ascending") for c in keys + ["q"]])
+        valid = table.filter(table["v"].is_valid())
+        groups = sorted(set(zip(*[valid[c].to_pylist() for c in keys])))
+        assert got.num_rows == len(groups) * len(QS)
+        want = {c: [] for c in keys}
+        want.update(q=[], bucket_key=[], est=[])
+        for g in groups:
+            mask = np.ones(valid.num_rows, dtype=bool)
+            for c, v in zip(keys, g):
+                mask &= valid[c].to_numpy(zero_copy_only=False) == v
+            s = DDSketch(alpha=0.01, bin_limit=2048)
+            s.add_batch(valid["v"].to_numpy(zero_copy_only=False)[mask])
+            for c, v in zip(keys, g):
+                want[c] += [v] * len(QS)
+            want["q"] += list(QS)
+            want["bucket_key"] += [s.quantile_key(q) for q in QS]
+            want["est"] += [s.quantile(q) for q in QS]
+        assert got.to_pydict() == want
