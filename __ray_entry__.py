@@ -713,7 +713,8 @@ def _dds_incremental_update(sf_dir: str):
     import pyarrow.dataset as pads
     import ray.data
     from ray.data.aggregate import Max, Min
-    from p2pddsketch_ray.pipelines.quantiles import dds_sketch_global
+    from p2pddsketch_ray.pipelines.quantiles import (dds_sketch_global,
+                                                     sketch_quantile_table)
 
     tsds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                  columns=["ts"])
@@ -745,28 +746,18 @@ def _dds_incremental_update(sf_dir: str):
                                np.asarray(b["counts"]))):
         raise AssertionError("incremental merge diverged from rebuild")
 
-    keys = [merged.quantile_key(q) for q in QS]
-    ests = [round(merged._bucket_estimate(k), 6) for k in keys]
-    return pa.table({"q": pa.array(list(QS), type=pa.float64()),
-                     "bucket_key": pa.array(keys, type=pa.int64()),
-                     "est": pa.array(ests, type=pa.float64())})
+    return sketch_quantile_table(merged, QS, 6)
 
 
 def _dds_event_value_actor_pool(sf_dir: str):
     import ray.data
-    import pyarrow as pa
+    from p2pddsketch_ray.pipelines.quantiles import sketch_quantile_table
     from p2pddsketch_ray.stages.sketch_build import actor_pool_sketch_build
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["value"])
     sketch = actor_pool_sketch_build(ds, "value", n_actors=4, alpha=ALPHA,
                                      bin_limit=BIN_LIMIT)
-    keys = [sketch.quantile_key(q) for q in QS]
-    return pa.table({
-        "q": pa.array(list(QS), type=pa.float64()),
-        "bucket_key": pa.array(keys, type=pa.int64()),
-        "est": pa.array([round(sketch._bucket_estimate(k), 6)
-                         for k in keys], type=pa.float64()),
-    })
+    return sketch_quantile_table(sketch, QS, 6)
 
 
 def _dds_grouped(table: str, col: str, group: str):

@@ -4,7 +4,11 @@ Replaces the reference's whole main() simulation (main.cpp:214-396):
 
     read -> project metric column -> map_batches(partial sketches)
          -> sort(keys).map_batches(merge + quantile per block) # grouped
+         -> (or) sort(keys).map_batches(merged_table)  # grouped sketches
          -> (or) distributed tree reduce of partial rows       # global
+
+Every grouped merge of partial rows here is one ``merged_rows`` call per
+sorted block (stages.sketch_build), never a ``map_groups`` call per group.
 
 The only shuffle moves serialized partials (<= ~6 KB per (block, group)):
 classic partial aggregation, so a Zipf-skewed group key (lang ~ 60% 'en')
@@ -24,7 +28,9 @@ import ray.data
 from ..config import (DEFAULT_ALPHA, DEFAULT_BIN_LIMIT, DEFAULT_OFFSET,
                       HEADLINE_QUANTILES)
 from ..sketches.ddsketch import DDSketch
-from ..stages.sketch_build import partial_builder, quantile_finalizer
+from ..stages.sketch_build import (collect, merge_by_group, merged_table,
+                                   partial_builder, partial_columns,
+                                   quantile_finalizer, sketches_by_group)
 
 
 def build_partials_ds(ds: "ray.data.Dataset", value_col: str,
@@ -563,32 +569,10 @@ def dds_sketches_grouped(ds: "ray.data.Dataset", value_col: str,
     """Merged per-group DDSketches on the driver (dict: group value ->
     sketch).  Bounded by group cardinality x sketch size; the shuffle
     moves only partial rows, exactly like dds_quantiles_grouped."""
-    from ..stages.sketch_build import merge_sketch_table
-
     partials = build_partials_ds(ds, value_col, [group_col],
                                  **sketch_kwargs)
-
-    def merge_group(group: pa.Table) -> pa.Table:
-        merged = merge_sketch_table(group)
-        row = merged.to_row()
-        from ..stages.sketch_build import sketch_rows_to_table
-        t = sketch_rows_to_table([row])
-        return t.add_column(0, group_col, pa.array(
-            [group[group_col][0].as_py()]))
-
-    merged_ds = partials.groupby(group_col).map_groups(
-        merge_group, batch_format="pyarrow")
-    import ray as _ray
-    from ..stages.sketch_build import sketches_from_table
-    out = {}
-    for ref in merged_ds.to_arrow_refs():
-        t = _ray.get(ref)
-        if t.num_rows == 0:
-            continue
-        decoded = sketches_from_table(t)
-        for g, s in zip(t[group_col].to_pylist(), decoded):
-            out[g] = s
-    return out
+    return sketches_by_group(collect(merge_by_group(partials, [group_col])),
+                             [group_col])
 
 
 def drift_stats_pairs(sf_dir: str, *, alpha: float = 0.01,
@@ -711,58 +695,18 @@ def dds_rollup_lang_source(sf_dir: str, *, alpha: float = 0.01,
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["lang", "source", "n_chars"])
     # one build keyed by the FINEST grouping
-    partials = build_partials_ds(ds, "n_chars", ["lang", "source"],
-                                 alpha=alpha, bin_limit=bin_limit)
-
-    from ..stages.sketch_build import merge_sketch_table, sketch_rows_to_table
-
-    def merge_group(group: pa.Table) -> pa.Table:
-        merged = merge_sketch_table(group)
-        t = sketch_rows_to_table([merged.to_row()])
-        t = t.add_column(0, "source", pa.array(
-            [group["source"][0].as_py()]))
-        return t.add_column(0, "lang", pa.array(
-            [group["lang"][0].as_py()]))
-
-    fine = (partials.groupby(["lang", "source"])
-            .map_groups(merge_group, batch_format="pyarrow"))
-
-    import ray as _ray
-    from ..stages.sketch_build import sketches_from_table
-    per_pair: dict = {}
-    for ref in fine.to_arrow_refs():
-        t = _ray.get(ref)
-        if t.num_rows == 0:
-            continue
-        decoded = sketches_from_table(t)
-        for lang, source, s in zip(t["lang"].to_pylist(),
-                                   t["source"].to_pylist(), decoded):
-            per_pair[(lang, source)] = s
-
+    fine = ["lang", "source"]
+    partials = build_partials_ds(ds, "n_chars", fine, alpha=alpha,
+                                 bin_limit=bin_limit)
+    pairs = collect(merge_by_group(partials, fine))
     # roll the finished sketches up to lang (merge, no re-read)
-    per_lang: dict = {}
-    for (lang, _), s in sorted(per_pair.items()):
-        if lang in per_lang:
-            per_lang[lang] = per_lang[lang].merge(s.copy())
-        else:
-            per_lang[lang] = s.copy()
-
-    rows = []
-    for (lang, source) in sorted(per_pair):
-        for q in quantiles:
-            rows.append((lang, source, q,
-                         round(per_pair[(lang, source)].quantile(q), 6)))
-    for lang in sorted(per_lang):
-        for q in quantiles:
-            rows.append((lang, "ALL", q,
-                         round(per_lang[lang].quantile(q), 6)))
-    rows.sort()
-    return pa.table({
-        "lang": pa.array([r[0] for r in rows], type=pa.string()),
-        "source": pa.array([r[1] for r in rows], type=pa.string()),
-        "q": pa.array([r[2] for r in rows], type=pa.float64()),
-        "est": pa.array([r[3] for r in rows], type=pa.float64()),
-    })
+    langs = merged_table(pairs, ["lang"])
+    langs = quantile_finalizer(["lang"], quantiles, 6)(langs)
+    langs = langs.add_column(1, "source", pa.array(["ALL"] * langs.num_rows,
+                                                   type=pa.string()))
+    out = pa.concat_tables([quantile_finalizer(fine, quantiles, 6)(pairs),
+                            langs]).drop_columns(["bucket_key"])
+    return out.sort_by([(c, "ascending") for c in out.column_names])
 
 
 def quantile_error_report(sf_dir: str, *, alpha: float = 0.01,
@@ -1112,17 +1056,17 @@ def dds_alpha_error_sweep(sf_dir: str, q: float = 0.95,
                           alphas=(0.02, 0.01, 0.005),
                           bin_limit: int = 4096) -> pa.Table:
     """ACCURACY-vs-ALPHA sweep with an exact audit: build DDSketches at
-    several alphas in ONE streamed pass (tagged partials, one pickled
-    row per (block, alpha)), estimate the q-quantile from each, and
-    check every estimate against the EXACT distributed quantile (the
-    bisection pipeline) -- the flagship metric's own acceptance test
-    ("max quantile relative error <= alpha") as a driver query.
+    several alphas in ONE streamed pass (one partial row per (block,
+    alpha), tagged with the alpha's index ``ai``), estimate the
+    q-quantile from each, and check every estimate against the EXACT
+    distributed quantile (the bisection pipeline) -- the flagship
+    metric's own acceptance test ("max quantile relative error <=
+    alpha") as a driver query.
 
     Scale shape: the multi-alpha build reads the column once; the
-    merge is the standard per-alpha tree; the exact audit adds the
-    histogram-bisection passes (no sort, no materialization)."""
-    import pickle
-
+    merge is one sort shuffle of the partial rows by ``ai``; the exact
+    audit adds the histogram-bisection passes (no sort, no
+    materialization)."""
     import ray.data
 
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -1133,38 +1077,18 @@ def dds_alpha_error_sweep(sf_dir: str, q: float = 0.95,
         col = t["l_extendedprice"]
         if col.null_count:
             col = col.drop_null()
-        vals = col.to_numpy(zero_copy_only=False)
-        idxs, blobs = [], []
-        for i, a in enumerate(alphas):
-            s = DDSketch(a, bin_limit)
-            s.add_batch(vals)
-            idxs.append(i)
-            blobs.append(pickle.dumps(s))
-        return pa.table({"ai": pa.array(idxs, type=pa.int64()),
-                         "blob": pa.array(blobs, type=pa.binary())})
+        vals = col.to_numpy(zero_copy_only=False).astype(np.float64,
+                                                         copy=False)
+        ids = np.zeros(vals.shape[0], dtype=np.int64)
+        return pa.concat_tables(
+            pa.table({"ai": pa.array([i], type=pa.int64()),
+                      **partial_columns(vals, ids, 1, alpha=a,
+                                        bin_limit=bin_limit)})
+            for i, a in enumerate(alphas))
 
-    def merge_group(group: pa.Table) -> pa.Table:
-        merged = None
-        for b in group["blob"].to_pylist():
-            s = pickle.loads(b)
-            merged = s if merged is None else merged.merge(s)
-        return pa.table({
-            "ai": pa.array([group["ai"][0].as_py()], type=pa.int64()),
-            "blob": pa.array([pickle.dumps(merged)], type=pa.binary())})
-
-    refs = (ds.map_batches(partials, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("ai")
-            .map_groups(merge_group, batch_format="pyarrow")
-            .to_arrow_refs())
-    merged = {}
-    for r in refs:
-        t = ray.get(r)
-        if t.num_rows == 0:
-            continue
-        for ai, blob in zip(t["ai"].to_pylist(),
-                            t["blob"].to_pylist()):
-            merged[int(ai)] = pickle.loads(blob)
+    merged = sketches_by_group(collect(merge_by_group(
+        ds.map_batches(partials, batch_format="pyarrow",
+                       zero_copy_batch=True), ["ai"])), ["ai"])
 
     exact_t = exact_quantiles(ds, "l_extendedprice", [q])
     exact = float(exact_t["value"][0].as_py())

@@ -9,7 +9,7 @@ W hours at every hour boundary, in ONE distributed pass.
 Dataflow (no per-event streaming state, no reprocessing):
 
     events -> map_batches: per-(block, hour-bucket) partial sketches
-           -> groupby(bucket).map_groups(merge)   # one sketch per hour
+           -> partition_by(bucket): merged_table  # one sketch per hour
            -> driver: for each hour h, window sketch = window sketch
               + sketch[h] - sketch[h-W]  (exact add/delete of whole
               buckets -- integer bin counts make this lossless)
@@ -24,6 +24,7 @@ inclusive of the current hour).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ import ray.data
 
 from ..config import DEFAULT_BIN_LIMIT, DEFAULT_OFFSET, PRACTICAL_ALPHA
 from ..sketches.ddsketch import DDSketch
-from ..stages.sketch_build import merge_sketch_table
+from ..stages.sketch_build import collect, merged_table
 
 
 def sliding_window_quantiles(ds: "ray.data.Dataset", ts_col: str,
@@ -81,14 +82,12 @@ def sliding_window_quantiles(ds: "ray.data.Dataset", ts_col: str,
     # groupby().map_groups (one Python call per bucket: ~10 ms x
     # thousands of hour buckets of pure overhead)
     per_bucket = partition_by(partials, ["bucket"], fit_partitions(32),
-                              _merge_partition_buckets, empty)
+                              partial(merged_table, group_cols=("bucket",)),
+                              empty)
 
-    tables = [t for t in map(ray.get,
-                             per_bucket.materialize().to_arrow_refs())
-              if t.num_rows]
-    if not tables:
+    all_rows = collect(per_bucket)
+    if not all_rows.num_rows:
         raise ValueError("empty dataset")
-    all_rows = pa.concat_tables(tables)
     bucket_vals = all_rows["bucket"].to_numpy(zero_copy_only=False)
     buckets = np.sort(bucket_vals)
     from ..stages.sketch_build import sketches_from_table
@@ -184,7 +183,6 @@ def sliding_window_quantiles_grouped(
     from ..functions.text import fingerprint64
     from ..stages.partition import fit_partitions, partition_by
     from ..stages.sketch_build import (SKETCH_FIELDS, partial_builder,
-                                       sketch_rows_to_table,
                                        sketches_from_table)
 
     def bucketize(t: pa.Table) -> pa.Table:
@@ -209,33 +207,12 @@ def sliding_window_quantiles_grouped(
                       **{name: pa.array([], type=typ)
                          for name, typ in SKETCH_FIELDS}})
 
-    def merge_runs(part: pa.Table) -> pa.Table:
-        g = part["gfp"].to_numpy(zero_copy_only=False)
-        b = part["bucket"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, g))
-        part = part.take(pa.array(order))
-        g, b = g[order], b[order]
-        new = np.ones(g.size, dtype=bool)
-        new[1:] = (g[1:] != g[:-1]) | (b[1:] != b[:-1])
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], g.size)
-        rows, gs, bs = [], [], []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            rows.append(merge_sketch_table(part.slice(s, e - s)).to_row())
-            gs.append(int(g[s]))
-            bs.append(int(b[s]))
-        out = sketch_rows_to_table(rows)
-        out = out.add_column(0, "bucket", pa.array(bs, type=pa.int64()))
-        return out.add_column(0, "gfp", pa.array(gs, type=pa.int64()))
-
-    per_gb = partition_by(partials, ["gfp", "bucket"],
-                          fit_partitions(32), merge_runs, empty)
-    tables = [t for t in map(ray.get,
-                             per_gb.materialize().to_arrow_refs())
-              if t.num_rows]
-    if not tables:
+    per_gb = partition_by(partials, ["gfp", "bucket"], fit_partitions(32),
+                          partial(merged_table, group_cols=("gfp", "bucket")),
+                          empty)
+    all_rows = collect(per_gb)
+    if not all_rows.num_rows:
         raise ValueError("empty dataset")
-    all_rows = pa.concat_tables(tables)
     gfp_vals = all_rows["gfp"].to_numpy(zero_copy_only=False)
     bucket_vals = all_rows["bucket"].to_numpy(zero_copy_only=False)
     decoded = sketches_from_table(all_rows)
@@ -272,26 +249,6 @@ def sliding_window_quantiles_grouped(
         "est": pa.array(out["est"], type=pa.float64()),
         "n": pa.array(out["n"], type=pa.float64()),
     })
-
-
-def _merge_partition_buckets(part: pa.Table) -> pa.Table:
-    """partition_by body: fold each bucket's partial rows within this
-    partition to one row per bucket (vectorized run detection over the
-    sorted bucket column; one Python merge loop per bucket, zero Ray
-    per-group overhead)."""
-    from ..stages.sketch_build import sketch_rows_to_table
-    b = part["bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="mergesort")
-    part = part.take(pa.array(order))
-    b = b[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(b) != 0)[0] + 1])
-    ends = np.concatenate([starts[1:], [b.shape[0]]])
-    rows, vals = [], []
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        rows.append(merge_sketch_table(part.slice(s, e - s)).to_row())
-        vals.append(int(b[s]))
-    out = sketch_rows_to_table(rows)
-    return out.add_column(0, "bucket", pa.array(vals, type=pa.int64()))
 
 
 def _subtract(acc: DDSketch, other: DDSketch) -> None:

@@ -78,8 +78,9 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
       5. accumulates its own cpu-time (time.thread_time) so the caller
          can report work conservation across parallelism levels,
 
-    then a single groupby(lang) merges sketch rows and sums the metric
-    counters (one tiny row per (block, lang) rides the only shuffle), and
+    then a single sort(lang) shuffle carries one tiny row per (block,
+    lang), and one call per sorted block merges its langs' sketch rows
+    (``merged_table``) and sums their metric counters, and
     the driver folds the <= n_lang merged rows into the global answer.
     Fusing the phases removes two driver planning/barrier rounds vs
     running them as separate pipelines -- fixed costs that otherwise
@@ -94,9 +95,10 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
                                     oph_signatures)
     from ..functions.text import (punct_count, quality_score_from_counts,
                                   stopword_count, token_count)
-    from ..stages.sketch_build import (SKETCH_FIELDS, group_codes,
-                                       merge_sketch_table, partial_columns,
-                                       sketch_rows_to_table)
+    from ..stages.sketch_build import (collect, contiguous_groups,
+                                       group_codes, merge_sketch_table,
+                                       merged_table, partial_columns,
+                                       quantile_finalizer)
 
     if signature_tier not in ("classic", "oph"):
         raise ValueError(f"unknown signature_tier {signature_tier!r}; "
@@ -151,14 +153,13 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
     _EXTRA = ["n_docs", "tokens", "punct", "stops", "q_micro",
               "band_checksum", "cpu_us"]
 
-    def merge_lang(group: pa.Table) -> pa.Table:
-        sketch = merge_sketch_table(group.select(
-            [name for name, _ in SKETCH_FIELDS]))
-        out = sketch_rows_to_table([sketch.to_row()],
-                                   {"lang": [group["lang"][0].as_py()]})
+    def merge_lang(block: pa.Table) -> pa.Table:
+        block, starts = contiguous_groups(block, ["lang"])
+        out = merged_table(block, ["lang"])
         for name in _EXTRA:
-            out = out.append_column(name, pa.array(
-                [int(pc.sum(group[name]).as_py())], type=pa.int64()))
+            sums = (np.add.reduceat(block[name].to_numpy(), starts)
+                    if starts.size else [])
+            out = out.append_column(name, pa.array(sums, type=pa.int64()))
         return out
 
     ds = ray.data.read_parquet(
@@ -167,31 +168,15 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
     per_lang_rows = (ds.map_batches(fused, batch_format="pyarrow",
                                     batch_size=batch_size,
                                     zero_copy_batch=True)
-                     .groupby("lang")
-                     .map_groups(merge_lang, batch_format="pyarrow"))
-    import ray as _ray
-    # materialize BEFORE to_arrow_refs: on an unmaterialized dataset the
-    # latter fetches the schema with a second (limit=1) execution of the
-    # whole plan -- doubling the measured cost of the scaling child
-    tables = [t for t in map(_ray.get,
-                             per_lang_rows.materialize().to_arrow_refs())
-              if t.num_rows]
-    merged = pa.concat_tables(tables)
+                     .sort("lang")
+                     .map_batches(merge_lang, batch_format="pyarrow",
+                                  batch_size=None))
+    merged = collect(per_lang_rows)
 
     # driver fold over <= n_lang rows: global sketch + totals
-    glob_sketch = merge_sketch_table(merged.select(
-        [name for name, _ in SKETCH_FIELDS]))
-    glob = sketch_quantile_table(glob_sketch, qs)
-    lang_keys = [(merged["lang"][i].as_py(), q)
-                 for i in range(merged.num_rows) for q in qs]
-    from ..stages.sketch_build import sketches_from_table
-    per_sketches = sketches_from_table(merged)
-    per_lang = pa.table({
-        "lang": pa.array([lk for lk, _ in lang_keys], type=pa.string()),
-        "q": pa.array([q for _, q in lang_keys], type=pa.float64()),
-        "est": pa.array([e for s in per_sketches for e in s.quantiles(qs)],
-                        type=pa.float64()),
-    }).sort_by([("lang", "ascending"), ("q", "ascending")])
+    glob = sketch_quantile_table(merge_sketch_table(merged), qs)
+    per_lang = quantile_finalizer(["lang"], qs)(merged).drop_columns(
+        ["bucket_key"]).sort_by([("lang", "ascending"), ("q", "ascending")])
     return {
         "global": glob,
         "per_lang": per_lang,
@@ -216,8 +201,7 @@ def webpage_quantiles(paths, metric: str = "text_len",
     ungrouped build because the exact-sum merge is associative over any
     partitioning of the multiset).  The driver only receives the final
     answer rows, never the partial set."""
-    import ray
-    from ..stages.sketch_build import (quantile_finalizer,
+    from ..stages.sketch_build import (collect, quantile_finalizer,
                                        tree_merge_sketches)
     from .quantiles import build_partials_ds
 
@@ -232,12 +216,8 @@ def webpage_quantiles(paths, metric: str = "text_len",
 
     grouped = None
     if by_lang:
-        grouped_ds = partials.sort("lang").map_batches(
+        grouped = collect(partials.sort("lang").map_batches(
             quantile_finalizer(["lang"], quantiles), batch_format="pyarrow",
-            batch_size=None)
-        tables = [t for t in map(ray.get,
-                                 grouped_ds.materialize().to_arrow_refs())
-                  if t.num_rows]
-        grouped = pa.concat_tables(tables).sort_by(
-            [("lang", "ascending"), ("q", "ascending")])
+            batch_size=None)).sort_by([("lang", "ascending"),
+                                       ("q", "ascending")])
     return glob, grouped

@@ -11,11 +11,15 @@ phases (SURVEY.md section 3.3):
   deterministic and resumable (SURVEY.md section 4).
 * ``distributedCommunication`` (main.cpp:475-658, gossip rounds until
   convergence) becomes one deterministic reduction over those tiny rows:
-  either ``sort(keys).map_batches(quantile_finalizer)`` (a shuffle that
-  leaves each group's rows contiguous in one block, then every group of
-  the block merged and queried in one call) or a distributed tree merge
-  for the global (single-group) case -- partials are <= bin_limit bins
-  ~ 6 KB each, so the merge stage moves kilobytes, not data.
+  a ``sort(keys)`` shuffle that leaves each group's rows contiguous in one
+  block, then one call per block that merges every group of it --
+  ``merge_by_group`` (``merged_table``: one merged sketch row per group)
+  or ``quantile_finalizer`` (merged and queried) -- or a distributed tree
+  merge for the global (single-group) case.  Partials are <= bin_limit
+  bins ~ 6 KB each, so the merge stage moves kilobytes, not data.  Every
+  per-group merge of partial rows in the library goes through
+  ``merged_rows``, whatever carries the rows there (sort shuffle,
+  ``partition_by``, a driver-side table).
 
 A DDSketch merge is a bin-wise sum, so both halves are columnar:
 
@@ -33,7 +37,7 @@ A DDSketch merge is a bin-wise sum, so both halves are columnar:
   rows are uniform mode at one generation, with a key union that fits
   ``bin_limit``; any other group folds its columnar-decoded sketches with
   ``DDSketch.merge``.  Both give the same bits as folding each group row
-  by row.  ``merged_row`` is the one-group case.
+  by row.  ``merge_sketch_table`` is the one-group case.
 
 All hot-path math is vectorized numpy over zero-copy Arrow columns.
 """
@@ -41,7 +45,7 @@ All hot-path math is vectorized numpy over zero-copy Arrow columns.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -193,28 +197,10 @@ def merged_rows(table: pa.Table, starts: Sequence[int]) -> list[dict]:
     return out
 
 
-def merged_row(table: pa.Table) -> dict:
-    """``DDSketch.to_row()`` of all serialized-sketch rows of a table
-    merged (the one-group case of ``merged_rows``)."""
-    return merged_rows(table, [0])[0]
-
-
 def merge_sketch_table(table: pa.Table) -> DDSketch:
-    """Merge all serialized-sketch rows of an Arrow table into one sketch."""
-    return DDSketch.from_row(merged_row(table))
-
-
-_SKETCH_COL_NAMES = [name for name, _ in SKETCH_FIELDS]
-
-
-def _merge_block_to_row(t: pa.Table) -> pa.Table:
-    """map_batches body: fold a block of partial-sketch rows into one row
-    (group columns, if any, are dropped -- this is the global path)."""
-    empty = pa.table({name: pa.array([], type=typ)
-                      for name, typ in SKETCH_FIELDS})
-    if t.num_rows == 0:
-        return empty
-    return sketch_rows_to_table([merged_row(t.select(_SKETCH_COL_NAMES))])
+    """Merge all serialized-sketch rows of an Arrow table into one sketch
+    (the one-group case of ``merged_rows``)."""
+    return DDSketch.from_row(merged_rows(table, [0])[0])
 
 
 def tree_merge_sketches(partials_ds, *, fanin: int = 32) -> DDSketch:
@@ -238,11 +224,10 @@ def tree_merge_sketches(partials_ds, *, fanin: int = 32) -> DDSketch:
     """
     import ray as _ray
     leaves = partials_ds.map_batches(
-        _merge_block_to_row, batch_format="pyarrow",
-        batch_size=None).materialize()
+        merged_table, batch_format="pyarrow", batch_size=None).materialize()
     while leaves.num_blocks() > fanin:
         leaves = leaves.repartition(fanin).map_batches(
-            _merge_block_to_row, batch_format="pyarrow",
+            merged_table, batch_format="pyarrow",
             batch_size=None).materialize()
     tables = [t for t in map(_ray.get, leaves.to_arrow_refs())
               if t.num_rows]
@@ -290,6 +275,65 @@ def group_codes(table: pa.Table, cols: Sequence[str]
                              [codes[rep]].tolist())
               for name, (codes, sorted_dict) in zip(cols, ranked)}
     return ids, values
+
+
+def contiguous_groups(block: pa.Table, group_cols: Sequence[str]
+                      ) -> tuple[pa.Table, np.ndarray]:
+    """The block with each group's rows contiguous, and the first row of
+    every group.  Rows are ordered by ``group_codes`` id with a stable
+    sort, so a sorted block stays as it is and a group's rows keep their
+    order.  No group columns make the block one group."""
+    if not group_cols:
+        return block, np.zeros(min(block.num_rows, 1), dtype=np.int64)
+    ids = group_codes(block, group_cols)[0]
+    if (np.diff(ids) < 0).any():
+        order = np.argsort(ids, kind="stable")
+        block, ids = block.take(order), ids[order]
+    return block, np.flatnonzero(np.diff(ids, prepend=-1))
+
+
+def merged_table(block: pa.Table, group_cols: Sequence[str] = ()
+                 ) -> pa.Table:
+    """Block body (``map_batches`` or ``partition_by``) over partial rows:
+    one merged sketch row per group, the group columns (their input types
+    kept) followed by SKETCH_FIELDS.  All groups of the block merge in one
+    ``merged_rows`` call; no group columns merge the block to one row."""
+    block, starts = contiguous_groups(block, group_cols)
+    keys = block.select(list(group_cols)).take(starts)
+    merged = sketch_rows_to_table(merged_rows(block, starts))
+    return pa.Table.from_arrays(keys.columns + merged.columns,
+                                keys.column_names + merged.column_names)
+
+
+def merge_by_group(partials, group_cols: Sequence[str]):
+    """Dataset of one merged sketch row per group of a partial-row
+    Dataset: a sort shuffle leaves each group's rows in one block, and
+    ``merged_table`` merges every group of a block at once."""
+    return partials.sort(list(group_cols)).map_batches(
+        partial(merged_table, group_cols=tuple(group_cols)),
+        batch_format="pyarrow", batch_size=None)
+
+
+def collect(ds) -> pa.Table:
+    """The non-empty blocks of a Dataset concatenated on the driver (a
+    table without columns when there are none).  Materialized first: on
+    an unmaterialized Dataset, ``to_arrow_refs`` fetches the schema with
+    a second (limit=1) execution of the whole plan."""
+    import ray as _ray
+    tables = [t for t in _ray.get(ds.materialize().to_arrow_refs())
+              if t.num_rows]
+    return pa.concat_tables(tables) if tables else pa.table({})
+
+
+def sketches_by_group(merged: pa.Table, group_cols: Sequence[str]) -> dict:
+    """{group value, or a tuple of values for several group columns:
+    DDSketch} of merged sketch rows (``merged_table`` output), decoded
+    with one ``sketches_from_table`` call."""
+    if not merged.num_rows:
+        return {}
+    values = [merged[c].to_pylist() for c in group_cols]
+    groups = values[0] if len(values) == 1 else zip(*values)
+    return dict(zip(groups, sketches_from_table(merged)))
 
 
 def partial_columns(values: np.ndarray, ids: np.ndarray, n_groups: int,
@@ -415,36 +459,32 @@ def quantile_finalizer(group_cols: Sequence[str] | None,
                        quantiles: Sequence[float],
                        round_digits: int | None = None):
     """map_batches body factory over a block of partial rows holding whole
-    groups, each group's rows contiguous (a sorted block): merge every
-    group once (``merged_rows``) and emit one row per (group, quantile):
-    group keys + (q, bucket_key, est), in block order.  Group boundaries
-    are where the ``group_codes`` ids change; no group columns make the
-    block one group.  One cumsum + searchsorted over a group's merged bins
-    answers every quantile."""
+    groups (a sorted block): merge every group once (``merged_rows``)
+    and emit one row per (group, quantile):
+    group keys (their input types kept) + (q, bucket_key, est), in
+    ``contiguous_groups`` order; no group columns make the block one
+    group.  One cumsum + searchsorted over a group's merged bins answers
+    every quantile."""
     group_cols = tuple(group_cols) if group_cols else ()
     qs = tuple(quantiles)
 
     def finalize(block: pa.Table) -> pa.Table:
-        if group_cols:
-            ids = group_codes(block, group_cols)[0]
-            starts = np.flatnonzero(np.diff(ids, prepend=-1))
-        else:
-            starts = [0] if block.num_rows else []
+        block, starts = contiguous_groups(block, group_cols)
         rows = merged_rows(block, starts)
-        out: dict[str, list] = {
-            c: [v for v in block[c].take(starts).to_pylist() for _ in qs]
-            for c in group_cols}
-        out["q"] = list(qs) * len(rows)
-        out["bucket_key"], out["est"] = [], []
+        out = {c: block[c].take(np.repeat(starts, len(qs)))
+               for c in group_cols}
+        bucket_keys, ests = [], []
         for row in rows:
             gamma = _derived_params(row["alpha0"], row["generation"])[1]
             keys = quantile_keys(row["keys"], row["counts"], row["n"],
                                  qs).tolist()
-            ests = [bucket_estimate(k, gamma, row["offset"]) for k in keys]
-            if round_digits is not None:
-                ests = [round(e, round_digits) for e in ests]
-            out["bucket_key"] += keys
-            out["est"] += ests
+            bucket_keys += keys
+            ests += [bucket_estimate(k, gamma, row["offset"]) for k in keys]
+        if round_digits is not None:
+            ests = [round(e, round_digits) for e in ests]
+        out["q"] = pa.array(list(qs) * len(rows), type=pa.float64())
+        out["bucket_key"] = pa.array(bucket_keys, type=pa.int64())
+        out["est"] = pa.array(ests, type=pa.float64())
         return pa.table(out)
 
     return finalize

@@ -14,8 +14,6 @@ table format of stages.sketch_build.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Sequence
 
@@ -24,16 +22,11 @@ import pyarrow.parquet as pq
 
 from ..config import DEFAULT_ALPHA, DEFAULT_BIN_LIMIT, DEFAULT_OFFSET
 from ..sketches.ddsketch import DDSketch
-from ..stages.sketch_build import merge_sketch_table
+from ..stages.sketch_build import (merge_sketch_table, merged_table,
+                                   sketches_by_group)
+from .lineage import lineage_key
 
 STAGE_VERSION = 1
-
-
-def _lineage_key(input_path: str, params: dict) -> str:
-    blob = json.dumps({"input": os.path.abspath(input_path),
-                       "stage_version": STAGE_VERSION, **params},
-                      sort_keys=True)
-    return hashlib.md5(blob.encode()).hexdigest()
 
 
 class CheckpointedSketchBuild:
@@ -59,9 +52,9 @@ class CheckpointedSketchBuild:
         self.skipped_inputs: list[str] = []  # satisfied from checkpoint
 
     def _partial_path(self, input_path: str) -> str:
-        return os.path.join(self.dir,
-                            f"partial-{_lineage_key(input_path, self.params)}"
-                            f".parquet")
+        key = lineage_key(input_path,
+                          {"stage_version": STAGE_VERSION, **self.params})
+        return os.path.join(self.dir, f"partial-{key}.parquet")
 
     def build(self, input_paths: Sequence[str]) -> None:
         """Ensure a partial exists for every input (building the missing
@@ -106,15 +99,12 @@ class CheckpointedSketchBuild:
             pa.concat_tables(tables, promote_options="permissive"))
 
     def merged_by_group(self, input_paths: Sequence[str]) -> dict:
-        """group value -> merged DDSketch (single group column)."""
-        if not self.group_cols or len(self.group_cols) != 1:
-            raise ValueError("merged_by_group requires one group column")
-        gcol = self.group_cols[0]
+        """group value (a tuple for several group columns) -> merged
+        DDSketch, every group merged in one ``merged_table`` call."""
+        if not self.group_cols:
+            raise ValueError("merged_by_group requires group columns")
         table = pa.concat_tables(
             [pq.read_table(self._partial_path(p)) for p in input_paths],
             promote_options="permissive")
-        out = {}
-        for gval in set(table[gcol].to_pylist()):
-            sub = table.filter(pa.compute.equal(table[gcol], gval))
-            out[gval] = merge_sketch_table(sub)
-        return out
+        return sketches_by_group(merged_table(table, self.group_cols),
+                                 self.group_cols)

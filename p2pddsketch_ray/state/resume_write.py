@@ -16,7 +16,6 @@ safe).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -24,11 +23,7 @@ from typing import Callable, Sequence
 
 import pyarrow as pa
 
-
-def _shard_key(input_path: str, stage: str, params: dict) -> str:
-    blob = json.dumps({"input": os.path.abspath(input_path),
-                       "stage": stage, **params}, sort_keys=True)
-    return hashlib.md5(blob.encode()).hexdigest()
+from .lineage import lineage_key
 
 
 class ResumableMapWrite:
@@ -58,10 +53,12 @@ class ResumableMapWrite:
         self.written: list[str] = []
         self.skipped: list[str] = []
 
+    def _shard_key(self, input_path: str) -> str:
+        return lineage_key(input_path, {"stage": self.stage, **self.params})
+
     def _shard_dir(self, input_path: str) -> str:
-        return os.path.join(
-            self.out_dir,
-            f"shard-{_shard_key(input_path, self.stage, self.params)}")
+        return os.path.join(self.out_dir,
+                            f"shard-{self._shard_key(input_path)}")
 
     def run(self, input_paths: Sequence[str]) -> list[str]:
         """Process every input shard whose output does not yet exist.
@@ -100,7 +97,7 @@ class ResumableMapWrite:
                 "input": os.path.abspath(path),
                 "stage": self.stage,
                 "params": self.params,
-                "shard_key": _shard_key(path, self.stage, self.params),
+                "shard_key": self._shard_key(path),
                 "rows_in": pq.ParquetFile(path).metadata.num_rows,
                 "rows_out": sum(pq.ParquetFile(f).metadata.num_rows
                                 for f in out_files),

@@ -83,6 +83,69 @@ def test_checkpoint_grouped(ray_session, shards, tmp_path):
     assert by_group["a"].n + by_group["b"].n == 20000
 
 
+def test_checkpoint_merged_by_group_many_groups(ray_session, tmp_path):
+    """Many groups (null among them) spread over shards, under a
+    bin_limit some groups' unions exceed: every group equals the fold of
+    its partial rows in checkpoint order, and a two-column build keys
+    its groups by tuple."""
+    from p2pddsketch_ray.stages.sketch_build import merge_sketch_table
+    rng = np.random.default_rng(4)
+    paths = []
+    for i in range(3):
+        n = 3000
+        p = str(tmp_path / f"in-{i}.parquet")
+        pq.write_table(pa.table({
+            "value": rng.lognormal(0, 0.3 + i, n),
+            "g": pa.array(rng.integers(0, 40, n).astype(str),
+                          mask=rng.random(n) < 0.05),
+            "h": rng.choice(["x", "y"], n)}), p)
+        paths.append(p)
+    for cols in (["g"], ["g", "h"]):
+        ck = CheckpointedSketchBuild(str(tmp_path / f"ck-{len(cols)}"),
+                                     "value", group_cols=cols, alpha=0.01,
+                                     bin_limit=48)
+        ck.build(paths)
+        got = ck.merged_by_group(paths)
+        table = pa.concat_tables(pq.read_table(ck._partial_path(p))
+                                 for p in paths)
+        rows: dict = {}
+        for i, key in enumerate(zip(*[table[c].to_pylist()
+                                      for c in cols])):
+            rows.setdefault(key if len(cols) > 1 else key[0], []).append(i)
+        assert len(rows) > 40 and None in {
+            k if len(cols) == 1 else k[0] for k in rows}
+        assert got.keys() == rows.keys()
+        for key, idx in rows.items():
+            assert got[key].to_bytes() == merge_sketch_table(
+                table.take(idx)).to_bytes()
+        assert max(s.generation for s in got.values()) > 0
+
+
+def test_lineage_keys_unchanged():
+    """Checkpoint partials and resumable shards are named by the same
+    lineage key as before the two helpers were merged, so existing
+    checkpoints and shards still resume."""
+    from p2pddsketch_ray.state.checkpoint import STAGE_VERSION
+    from p2pddsketch_ray.state.lineage import lineage_key
+    params = {"value_col": "value", "group_cols": ["grp"], "alpha": 0.01,
+              "bin_limit": 2048, "offset": 2**30, "mode": "uniform"}
+    path = "/data/events/part-0.parquet"
+    assert lineage_key(path, {"stage_version": STAGE_VERSION, **params}) \
+        == "39af34698f30d9ada22573bb427b3e5f"
+    assert lineage_key(path, {"stage": "tokenize", "lower": True,
+                              "k": 9}) == "5bd9b931e55d50c91a9a6197c084aaa7"
+    ck = CheckpointedSketchBuild.__new__(CheckpointedSketchBuild)
+    ck.dir, ck.params = "/ck", params
+    assert ck._partial_path(path) == \
+        "/ck/partial-39af34698f30d9ada22573bb427b3e5f.parquet"
+    from p2pddsketch_ray.state.resume_write import ResumableMapWrite
+    rw = ResumableMapWrite.__new__(ResumableMapWrite)
+    rw.out_dir, rw.stage, rw.params = "/out", "tokenize", {"lower": True,
+                                                           "k": 9}
+    assert rw._shard_dir(path) == \
+        "/out/shard-5bd9b931e55d50c91a9a6197c084aaa7"
+
+
 def test_checkpoint_empty_input_publishes_partial(ray_session, shards,
                                                   tmp_path):
     """An all-empty input parquet must still publish a (zero-row) partial

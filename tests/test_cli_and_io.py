@@ -210,3 +210,13 @@ def test_gen_sf_replicas_preserve_join_structure(tmp_path):
         sb = set(h2[f2[i]:f2[i + 1]].tolist())
         j = len(sa & sb) / max(len(sa | sb), 1)
         assert j < 0.5, (i, j)
+
+    # documents of zero or one word are salted too (their word 0), so
+    # no document is identical across replicas
+    import pyarrow as pa
+
+    from tools.gen_sf import _salt_texts
+    docs = pa.array(["", "word", "two words", "a b c"])
+    r1, r2 = (_salt_texts(docs, r).to_pylist() for r in (1, 2))
+    assert r1 == ["x1", "wordx1", "two wordsx1", "a bx1 c"]
+    assert all(a != b for a, b in zip(r1, r2))

@@ -2,6 +2,7 @@
 DDSketch loop and the sequential merge fold it replaces."""
 
 import datetime
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -9,11 +10,14 @@ import pytest
 
 from p2pddsketch_ray.sketches.ddsketch import DDSketch
 from p2pddsketch_ray.stages.sketch_build import (SKETCH_FIELDS,
-                                                 build_partials, group_codes,
+                                                 build_partials, collect,
+                                                 group_codes,
+                                                 merge_by_group,
                                                  merge_sketch_table,
-                                                 merged_rows,
+                                                 merged_rows, merged_table,
                                                  quantile_finalizer,
-                                                 sketch_rows_to_table)
+                                                 sketch_rows_to_table,
+                                                 sketches_by_group)
 
 QS = (0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0)
 
@@ -399,3 +403,107 @@ def test_dds_quantiles_grouped_many_blocks(ray_session, keyed_batch):
             want["bucket_key"] += [s.quantile_key(q) for q in QS]
             want["est"] += [s.quantile(q) for q in QS]
         assert got.to_pydict() == want
+
+
+# -- merged_table / merge_by_group: the one grouped merge of partial rows --
+
+def rows_by_group(table, cols):
+    """{key tuple: row indices in table order} of every group."""
+    out: dict = {}
+    for i, key in enumerate(zip(*[table[c].to_pylist() for c in cols])):
+        out.setdefault(key, []).append(i)
+    return out
+
+
+MERGE_SKETCH = BLOCK_SKETCH + [(dict(alpha=0.01, bin_limit=60), [40] * 40)]
+
+
+@pytest.mark.parametrize("keys", [["s"], ["s", "s2"], ["i64"], ["sn"]],
+                         ids=str)
+@pytest.mark.parametrize("weight_col", [None, "w"])
+@pytest.mark.parametrize("kw,slices", MERGE_SKETCH,
+                         ids=[f"{kw}-{len(sl)}" for kw, sl in MERGE_SKETCH])
+def test_merged_table_equals_per_group_merge(keyed_batch, keys, weight_col,
+                                             kw, slices):
+    """A shuffled block of many groups: one row per group, in sorted key
+    order (nulls last), each the bits of merge_sketch_table over that
+    group's rows in block order."""
+    block = sorted_block(keyed_batch, keys, weight_col, kw, slices)
+    order = [tuple(block[c][i].as_py() for c in keys)
+             for i in group_starts(block, keys)]
+    shuffled = block.take(np.random.default_rng(2).permutation(
+        block.num_rows))
+    got = merged_table(shuffled, keys)
+    names = [name for name, _ in SKETCH_FIELDS]
+    assert got.column_names == keys + names
+    assert [got.schema.field(c).type for c in keys] == \
+        [shuffled.schema.field(c).type for c in keys]
+    assert list(zip(*[got[c].to_pylist() for c in keys])) == order
+    rows = rows_by_group(shuffled, keys)
+    assert len(rows) > 3
+    want = [merge_sketch_table(shuffled.take(rows[key])).to_bytes()
+            for key in order]
+    assert sketch_bytes(got) == want
+    # the stable sort by key that a shuffle would apply changes nothing
+    stable = shuffled.take(pa.compute.sort_indices(
+        shuffled, [(c, "ascending") for c in keys], null_placement="at_end"))
+    assert merged_table(stable, keys).equals(got)
+    gens = [set(block["generation"].take(idx).to_pylist())
+            for idx in rows_by_group(block, keys).values()]
+    if len(slices) == 41:  # groups that mix generations
+        assert any(len(g) > 1 for g in gens)
+    if len(slices) == 40:  # generation-0 rows only
+        assert gens == [{0}] * len(gens)
+        if len(rows) < 10:  # ~300+ values a group: key unions exceed 60
+            assert min(got["generation"].to_pylist()) > 0
+
+
+def test_merged_table_without_group_columns_is_one_row(batch):
+    parts = pa.concat_tables(
+        build_partials(batch.slice(o, 700), value_col="v",
+                       group_cols=["s"], alpha=0.01, bin_limit=60)
+        for o in range(0, batch.num_rows, 700))
+    got = merged_table(parts)
+    assert got.column_names == [name for name, _ in SKETCH_FIELDS]
+    assert sketch_bytes(got) == [merge_sketch_table(parts).to_bytes()]
+
+
+@pytest.mark.parametrize("keys", [None, ["s"], ["s", "i32"], ["sn"], ["d"]],
+                         ids=str)
+def test_empty_block_outputs_have_the_nonempty_schema(keyed_batch, keys):
+    """An empty sort partition gives the schema of a non-empty one, so
+    blocks of one output never disagree on types."""
+    block = build_partials(keyed_batch.slice(0, 500), value_col="v",
+                           group_cols=keys)
+    for body in (partial(merged_table, group_cols=keys or ()),
+                 quantile_finalizer(keys, QS, 6)):
+        full, empty = body(block), body(block.slice(0, 0))
+        assert full.num_rows and not empty.num_rows
+        assert empty.schema == full.schema
+
+
+def test_merge_by_group_many_blocks(ray_session, keyed_batch):
+    """Partials of many input blocks, merged by a sort shuffle with more
+    partitions than groups: one sketch per group (a tuple key for two
+    columns, None for the null group), equal to one DDSketch over the
+    group's values."""
+    import ray
+
+    from p2pddsketch_ray.pipelines.quantiles import build_partials_ds
+    table = keyed_batch.select(["v", "s2", "i32", "sn"])
+    valid = table.filter(table["v"].is_valid())
+    values = valid["v"].to_numpy(zero_copy_only=False)
+    for keys in (["s2"], ["i32", "s2"], ["sn"]):
+        partials = build_partials_ds(
+            ray.data.from_arrow(table).repartition(12), "v", keys,
+            alpha=0.01, bin_limit=2048)
+        got = sketches_by_group(collect(merge_by_group(partials, keys)),
+                                keys)
+        rows = rows_by_group(valid, keys)
+        assert len(rows) > 2
+        assert got.keys() == {k if len(keys) > 1 else k[0] for k in rows}
+        for key, idx in rows.items():
+            s = DDSketch(alpha=0.01, bin_limit=2048)
+            s.add_batch(values[idx])
+            assert got[key if len(keys) > 1 else key[0]].to_bytes() \
+                == s.to_bytes()

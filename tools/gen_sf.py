@@ -58,13 +58,15 @@ SINGLE_COPY = ("nation", "region")
 
 
 def _salt_texts(texts: pa.Array, r: int) -> pa.Array:
-    """Append a replica tag to every other word: byte 9-shingles almost
-    always span a salted word, so replicas are not near-dups."""
+    """Append a replica tag to every other word (to word 0 of a document
+    with fewer than two words): byte 9-shingles almost always span a
+    salted word, so replicas are not near-dups."""
     salt = f"x{r}"
     out = []
     for s in texts.to_pylist():
         w = s.split(" ")
-        w[1::2] = [x + salt for x in w[1::2]]
+        salted = slice(1, None, 2) if len(w) > 1 else slice(0, 1)
+        w[salted] = [x + salt for x in w[salted]]
         out.append(" ".join(w))
     return pa.array(out, type=pa.string())
 
