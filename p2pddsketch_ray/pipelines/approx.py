@@ -19,11 +19,8 @@ import ray.data
 from ..sketches.bloom import BloomFilter
 from ..sketches.countmin import CountMinSketch
 from ..sketches.hll import HyperLogLog
+from ..sources.tables import read_table as _read
 from ..stages.generic_build import build_and_merge
-
-
-def _read(sf_dir: str, table: str, columns=None):
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def hll_build(ds, col: str, p: int = 12,

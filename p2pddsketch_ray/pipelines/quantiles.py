@@ -183,6 +183,40 @@ def _key_to_float(key: int) -> float:
     return float(np.array([u], dtype=np.uint64).view(np.float64)[0])
 
 
+def _order_key_stats(ds, value_col: str, group_col: str | None = None,
+                     weight_col: str | None = None) -> list[dict]:
+    """One row per group (one overall row without ``group_col``, none for
+    an input without non-NaN values) of the non-NaN values of
+    ``value_col``: ``n`` (rows, or the total of the weights rounded to
+    integers when ``weight_col`` is set) and the least and greatest order
+    key, ``kmin`` / ``kmax``.  Arrow's min and max are uint64-native, so
+    keys >= 2^63 merge as they are."""
+    from ..stages.combine import combine_agg
+
+    keys = [group_col] if group_col else []
+    cols = [value_col] + keys + ([weight_col] if weight_col else [])
+
+    def prep(t: pa.Table) -> pa.Table:
+        v = t[value_col].to_numpy(zero_copy_only=False)
+        ok = ~np.isnan(v)
+        out = {k: t[k].filter(pa.array(ok)) for k in keys}
+        out["k"] = pa.array(_float_order_keys(v[ok]), type=pa.uint64())
+        if weight_col:
+            w = t[weight_col].to_numpy(zero_copy_only=False)[ok]
+            out["w"] = pa.array(np.floor(w + 0.5).astype(np.int64))
+        return pa.table(out)
+
+    n = ("w", "sum") if weight_col else ("k", "count")
+
+    def finalize(t: pa.Table) -> pa.Table:
+        return pa.table({**{k: t[k] for k in keys},
+                         "n": t["_".join(n)], "kmin": t["k_min"],
+                         "kmax": t["k_max"]})
+
+    return combine_agg(ds.select_columns(cols), keys, prep,
+                       [n, ("k", "min"), ("k", "max")], finalize).take_all()
+
+
 class _IntervalHist:
     """Mergeable per-interval integer histogram over float order-keys.
 
@@ -347,7 +381,8 @@ def exact_quantiles(ds: "ray.data.Dataset", value_col: str,
     sort: iterative histogram bisection over integer order-keys.
 
     Passes over the data (all streaming, nothing materialized):
-      1. count + key min/max (tiny per-block rows, Sum/Min/Max agg);
+      1. count + key min/max (``_order_key_stats``: one tiny row per
+         batch, merged in one block);
       2. per round, ONE mergeable multi-interval histogram (4096 exact
          integer buckets per unresolved target, 32 KB blobs through the
          tree merge); each round narrows every target's key interval by
@@ -364,33 +399,11 @@ def exact_quantiles(ds: "ray.data.Dataset", value_col: str,
     """
     import math
 
-    import numpy as np
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    def block_stats(t: pa.Table) -> pa.Table:
-        v = t[value_col].to_numpy(zero_copy_only=False)
-        v = v[~np.isnan(v)]
-        if v.shape[0] == 0:
-            return pa.table({"cnt": pa.array([0], type=pa.int64()),
-                             "kmin": pa.array([None], type=pa.uint64()),
-                             "kmax": pa.array([None], type=pa.uint64())})
-        keys = _float_order_keys(v)
-        return pa.table({"cnt": pa.array([v.shape[0]], type=pa.int64()),
-                         "kmin": pa.array([keys.min()], type=pa.uint64()),
-                         "kmax": pa.array([keys.max()], type=pa.uint64())})
-
-    stats = (ds.select_columns([value_col])
-             .map_batches(block_stats, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .aggregate(Sum("cnt", alias_name="n"),
-                        Min("kmin", alias_name="kmin"),
-                        Max("kmax", alias_name="kmax")))
-    n = int(stats["n"] or 0)
-    if n == 0:
+    stats = _order_key_stats(ds, value_col)
+    if not stats:
         raise ValueError(f"exact_quantiles: no non-NaN values in "
                          f"{value_col!r}")
-    kmin, kmax = int(stats["kmin"]), int(stats["kmax"])
+    n, kmin, kmax = (int(stats[0][c]) for c in ("n", "kmin", "kmax"))
 
     qs = list(quantiles)
     # DuckDB quantile_disc rank: 0-based max(0, ceil(q*n) - 1)
@@ -417,7 +430,8 @@ def exact_quantiles_grouped(ds: "ray.data.Dataset", value_col: str,
                             max_rounds: int = 8) -> pa.Table:
     """Per-group EXACT quantiles (``quantile_disc`` semantics per group)
     by the same histogram-bisection machinery: one grouped stats pass
-    (per-block per-group tiny rows -> groupby agg), then shared rounds in
+    (``_order_key_stats``: per-batch per-group rows, merged after a sort
+    shuffle), then shared rounds in
     which every still-unresolved (group, q) target contributes one
     interval row to the SAME multi-interval histogram -- one data pass
     per round total, regardless of group count.
@@ -427,45 +441,10 @@ def exact_quantiles_grouped(ds: "ray.data.Dataset", value_col: str,
     For high-cardinality keys use dds_quantiles_grouped (sketch tier)."""
     import math
 
-    import numpy as np
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    def block_stats(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        v = t[value_col].to_numpy(zero_copy_only=False)
-        ok = ~np.isnan(v)
-        garr = t[group_col].filter(pa.array(ok))
-        keys = _float_order_keys(v[ok])
-        enc = garr.combine_chunks().dictionary_encode()
-        codes = (enc.indices.to_numpy(zero_copy_only=False)
-                 .astype(np.int64))
-        uniq = enc.dictionary
-        cnt = np.bincount(codes, minlength=len(uniq))
-        kmin = np.full(len(uniq), np.iinfo(np.uint64).max, dtype=np.uint64)
-        kmax = np.zeros(len(uniq), dtype=np.uint64)
-        np.minimum.at(kmin, codes, keys)
-        np.maximum.at(kmax, codes, keys)
-        return pa.table({group_col: uniq,
-                         "cnt": pa.array(cnt, type=pa.int64()),
-                         "kmin": pa.array(kmin, type=pa.uint64()),
-                         "kmax": pa.array(kmax, type=pa.uint64())})
-
-    stats = (ds.select_columns([value_col, group_col])
-             .map_batches(block_stats, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .groupby(group_col)
-             .aggregate(Sum("cnt", alias_name="n"),
-                        Min("kmin", alias_name="kmin"),
-                        Max("kmax", alias_name="kmax"))
-             .take_all())
-
     qs = list(quantiles)
     targets = []
-    for row in stats:
+    for row in _order_key_stats(ds, value_col, group_col):
         n = int(row["n"])
-        if n == 0:
-            continue
         for q in qs:
             r = max(0, int(math.ceil(q * n)) - 1)
             targets.append({"group": row[group_col], "q": q,
@@ -803,49 +782,12 @@ def exact_weighted_median_grouped(ds: "ray.data.Dataset", value_col: str,
     blobs through the tree merge), then one pruned collect resolves the
     survivors driver-side.  Weights must be non-negative integers
     (enforced by rounding).  Returns {group: (W, median_value)}."""
-    import numpy as np
-    from ray.data.aggregate import Max, Min, Sum
-
     from ..stages.generic_build import build_and_merge
 
     cols = [value_col, weight_col, group_col]
-
-    def block_stats(t: pa.Table) -> pa.Table:
-        v = t[value_col].to_numpy(zero_copy_only=False)
-        w = t[weight_col].to_numpy(zero_copy_only=False)
-        ok = ~np.isnan(v)
-        if not ok.any():
-            return pa.table({group_col: pa.array([], type=pa.string()),
-                             "w": pa.array([], type=pa.int64()),
-                             "kmin": pa.array([], type=pa.uint64()),
-                             "kmax": pa.array([], type=pa.uint64())})
-        keys = _float_order_keys(v[ok])
-        wts = np.floor(w[ok] + 0.5).astype(np.int64)
-        g = t[group_col].to_numpy(zero_copy_only=False)[ok]
-        ug, inv = np.unique(g, return_inverse=True)
-        wsum = np.zeros(ug.shape[0], dtype=np.int64)
-        np.add.at(wsum, inv, wts)
-        kmin = np.full(ug.shape[0], np.iinfo(np.uint64).max,
-                       dtype=np.uint64)
-        kmax = np.zeros(ug.shape[0], dtype=np.uint64)
-        np.minimum.at(kmin, inv, keys)
-        np.maximum.at(kmax, inv, keys)
-        return pa.table({group_col: pa.array(ug.tolist(),
-                                             type=pa.string()),
-                         "w": pa.array(wsum),
-                         "kmin": pa.array(kmin, type=pa.uint64()),
-                         "kmax": pa.array(kmax, type=pa.uint64())})
-
-    stats = (ds.select_columns(cols)
-             .map_batches(block_stats, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .groupby(group_col)
-             .aggregate(Sum("w", alias_name="w"),
-                        Min("kmin", alias_name="kmin"),
-                        Max("kmax", alias_name="kmax")).take_all())
     targets = []
-    for r in stats:
-        W = int(r["w"])
+    for r in _order_key_stats(ds, value_col, group_col, weight_col):
+        W = int(r["n"])
         targets.append({"group": r[group_col], "W": W,
                         "rank": (W + 1) // 2,
                         "lo": int(r["kmin"]), "hi": int(r["kmax"]),
@@ -1124,31 +1066,10 @@ def exact_rank_select(ds: "ray.data.Dataset", value_col: str,
     that know positions rather than fractions (e.g. the DGIM bucket
     boundary lookup).  Same bisection dataflow: no global sort, tiny
     histogram blobs, one pruned collect."""
-    import numpy as np
-    from ray.data.aggregate import Max, Min, Sum
-
-    def block_stats(t: pa.Table) -> pa.Table:
-        v = t[value_col].to_numpy(zero_copy_only=False)
-        v = v[~np.isnan(v)]
-        if v.shape[0] == 0:
-            return pa.table({"cnt": pa.array([0], type=pa.int64()),
-                             "kmin": pa.array([None], type=pa.uint64()),
-                             "kmax": pa.array([None], type=pa.uint64())})
-        keys = _float_order_keys(v)
-        return pa.table({"cnt": pa.array([v.shape[0]], type=pa.int64()),
-                         "kmin": pa.array([keys.min()], type=pa.uint64()),
-                         "kmax": pa.array([keys.max()], type=pa.uint64())})
-
-    stats = (ds.select_columns([value_col])
-             .map_batches(block_stats, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .aggregate(Sum("cnt", alias_name="n"),
-                        Min("kmin", alias_name="kmin"),
-                        Max("kmax", alias_name="kmax")))
-    n = int(stats["n"] or 0)
-    if n == 0:
+    stats = _order_key_stats(ds, value_col)
+    if not stats:
         raise ValueError("exact_rank_select: empty input")
-    kmin, kmax = int(stats["kmin"]), int(stats["kmax"])
+    n, kmin, kmax = (int(stats[0][c]) for c in ("n", "kmin", "kmax"))
     targets = [{"rank": min(max(int(r), 0), n - 1), "lo": kmin,
                 "hi": kmax, "below": 0, "in_interval": n,
                 "value": None} for r in ranks]

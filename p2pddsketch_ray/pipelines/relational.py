@@ -5,6 +5,16 @@ vectorized map, broadcast join, grouped aggregation, window bucketing,
 sort/top-k) with Ray Data idioms, and are each paired with an ANSI-SQL
 oracle in __ray_entry__.oracle_sql.
 
+Grouped exact aggregates with sum / count / min / max run on
+``stages.combine.combine_agg``: the pipeline's ``prep`` shapes each batch,
+one Arrow ``group_by`` folds the batch to one partial row per key (so the
+shuffle moves O(keys) rows per batch, not one per input row), a sort
+shuffle brings each key's partials into one block, and one more
+``group_by`` per block merges them before the pipeline's ``finalize``.
+The first family below (``pricing_summary`` through ``lang_id_counts``
+and the ``dedup_exact_keep`` keep-set) is on it; later pipelines still
+hand-write the combiner before Ray's ``groupby().aggregate()``.
+
 Determinism for the driver's value-hash compare: every floating aggregate
 is accumulated in integer units ("cents trick": per-row doubles are
 bit-identical between numpy and DuckDB, so round(x*scale) -> int64 -> sum
@@ -22,9 +32,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
-
-def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+from ..sources.tables import read_table as _read
+from ..stages.combine import combine_agg
 
 
 def _int_units(col: pa.ChunkedArray | pa.Array, scale: float) -> pa.Array:
@@ -47,51 +56,34 @@ def pricing_summary(sf_dir: str) -> "ray.data.Dataset":
             pc.subtract(pa.scalar(1.0), pc.cast(t["l_discount"], pa.float64())))
         disc_units = pc.cast(pc.round(pc.multiply(disc_price, pa.scalar(10000.0))),
                              pa.int64())
-        staged = pa.table({
+        return pa.table({
             "l_returnflag": t["l_returnflag"],
             "l_linestatus": t["l_linestatus"],
             "qty": qty, "base_cents": base_cents, "disc_units": disc_units,
         })
-        # combiner: pre-aggregate inside the batch (pyarrow C++ hash agg) so
-        # the shuffle moves ~6 rows per block instead of the whole block
-        g = staged.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("base_cents", "sum"), ("disc_units", "sum"),
-             ("qty", "count")])
-        return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_linestatus": g["l_linestatus"],
-            "qty": g["qty_sum"],
-            "base_cents": g["base_cents_sum"],
-            "disc_units": g["disc_units_sum"],
-            "rows": pc.cast(g["qty_count"], pa.int64()),
-        })
-
-    agg = (ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(Sum("qty", alias_name="sum_qty"),
-                      Sum("base_cents", alias_name="base_cents"),
-                      Sum("disc_units", alias_name="disc_units"),
-                      Sum("rows", alias_name="n_rows")))
 
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "l_returnflag": t["l_returnflag"],
             "l_linestatus": t["l_linestatus"],
-            "sum_qty": pc.cast(t["sum_qty"], pa.int64()),
-            "sum_base_price": pc.divide(pc.cast(t["base_cents"], pa.float64()),
-                                        pa.scalar(100.0)),
-            "sum_disc_price": pc.divide(pc.cast(t["disc_units"], pa.float64()),
-                                        pa.scalar(10000.0)),
+            "sum_qty": t["qty_sum"],
+            "sum_base_price": pc.divide(
+                pc.cast(t["base_cents_sum"], pa.float64()), pa.scalar(100.0)),
+            "sum_disc_price": pc.divide(
+                pc.cast(t["disc_units_sum"], pa.float64()),
+                pa.scalar(10000.0)),
             # exact ratio of deterministic integers -- bit-identical to the
             # SQL division, no rounding needed (rounding near ratio
             # boundaries would differ: pyarrow half-to-even vs DuckDB
             # half-away-from-zero)
-            "avg_qty": pc.divide(pc.cast(t["sum_qty"], pa.float64()),
-                                 pc.cast(t["n_rows"], pa.float64())),
-            "n_rows": pc.cast(t["n_rows"], pa.int64()),
+            "avg_qty": pc.divide(pc.cast(t["qty_sum"], pa.float64()),
+                                 pc.cast(t["qty_count"], pa.float64())),
+            "n_rows": t["qty_count"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["l_returnflag", "l_linestatus"], prep,
+                       [("qty", "sum"), ("base_cents", "sum"),
+                        ("disc_units", "sum"), ("qty", "count")], finalize)
 
 
 def topk_orders(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
@@ -125,20 +117,17 @@ def customer_nation_rollup(sf_dir: str) -> "ray.data.Dataset":
             "acct_cents": _int_units(t["c_acctbal"], 100),
         })
 
-    agg = (ds.map_batches(join_batch, batch_format="pyarrow")
-           .groupby("n_name")
-           .aggregate(Count(alias_name="n_customers"),
-                      Sum("acct_cents", alias_name="acct_cents")))
-
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "n_name": t["n_name"],
-            "n_customers": pc.cast(t["n_customers"], pa.int64()),
-            "sum_acctbal": pc.divide(pc.cast(t["acct_cents"], pa.float64()),
-                                     pa.scalar(100.0)),
+            "n_customers": t["acct_cents_count"],
+            "sum_acctbal": pc.divide(
+                pc.cast(t["acct_cents_sum"], pa.float64()), pa.scalar(100.0)),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["n_name"], join_batch,
+                       [("acct_cents", "count"), ("acct_cents", "sum")],
+                       finalize)
 
 
 def events_hourly_window(sf_dir: str) -> "ray.data.Dataset":
@@ -150,64 +139,47 @@ def events_hourly_window(sf_dir: str) -> "ray.data.Dataset":
     def bucket(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64())  # timestamp[us] -> microseconds
         hours = pc.divide(us, pa.scalar(3_600_000_000))
-        staged = pa.table({
+        return pa.table({
             "event_type": t["event_type"],
             "window_start": pc.multiply(hours, pa.scalar(3600)),
             "value_cents": _int_units(t["value"], 100),
         })
-        # combiner: fold to one row per (type, hour) inside the batch
-        # (pyarrow C++ hash agg) -- the shuffle moves O(types x hours)
-        # rows per block instead of one row per event
-        g = staged.group_by(["event_type", "window_start"]).aggregate(
-            [("value_cents", "sum"), ("value_cents", "count")])
-        return pa.table({
-            "event_type": g["event_type"],
-            "window_start": g["window_start"],
-            "n_events": pc.cast(g["value_cents_count"], pa.int64()),
-            "value_cents": g["value_cents_sum"],
-        })
-
-    agg = (ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby(["event_type", "window_start"])
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("value_cents", alias_name="value_cents")))
 
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": t["event_type"],
-            "window_start": pc.cast(t["window_start"], pa.int64()),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "sum_value": pc.divide(pc.cast(t["value_cents"], pa.float64()),
-                                   pa.scalar(100.0)),
+            "window_start": t["window_start"],
+            "n_events": t["value_cents_count"],
+            "sum_value": pc.divide(
+                pc.cast(t["value_cents_sum"], pa.float64()), pa.scalar(100.0)),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["event_type", "window_start"], bucket,
+                       [("value_cents", "count"), ("value_cents", "sum")],
+                       finalize)
 
 
 def docs_by_lang(sf_dir: str) -> "ray.data.Dataset":
     """Exact grouped count + min/max metric (documents)."""
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    agg = (ds.groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Min("n_chars", alias_name="min_chars"),
-                      Max("n_chars", alias_name="max_chars")))
-
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "lang": t["lang"],
-            "n_docs": pc.cast(t["n_docs"], pa.int64()),
-            "min_chars": pc.cast(t["min_chars"], pa.int64()),
-            "max_chars": pc.cast(t["max_chars"], pa.int64()),
+            "n_docs": t["n_chars_count"],
+            "min_chars": pc.cast(t["n_chars_min"], pa.int64()),
+            "max_chars": pc.cast(t["n_chars_max"], pa.int64()),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["lang"], lambda t: t,
+                       [("n_chars", "count"), ("n_chars", "min"),
+                        ("n_chars", "max")], finalize)
 
 
 def distinct_user_count(sf_dir: str) -> pa.Table:
     """Exact distinct count via shuffle groupby (the exact twin of the HLL
     estimate pipeline)."""
     ds = _read(sf_dir, "events", ["user_id"])
-    n = ds.groupby("user_id").count().count()
+    n = combine_agg(ds, ["user_id"], lambda t: t, [], lambda t: t).count()
     return pa.table({"n_distinct": pa.array([n], type=pa.int64())})
 
 
@@ -237,29 +209,24 @@ def token_stats_by_lang(sf_dir: str) -> "ray.data.Dataset":
                                 pa.scalar(0.5))), pa.int64()),
         })
 
-    agg = (ds.map_batches(metrics, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("tokens", alias_name="sum_tokens"),
-                      Sum("punct", alias_name="sum_punct"),
-                      Sum("stops", alias_name="sum_stops"),
-                      Sum("quality_micro", alias_name="quality_micro")))
-
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "lang": t["lang"],
-            "n_docs": pc.cast(t["n_docs"], pa.int64()),
-            "sum_tokens": pc.cast(t["sum_tokens"], pa.int64()),
-            "sum_punct": pc.cast(t["sum_punct"], pa.int64()),
-            "sum_stops": pc.cast(t["sum_stops"], pa.int64()),
+            "n_docs": t["tokens_count"],
+            "sum_tokens": pc.cast(t["tokens_sum"], pa.int64()),
+            "sum_punct": pc.cast(t["punct_sum"], pa.int64()),
+            "sum_stops": pc.cast(t["stops_sum"], pa.int64()),
             # exact: (int / 1e6) / int, same op order as the oracle SQL
             "avg_quality": pc.divide(
-                pc.divide(pc.cast(t["quality_micro"], pa.float64()),
+                pc.divide(pc.cast(t["quality_micro_sum"], pa.float64()),
                           pa.scalar(1e6)),
-                pc.cast(t["n_docs"], pa.float64())),
+                pc.cast(t["tokens_count"], pa.float64())),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["lang"], metrics,
+                       [("tokens", "count"), ("tokens", "sum"),
+                        ("punct", "sum"), ("stops", "sum"),
+                        ("quality_micro", "sum")], finalize)
 
 
 def _content_hash_batch(t: pa.Table, hash_tier: str) -> pa.Table:
@@ -295,23 +262,16 @@ def dedup_exact_docs(sf_dir: str,
     "md5" explicitly, everything else defaults to the fast fingerprint."""
     from functools import partial as _partial
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    hashed = ds.map_batches(_partial(_content_hash_batch,
-                                     hash_tier=hash_tier),
-                            batch_format="pyarrow", zero_copy_batch=True)
     hash_col = "text_md5" if hash_tier == "md5" else "text_fp64"
-    agg = (hashed.groupby(hash_col)
-           .aggregate(Min("doc_id", alias_name="first_doc_id"),
-                      Count(alias_name="dup_count")))
 
     def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            hash_col: t[hash_col],
-            "first_doc_id": pc.cast(t["first_doc_id"], pa.int64()),
-            "dup_count": pc.cast(t["dup_count"], pa.int64()),
-        })
+        return pa.table({hash_col: t[hash_col],
+                         "first_doc_id": t["doc_id_min"],
+                         "dup_count": t["doc_id_count"]})
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, [hash_col],
+                       _partial(_content_hash_batch, hash_tier=hash_tier),
+                       [("doc_id", "min"), ("doc_id", "count")], finalize)
 
 
 def dedup_exact_keep(sf_dir: str,
@@ -328,18 +288,11 @@ def dedup_exact_keep(sf_dir: str,
        materialization or per-batch probe of a giant broadcast array).
     """
     from functools import partial as _partial
-    from ray.data.aggregate import Min as _Min
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    hashed = ds.map_batches(_partial(_content_hash_batch,
-                                     hash_tier=hash_tier),
-                            batch_format="pyarrow", zero_copy_batch=True)
     hash_col = "text_md5" if hash_tier == "md5" else "text_fp64"
-    keep_ids = (hashed.groupby(hash_col)
-                .aggregate(_Min("doc_id", alias_name="keep_id"))
-                .map_batches(lambda t: pa.table(
-                    {"keep_id": pc.cast(t["keep_id"], pa.int64())}),
-                    batch_format="pyarrow"))
+    keep_ids = combine_agg(
+        ds, [hash_col], _partial(_content_hash_batch, hash_tier=hash_tier),
+        [("doc_id", "min")], lambda t: pa.table({"keep_id": t["doc_id_min"]}))
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
@@ -383,35 +336,31 @@ def quality_filter_by_lang(sf_dir: str,
             "tokens": token_count(kt),
         })
 
-    agg = (ds.map_batches(filt, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(Count(alias_name="n_kept"),
-                      Sum("tokens", alias_name="sum_tokens")))
-
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "lang": t["lang"],
-            "n_kept": pc.cast(t["n_kept"], pa.int64()),
-            "sum_tokens": pc.cast(t["sum_tokens"], pa.int64()),
+            "n_kept": t["tokens_count"],
+            "sum_tokens": pc.cast(t["tokens_sum"], pa.int64()),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["lang"], filt,
+                       [("tokens", "count"), ("tokens", "sum")], finalize)
 
 
 def top_users_exact(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     """Exact heavy hitters: event count per user -> top k (the exact twin
     of the count-min estimates in pipelines.approx)."""
     ds = _read(sf_dir, "events", ["user_id"])
-    agg = ds.groupby("user_id").aggregate(Count(alias_name="n_events"))
 
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "user_id": pc.cast(t["user_id"], pa.int64()),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
+            "n_events": t["user_id_count"],
         })
 
     from ..stages.topk import topk
-    return topk(agg.map_batches(finalize, batch_format="pyarrow"),
+    return topk(combine_agg(ds, ["user_id"], lambda t: t,
+                            [("user_id", "count")], finalize),
                 [("n_events", "descending"), ("user_id", "ascending")], k)
 
 
@@ -426,14 +375,8 @@ def lang_id_counts(sf_dir: str) -> "ray.data.Dataset":
             t["text"], pa.ChunkedArray) else t["text"]
         return pa.table({"pred_lang": lang_id(texts)})
 
-    agg = (ds.map_batches(predict, batch_format="pyarrow")
-           .groupby("pred_lang").aggregate(Count(alias_name="n_docs")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({"pred_lang": t["pred_lang"],
-                         "n_docs": pc.cast(t["n_docs"], pa.int64())})
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["pred_lang"], predict, [("pred_lang", "count")],
+                       lambda t: t.rename_columns(["pred_lang", "n_docs"]))
 
 
 def events_sessionized(sf_dir: str,

@@ -25,12 +25,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..sources.tables import read_table as _read
 from ..stages.partition import fit_partitions, partition_by
-
-
-def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
-                                 columns=columns)
 
 
 def _cents(col) -> np.ndarray:

@@ -245,8 +245,9 @@ def group_codes(table: pa.Table, cols: Sequence[str]
     ``np.unique`` gives.  Each column is dictionary-encoded and its
     indices are replaced by their entry's rank in the sorted dictionary,
     so only the dictionaries are sorted.  Key values come back as
-    ``pa.array(values.to_numpy().tolist())``, the types a numpy group-by
-    produces (an int32 key comes back int64, a date32 key as date32)."""
+    ``pa.array(values.to_pylist())``, the types a numpy group-by produces
+    (an int32 key comes back int64, a date32 key as date32), and a null
+    key as a null of that type."""
     n = table.num_rows
     ids, n_ids = np.zeros(n, dtype=np.int64), 1
     ranked: list[tuple[np.ndarray, pa.Array]] = []
@@ -271,8 +272,7 @@ def group_codes(table: pa.Table, cols: Sequence[str]
             ids, n_ids = codes, order.shape[0]
     rep = np.empty(n_ids, dtype=np.int64)  # one row of every group
     rep[ids] = np.arange(n)
-    values = {name: pa.array(sorted_dict.to_numpy(zero_copy_only=False)
-                             [codes[rep]].tolist())
+    values = {name: pa.array(sorted_dict.take(codes[rep]).to_pylist())
               for name, (codes, sorted_dict) in zip(cols, ranked)}
     return ids, values
 

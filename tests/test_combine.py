@@ -1,0 +1,203 @@
+"""``combine_agg`` (per-batch Arrow combiner, sort shuffle, one merge per
+sorted block) against one ``pa.Table.group_by`` over the whole input."""
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+from p2pddsketch_ray.stages.combine import combine_agg
+
+from .test_pipelines import SF
+
+AGGS = [("i", "sum"), ("i", "count"), ("i", "min"), ("i", "max"),
+        ("f", "sum"), ("f", "min"), ("f", "max"),
+        ("u", "min"), ("u", "max"), ("u", "count")]
+
+
+@pytest.fixture(scope="module")
+def table():
+    rng = np.random.default_rng(8)
+    n = 3000
+    ints = rng.integers(-10**12, 10**12, n)
+    return pa.table({
+        "s": rng.choice(["en", "de", "zh", "é", ""], n),
+        "k": rng.integers(0, 40, n),
+        # a null value must still count as a row
+        "i": pa.array(ints, mask=rng.random(n) < 0.1),
+        # quarters sum exactly in any order
+        "f": rng.integers(-4000, 4000, n) / 4.0,
+        # order keys of positive floats, all >= 2^63
+        "u": pa.array(rng.integers(0, 2**62, n).astype(np.uint64)
+                      + np.uint64(2**63), type=pa.uint64()),
+    })
+
+
+def expected(table, keys, aggs):
+    out = table.group_by(keys, use_threads=False).aggregate(
+        [(c, fn, pc.CountOptions(mode="all")) if fn == "count" else (c, fn)
+         for c, fn in aggs])
+    return out.select(keys + [f"{c}_{fn}" for c, fn in aggs])
+
+
+def run(table, keys, aggs, blocks):
+    import ray.data
+    ds = ray.data.from_arrow(table).repartition(blocks)
+    return combine_agg(ds, keys, lambda t: t, aggs,
+                       lambda t: t).to_arrow_refs()
+
+
+def gathered(refs, keys):
+    import ray
+    out = pa.concat_tables(t for t in ray.get(refs) if t.num_rows)
+    return out.sort_by([(k, "ascending") for k in keys]) if keys else out
+
+
+@pytest.mark.parametrize("blocks", [1, 5, 12])
+@pytest.mark.parametrize("keys", [["s"], ["k"], ["s", "k"], []], ids=str)
+def test_combine_agg_equals_one_group_by(ray_session, table, keys, blocks):
+    got = gathered(run(table, keys, AGGS, blocks), keys)
+    want = expected(table, keys, AGGS)
+    if keys:
+        want = want.sort_by([(k, "ascending") for k in keys])
+    assert got.schema == want.schema
+    assert got.to_pydict() == want.to_pydict()
+    assert got["u_min"].type == pa.uint64()
+    assert pc.sum(got["i_count"]).as_py() == table.num_rows
+
+
+def test_combine_agg_finalize_per_block(ray_session, table):
+    """finalize sees each key once, with the merged columns named
+    {column}_{fn}."""
+    import ray.data
+    ds = ray.data.from_arrow(table).repartition(7)
+    got = combine_agg(
+        ds, ["k"], lambda t: t.select(["k", "f"]), [("f", "count")],
+        lambda t: pa.table({"k": t["k"], "n": t["f_count"]})).to_pandas()
+    assert got["k"].is_unique
+    assert dict(zip(got["k"], got["n"])) == {
+        int(k): int(n) for k, n in zip(*np.unique(table["k"].to_numpy(),
+                                                   return_counts=True))}
+
+
+def test_null_int_keys_form_one_group(ray_session):
+    rng = np.random.default_rng(2)
+    n = 2000
+    k = rng.integers(0, 5, n)
+    t = pa.table({"k": pa.array(k, mask=rng.random(n) < 0.2),
+                  "x": np.ones(n, dtype=np.int64)})
+    got = gathered(run(t, ["k"], [("x", "sum")], 9), ["k"])
+    want = expected(t, ["k"], [("x", "sum")]).sort_by("k")
+    assert got.to_pydict() == want.to_pydict()
+    assert got["k"].null_count == 1
+
+
+def test_null_string_keys_raise(ray_session):
+    t = pa.table({"s": ["a", None, "b", None], "x": [1, 2, 3, 4]})
+    with pytest.raises(Exception, match="key column 's'.*has nulls"):
+        gathered(run(t, ["s"], [("x", "sum")], 2), ["s"])
+
+
+def test_unknown_aggregate_raises():
+    with pytest.raises(ValueError, match="unknown aggregate"):
+        combine_agg(None, ["k"], lambda t: t, [("x", "mean")], lambda t: t)
+
+
+@pytest.mark.parametrize("keys", [["s"], ["s", "k"], []], ids=str)
+def test_empty_input(ray_session, table, keys):
+    """Every row dropped by prep: zero rows, with the schema of a
+    non-empty output."""
+    import ray
+    import ray.data
+    aggs = [("i", "sum"), ("i", "count"), ("u", "max")]
+    ds = ray.data.from_arrow(table)
+    full = combine_agg(ds, keys, lambda t: t, aggs, lambda t: t)
+    out = combine_agg(ds, keys, lambda t: t.slice(0, 0), aggs, lambda t: t)
+    want = pa.concat_tables(ray.get(full.to_arrow_refs())).schema
+    assert want.names == keys + [f"{c}_{fn}" for c, fn in aggs]
+    assert out.count() == 0
+    assert out.schema().base_schema == want
+    # the sort's empty partitions come through as blocks without columns
+    blocks = ray.get(out.to_arrow_refs())
+    assert sum(b.num_rows for b in blocks) == 0
+    assert [b.schema for b in blocks if b.num_columns] == [want]
+
+
+def test_empty_input_unknown_schema(ray_session, table):
+    """An input whose schema is only known by running it gives zero rows
+    and runs nothing on the caller."""
+    import ray.data
+    ds = ray.data.from_arrow(table).map_batches(lambda t: t.slice(0, 0),
+                                                batch_format="pyarrow")
+
+    def prep(t):
+        assert t.num_rows, "prep ran on the caller"
+        return t
+
+    assert combine_agg(ds, ["s"], prep, [("i", "sum")],
+                       lambda t: t).count() == 0
+
+
+# every registered query on combine_agg: the exact relational family and
+# the exact quantile / rank-select queries over its stats pass
+MIGRATED = ["pricing_summary", "customer_nation_rollup",
+            "events_hourly_window", "docs_by_lang", "distinct_user_count",
+            "token_stats_by_lang", "quality_filter_by_lang",
+            "top_users_exact", "lang_id_counts", "dedup_exact_docs",
+            "dedup_exact_keep", "exact_quantiles_price",
+            "exact_quantiles_by_flag", "weighted_median_by_flag",
+            "dgim_sliding_count"]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    import duckdb
+
+    import __ray_entry__ as E
+    from tools.check_oracle import TABLES
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * "
+                    f"FROM read_parquet('{SF}/{t}.parquet')")
+    yield E.queries(), E.oracle_sql(), con
+    con.close()
+
+
+@pytest.mark.parametrize("name", MIGRATED)
+def test_migrated_query_matches_duckdb(ray_session, oracle, name):
+    from tools.check_oracle import compare, to_pandas
+    queries, sql, con = oracle
+    got = to_pandas(queries[name](SF))
+    assert len(got)
+    assert compare(name, got, con.execute(sql[name]).df()) == []
+
+
+@pytest.fixture(scope="module")
+def sf_dirs(tmp_path_factory):
+    """sf0.001 scaled x2 by tools/gen_sf: each table a directory of
+    part-N.parquet files, and DuckDB views over those files."""
+    import duckdb
+
+    from tools.check_oracle import TABLES
+    from tools.gen_sf import generate
+    out = str(tmp_path_factory.mktemp("sf_x2"))
+    generate(2, SF, out)
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * "
+                    f"FROM read_parquet('{out}/{t}.parquet/*.parquet')")
+    yield out, con
+    con.close()
+
+
+@pytest.mark.parametrize("name", ["pricing_summary", "events_hourly_window",
+                                  "token_stats_by_lang", "dedup_exact_docs",
+                                  "returned_revenue_top_customers"])
+def test_query_on_directory_tables(ray_session, sf_dirs, name):
+    """The bench's scaled runs read tables laid out as directories."""
+    import __ray_entry__ as E
+    from tools.check_oracle import compare, to_pandas
+    out, con = sf_dirs
+    got = to_pandas(E.queries()[name](out))
+    assert len(got)
+    assert compare(name, got, con.execute(E.oracle_sql()[name]).df()) == []

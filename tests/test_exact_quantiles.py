@@ -334,3 +334,48 @@ def test_dgim_sliding_count_bound(ray_session):
     assert t["bound_ok"] == [True] * len(t["window_hours"])
     for est, ex in zip(t["dgim_estimate"], t["exact_count"]):
         assert abs(est - ex) <= ex // 2 + 1
+
+
+def test_exact_stats_above_2_63(ray_session):
+    """Positive values have order keys >= 2^63.  The stats pass merges
+    them as uint64 (Ray's int64 aggregates logged a conversion traceback
+    and fell back to pickles), and every exact answer is unchanged."""
+    import ray.data
+
+    from p2pddsketch_ray.pipelines.quantiles import (
+        _order_key_stats, exact_rank_select, exact_weighted_median_grouped)
+    rng = np.random.default_rng(5)
+    n = 5000
+    vals = rng.lognormal(3, 1, n)
+    assert (_float_order_keys(vals) >= np.uint64(2**63)).all()
+    g = rng.choice(["a", "b"], n)
+    w = rng.integers(0, 5, n).astype(np.float64)
+    ds = ray.data.from_arrow(pa.table({"x": vals, "g": g, "w": w})
+                             ).repartition(4)
+    keys = _float_order_keys(vals)
+    [row] = _order_key_stats(ds, "x")
+    assert (row["n"], row["kmin"], row["kmax"]) == (
+        n, int(keys.min()), int(keys.max()))
+    rows = sorted(_order_key_stats(ds, "x", "g"), key=lambda r: r["g"])
+    assert [(r["g"], r["n"], r["kmin"], r["kmax"]) for r in rows] == [
+        (gv, int((g == gv).sum()), int(keys[g == gv].min()),
+         int(keys[g == gv].max())) for gv in ("a", "b")]
+    kw = dict(collect_limit=50, bins=16)
+    out = exact_quantiles(ds, "x", QS, **kw)
+    assert out["value"].to_pylist() == [_np_quantile_disc(vals, q)
+                                        for q in QS]
+    s = np.sort(vals)
+    assert exact_rank_select(ds, "x", [0, 10, n - 1], **kw) == [
+        s[0], s[10], s[n - 1]]
+    out = exact_quantiles_grouped(ds, "x", "g", [0.5], **kw)
+    assert out["g"].to_pylist() == ["a", "b"]
+    for gv, v in zip(out["g"].to_pylist(), out["value"].to_pylist()):
+        assert v == _np_quantile_disc(vals[g == gv], 0.5)
+    medians = exact_weighted_median_grouped(ds, "x", "w", "g", **kw)
+    assert sorted(medians) == ["a", "b"]
+    for gv, (W, med) in medians.items():
+        order = np.argsort(vals[g == gv])
+        cum = np.cumsum(w[g == gv][order]).astype(np.int64)
+        assert W == cum[-1]
+        assert med == vals[g == gv][order][np.searchsorted(cum,
+                                                           (W + 1) // 2)]

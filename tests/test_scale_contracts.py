@@ -50,6 +50,20 @@ def test_dedup_exact_keep_stays_in_cluster(ray_session):
     assert list(out.columns) == ["doc_id", "lang", "n_chars"]
 
 
+def test_dedup_exact_docs_stays_in_cluster(ray_session):
+    from p2pddsketch_ray.pipelines.relational import dedup_exact_docs
+    with forbid_driver_collect():
+        out = dedup_exact_docs(SF, hash_tier="md5").to_pandas()
+    import duckdb
+    want = duckdb.sql(f"""
+        SELECT md5(text) AS text_md5, min(doc_id) AS first_doc_id,
+               count(*) AS dup_count
+        FROM read_parquet('{SF}/documents.parquet') GROUP BY 1""").df()
+    key = ["text_md5"]
+    assert (out.sort_values(key).reset_index(drop=True)
+            .equals(want.sort_values(key).reset_index(drop=True)))
+
+
 def test_dedup_hash_tiers_agree(ray_session):
     """The fp64 fast tier must produce the same dedup groups as the md5
     oracle tier on collision-free data (the 100 TB default is fp64)."""

@@ -154,6 +154,29 @@ def test_group_codes_order_and_values():
     assert ids.tolist() == [1, 0] and values["d"].type == pa.date32()
 
 
+def test_null_int_key_stays_int(ray_session):
+    """An int64 key with a null groups as 1, 2, null (not as doubles with
+    a NaN group) in the partials and in the grouped quantiles."""
+    import ray
+
+    from p2pddsketch_ray.pipelines.quantiles import dds_quantiles_grouped
+    t = pa.table({"g": pa.array([1, None, 2] * 20, type=pa.int64()),
+                  "v": np.arange(1.0, 61.0)})
+    parts = build_partials(t, value_col="v", group_cols=["g"], alpha=0.01,
+                           bin_limit=2048)
+    assert parts["g"].type == pa.int64()
+    assert parts["g"].to_pylist() == [1, 2, None]
+    assert parts["n"].to_pylist() == [20, 20, 20]
+    out = collect(dds_quantiles_grouped(
+        ray.data.from_arrow(t).repartition(3), "v", ["g"], (0.0, 1.0),
+        alpha=0.01, bin_limit=2048)).sort_by([("g", "ascending"),
+                                              ("q", "ascending")])
+    assert out["g"].type == pa.int64()
+    assert out["g"].to_pylist() == [1, 1, 2, 2, None, None]
+    lo, hi = out["est"].to_pylist()[4:]
+    assert abs(lo - 2.0) <= 0.02 * 2.0 and abs(hi - 59.0) <= 0.02 * 59.0
+
+
 def mixed_generation_rows(weighted):
     """Partial rows at generations 0..3: batches of growing spread built
     under a small bin_limit collapse a different number of times."""
