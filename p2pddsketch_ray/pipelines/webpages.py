@@ -7,7 +7,12 @@ per lang.
          html dropped immediately after -- the binary column dominates
          bytes and must not travel further, SURVEY.md section 7.3)
       -> map_batches(partial DDSketches per (block, lang))
-      -> sort(lang).map_batches(merge + quantile per block)  /  tree merge
+      -> per lang: sort(lang).map_batches(merge + quantile per block)
+         global:   tree merge
+
+``fused_sketch_build`` tree-merges its per-lang rows too, with no
+sort(lang): a DDSketch merge is a bin-wise sum, so the per-(batch, lang)
+rows may meet in any order and any tree shape.
 
 Optionally re-extracts text from html and enforces the per-url
 byte-identity invariant inline.
@@ -78,13 +83,15 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
       5. accumulates its own cpu-time (time.thread_time) so the caller
          can report work conservation across parallelism levels,
 
-    then a single sort(lang) shuffle carries one tiny row per (block,
-    lang), and one call per sorted block merges its langs' sketch rows
-    (``merged_table``) and sums their metric counters, and
-    the driver folds the <= n_lang merged rows into the global answer.
-    Fusing the phases removes two driver planning/barrier rounds vs
-    running them as separate pipelines -- fixed costs that otherwise
-    dilute the measured scaling ratio.
+    then a ``tree_merge`` of the tiny per-(batch, lang) rows, no sort:
+    ``merge_lang`` merges each lang's sketch rows (``merged_table``) and
+    sums their metric counters, first fused into the map (one row per
+    lang per block), then in repartition rounds while more than fanin
+    blocks remain.  The driver runs ``merge_lang`` once more over the
+    <= fanin * n_lang rows left and folds the n_lang merged rows into
+    the global answer.  Fusing the phases removes two driver
+    planning/barrier rounds vs running them as separate pipelines --
+    fixed costs that otherwise dilute the measured scaling ratio.
 
     Returns {"global": pa.Table, "per_lang": pa.Table, "docs": int,
     "cpu_sec": float, "band_checksum": int}.
@@ -95,10 +102,10 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
                                     oph_signatures)
     from ..functions.text import (punct_count, quality_score_from_counts,
                                   stopword_count, token_count)
-    from ..stages.sketch_build import (collect, contiguous_groups,
-                                       group_codes, merge_sketch_table,
-                                       merged_table, partial_columns,
-                                       quantile_finalizer)
+    from ..stages.sketch_build import (contiguous_groups, group_codes,
+                                       merge_sketch_table, merged_table,
+                                       partial_columns, quantile_finalizer,
+                                       tree_merge)
 
     if signature_tier not in ("classic", "oph"):
         raise ValueError(f"unknown signature_tier {signature_tier!r}; "
@@ -165,15 +172,11 @@ def fused_sketch_build(paths, quantiles: Sequence[float] = HEADLINE_QUANTILES,
     ds = ray.data.read_parquet(
         paths, columns=["url", "lang", "html", "text"] if verify
         else ["lang", "html", "text"])
-    per_lang_rows = (ds.map_batches(fused, batch_format="pyarrow",
-                                    batch_size=batch_size,
-                                    zero_copy_batch=True)
-                     .sort("lang")
-                     .map_batches(merge_lang, batch_format="pyarrow",
-                                  batch_size=None))
-    merged = collect(per_lang_rows)
+    merged = merge_lang(tree_merge(
+        ds.map_batches(fused, batch_format="pyarrow", batch_size=batch_size,
+                       zero_copy_batch=True), merge_lang))
 
-    # driver fold over <= n_lang rows: global sketch + totals
+    # driver fold over the n_lang merged rows: global sketch + totals
     glob = sketch_quantile_table(merge_sketch_table(merged), qs)
     per_lang = quantile_finalizer(["lang"], qs)(merged).drop_columns(
         ["bucket_key"]).sort_by([("lang", "ascending"), ("q", "ascending")])

@@ -3,10 +3,12 @@ detection (Broder 1997; Charikar 2002) -- the training-data-pipeline
 operators layered on the engine (BASELINE.md north star additions).
 
 All vectorized over the flat Arrow string buffer: byte-level k-shingles
-are hashed with one polynomial rolling hash pass (window dot-product over
-the whole concatenated buffer), then num_perm seeded avalanches with
-segmented minima (np.minimum.reduceat) produce the signature matrix.
-No per-row Python in the hot path.
+are hashed with a polynomial window hash of the whole concatenated buffer,
+built by doubling (~log2(k) multiply-add passes, 4 for k = 9), and one
+boolean mask keeps each doc's own windows; then num_perm multiply-add
+permutations with segmented minima (np.minimum.reduceat), written into
+one preallocated buffer, produce the signature matrix.  No per-row
+Python in the hot path.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import pyarrow as pa
 from ..hashing import splitmix64
 
 _P = np.uint64(1099511628211)  # FNV prime as polynomial base
-
-_GATHER_WINDOWS = 1 << 16  # shingle-gather chunk: 64k windows ~ 1.5 MB tmp
 
 
 def _string_buffer(texts) -> tuple[np.ndarray, np.ndarray]:
@@ -46,6 +46,28 @@ def _string_buffer(texts) -> tuple[np.ndarray, np.ndarray]:
     return data, offs - offs[0]
 
 
+def _window_hashes(data: np.ndarray, k: int) -> np.ndarray:
+    """Polynomial hash of every k-byte window of ``data`` (uint64):
+    window p hashes to sum_j data[p + j] * P^(k-1-j) (mod 2^64).
+
+    Built by doubling, h_{a+b}(p) = h_a(p) * P^b + h_b(p + a): the same
+    polynomial in the same ring, so the same bits as a k-pass rolling
+    hash.  Walking the bits of k from the top (double, then append one
+    byte where the bit is set) takes 4 multiply-add passes for k = 9."""
+    acc, a = data, 1
+    with np.errstate(over="ignore"):
+        for bit in bin(k)[3:]:
+            nxt = np.multiply(acc[:-a], np.uint64(pow(int(_P), a, 1 << 64)),
+                              dtype=np.uint64)
+            nxt += acc[a:]
+            acc, a = nxt, 2 * a
+            if bit == "1":
+                nxt = np.multiply(acc[:-1], _P, dtype=np.uint64)
+                nxt += data[a:]
+                acc, a = nxt, a + 1
+    return acc.astype(np.uint64, copy=False)
+
+
 def shingle_hashes(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """All byte k-shingle hashes of every string, concatenated.
 
@@ -54,60 +76,37 @@ def shingle_hashes(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     contributes one whole-text shingle.
     """
     data, offs = _string_buffer(texts)
-    n_docs = offs.shape[0] - 1
     lengths = np.diff(offs)
     counts = np.maximum(lengths - k + 1, np.minimum(lengths, 1))
     doc_offsets = np.concatenate([[0], np.cumsum(counts)])
-    total = int(doc_offsets[-1])
-    out = np.zeros(total, dtype=np.uint64)
-    if data.shape[0] >= k:
-        # rolling polynomial over the whole buffer (k vector passes)
-        with np.errstate(over="ignore"):
-            roll = np.zeros(data.shape[0] - k + 1, dtype=np.uint64)
-            for j in range(k):
-                roll = roll * _P + data[j:data.shape[0] - k + 1 + j]
+    long_docs = lengths >= k
+    if long_docs.any():
+        # hash every window of the whole buffer, then keep each long
+        # doc's own: +1 at its first byte, -1 past its last window start,
+        # and the running sum is 1 exactly on the windows to keep (the
+        # ones that cross a doc boundary sit at 0)
+        edges = np.zeros(data.shape[0] - k + 2, dtype=np.int8)
+        edges[offs[:-1][long_docs]] = 1
+        edges[offs[1:][long_docs] - k + 1] -= 1
+        keep = np.cumsum(edges, dtype=np.int8)[:-1].view(np.bool_)
+        windows = _window_hashes(data, k)[keep]
     else:
-        roll = np.zeros(0, dtype=np.uint64)
-    # gather each doc's valid window positions out of `roll` with a fancy
-    # index (windows crossing a doc boundary are simply never addressed):
-    # for long docs both the source range (in roll, starting at offs[d])
-    # and the destination range (in out, starting at doc_offsets[d]) have
-    # length counts[d], so one shared per-segment rank vector drives both
-    # sides of the scatter-gather.  The gather is CHUNKED to bound the
-    # ranks/src/dst temporaries at ~1.5 MB: an unbounded gather allocates
-    # ~27 MB of int64 temporaries per 512-doc batch, and under 16-32-way
-    # map concurrency that transient churn made the kernel 2-4x slower
-    # (measured 404 -> 101 kernel-cpu-sec on the 300k-doc fixture) --
-    # the same allocation-thrash failure mode as BASELINE.md lesson 2.
-    long_docs = np.nonzero(lengths >= k)[0]
-    i, n_long = 0, long_docs.shape[0]
-    while i < n_long:
-        acc, j = 0, i
-        while j < n_long and acc + counts[long_docs[j]] <= _GATHER_WINDOWS:
-            acc += counts[long_docs[j]]
-            j += 1
-        if j == i:  # single doc larger than the chunk budget
-            j = i + 1
-        dsel = long_docs[i:j]
-        c = counts[dsel]
-        ranks = np.arange(int(c.sum()), dtype=np.int64) \
-            - np.repeat(np.cumsum(c) - c, c)
-        src = np.repeat(offs[dsel], c) + ranks
-        dst = np.repeat(doc_offsets[dsel], c) + ranks
-        out[dst] = roll[src]
-        i = j
+        windows = np.zeros(0, dtype=np.uint64)
+    short_docs = np.nonzero((lengths > 0) & ~long_docs)[0]
+    if not short_docs.shape[0]:
+        return windows, doc_offsets
     # short docs (0 < len < k): one whole-text polynomial hash each,
     # vectorized across the short docs with <= k-1 byte passes
-    short_docs = np.nonzero((lengths > 0) & (lengths < k))[0]
-    if short_docs.shape[0]:
-        sl = lengths[short_docs]
-        h = np.zeros(short_docs.shape[0], dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for j in range(int(sl.max())):
-                live = sl > j
-                h[live] = h[live] * _P + data[offs[short_docs[live]] + j]
-        out[doc_offsets[short_docs]] = h
-    return out, doc_offsets
+    sl = lengths[short_docs]
+    h = np.zeros(short_docs.shape[0], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for j in range(int(sl.max())):
+            live = sl > j
+            h[live] = h[live] * _P + data[offs[short_docs[live]] + j]
+    # a short doc's slot has as many long-doc windows before it as its
+    # offset, less the short docs before it
+    return np.insert(windows, doc_offsets[short_docs]
+                     - np.arange(short_docs.shape[0]), h), doc_offsets
 
 
 def _perm_constants(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,18 +150,23 @@ def minhash_signatures(texts, num_perm: int = 64, k: int = 5) -> np.ndarray:
     chunk_ends = (np.nonzero(np.diff(block_id))[0] + 1).tolist()
     if not chunk_ends or chunk_ends[-1] != doc_idx.shape[0]:
         chunk_ends.append(doc_idx.shape[0])
-    with np.errstate(over="ignore"):
-        lo = 0
-        for hi in chunk_ends:
-            docs = doc_idx[lo:hi]
-            h0 = doc_offsets[docs[0]]
-            h1 = doc_offsets[docs[-1] + 1]
-            chunk = hashes[h0:h1]
-            starts = (doc_offsets[docs] - h0)
-            for i in range(num_perm):
-                g = chunk * a[i] + b[i]
-                sig[docs, i] = np.minimum.reduceat(g, starts)
-            lo = hi
+    # one buffer for every permutation of every chunk: a chunk spans at
+    # most _SIG_BLOCK_HASHES plus one doc's hashes
+    buf = np.empty(min(hashes.shape[0], _SIG_BLOCK_HASHES + int(spans.max())),
+                   dtype=np.uint64)
+    lo = 0
+    for hi in chunk_ends:
+        docs = doc_idx[lo:hi]
+        h0 = doc_offsets[docs[0]]
+        h1 = doc_offsets[docs[-1] + 1]
+        chunk = hashes[h0:h1]
+        g = buf[:h1 - h0]
+        starts = (doc_offsets[docs] - h0)
+        for i in range(num_perm):
+            np.multiply(chunk, a[i], out=g)
+            np.add(g, b[i], out=g)
+            sig[docs, i] = np.minimum.reduceat(g, starts)
+        lo = hi
     return sig
 
 

@@ -15,7 +15,8 @@ phases (SURVEY.md section 3.3):
   block, then one call per block that merges every group of it --
   ``merge_by_group`` (``merged_table``: one merged sketch row per group)
   or ``quantile_finalizer`` (merged and queried) -- or a distributed tree
-  merge for the global (single-group) case.  Partials are <= bin_limit
+  merge (``tree_merge``) for the global (single-group) case and for the
+  fused webpages build.  Partials are <= bin_limit
   bins ~ 6 KB each, so the merge stage moves kilobytes, not data.  Every
   per-group merge of partial rows in the library goes through
   ``merged_rows``, whatever carries the rows there (sort shuffle,
@@ -203,37 +204,44 @@ def merge_sketch_table(table: pa.Table) -> DDSketch:
     return DDSketch.from_row(merged_rows(table, [0])[0])
 
 
-def tree_merge_sketches(partials_ds, *, fanin: int = 32) -> DDSketch:
-    """Distributed tree reduce over serialized-sketch rows.
+def tree_merge(partials_ds, body, *, fanin: int = 32) -> pa.Table:
+    """Distributed tree reduce of a Dataset of mergeable partial rows;
+    ``body`` merges one block of partial rows into fewer rows of the same
+    kind (for DDSketch rows, ``merged_table``).
 
     Replaces the driver-side sequential fold (at 10^6 input blocks the
     old fold held and merged 10^6 sketches serially on the driver):
 
-    1. leaf: a block-local merge FUSED into the build stage (no shuffle,
-       no barrier) folds each block's partial rows to one row, so the
-       dataset shrinks to <= 1 row per block;
+    1. leaf: ``body`` FUSED into the build stage (no shuffle, no barrier)
+       merges each block's partial rows;
     2. reduce rounds: while more than ``fanin`` blocks remain, one
-       repartition(fanin) + per-block merge folds them remotely (tiny
+       repartition(fanin) + per-block ``body`` folds them remotely (tiny
        rows -- the shuffle moves kilobytes);
-    3. root: the driver folds the <= ``fanin`` remaining single-row
-       tables -- bounded by the constant fanin, independent of input
-       size.
+    3. root: the driver concatenates the <= ``fanin`` remaining tables,
+       for the caller's final merge -- bounded by the constant fanin,
+       independent of input size.
 
     The common case (blocks <= fanin after the leaf merge) therefore pays
     ZERO extra shuffle barriers over the build itself.
     """
     import ray as _ray
     leaves = partials_ds.map_batches(
-        merged_table, batch_format="pyarrow", batch_size=None).materialize()
+        body, batch_format="pyarrow", batch_size=None).materialize()
     while leaves.num_blocks() > fanin:
         leaves = leaves.repartition(fanin).map_batches(
-            merged_table, batch_format="pyarrow",
-            batch_size=None).materialize()
+            body, batch_format="pyarrow", batch_size=None).materialize()
     tables = [t for t in map(_ray.get, leaves.to_arrow_refs())
               if t.num_rows]
     if not tables:
         raise ValueError("empty dataset")
-    return merge_sketch_table(pa.concat_tables(tables))
+    return pa.concat_tables(tables)
+
+
+def tree_merge_sketches(partials_ds, *, fanin: int = 32) -> DDSketch:
+    """The one sketch of a Dataset of serialized-sketch rows: a
+    ``tree_merge`` with ``merged_table`` leaves, folded at the root."""
+    return merge_sketch_table(tree_merge(partials_ds, merged_table,
+                                         fanin=fanin))
 
 
 def group_codes(table: pa.Table, cols: Sequence[str]

@@ -201,3 +201,19 @@ def test_query_on_directory_tables(ray_session, sf_dirs, name):
     got = to_pandas(E.queries()[name](out))
     assert len(got)
     assert compare(name, got, con.execute(E.oracle_sql()[name]).df()) == []
+
+
+def test_oracle_to_pandas_keeps_columns_of_typed_zero_row_dataset(
+        ray_session):
+    """Ray's Dataset.to_pandas() drops the columns of zero-row blocks; the
+    oracle's frame takes them from the Dataset's schema."""
+    import ray.data
+
+    from tools.check_oracle import to_pandas
+    empty = pa.table({"lang": pa.array([], pa.string()),
+                      "n": pa.array([], pa.int64())})
+    df = to_pandas(ray.data.from_arrow(empty))
+    assert df.columns.tolist() == ["lang", "n"]
+    assert df.dtypes.tolist() == [object, np.int64] and len(df) == 0
+    assert to_pandas(ray.data.from_arrow(pa.table({"n": [3]}))
+                     )["n"].tolist() == [3]

@@ -18,6 +18,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 import pandas as pd
+import pyarrow as pa
 
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
@@ -25,7 +26,14 @@ TABLES = ("region nation customer supplier part orders lineitem events "
 
 def to_pandas(res) -> pd.DataFrame:
     if hasattr(res, "to_pandas"):
-        return res.to_pandas()
+        df = res.to_pandas()
+        # a Dataset's to_pandas() drops the columns of zero-row blocks
+        schema = (res.schema() if not len(df.columns)
+                  and callable(getattr(res, "schema", None)) else None)
+        if schema is not None:
+            return pa.schema(list(zip(schema.names, schema.types))
+                             ).empty_table().to_pandas()
+        return df
     if isinstance(res, pd.DataFrame):
         return res
     raise TypeError(type(res))
@@ -72,10 +80,11 @@ def compare(name: str, got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
 def main() -> int:
     import ray
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+                 include_dashboard=False, ignore_reinit_error=True,
+                 logging_level="ERROR")
     import p2pddsketch_ray
-    p2pddsketch_ray.configure_for_cluster(8)
+    p2pddsketch_ray.configure_for_cluster()
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
