@@ -35,6 +35,25 @@ def _sf_label(sf_dir: str) -> float | str:
         return base
 
 
+def timed(jobs: dict, reps: int) -> dict[str, float]:
+    """Run each ``name -> fn`` of ``jobs`` in order ``reps`` times and
+    keep its best wall time in seconds; a lazy Dataset result is run to
+    the end.  Best of n: run-to-run variance from outside interference
+    reaches 2-3x on a shared host, and the minimum recovers the
+    machine's actual capability (same as --scaling)."""
+    timings: dict[str, float] = {}
+    for name, fn in jobs.items():
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            res = fn()
+            if hasattr(res, "to_pandas"):
+                res.to_pandas()  # force full execution of lazy Datasets
+            best = min(best, time.perf_counter() - t0)
+        timings[name] = round(best, 4)
+    return timings
+
+
 def run_suite(sf_dir: str) -> tuple[dict[str, float], int]:
     """Headline pipelines; returns (per-query seconds, headline row count)."""
     import ray.data
@@ -53,40 +72,28 @@ def run_suite(sf_dir: str) -> tuple[dict[str, float], int]:
     ray.data.read_parquet(lineitem_path).map_batches(
         lambda b: b.slice(0, 1), batch_format="pyarrow").materialize()
 
-    timings: dict[str, float] = {}
-
-    def timed(name, fn):
-        # best of 3: this sandbox shows 2-3x run-to-run variance from
-        # outside interference; min-of-n recovers the machine's actual
-        # capability (standard benchmarking practice, same as --scaling)
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            res = fn()
-            if hasattr(res, "to_pandas"):
-                res.to_pandas()  # force full execution of lazy Datasets
-            best = min(best, time.perf_counter() - t0)
-        timings[name] = round(best, 4)
-
-    # headline: DDSketch build+merge+quantile over the biggest table
-    timed("dds_price_global", lambda: dds_quantiles_global(
-        ray.data.read_parquet(lineitem_path, columns=["l_extendedprice"]),
-        "l_extendedprice", (0.5, 0.95, 0.99), alpha=0.01, bin_limit=2048))
-    timed("dds_price_by_flag", lambda: dds_quantiles_grouped(
-        ray.data.read_parquet(lineitem_path,
-                              columns=["l_returnflag", "l_extendedprice"]),
-        "l_extendedprice", ["l_returnflag"], (0.5, 0.95, 0.99),
-        alpha=0.01, bin_limit=2048))
-    timed("dds_event_value", lambda: dds_quantiles_global(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"]),
-        "value", (0.5, 0.95, 0.99), alpha=0.01, bin_limit=2048))
-    timed("pricing_summary", lambda: R.pricing_summary(sf_dir))
-    timed("events_hourly_window", lambda: R.events_hourly_window(sf_dir))
-    timed("dedup_exact_docs", lambda: R.dedup_exact_docs(sf_dir))
-    timed("token_stats_by_lang", lambda: R.token_stats_by_lang(sf_dir))
-    timed("knn_cosine_topk", lambda: R.knn_cosine_topk(sf_dir))
-
-    return timings, headline_rows
+    return timed({
+        # headline: DDSketch build+merge+quantile over the biggest table
+        "dds_price_global": lambda: dds_quantiles_global(
+            ray.data.read_parquet(lineitem_path,
+                                  columns=["l_extendedprice"]),
+            "l_extendedprice", (0.5, 0.95, 0.99), alpha=0.01,
+            bin_limit=2048),
+        "dds_price_by_flag": lambda: dds_quantiles_grouped(
+            ray.data.read_parquet(
+                lineitem_path, columns=["l_returnflag", "l_extendedprice"]),
+            "l_extendedprice", ["l_returnflag"], (0.5, 0.95, 0.99),
+            alpha=0.01, bin_limit=2048),
+        "dds_event_value": lambda: dds_quantiles_global(
+            ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                                  columns=["value"]),
+            "value", (0.5, 0.95, 0.99), alpha=0.01, bin_limit=2048),
+        "pricing_summary": lambda: R.pricing_summary(sf_dir),
+        "events_hourly_window": lambda: R.events_hourly_window(sf_dir),
+        "dedup_exact_docs": lambda: R.dedup_exact_docs(sf_dir),
+        "token_stats_by_lang": lambda: R.token_stats_by_lang(sf_dir),
+        "knn_cosine_topk": lambda: R.knn_cosine_topk(sf_dir),
+    }, 3), headline_rows
 
 
 def run_heavy_suite(sf_dir: str) -> dict[str, float]:
@@ -102,29 +109,18 @@ def run_heavy_suite(sf_dir: str) -> dict[str, float]:
     from p2pddsketch_ray.pipelines.sliding import hll_sliding_users
     from p2pddsketch_ray.pipelines.temporal import events_asof_orders
 
-    timings: dict[str, float] = {}
-
-    def timed(name, fn):
-        best = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            res = fn()
-            if hasattr(res, "to_pandas"):
-                res.to_pandas()
-            best = min(best, time.perf_counter() - t0)
-        timings[name] = round(best, 4)
-
-    timed("returned_revenue_top_customers",
-          lambda: R.returned_revenue_top_customers(sf_dir))
-    timed("neardup_keep_stats", lambda: neardup_keep_stats(sf_dir))
-    timed("hll_sliding_users", lambda: hll_sliding_users(sf_dir))
-    timed("events_asof_orders", lambda: events_asof_orders(sf_dir))
-    timed("exact_quantiles_price", lambda: exact_quantiles(
-        ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                              columns=["l_extendedprice"]),
-        "l_extendedprice", (0.01, 0.25, 0.5, 0.75, 0.99),
-        collect_limit=5000))
-    return timings
+    return timed({
+        "returned_revenue_top_customers":
+            lambda: R.returned_revenue_top_customers(sf_dir),
+        "neardup_keep_stats": lambda: neardup_keep_stats(sf_dir),
+        "hll_sliding_users": lambda: hll_sliding_users(sf_dir),
+        "events_asof_orders": lambda: events_asof_orders(sf_dir),
+        "exact_quantiles_price": lambda: exact_quantiles(
+            ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
+                                  columns=["l_extendedprice"]),
+            "l_extendedprice", (0.01, 0.25, 0.5, 0.75, 0.99),
+            collect_limit=5000),
+    }, 2)
 
 
 def run_tpch_suite(sf_dir: str) -> dict[str, float]:
@@ -138,28 +134,15 @@ def run_tpch_suite(sf_dir: str) -> dict[str, float]:
     from p2pddsketch_ray.pipelines.relational import (
         local_supplier_volume, q13_custdist)
 
-    timings: dict[str, float] = {}
-
-    def timed(name, fn):
-        best = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            res = fn()
-            if hasattr(res, "to_pandas"):
-                res.to_pandas()
-            best = min(best, time.perf_counter() - t0)
-        timings[name] = round(best, 4)
-
-    timed("local_supplier_volume",
-          lambda: local_supplier_volume(sf_dir))
-    timed("tpch_q7_volume_shipping",
-          lambda: T.tpch_q7_volume_shipping(sf_dir))
-    timed("tpch_q9_product_profit",
-          lambda: T.tpch_q9_product_profit(sf_dir))
-    timed("tpch_q13_custdist", lambda: q13_custdist(sf_dir))
-    timed("tpch_q21_waiting_supplier",
-          lambda: T.tpch_q21_waiting_supplier(sf_dir))
-    return timings
+    return timed({
+        "local_supplier_volume": lambda: local_supplier_volume(sf_dir),
+        "tpch_q7_volume_shipping":
+            lambda: T.tpch_q7_volume_shipping(sf_dir),
+        "tpch_q9_product_profit": lambda: T.tpch_q9_product_profit(sf_dir),
+        "tpch_q13_custdist": lambda: q13_custdist(sf_dir),
+        "tpch_q21_waiting_supplier":
+            lambda: T.tpch_q21_waiting_supplier(sf_dir),
+    }, 2)
 
 
 def run_sf1_suite() -> dict:
@@ -183,36 +166,27 @@ def run_sf1_suite() -> dict:
     from tools.gen_sf import ensure_scaled_sf
 
     sf_dir = ensure_scaled_sf(10)
-    timings: dict[str, float] = {}
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        res = fn()
-        if hasattr(res, "to_pandas"):
-            res.to_pandas()
-        timings[name] = round(time.perf_counter() - t0, 4)
-
-    timed("returned_revenue_top_customers",
-          lambda: R.returned_revenue_top_customers(sf_dir))
-    timed("neardup_keep_stats", lambda: neardup_keep_stats(sf_dir))
-    timed("hll_sliding_users", lambda: hll_sliding_users(sf_dir))
-    timed("events_asof_orders", lambda: events_asof_orders(sf_dir))
-    timed("exact_quantiles_price", lambda: exact_quantiles(
-        ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                              columns=["l_extendedprice"]),
-        "l_extendedprice", (0.01, 0.25, 0.5, 0.75, 0.99),
-        collect_limit=5000))
-    timed("minhash_near_dups", lambda: minhash_near_dups(
-        ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"]),
-        "doc_id", "text", threshold=0.7))
-    # headline-family probes: scan+combiner, window+combiner, and the
-    # text kernel in the 10x regime (ratios read against `queries`)
-    timed("pricing_summary", lambda: R.pricing_summary(sf_dir))
-    timed("events_hourly_window",
-          lambda: R.events_hourly_window(sf_dir))
-    timed("token_stats_by_lang", lambda: R.token_stats_by_lang(sf_dir))
-    return timings
+    return timed({
+        "returned_revenue_top_customers":
+            lambda: R.returned_revenue_top_customers(sf_dir),
+        "neardup_keep_stats": lambda: neardup_keep_stats(sf_dir),
+        "hll_sliding_users": lambda: hll_sliding_users(sf_dir),
+        "events_asof_orders": lambda: events_asof_orders(sf_dir),
+        "exact_quantiles_price": lambda: exact_quantiles(
+            ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
+                                  columns=["l_extendedprice"]),
+            "l_extendedprice", (0.01, 0.25, 0.5, 0.75, 0.99),
+            collect_limit=5000),
+        "minhash_near_dups": lambda: minhash_near_dups(
+            ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                  columns=["doc_id", "text"]),
+            "doc_id", "text", threshold=0.7),
+        # headline-family probes: scan+combiner, window+combiner, and the
+        # text kernel in the 10x regime (ratios read against `queries`)
+        "pricing_summary": lambda: R.pricing_summary(sf_dir),
+        "events_hourly_window": lambda: R.events_hourly_window(sf_dir),
+        "token_stats_by_lang": lambda: R.token_stats_by_lang(sf_dir),
+    }, 1)
 
 
 def run_once() -> dict:

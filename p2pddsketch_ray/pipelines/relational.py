@@ -5,15 +5,15 @@ vectorized map, broadcast join, grouped aggregation, window bucketing,
 sort/top-k) with Ray Data idioms, and are each paired with an ANSI-SQL
 oracle in __ray_entry__.oracle_sql.
 
-Grouped exact aggregates with sum / count / min / max run on
-``stages.combine.combine_agg``: the pipeline's ``prep`` shapes each batch,
-one Arrow ``group_by`` folds the batch to one partial row per key (so the
-shuffle moves O(keys) rows per batch, not one per input row), a sort
-shuffle brings each key's partials into one block, and one more
-``group_by`` per block merges them before the pipeline's ``finalize``.
-The first family below (``pricing_summary`` through ``lang_id_counts``
-and the ``dedup_exact_keep`` keep-set) is on it; later pipelines still
-hand-write the combiner before Ray's ``groupby().aggregate()``.
+Every grouped exact aggregate (sum / count / min / max) runs on
+``stages.combine.combine_agg``: the pipeline's ``prep`` emits one row per
+input item (no hand fold), one Arrow ``group_by`` folds the batch to one
+partial row per key (so the shuffle moves O(keys) rows per batch, not one
+per input row), a sort shuffle brings each key's partials into one block,
+and one more ``group_by`` per block merges them before the pipeline's
+``finalize``, which only names, casts or derives columns (``_named``
+when it just renames).  Only scalar ``Dataset.aggregate`` calls and
+driver-side pandas roll-ups remain outside it.
 
 Determinism for the driver's value-hash compare: every floating aggregate
 is accumulated in integer units ("cents trick": per-row doubles are
@@ -34,12 +34,44 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..sources.tables import read_table as _read
 from ..stages.combine import combine_agg
+from ..stages.partition import fit_partitions
 
 
 def _int_units(col: pa.ChunkedArray | pa.Array, scale: float) -> pa.Array:
     """round(col*scale) as int64 -- order-independent summation units."""
     scaled = pc.multiply(pc.cast(col, pa.float64()), pa.scalar(float(scale)))
     return pc.cast(pc.round(scaled), pa.int64())
+
+
+def _named(*names: str):
+    """A ``combine_agg`` finalize that only renames: the key columns,
+    then one merged column per aggregate, to ``names`` in that order."""
+    return lambda t: t.rename_columns(list(names))
+
+
+def _event_hours(t: pa.Table) -> pa.Table:
+    """(event_type, h): each event's type and epoch hour."""
+    return pa.table({"event_type": t["event_type"],
+                     "h": pc.divide(pc.cast(t["ts"], pa.int64()),
+                                    pa.scalar(3_600_000_000, pa.int64()))})
+
+
+def _customer_revenue(orders: "ray.data.Dataset") -> "ray.data.Dataset":
+    """(cust, rev): each customer's order total in integer cents."""
+    return combine_agg(
+        orders, ["cust"],
+        lambda t: pa.table({"cust": pc.cast(t["o_custkey"], pa.int64()),
+                            "rev": _int_units(t["o_totalprice"], 100)}),
+        [("rev", "sum")], _named("cust", "rev"))
+
+
+def _tokens(t: pa.Table, *carry: str) -> pa.Table:
+    """One row per whitespace token of ``t["text"]`` (column ``tok``),
+    after each ``carry`` column repeated from the token's document."""
+    toks = pc.split_pattern(t["text"], pattern=" ")
+    doc = pc.list_parent_indices(toks)
+    return pa.table({**{c: pc.take(t[c], doc) for c in carry},
+                     "tok": pc.list_flatten(toks)})
 
 
 def pricing_summary(sf_dir: str) -> "ray.data.Dataset":
@@ -301,12 +333,8 @@ def dedup_exact_keep(sf_dir: str,
                          "lang": t["lang"],
                          "n_chars": pc.cast(t["n_chars"], pa.int64())})
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
     joined = docs.map_batches(prep, batch_format="pyarrow").join(
-        keep_ids, "inner", num_partitions=max(2, min(cpus, 16)),
+        keep_ids, "inner", num_partitions=fit_partitions(16),
         on=("doc_id",), right_on=("keep_id",))
 
     return joined.map_batches(
@@ -541,20 +569,18 @@ def sampled_events_by_type(sf_dir: str, mod: int = 16) -> "ray.data.Dataset":
             "value_cents": _int_units(kt["value"], 100),
         })
 
-    agg = (ds.map_batches(samp, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Count(alias_name="n_sampled"),
-                      Sum("value_cents", alias_name="value_cents")))
-
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": t["event_type"],
-            "n_sampled": pc.cast(t["n_sampled"], pa.int64()),
-            "sum_value": pc.divide(pc.cast(t["value_cents"], pa.float64()),
-                                   pa.scalar(100.0)),
+            "n_sampled": t["value_cents_count"],
+            "sum_value": pc.divide(
+                pc.cast(t["value_cents_sum"], pa.float64()),
+                pa.scalar(100.0)),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["event_type"], samp,
+                       [("value_cents", "count"), ("value_cents", "sum")],
+                       finalize)
 
 
 def supplier_region_rollup(sf_dir: str) -> "ray.data.Dataset":
@@ -581,20 +607,18 @@ def supplier_region_rollup(sf_dir: str) -> "ray.data.Dataset":
             "acct_cents": _int_units(t["s_acctbal"], 100),
         })
 
-    agg = (ds.map_batches(join_batch, batch_format="pyarrow")
-           .groupby("r_name")
-           .aggregate(Count(alias_name="n_suppliers"),
-                      Sum("acct_cents", alias_name="acct_cents")))
-
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "r_name": t["r_name"],
-            "n_suppliers": pc.cast(t["n_suppliers"], pa.int64()),
-            "sum_acctbal": pc.divide(pc.cast(t["acct_cents"], pa.float64()),
-                                     pa.scalar(100.0)),
+            "n_suppliers": t["acct_cents_count"],
+            "sum_acctbal": pc.divide(
+                pc.cast(t["acct_cents_sum"], pa.float64()),
+                pa.scalar(100.0)),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["r_name"], join_batch,
+                       [("acct_cents", "count"), ("acct_cents", "sum")],
+                       finalize)
 
 
 def orders_customer_join_agg(sf_dir: str) -> "ray.data.Dataset":
@@ -622,29 +646,24 @@ def orders_customer_join_agg(sf_dir: str) -> "ray.data.Dataset":
             "c_nationkey": pc.cast(t["c_nationkey"], pa.int64()),
         })
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
     joined = orders.map_batches(prep_orders, batch_format="pyarrow").join(
         customer.map_batches(prep_cust, batch_format="pyarrow"),
-        "inner", num_partitions=max(2, min(cpus, 16)),
+        "inner", num_partitions=fit_partitions(16),
         on=("o_custkey",), right_on=("c_custkey",))
-
-    agg = (joined.groupby(["c_nationkey", "o_orderstatus"])
-           .aggregate(Count(alias_name="n_orders"),
-                      Sum("price_cents", alias_name="price_cents")))
 
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
-            "c_nationkey": pc.cast(t["c_nationkey"], pa.int64()),
+            "c_nationkey": t["c_nationkey"],
             "o_orderstatus": t["o_orderstatus"],
-            "n_orders": pc.cast(t["n_orders"], pa.int64()),
-            "sum_price": pc.divide(pc.cast(t["price_cents"], pa.float64()),
-                                   pa.scalar(100.0)),
+            "n_orders": t["price_cents_count"],
+            "sum_price": pc.divide(
+                pc.cast(t["price_cents_sum"], pa.float64()),
+                pa.scalar(100.0)),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(joined, ["c_nationkey", "o_orderstatus"], lambda t: t,
+                       [("price_cents", "count"), ("price_cents", "sum")],
+                       finalize)
 
 
 def props_extract_stats(sf_dir: str) -> "ray.data.Dataset":
@@ -661,22 +680,17 @@ def props_extract_stats(sf_dir: str) -> "ray.data.Dataset":
             "k": pc.cast(pc.struct_field(s, "k"), pa.int64()),
         })
 
-    agg = (ds.map_batches(extract, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Count(alias_name="n_events"),
-                      Sum("k", alias_name="sum_k"),
-                      Max("k", alias_name="max_k")))
-
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": t["event_type"],
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "sum_k": pc.cast(t["sum_k"], pa.int64()),
-            "max_k": pc.cast(t["max_k"], pa.int64()),
+            "n_events": t["k_count"],
+            "sum_k": t["k_sum"],
+            "max_k": t["k_max"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["event_type"], extract,
+                       [("k", "count"), ("k", "sum"), ("k", "max")],
+                       finalize)
 
 
 def knn_cosine_topk(sf_dir: str, query_vec_id: int = 0,
@@ -744,43 +758,23 @@ def repetition_stats_by_lang(sf_dir: str) -> "ray.data.Dataset":
         n_distinct = np.bincount(pair_doc, minlength=t.num_rows)
         return pa.table({
             "lang": t["lang"],
-            "docs": pa.array(np.ones(t.num_rows, dtype=np.int64)),
             "n_tok": pa.array(counts),
             "c_max": pa.array(c_max),
             "n_distinct": pa.array(n_distinct.astype(np.int64)),
         })
 
-    # per-batch combiner: fold to per-lang partials before the shuffle
-    def combine(t: pa.Table) -> pa.Table:
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        ul, inv = np.unique(lang, return_inverse=True)
-        out = {"lang": pa.array(ul.tolist(), type=pa.string())}
-        for col in ("docs", "n_tok", "c_max", "n_distinct"):
-            acc = np.zeros(ul.shape[0], dtype=np.int64)
-            np.add.at(acc, inv, t[col].to_numpy(zero_copy_only=False))
-            out[col] = pa.array(acc)
-        return pa.table(out)
-
-    agg = (ds.map_batches(doc_stats, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .map_batches(combine, batch_format="pyarrow")
-           .groupby("lang")
-           .aggregate(Sum("docs", alias_name="docs"),
-                      Sum("n_tok", alias_name="sum_tokens"),
-                      Sum("c_max", alias_name="sum_top_token"),
-                      Sum("n_distinct", alias_name="sum_distinct_tokens")))
-
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "lang": t["lang"],
-            "docs": pc.cast(t["docs"], pa.int64()),
-            "sum_tokens": pc.cast(t["sum_tokens"], pa.int64()),
-            "sum_top_token": pc.cast(t["sum_top_token"], pa.int64()),
-            "sum_distinct_tokens": pc.cast(t["sum_distinct_tokens"],
-                                           pa.int64()),
+            "docs": t["n_tok_count"],
+            "sum_tokens": t["n_tok_sum"],
+            "sum_top_token": t["c_max_sum"],
+            "sum_distinct_tokens": t["n_distinct_sum"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["lang"], doc_stats,
+                       [("n_tok", "count"), ("n_tok", "sum"),
+                        ("c_max", "sum"), ("n_distinct", "sum")], finalize)
 
 
 REPETITION_STATS_SQL = """
@@ -977,18 +971,10 @@ def customers_without_events(sf_dir: str) -> "ray.data.Dataset":
     def prep_events(t: pa.Table) -> pa.Table:
         return pa.table({"user_id": pc.cast(t["user_id"], pa.int64())})
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
     anti = cust.map_batches(prep_cust, batch_format="pyarrow").join(
         events.map_batches(prep_events, batch_format="pyarrow"),
-        "left_anti", num_partitions=max(2, min(cpus, 16)),
+        "left_anti", num_partitions=fit_partitions(16),
         on=("c_custkey",), right_on=("user_id",))
-
-    agg = (anti.groupby("c_nationkey")
-           .aggregate(Count(alias_name="n_customers"),
-                      Sum("acct_cents", alias_name="acct_cents")))
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"])
@@ -996,20 +982,18 @@ def customers_without_events(sf_dir: str) -> "ray.data.Dataset":
                           nation["n_name"].combine_chunks()))
 
     def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "c_nationkey" not in t.column_names:
-            return pa.table({"n_name": pa.array([], type=pa.string()),
-                             "n_customers": pa.array([], type=pa.int64()),
-                             "acct_cents": pa.array([], type=pa.int64())})
         dim_keys, dim_names = ray.get(lookup_ref)
-        idx = pc.index_in(pc.cast(t["c_nationkey"], pa.int64()),
+        idx = pc.index_in(t["c_nationkey"],
                           value_set=pc.cast(dim_keys, pa.int64()))
         return pa.table({
             "n_name": pc.take(dim_names, idx),
-            "n_customers": pc.cast(t["n_customers"], pa.int64()),
-            "acct_cents": pc.cast(t["acct_cents"], pa.int64()),
+            "n_customers": t["acct_cents_count"],
+            "acct_cents": t["acct_cents_sum"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(anti, ["c_nationkey"], lambda t: t,
+                       [("acct_cents", "count"), ("acct_cents", "sum")],
+                       finalize)
 
 
 CUSTOMERS_WITHOUT_EVENTS_SQL = """
@@ -1051,39 +1035,23 @@ def quantile_prune_docs(sf_dir: str, q: float = 0.9) -> "ray.data.Dataset":
         idx = pc.index_in(t["lang"], value_set=dim_langs)
         keep = pc.less_equal(pc.cast(t["n_chars"], pa.int64()),
                              pc.take(thr, idx))
-        kept = t.filter(pc.fill_null(keep, False))
-        # per-batch combiner: fold to per-lang partials pre-shuffle
-        lang = kept["lang"].to_numpy(zero_copy_only=False)
-        ul, inv = np.unique(lang, return_inverse=True)
-        docs = np.bincount(inv, minlength=ul.shape[0])
-        chars = np.zeros(ul.shape[0], dtype=np.int64)
-        np.add.at(chars, inv,
-                  kept["n_chars"].to_numpy(zero_copy_only=False))
-        uthr = pc.take(thr, pc.index_in(
-            pa.array(ul.tolist(), type=pa.string()), value_set=dim_langs))
         return pa.table({
-            "lang": pa.array(ul.tolist(), type=pa.string()),
-            "kept_docs": pa.array(docs.astype(np.int64)),
-            "sum_chars": pa.array(chars),
-            "thr": uthr,
-        })
-
-    agg = (ds.map_batches(prune, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(Sum("kept_docs", alias_name="kept_docs"),
-                      Sum("sum_chars", alias_name="sum_chars"),
-                      Max("thr", alias_name="thr")))
+            "lang": t["lang"],
+            "n_chars": pc.cast(t["n_chars"], pa.int64()),
+            "thr": pc.take(thr, idx),
+        }).filter(pc.fill_null(keep, False))
 
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "lang": t["lang"],
-            "kept_docs": pc.cast(t["kept_docs"], pa.int64()),
-            "sum_chars": pc.cast(t["sum_chars"], pa.int64()),
-            "thr": pc.cast(t["thr"], pa.int64()),
+            "kept_docs": t["n_chars_count"],
+            "sum_chars": t["n_chars_sum"],
+            "thr": t["thr_max"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["lang"], prune,
+                       [("n_chars", "count"), ("n_chars", "sum"),
+                        ("thr", "max")], finalize)
 
 
 QUANTILE_PRUNE_SQL = """
@@ -1108,40 +1076,16 @@ def top_tokens_by_lang(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     tie order -- corpus-curation vocabulary statistics as a distributed
     pipeline.
 
-    Scale shape: per-batch token counting folds each block to its
-    (lang, token) partial counts BEFORE the shuffle (dictionary-encoded,
-    one np.unique over integer composites -- no per-row Python), so the
-    exchange moves O(langs x vocab x blocks) small rows, bounded by the
-    live vocabulary rather than the corpus; a multi-key groupby sums the
-    partials and a single-partition keep-k (vocab-sized input) ranks."""
+    Scale shape: ``combine_agg`` counts each batch's (lang, token) rows
+    BEFORE the shuffle, so the exchange moves O(langs x vocab x blocks)
+    small rows, bounded by the live vocabulary rather than the corpus;
+    the sorted blocks add the partial counts and a single-partition
+    keep-k (vocab-sized input) ranks."""
     from ..stages.partition import partition_by
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
-    def counts(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        nper = pc.list_value_length(toks).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        ul, linv = np.unique(lang, return_inverse=True)
-        lcode = np.repeat(linv, nper)
-        dic = flat.dictionary_encode()
-        trank = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        n_vocab = len(dic.dictionary)
-        comp = lcode * np.int64(n_vocab + 1) + trank
-        upair, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "lang": pa.array(ul[upair // np.int64(n_vocab + 1)].tolist(),
-                             type=pa.string()),
-            "tok": pc.take(dic.dictionary,
-                           pa.array(upair % np.int64(n_vocab + 1))),
-            "cnt": pa.array(cnt.astype(np.int64)),
-        })
-
-    agg = (ds.map_batches(counts, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["lang", "tok"])
-           .aggregate(Sum("cnt", alias_name="n")))
+    agg = combine_agg(ds, ["lang", "tok"], lambda t: _tokens(t, "lang"),
+                      [("tok", "count")], _named("lang", "tok", "n"))
 
     empty = pa.table({"lang": pa.array([], type=pa.string()),
                       "tok": pa.array([], type=pa.string()),
@@ -1213,42 +1157,23 @@ def customer_event_activity(sf_dir: str) -> "ray.data.Dataset":
             "c_nationkey": pc.cast(t["c_nationkey"], pa.int64()),
         })
 
-    ev_counts = (_read(sf_dir, "events", ["user_id"])
-                 .groupby("user_id")
-                 .aggregate(Count(alias_name="n_ev")))
+    ev_counts = combine_agg(
+        _read(sf_dir, "events", ["user_id"]), ["user_id"],
+        lambda t: pa.table({"user_id": pc.cast(t["user_id"], pa.int64())}),
+        [("user_id", "count")],
+        lambda t: pa.table({"user_id": t["user_id"],
+                            "n_ev": t["user_id_count"]}))
 
-    def prep_ev(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "n_ev": pc.cast(t["n_ev"], pa.int64()),
-        })
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
     joined = cust.map_batches(prep_cust, batch_format="pyarrow").join(
-        ev_counts.map_batches(prep_ev, batch_format="pyarrow"),
-        "left_outer", num_partitions=max(2, min(cpus, 16)),
+        ev_counts, "left_outer", num_partitions=fit_partitions(16),
         on=("c_custkey",), right_on=("user_id",))
 
-    def fold(t: pa.Table) -> pa.Table:
-        active = pc.cast(t["n_ev"].is_valid(), pa.int64())
-        nev = pc.fill_null(pc.cast(t["n_ev"], pa.int64()), 0)
+    def prep(t: pa.Table) -> pa.Table:
         return pa.table({
             "c_nationkey": t["c_nationkey"],
-            "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "active": active.combine_chunks()
-            if isinstance(active, pa.ChunkedArray) else active,
-            "n_ev": nev.combine_chunks()
-            if isinstance(nev, pa.ChunkedArray) else nev,
+            "active": pc.cast(t["n_ev"].is_valid(), pa.int64()),
+            "n_ev": pc.fill_null(pc.cast(t["n_ev"], pa.int64()), 0),
         })
-
-    agg = (joined.map_batches(fold, batch_format="pyarrow")
-           .groupby("c_nationkey")
-           .aggregate(Sum("one", alias_name="n_customers"),
-                      Sum("active", alias_name="n_active"),
-                      Sum("n_ev", alias_name="n_events")))
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"])
@@ -1256,22 +1181,19 @@ def customer_event_activity(sf_dir: str) -> "ray.data.Dataset":
                           nation["n_name"].combine_chunks()))
 
     def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "c_nationkey" not in t.column_names:
-            return pa.table({"n_name": pa.array([], type=pa.string()),
-                             "n_customers": pa.array([], type=pa.int64()),
-                             "n_active": pa.array([], type=pa.int64()),
-                             "n_events": pa.array([], type=pa.int64())})
         dim_keys, dim_names = ray.get(lookup_ref)
-        idx = pc.index_in(pc.cast(t["c_nationkey"], pa.int64()),
+        idx = pc.index_in(t["c_nationkey"],
                           value_set=pc.cast(dim_keys, pa.int64()))
         return pa.table({
             "n_name": pc.take(dim_names, idx),
-            "n_customers": pc.cast(t["n_customers"], pa.int64()),
-            "n_active": pc.cast(t["n_active"], pa.int64()),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
+            "n_customers": t["active_count"],
+            "n_active": t["active_sum"],
+            "n_events": t["n_ev_sum"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(joined, ["c_nationkey"], prep,
+                       [("active", "count"), ("active", "sum"),
+                        ("n_ev", "sum")], finalize)
 
 
 CUSTOMER_EVENT_ACTIVITY_SQL = """
@@ -1359,58 +1281,31 @@ def distinct_users_per_type(sf_dir: str) -> "ray.data.Dataset":
     """Exact per-group COUNT(DISTINCT): distinct users and total events
     per event_type.
 
-    Scale shape: each block first dedups its own (type, user) pairs with
-    one np.unique over integer composites -- the classic partial-distinct
-    prereduce, shrinking shuffle traffic from O(events) to O(distinct
-    pairs x blocks) -- then a (type, user) groupby finishes the global
-    dedup and a per-type combiner + tiny groupby counts survivors."""
+    Scale shape: ``combine_agg`` dedups each block's own (type, user)
+    pairs before the shuffle -- the classic partial-distinct prereduce,
+    shrinking shuffle traffic from O(events) to O(distinct pairs x
+    blocks) -- and finishes the global dedup; a second grouped
+    aggregate counts the surviving pairs per type."""
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
-    def block_dedup(t: pa.Table) -> pa.Table:
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ut, tcode = np.unique(et, return_inverse=True)
-        span = np.int64(uid.max() + 1) if uid.size else np.int64(1)
-        comp = tcode * span + uid
-        upair, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "event_type": pa.array(ut[(upair // span)].tolist(),
-                                   type=pa.string()),
-            "user_id": pa.array(upair % span),
-            "cnt": pa.array(cnt.astype(np.int64)),
-        })
+    def prep(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"],
+                         "user_id": pc.cast(t["user_id"], pa.int64())})
 
-    pairs = (ds.map_batches(block_dedup, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "user_id"])
-             .aggregate(Sum("cnt", alias_name="cnt")))
-
-    def combine(t: pa.Table) -> pa.Table:
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        users = np.bincount(inv, minlength=ut.shape[0])
-        ev = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(ev, inv, pc.cast(t["cnt"], pa.int64())
-                  .to_numpy(zero_copy_only=False))
-        return pa.table({
-            "event_type": pa.array(ut.tolist(), type=pa.string()),
-            "n_users": pa.array(users.astype(np.int64)),
-            "n_events": pa.array(ev),
-        })
-
-    agg = (pairs.map_batches(combine, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("n_users", alias_name="n_users"),
-                      Sum("n_events", alias_name="n_events")))
+    pairs = combine_agg(ds, ["event_type", "user_id"], prep,
+                        [("user_id", "count")],
+                        lambda t: t.rename_columns(
+                            ["event_type", "user_id", "cnt"]))
 
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": t["event_type"],
-            "n_users": pc.cast(t["n_users"], pa.int64()),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
+            "n_users": t["cnt_count"],
+            "n_events": t["cnt_sum"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(pairs, ["event_type"], lambda t: t,
+                       [("cnt", "count"), ("cnt", "sum")], finalize)
 
 
 DISTINCT_USERS_PER_TYPE_SQL = """
@@ -1432,32 +1327,15 @@ def docs_lang_source_pivot(sf_dir: str) -> "ray.data.Dataset":
     domain is a fixed schema-level contract (DOC_SOURCES) so the output
     schema is stable even when a source is absent at small scale.
 
-    Scale shape: a per-batch combiner folds each block to its (lang x
-    source) partial count matrix, so the shuffle moves O(langs x sources
-    x blocks) tiny integer rows; the pivot itself happens on the
-    aggregated (langs x sources)-row table -- driver-sized by contract."""
+    Scale shape: ``combine_agg`` folds each block to its (lang x source)
+    partial counts, so the shuffle moves O(langs x sources x blocks)
+    tiny integer rows; the pivot itself happens on the aggregated
+    (langs x sources)-row table -- driver-sized by contract."""
     from ..stages.partition import partition_by
     ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    def counts(t: pa.Table) -> pa.Table:
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        src = t["source"].to_numpy(zero_copy_only=False)
-        ul, linv = np.unique(lang, return_inverse=True)
-        us, sinv = np.unique(src, return_inverse=True)
-        comp = linv * np.int64(us.shape[0]) + sinv
-        upair, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "lang": pa.array(ul[upair // np.int64(us.shape[0])].tolist(),
-                             type=pa.string()),
-            "source": pa.array(us[upair % np.int64(us.shape[0])].tolist(),
-                               type=pa.string()),
-            "cnt": pa.array(cnt.astype(np.int64)),
-        })
-
-    agg = (ds.map_batches(counts, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["lang", "source"])
-           .aggregate(Sum("cnt", alias_name="cnt")))
+    agg = combine_agg(ds, ["lang", "source"], lambda t: t,
+                      [("source", "count")],
+                      lambda t: t.rename_columns(["lang", "source", "cnt"]))
 
     empty = pa.table({"lang": pa.array([], type=pa.string()),
                       **{s: pa.array([], type=pa.int64())
@@ -1498,42 +1376,30 @@ def combined_daily_activity(sf_dir: str) -> "ray.data.Dataset":
     source -- the multi-source-ingest shape (crawl A + crawl B -> one
     corpus) exercised as an engine operator.
 
-    Scale shape: each side projects to two tiny columns and pre-folds
-    per batch to (day, src, n) partials before the union, so the merged
-    stream and the final shuffle carry O(days x blocks) rows."""
+    Scale shape: each side projects to two tiny (day, src) columns
+    before the union, and ``combine_agg`` folds every batch to (day, src)
+    partials, so the final shuffle carries O(days x blocks) rows."""
     events = _read(sf_dir, "events", ["ts"])
     orders = _read(sf_dir, "orders", ["o_orderdate"])
 
-    def fold(col: str, src: str):
+    def project(col: str, src: str):
         def f(t: pa.Table) -> pa.Table:
-            us = t[col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-            day = us // np.int64(86_400_000_000)
-            ud, cnt = np.unique(day, return_counts=True)
+            us = pc.cast(t[col], pa.int64())
             return pa.table({
-                "day": pa.array(ud),
-                "src": pa.array([src] * ud.shape[0], type=pa.string()),
-                "n": pa.array(cnt.astype(np.int64)),
+                "day": pc.divide(us, pa.scalar(86_400_000_000)),
+                "src": pa.repeat(pa.scalar(src), t.num_rows),
             })
         return f
 
-    unioned = (events.map_batches(fold("ts", "events"),
+    unioned = (events.map_batches(project("ts", "events"),
                                   batch_format="pyarrow",
                                   zero_copy_batch=True)
-               .union(orders.map_batches(fold("o_orderdate", "orders"),
+               .union(orders.map_batches(project("o_orderdate", "orders"),
                                          batch_format="pyarrow",
                                          zero_copy_batch=True)))
-
-    agg = (unioned.groupby(["day", "src"])
-           .aggregate(Sum("n", alias_name="n")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": pc.cast(t["day"], pa.int64()),
-            "src": t["src"],
-            "n": pc.cast(t["n"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(unioned, ["day", "src"], lambda t: t,
+                       [("src", "count")],
+                       lambda t: t.rename_columns(["day", "src", "n"]))
 
 
 COMBINED_DAILY_SQL = """
@@ -1569,53 +1435,27 @@ def user_activity_quartiles(sf_dir: str) -> pa.Table:
     from .quantiles import exact_quantiles
 
     ds = _read(sf_dir, "events", ["user_id"])
-    counts = ds.groupby("user_id").aggregate(Count(alias_name="n"))
-
-    def as_float(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "n": pc.cast(t["n"], pa.int64()),
-            "nf": pc.cast(t["n"], pa.float64()),
-        })
-
-    counts = counts.map_batches(as_float,
-                                batch_format="pyarrow").materialize()
+    counts = combine_agg(
+        ds, ["user_id"],
+        lambda t: pa.table({"user_id": pc.cast(t["user_id"], pa.int64())}),
+        [("user_id", "count")],
+        lambda t: pa.table({
+            "user_id": t["user_id"], "n": t["user_id_count"],
+            "nf": pc.cast(t["user_id_count"], pa.float64())})).materialize()
     th = exact_quantiles(counts, "nf", [0.25, 0.5, 0.75])
     t25, t50, t75 = (float(v) for v in th["value"].to_pylist())
 
-    empty = pa.table({"bucket": pa.array([], type=pa.int64()),
-                      "n_users": pa.array([], type=pa.int64()),
-                      "min_events": pa.array([], type=pa.int64()),
-                      "max_events": pa.array([], type=pa.int64()),
-                      "sum_events": pa.array([], type=pa.int64())})
-
-    def bucket_partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def bucket(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False)
         b = (1 + (n > t25).astype(np.int64) + (n > t50).astype(np.int64)
              + (n > t75).astype(np.int64))
-        ub, inv = np.unique(b, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        n_s = n[order]
-        starts = np.searchsorted(inv[order], np.arange(ub.shape[0]))
-        return pa.table({
-            "bucket": pa.array(ub),
-            "n_users": pa.array(np.bincount(inv).astype(np.int64)),
-            "min_events": pa.array(
-                np.minimum.reduceat(n_s, starts).astype(np.int64)),
-            "max_events": pa.array(
-                np.maximum.reduceat(n_s, starts).astype(np.int64)),
-            "sum_events": pa.array(np.bincount(
-                inv, weights=n).astype(np.int64)),
-        })
+        return pa.table({"bucket": pa.array(b), "n": t["n"]})
 
-    agg = (counts.map_batches(bucket_partials, batch_format="pyarrow")
-           .groupby("bucket")
-           .aggregate(Sum("n_users", alias_name="n_users"),
-                      Min("min_events", alias_name="min_events"),
-                      Max("max_events", alias_name="max_events"),
-                      Sum("sum_events", alias_name="sum_events")))
+    agg = combine_agg(counts, ["bucket"], bucket,
+                      [("n", "count"), ("n", "min"), ("n", "max"),
+                       ("n", "sum")],
+                      _named("bucket", "n_users", "min_events",
+                             "max_events", "sum_events"))
 
     out = agg.to_pandas().sort_values("bucket").reset_index(drop=True)
     return pa.table({
@@ -1656,57 +1496,36 @@ def label_centroids(sf_dir: str) -> "ray.data.Dataset":
     float64 tree-sum would be merge-order-dependent).
 
     Dataflow: per block, the list<float> column is reshaped to an (n, d)
-    matrix zero-copy (functions/vectors.py), scaled to integer units,
-    and summed per label -- one partial row per (block, label, dim) --
-    then a (label, dim)-keyed Sum merge.  Shuffle traffic is
-    O(blocks x labels x dim) 24-byte rows, independent of corpus size:
-    the vector twin of the scalar pre-aggregation pattern used
-    everywhere else."""
-    from ..functions.vectors import list_to_matrix
-
+    matrix zero-copy (functions/vectors.py), scaled to integer units and
+    laid out as one (label, dim, units) row per component; the combiner
+    folds each block to one partial row per (label, dim), then a
+    (label, dim)-keyed merge.  Shuffle traffic is O(blocks x labels x
+    dim) 24-byte rows, independent of corpus size: the vector twin of
+    the scalar pre-aggregation pattern used everywhere else."""
     ds = _read(sf_dir, "embeddings", ["label", "embedding"])
+    return combine_agg(ds, ["label", "dim"],
+                       lambda t: _label_dim_units(t, 1e6),
+                       [("units", "count"), ("units", "sum")],
+                       _named("label", "dim", "n_vecs", "sum_units"))
 
-    empty = pa.table({"label": pa.array([], type=pa.int64()),
-                      "dim": pa.array([], type=pa.int64()),
-                      "n_vecs": pa.array([], type=pa.int64()),
-                      "sum_units": pa.array([], type=pa.int64())})
 
-    def partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        mat = list_to_matrix(t["embedding"], dtype=np.float64)
-        units = np.floor(mat * 1e6 + 0.5).astype(np.int64)
-        lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ul, inv = np.unique(lab, return_inverse=True)
-        d = units.shape[1]
-        sums = np.zeros((ul.shape[0], d), dtype=np.int64)
-        np.add.at(sums, inv, units)
-        cnt = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "label": pa.array(np.repeat(ul, d)),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64),
-                                    ul.shape[0])),
-            "n_vecs": pa.array(np.repeat(cnt, d)),
-            "sum_units": pa.array(sums.ravel()),
-        })
-
-    agg = (ds.map_batches(partials, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["label", "dim"])
-           .aggregate(Sum("n_vecs", alias_name="n_vecs"),
-                      Sum("sum_units", alias_name="sum_units")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        return pa.table({
-            "label": pc.cast(t["label"], pa.int64()),
-            "dim": pc.cast(t["dim"], pa.int64()),
-            "n_vecs": pc.cast(t["n_vecs"], pa.int64()),
-            "sum_units": pc.cast(t["sum_units"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+def _label_dim_units(t: pa.Table, scale: float) -> pa.Table:
+    """One (label, dim, units) row per component of the ``embedding``
+    column, units = floor(x * scale + 0.5) as exact int64."""
+    from ..functions.vectors import list_to_matrix
+    if t.num_rows == 0:
+        return pa.table({"label": pa.array([], type=pa.int64()),
+                         "dim": pa.array([], type=pa.int64()),
+                         "units": pa.array([], type=pa.int64())})
+    mat = list_to_matrix(t["embedding"], dtype=np.float64)
+    units = np.floor(mat * scale + 0.5).astype(np.int64)
+    lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
+    n, d = units.shape
+    return pa.table({
+        "label": pa.array(np.repeat(lab, d)),
+        "dim": pa.array(np.tile(np.arange(d, dtype=np.int64), n)),
+        "units": pa.array(units.ravel()),
+    })
 
 
 LABEL_CENTROIDS_SQL = """
@@ -1762,10 +1581,8 @@ def embedding_covariance_topk(sf_dir: str, k: int = 20) -> pa.Table:
                          "dj": pa.array(dj.astype(np.int64)),
                          "s": pa.array(s)})
 
-    agg = (ds.map_batches(partials, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["di", "dj"]).aggregate(Sum("s", alias_name="s"))
-           .to_pandas())
+    agg = combine_agg(ds, ["di", "dj"], partials, [("s", "sum")],
+                      _named("di", "dj", "s")).to_pandas()
     di = agg["di"].to_numpy(dtype=np.int64)
     dj = agg["dj"].to_numpy(dtype=np.int64)
     s = agg["s"].to_numpy(dtype=np.int64)
@@ -1875,7 +1692,7 @@ def redact_props_stats(sf_dir: str) -> "ray.data.Dataset":
     semi-structured ``props`` payload (``[0-9]+`` -> ``#``) and account
     for the transform per event type -- the anonymization pass a
     training-data pipeline runs before corpus export, as a streaming
-    map with an in-batch combiner (shuffle rows = group cardinality).
+    map with a grouped combiner (shuffle rows = group cardinality).
 
     Both engines run RE2-family regexes (pyarrow bundles RE2, DuckDB
     uses it for regexp_*), so match counts and replacement outputs are
@@ -1884,61 +1701,23 @@ def redact_props_stats(sf_dir: str) -> "ray.data.Dataset":
     pc.utf8_length (ASCII payloads: chars == bytes)."""
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_events": pa.array([], type=pa.int64()),
-                      "n_matches": pa.array([], type=pa.int64()),
-                      "len_before": pa.array([], type=pa.int64()),
-                      "len_after": pa.array([], type=pa.int64())})
-
-    def partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def measures(t: pa.Table) -> pa.Table:
         props = t["props"]
         redacted = pc.replace_substring_regex(props, pattern="[0-9]+",
                                               replacement="#")
-        nm = pc.count_substring_regex(props, pattern="[0-9]+")
-        cols = pa.table({
+        return pa.table({
             "event_type": t["event_type"],
-            "nm": pc.cast(nm, pa.int64()),
+            "nm": pc.cast(pc.count_substring_regex(props, pattern="[0-9]+"),
+                          pa.int64()),
             "lb": pc.cast(pc.utf8_length(props), pa.int64()),
             "la": pc.cast(pc.utf8_length(redacted), pa.int64()),
         })
-        et = cols["event_type"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        return pa.table({
-            "event_type": pa.array(ut, type=pa.string()),
-            "n_events": pa.array(np.bincount(inv).astype(np.int64)),
-            "n_matches": pa.array(np.bincount(
-                inv, weights=cols["nm"].to_numpy(zero_copy_only=False)
-            ).astype(np.int64)),
-            "len_before": pa.array(np.bincount(
-                inv, weights=cols["lb"].to_numpy(zero_copy_only=False)
-            ).astype(np.int64)),
-            "len_after": pa.array(np.bincount(
-                inv, weights=cols["la"].to_numpy(zero_copy_only=False)
-            ).astype(np.int64)),
-        })
 
-    agg = (ds.map_batches(partials, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("n_matches", alias_name="n_matches"),
-                      Sum("len_before", alias_name="len_before"),
-                      Sum("len_after", alias_name="len_after")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        return pa.table({
-            "event_type": t["event_type"],
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "n_matches": pc.cast(t["n_matches"], pa.int64()),
-            "len_before": pc.cast(t["len_before"], pa.int64()),
-            "len_after": pc.cast(t["len_after"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["event_type"], measures,
+                       [("nm", "count"), ("nm", "sum"), ("lb", "sum"),
+                        ("la", "sum")],
+                       _named("event_type", "n_events", "n_matches",
+                              "len_before", "len_after"))
 
 
 REDACT_PROPS_SQL = """
@@ -1966,8 +1745,6 @@ def curated_corpus_stats(sf_dir: str, min_quality: float = 0.8,
     ``hash_tier`` as in dedup_exact_*: fp64 fingerprint default, md5 for
     the SQL-replicable oracle gate."""
     from functools import partial as _partial
-
-    from ray.data.aggregate import Min as _Min
 
     from ..functions.text import quality_score, token_count
 
@@ -1998,15 +1775,15 @@ def curated_corpus_stats(sf_dir: str, min_quality: float = 0.8,
     # Dataset.join: Ray 2.49's hash-shuffle join intermittently loses the
     # key schema when a quality-filtered-empty block lands in a
     # partition -- measured ~1-in-5 on this composition)
-    keep_rows = (rows.groupby("h")
-                 .aggregate(_Min("doc_id", alias_name="keep_id"))
-                 .map_batches(lambda t: pa.table({
-                     "doc_id": pc.cast(t["keep_id"], pa.int64()),
-                     "lang": pa.nulls(t.num_rows, type=pa.string()),
-                     "n_chars": pa.array(np.zeros(t.num_rows, np.int64)),
-                     "tokens": pa.array(np.zeros(t.num_rows, np.int64)),
-                     "flag": pa.array(np.ones(t.num_rows, np.int64)),
-                 }), batch_format="pyarrow"))
+    keep_rows = combine_agg(
+        rows, ["h"], lambda t: t, [("doc_id", "min")],
+        lambda t: pa.table({
+            "doc_id": t["doc_id_min"],
+            "lang": pa.nulls(t.num_rows, type=pa.string()),
+            "n_chars": pa.array(np.zeros(t.num_rows, np.int64)),
+            "tokens": pa.array(np.zeros(t.num_rows, np.int64)),
+            "flag": pa.array(np.ones(t.num_rows, np.int64)),
+        }))
     data_rows = rows.map_batches(
         lambda t: t.select(["doc_id", "lang", "n_chars", "tokens"])
         .append_column("flag", pa.array(np.zeros(t.num_rows, np.int64))),
@@ -2027,10 +1804,10 @@ def curated_corpus_stats(sf_dir: str, min_quality: float = 0.8,
     joined = partition_by(data_rows.union(keep_rows), ["doc_id"],
                           fit_partitions(16), semi_join, sj_empty)
 
-    agg = (joined.groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("tokens", alias_name="sum_tokens"),
-                      Sum("n_chars", alias_name="sum_chars")))
+    agg = combine_agg(joined, ["lang"], lambda t: t,
+                      [("tokens", "count"), ("tokens", "sum"),
+                       ("n_chars", "sum")],
+                      _named("lang", "n_docs", "sum_tokens", "sum_chars"))
     out = agg.to_pandas().sort_values("lang").reset_index(drop=True)
     return pa.table({
         "lang": pa.array(out["lang"], type=pa.string()),
@@ -2046,66 +1823,24 @@ def value_hour_sufficient_stats(sf_dir: str) -> "ray.data.Dataset":
     moment sums (n, sum x, sum y, sum xy, sum x^2, sum y^2) from which
     the driver -- or any downstream trainer -- derives slope/intercept/
     Pearson r in closed form.  The ML-feature-pipeline shape: one
-    streaming map with an in-batch combiner, shuffle rows = group
+    streaming map with a grouped combiner, shuffle rows = group
     cardinality, all moments associative int64 (value in cents so y^2
     sums stay far from overflow)."""
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64()),
-                      "sum_x": pa.array([], type=pa.int64()),
-                      "sum_y": pa.array([], type=pa.int64()),
-                      "sum_xy": pa.array([], type=pa.int64()),
-                      "sum_x2": pa.array([], type=pa.int64()),
-                      "sum_y2": pa.array([], type=pa.int64())})
-
-    def partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def moments(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         x = (us // 3_600_000_000) % 24
         y = np.floor(t["value"].to_numpy(zero_copy_only=False) * 100.0
                      + 0.5).astype(np.int64)
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        k = ut.shape[0]
+        return pa.table({"event_type": t["event_type"], "x": x, "y": y,
+                         "xy": x * y, "x2": x * x, "y2": y * y})
 
-        def grp(v):
-            out = np.zeros(k, dtype=np.int64)
-            np.add.at(out, inv, v)
-            return out
-
-        return pa.table({
-            "event_type": pa.array(ut, type=pa.string()),
-            "n": pa.array(np.bincount(inv, minlength=k).astype(np.int64)),
-            "sum_x": pa.array(grp(x)),
-            "sum_y": pa.array(grp(y)),
-            "sum_xy": pa.array(grp(x * y)),
-            "sum_x2": pa.array(grp(x * x)),
-            "sum_y2": pa.array(grp(y * y)),
-        })
-
-    agg = (ds.map_batches(partials, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sum_x", alias_name="sum_x"),
-                      Sum("sum_y", alias_name="sum_y"),
-                      Sum("sum_xy", alias_name="sum_xy"),
-                      Sum("sum_x2", alias_name="sum_x2"),
-                      Sum("sum_y2", alias_name="sum_y2")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        return pa.table({
-            "event_type": t["event_type"],
-            **{c: pc.cast(t[c], pa.int64())
-               for c in ("n", "sum_x", "sum_y", "sum_xy", "sum_x2",
-                         "sum_y2")},
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["event_type"], moments,
+                       [("x", "count"), ("x", "sum"), ("y", "sum"),
+                        ("xy", "sum"), ("x2", "sum"), ("y2", "sum")],
+                       _named("event_type", "n", "sum_x", "sum_y", "sum_xy",
+                              "sum_x2", "sum_y2"))
 
 
 VALUE_HOUR_STATS_SQL = """
@@ -2182,8 +1917,9 @@ def validation_report(sf_dir: str) -> pa.Table:
     totals, events outside the value domain), primary-key duplicates
     (o_orderkey), and referential integrity (orders whose o_custkey has
     no customer row -- broadcast-probe of the customer key set, the
-    small-side pattern).  Everything is a per-block partial + Sum merge;
-    the report is O(checks) rows."""
+    small-side pattern).  Every check is one (check_name, bad) row per
+    checked row, and one grouped count + sum makes the report, O(checks)
+    rows."""
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice"])
     customers = _read(sf_dir, "customer", ["c_custkey"])
@@ -2194,64 +1930,39 @@ def validation_report(sf_dir: str) -> pa.Table:
     ]).astype(np.int64))
     keys_ref = ray.put(cust_keys)
 
-    empty = pa.table({"check_name": pa.array([], type=pa.string()),
-                      "n_checked": pa.array([], type=pa.int64()),
-                      "n_violations": pa.array([], type=pa.int64())})
+    def checks(names, *flags) -> pa.Table:
+        n = len(flags[0])
+        return pa.table({
+            "check_name": pa.array(np.repeat(names, n), type=pa.string()),
+            "bad": pa.array(np.concatenate(flags).astype(np.int64))})
 
     def order_checks(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        n = t.num_rows
-        ok = t["o_orderkey"]
-        null_key = int(ok.null_count)
         price = t["o_totalprice"].to_numpy(zero_copy_only=False)
-        neg_price = int((price <= 0).sum())
         ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        known = np.searchsorted(ray.get(keys_ref), ck)
         keys = ray.get(keys_ref)
-        orphan = int((~((known < keys.shape[0])
-                        & (keys[np.minimum(known, keys.shape[0] - 1)]
-                           == ck))).sum())
-        return pa.table({
-            "check_name": pa.array(["orders.o_orderkey_not_null",
-                                    "orders.o_totalprice_positive",
-                                    "orders.o_custkey_references_customer"],
-                                   type=pa.string()),
-            "n_checked": pa.array([n, n, n], type=pa.int64()),
-            "n_violations": pa.array([null_key, neg_price, orphan],
-                                     type=pa.int64()),
-        })
-
-    agg_o = (orders.map_batches(order_checks, batch_format="pyarrow",
-                                zero_copy_batch=True)
-             .groupby("check_name")
-             .aggregate(Sum("n_checked", alias_name="n_checked"),
-                        Sum("n_violations", alias_name="n_violations")))
+        known = np.searchsorted(keys, ck)
+        orphan = ~((known < keys.shape[0])
+                   & (keys[np.minimum(known, keys.shape[0] - 1)] == ck))
+        return checks(["orders.o_orderkey_not_null",
+                       "orders.o_totalprice_positive",
+                       "orders.o_custkey_references_customer"],
+                      pc.is_null(t["o_orderkey"]).to_numpy(
+                          zero_copy_only=False), price <= 0, orphan)
 
     # primary-key duplicates: distributed groupby on the key, count>1
-    from ray.data.aggregate import Count as _Count
-    dup = (orders.groupby("o_orderkey")
-           .aggregate(_Count(alias_name="c")))
+    dup = combine_agg(
+        orders, ["o_orderkey"], lambda t: t.select(["o_orderkey"]),
+        [("o_orderkey", "count")],
+        lambda t: checks(["orders.o_orderkey_unique"],
+                         pc.greater(t["o_orderkey_count"], 1).to_numpy(
+                             zero_copy_only=False)))
 
-    def dup_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        c = t["c"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "check_name": pa.array(["orders.o_orderkey_unique"],
-                                   type=pa.string()),
-            "n_checked": pa.array([int(t.num_rows)], type=pa.int64()),
-            "n_violations": pa.array([int((c > 1).sum())],
-                                     type=pa.int64()),
-        })
-
-    agg_d = (dup.map_batches(dup_partial, batch_format="pyarrow")
-             .groupby("check_name")
-             .aggregate(Sum("n_checked", alias_name="n_checked"),
-                        Sum("n_violations", alias_name="n_violations")))
-
-    out = (agg_o.union(agg_d).to_pandas()
-           .sort_values("check_name").reset_index(drop=True))
+    out = (combine_agg(
+        orders.map_batches(order_checks, batch_format="pyarrow",
+                           zero_copy_batch=True).union(dup),
+        ["check_name"], lambda t: t, [("bad", "count"), ("bad", "sum")],
+        _named("check_name", "n_checked", "n_violations")).to_pandas()
+        .sort_values("check_name").reset_index(drop=True))
     return pa.table({
         "check_name": pa.array(out["check_name"], type=pa.string()),
         "n_checked": pa.array(out["n_checked"].astype("int64")),
@@ -2336,8 +2047,8 @@ def returned_revenue_top_customers(sf_dir: str, k: int = 20) -> pa.Table:
     # orderkey co-partition + a vectorized run kernel (the measured
     # stages/partition.py workaround -- join aggregator actors throttle
     # the pool on Ray 2.49, int64 sort shuffles scale normally).  The
-    # kernel also pre-folds to per-customer partials, so the final
-    # exchange input shrinks from order-grain to customer-grain.
+    # kernel emits one (customer, revenue) row per matched line, which
+    # the grouped combiner folds to customer grain before the exchange.
     from ..stages.partition import fit_partitions, partition_by
 
     j_empty = pa.table({"key": pa.array([], type=pa.int64()),
@@ -2380,20 +2091,16 @@ def returned_revenue_top_customers(sf_dir: str, k: int = 20) -> pa.Table:
         cust_all = t["cust"].to_numpy(zero_copy_only=False)[order]
         rev_all = t["rev"].to_numpy(zero_copy_only=False)[order]
         m_idx = np.flatnonzero(matched)
-        cust = cust_all[starts[run_id[m_idx]]]
-        rev = rev_all[m_idx]
-        uc, inv = np.unique(cust, return_inverse=True)
-        sums = np.zeros(uc.shape[0], dtype=np.int64)
-        np.add.at(sums, inv, rev)
-        return pa.table({"o_custkey": pa.array(uc),
-                         "rev": pa.array(sums)})
+        return pa.table({
+            "o_custkey": pa.array(cust_all[starts[run_id[m_idx]]]),
+            "rev": pa.array(rev_all[m_idx])})
 
-    per_cust = (partition_by(
+    per_cust = combine_agg(partition_by(
         orders.map_batches(o_tagged, batch_format="pyarrow")
         .union(per_order.map_batches(l_tagged, batch_format="pyarrow")),
-        ["key"], fit_partitions(16), join_fold, pc_empty)
-        .groupby("o_custkey").aggregate(Sum("rev",
-                                            alias_name="revenue_units")))
+        ["key"], fit_partitions(16), join_fold, pc_empty),
+        ["o_custkey"], lambda t: t, [("rev", "sum")],
+        _named("o_custkey", "revenue_units"))
 
     # broadcast dimension lookups (customer, nation are the small sides)
     cust = pa.concat_tables([ray.get(r) for r in _read(
@@ -2580,7 +2287,7 @@ def tfidf_top_term_per_doc(sf_dir: str) -> "ray.data.Dataset":
       a shuffle; the tf table is materialized once (ints + tokens, far
       smaller than the corpus, spillable) because both df and scoring
       consume it.
-    - document frequency: per-batch value_counts partials -> Sum groupby;
+    - document frequency: a grouped count of the tf rows per token;
       the exchange is O(batch vocab x blocks), bounded by live
       vocabulary, never by corpus rows (each (doc, tok) row exists
       exactly once globally, so partial counts sum exactly).
@@ -2624,25 +2331,15 @@ def tfidf_top_term_per_doc(sf_dir: str) -> "ray.data.Dataset":
     tf_ds = docs.map_batches(tf_counts, batch_format="pyarrow",
                              zero_copy_batch=True).materialize()
 
-    def df_partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t["tok"].combine_chunks())
-        tok = pc.cast(vc.field("values"), pa.string())
-        return pa.table({
-            "tok": tok,
-            "pdf": pc.cast(vc.field("counts"), pa.int64()),
-        })
-
-    df_ds = (tf_ds.map_batches(df_partial, batch_format="pyarrow")
-             .groupby("tok").aggregate(Sum("pdf", alias_name="df")))
-
-    idf_rows = df_ds.map_batches(lambda t: pa.table({
+    idf_rows = combine_agg(tf_ds, ["tok"], lambda t: t.select(["tok"]),
+                           [("tok", "count")], lambda t: pa.table({
         "doc_id": pa.array(np.zeros(t.num_rows, np.int64)),
-        "tok": pc.cast(t["tok"], pa.string()),
+        "tok": t["tok"],
         "tf": (np.int64(n_docs) * np.int64(1000)) //
-        pc.cast(t["df"], pa.int64()).to_numpy(zero_copy_only=False),
-        "th": fingerprint64(pc.cast(t["tok"], pa.string())),
+        t["tok_count"].to_numpy(zero_copy_only=False),
+        "th": fingerprint64(t["tok"]),
         "flag": pa.array(np.ones(t.num_rows, np.int64)),
-    }), batch_format="pyarrow")
+    }))
 
     data_rows = tf_ds.map_batches(
         lambda t: t.append_column(
@@ -2729,42 +2426,23 @@ def cube_pricing(sf_dir: str) -> pa.Table:
     cannot collide with the single-char TPC-H domain values.
 
     Scale shape: one pass folds each block to its (flag, status) integer
-    partials (composite np.unique, cents units); the shuffle moves
-    O(6 x blocks) rows; every coarser level is a driver-side fold of the
-    6-row finest table."""
+    partials (cents units); the shuffle moves O(6 x blocks) rows; every
+    coarser level is a driver-side fold of the 6-row finest table."""
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus",
                                     "l_quantity", "l_extendedprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        flag = np.asarray(t["l_returnflag"].to_pylist(), dtype=np.str_)
-        status = np.asarray(t["l_linestatus"].to_pylist(), dtype=np.str_)
-        qty = _int_units(t["l_quantity"], 100).to_numpy(
-            zero_copy_only=False)
-        price = _int_units(t["l_extendedprice"], 100).to_numpy(
-            zero_copy_only=False)
-        uf, fi = np.unique(flag, return_inverse=True)
-        us, si = np.unique(status, return_inverse=True)
-        comp = fi.astype(np.int64) * np.int64(len(us)) + si
-        ucomp, inv = np.unique(comp, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        sq = np.bincount(inv, weights=qty).astype(np.int64)
-        sp = np.bincount(inv, weights=price).astype(np.int64)
+    def cents(t: pa.Table) -> pa.Table:
         return pa.table({
-            "flag": pa.array(uf[ucomp // np.int64(len(us))].tolist(),
-                             type=pa.string()),
-            "status": pa.array(us[ucomp % np.int64(len(us))].tolist(),
-                               type=pa.string()),
-            "n": pa.array(n), "sum_qty_c": pa.array(sq),
-            "sum_price_c": pa.array(sp),
+            "flag": t["l_returnflag"], "status": t["l_linestatus"],
+            "qty_c": _int_units(t["l_quantity"], 100),
+            "price_c": _int_units(t["l_extendedprice"], 100),
         })
 
-    fine = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["flag", "status"])
-            .aggregate(Sum("n", alias_name="n"),
-                       Sum("sum_qty_c", alias_name="sum_qty_c"),
-                       Sum("sum_price_c", alias_name="sum_price_c"))
-            .to_pandas())
+    fine = combine_agg(ds, ["flag", "status"], cents,
+                       [("qty_c", "count"), ("qty_c", "sum"),
+                        ("price_c", "sum")],
+                       _named("flag", "status", "n", "sum_qty_c",
+                              "sum_price_c")).to_pandas()
 
     import pandas as pd
     levels = [fine]
@@ -2815,31 +2493,18 @@ def hour_entropy_by_type(sf_dir: str) -> pa.Table:
     sum is permutation-proof where a float SUM would not be.
 
     Scale shape: the only distributed work is the exact (type, hour)
-    histogram -- per-block composite-unique partials, O(types x 24 x
-    blocks) shuffle rows; the entropy finalize folds a types x 24 table
-    on the driver."""
+    histogram -- per-block grouped partials, O(types x 24 x blocks)
+    shuffle rows; the entropy finalize folds a types x 24 table on the
+    driver."""
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def hours(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        hr = (us // np.int64(3_600_000_000)) % np.int64(24)
-        etype = np.asarray(t["event_type"].to_pylist(), dtype=np.str_)
-        ut, ti = np.unique(etype, return_inverse=True)
-        comp = ti.astype(np.int64) * np.int64(24) + hr
-        ucomp, inv = np.unique(comp, return_inverse=True)
-        cnt = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "event_type": pa.array(ut[ucomp // 24].tolist(),
-                                   type=pa.string()),
-            "hr": pa.array(ucomp % 24),
-            "cnt": pa.array(cnt),
-        })
+        return pa.table({"event_type": t["event_type"],
+                         "hr": (us // np.int64(3_600_000_000)) % 24})
 
-    hist = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "hr"])
-            .aggregate(Sum("cnt", alias_name="cnt"))
-            .to_pandas())
+    hist = combine_agg(ds, ["event_type", "hr"], hours, [("hr", "count")],
+                       _named("event_type", "hr", "cnt")).to_pandas()
 
     rows = []
     for etype, grp in hist.groupby("event_type"):
@@ -2894,41 +2559,22 @@ def user_churn_sets(sf_dir: str,
 
     def presence(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        uid = pc.cast(t["user_id"], pa.int64()).to_numpy(
-            zero_copy_only=False)
         in1 = (us < split_us).astype(np.int64)
-        uu, inv = np.unique(uid, return_inverse=True)
-        p1 = np.zeros(len(uu), np.int64)
-        p2 = np.zeros(len(uu), np.int64)
-        np.maximum.at(p1, inv, in1)
-        np.maximum.at(p2, inv, 1 - in1)
-        return pa.table({"user_id": pa.array(uu), "in1": pa.array(p1),
-                         "in2": pa.array(p2)})
+        return pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
+                         "in1": in1, "in2": 1 - in1})
 
-    flags = (ds.map_batches(presence, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("user_id")
-             .aggregate(Max("in1", alias_name="in1"),
-                        Max("in2", alias_name="in2")))
+    flags = combine_agg(ds, ["user_id"], presence,
+                        [("in1", "max"), ("in2", "max")],
+                        _named("user_id", "in1", "in2"))
 
     def classify(t: pa.Table) -> pa.Table:
-        in1 = pc.cast(t["in1"], pa.int64()).to_numpy(zero_copy_only=False)
-        in2 = pc.cast(t["in2"], pa.int64()).to_numpy(zero_copy_only=False)
-        lab = np.where(in1 & in2, "retained",
-                       np.where(in1 == 1, "churned", "new"))
-        ul, inv = np.unique(lab, return_inverse=True)
-        return pa.table({
-            "status": pa.array(ul.tolist(), type=pa.string()),
-            "n_users": pa.array(np.bincount(inv).astype(np.int64)),
-        })
+        in1 = t["in1"].to_numpy(zero_copy_only=False)
+        in2 = t["in2"].to_numpy(zero_copy_only=False)
+        return pa.table({"status": np.where(
+            in1 & in2, "retained", np.where(in1 == 1, "churned", "new"))})
 
-    agg = (flags.map_batches(classify, batch_format="pyarrow")
-           .groupby("status").aggregate(Sum("n_users",
-                                            alias_name="n_users")))
-    return agg.map_batches(lambda t: pa.table({
-        "status": pc.cast(t["status"], pa.string()),
-        "n_users": pc.cast(t["n_users"], pa.int64()),
-    }), batch_format="pyarrow")
+    return combine_agg(flags, ["status"], classify, [("status", "count")],
+                       _named("status", "n_users"))
 
 
 USER_CHURN_SQL = """
@@ -3323,20 +2969,14 @@ def bucketed_join_rollup(sf_dir: str, n_buckets: int = 8,
                 okm = np.zeros(m.sum(), bool)
                 okm[hit] = True
                 ok[m] = okm
-            nk, val = nk[ok], val[ok]
-            un, inv = np.unique(nk, return_inverse=True)
-            cnt = np.bincount(inv).astype(np.int64)
-            sv = np.zeros(un.shape[0], np.int64)
-            np.add.at(sv, inv, val)
-            return pa.table({"nationkey": pa.array(un),
-                             "n_events": pa.array(cnt),
-                             "sum_value_c": pa.array(sv)})
+            return pa.table({"nationkey": pa.array(nk[ok]),
+                             "value_c": pa.array(val[ok])})
 
     joined = ray.data.read_parquet(f"{root}/events").map_batches(
         BucketJoin, batch_format="pyarrow", concurrency=2)
-    agg = (joined.groupby("nationkey")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("sum_value_c", alias_name="sum_value_c"))
+    agg = (combine_agg(joined, ["nationkey"], lambda t: t,
+                       [("value_c", "count"), ("value_c", "sum")],
+                       _named("nationkey", "n_events", "sum_value_c"))
            .to_pandas().sort_values("nationkey").reset_index(drop=True))
     return pa.table({
         "nationkey": pa.array(agg["nationkey"].astype("int64")),
@@ -3415,7 +3055,6 @@ def upsert_compaction(sf_dir: str) -> pa.Table:
     }), batch_format="pyarrow")
 
     m_empty = pa.table({"nat": pa.array([], type=pa.int64()),
-                        "n": pa.array([], type=pa.int64()),
                         "bal_c": pa.array([], type=pa.int64())})
 
     def merge_part(t: pa.Table) -> pa.Table:
@@ -3441,17 +3080,13 @@ def upsert_compaction(sf_dir: str) -> pa.Table:
         hit = (uk[pos] == bk) if uk.shape[0] else np.zeros(
             bk.shape[0], bool)
         out_val = np.where(hit, uv[pos] if uk.shape[0] else 0, bv)
-        un, inv = np.unique(bn, return_inverse=True)
-        cnt = np.bincount(inv).astype(np.int64)
-        sv = np.zeros(un.shape[0], np.int64)
-        np.add.at(sv, inv, out_val)
-        return pa.table({"nat": pa.array(un), "n": pa.array(cnt),
-                         "bal_c": pa.array(sv)})
+        return pa.table({"nat": pa.array(bn), "bal_c": pa.array(out_val)})
 
-    agg = (partition_by(base_rows.union(upd_rows), ["k"],
-                        fit_partitions(16), merge_part, m_empty)
-           .groupby("nat").aggregate(Sum("n", alias_name="n"),
-                                     Sum("bal_c", alias_name="bal_c"))
+    agg = (combine_agg(partition_by(base_rows.union(upd_rows), ["k"],
+                                    fit_partitions(16), merge_part, m_empty),
+                       ["nat"], lambda t: t,
+                       [("bal_c", "count"), ("bal_c", "sum")],
+                       _named("nat", "n", "bal_c"))
            .to_pandas().sort_values("nat").reset_index(drop=True))
     return pa.table({
         "nationkey": pa.array(agg["nat"].astype("int64")),
@@ -3526,23 +3161,10 @@ def day_pruned_window_stats(sf_dir: str, day_lo: str = "2024-01-10",
                          "n_events": pa.array([], type=pa.int64()),
                          "sum_value_c": pa.array([], type=pa.int64())})
     window = ray.data.read_parquet(files)
-
-    def partial(t: pa.Table) -> pa.Table:
-        et = np.asarray(t["event_type"].to_pylist(), dtype=np.str_)
-        v = t["value_c"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        cnt = np.bincount(inv).astype(np.int64)
-        sv = np.zeros(ut.shape[0], np.int64)
-        np.add.at(sv, inv, v)
-        return pa.table({"event_type": pa.array(ut.tolist(),
-                                                type=pa.string()),
-                         "n_events": pa.array(cnt),
-                         "sum_value_c": pa.array(sv)})
-
-    agg = (window.map_batches(partial, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("sum_value_c", alias_name="sum_value_c"))
+    agg = (combine_agg(window, ["event_type"],
+                       lambda t: t.select(["event_type", "value_c"]),
+                       [("value_c", "count"), ("value_c", "sum")],
+                       _named("event_type", "n_events", "sum_value_c"))
            .to_pandas().sort_values("event_type").reset_index(drop=True))
     return pa.table({
         "event_type": pa.array(agg["event_type"], type=pa.string()),
@@ -3578,24 +3200,11 @@ def events_hourly_gapfill(sf_dir: str) -> pa.Table:
 
     def bucket(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        hr = us // np.int64(3_600_000_000)
-        et = np.asarray(t["event_type"].to_pylist(), dtype=np.str_)
-        ut, inv_t = np.unique(et, return_inverse=True)
-        comp = (inv_t.astype(np.int64) << np.int64(32)) | (
-            hr & np.int64((1 << 32) - 1))
-        ucomp, inv = np.unique(comp, return_inverse=True)
-        return pa.table({
-            "event_type": pa.array(
-                ut[(ucomp >> np.int64(32))].tolist(), type=pa.string()),
-            "hr": pa.array(ucomp & np.int64((1 << 32) - 1)),
-            "n": pa.array(np.bincount(inv).astype(np.int64)),
-        })
+        return pa.table({"event_type": t["event_type"],
+                         "hr": us // np.int64(3_600_000_000)})
 
-    counts = (ds.map_batches(bucket, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "hr"])
-              .aggregate(Sum("n", alias_name="n"))
-              .to_pandas())
+    counts = combine_agg(ds, ["event_type", "hr"], bucket, [("hr", "count")],
+                         _named("event_type", "hr", "n")).to_pandas()
 
     import pandas as pd
     lo, hi = int(counts["hr"].min()), int(counts["hr"].max())
@@ -3642,50 +3251,26 @@ def pmi_bigrams_topk(sf_dir: str, k: int = 20,
     of a deterministic double, identical op order in SQL) -- the corpus
     statistic behind phrase mining / tokenizer-merge candidates.
 
-    Scale shape: per-block bigram counting dictionary-encodes the token
-    stream once and folds to (tok_a, tok_b) partial counts with a single
-    np.unique over integer composites (no per-row Python), so the
-    exchange is bounded by the OBSERVED bigram vocabulary per block, not
-    the corpus; marginals are derived FROM the merged pair table (one
-    more vocab-bounded pass, no second corpus scan), and the final
-    scoring/ranking input is at most vocab^2 rows on one partition."""
+    Scale shape: ``combine_agg`` counts each block's adjacent (tok_a,
+    tok_b) rows before the shuffle, so the exchange is bounded by the
+    OBSERVED bigram vocabulary per block, not the corpus; marginals are
+    derived FROM the merged pair table (one more vocab-bounded pass, no
+    second corpus scan), and the final scoring/ranking input is at most
+    vocab^2 rows on one partition."""
     from ..stages.partition import partition_by
     ds = _read(sf_dir, "documents", ["text"])
 
-    pair_empty = pa.table({"tok_a": pa.array([], type=pa.string()),
-                           "tok_b": pa.array([], type=pa.string()),
-                           "cnt": pa.array([], type=pa.int64())})
-
-    def pair_counts(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pair_empty
+    def bigrams(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        nper = pc.list_value_length(toks).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        dic = flat.dictionary_encode()
-        code = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        n = code.shape[0]
-        if n < 2:
-            return pair_empty
-        vocab = np.int64(len(dic.dictionary))
+        flat = pc.list_flatten(toks)
+        doc = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         # a bigram position is valid unless it crosses a doc boundary
-        valid = np.ones(n - 1, dtype=bool)
-        ends = np.cumsum(nper) - 1
-        ends = ends[(ends >= 0) & (ends < n - 1)]
-        valid[ends] = False
-        comp = code[:-1][valid] * (vocab + 1) + code[1:][valid]
-        u, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "tok_a": pc.take(dic.dictionary, pa.array(u // (vocab + 1))),
-            "tok_b": pc.take(dic.dictionary, pa.array(u % (vocab + 1))),
-            "cnt": pa.array(cnt.astype(np.int64)),
-        })
+        valid = pa.array(doc[1:] == doc[:-1])
+        return pa.table({"tok_a": flat.slice(0, max(len(flat) - 1, 0)),
+                         "tok_b": flat.slice(1)}).filter(valid)
 
-    agg = (ds.map_batches(pair_counts, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["tok_a", "tok_b"])
-           .aggregate(Sum("cnt", alias_name="n")))
+    agg = combine_agg(ds, ["tok_a", "tok_b"], bigrams, [("tok_b", "count")],
+                      _named("tok_a", "tok_b", "n"))
 
     out_empty = pa.table({"tok_a": pa.array([], type=pa.string()),
                           "tok_b": pa.array([], type=pa.string()),
@@ -3838,8 +3423,8 @@ def bigram_lm_by_lang(sf_dir: str) -> pa.Table:
                                 zero_copy_batch=True)
 
     out_empty = pa.table({"lang": pa.array([], type=pa.string()),
-                          "n_bigrams": pa.array([], type=pa.int64()),
-                          "sum_lp": pa.array([], type=pa.int64())})
+                          "n": pa.array([], type=pa.int64()),
+                          "lp": pa.array([], type=pa.int64())})
 
     def score_partition(t: pa.Table) -> pa.Table:
         # fpa co-partitioned: every bigram with this left token is
@@ -3863,25 +3448,16 @@ def bigram_lm_by_lang(sf_dir: str) -> pa.Table:
         score = np.floor(np.log(
             c_ab.astype(np.float64) / c_a[a_id[new_ab]]
             .astype(np.float64)) * 1e6).astype(np.int64)
-        lang = pc.take(t["lang"], pa.array(order)).combine_chunks()
-        ldic = lang.dictionary_encode()
-        lcode = ldic.indices.to_numpy(zero_copy_only=False)
-        nl = len(ldic.dictionary)
-        sum_lp = np.zeros(nl, dtype=np.int64)
-        n_big = np.zeros(nl, dtype=np.int64)
-        np.add.at(sum_lp, lcode, c_s * score[ab_id])
-        np.add.at(n_big, lcode, c_s)
         return pa.table({
-            "lang": ldic.dictionary,
-            "n_bigrams": pa.array(n_big),
-            "sum_lp": pa.array(sum_lp),
+            "lang": pc.take(t["lang"], pa.array(order)),
+            "n": pa.array(c_s),
+            "lp": pa.array(c_s * score[ab_id]),
         })
 
-    agg = (partition_by(partials, ["fpa"], fit_partitions(16),
-                        score_partition, out_empty)
-           .groupby("lang")
-           .aggregate(Sum("n_bigrams", alias_name="n_bigrams"),
-                      Sum("sum_lp", alias_name="sum_lp"))
+    agg = (combine_agg(partition_by(partials, ["fpa"], fit_partitions(16),
+                                    score_partition, out_empty),
+                       ["lang"], lambda t: t, [("n", "sum"), ("lp", "sum")],
+                       _named("lang", "n_bigrams", "sum_lp"))
            .to_pandas().sort_values("lang"))
     return pa.table({
         "lang": pa.array(agg["lang"].tolist(), type=pa.string()),
@@ -3955,23 +3531,17 @@ def global_order_ranks(sf_dir: str, sample_mod: int = 997,
     def bucket_of(cents: np.ndarray) -> np.ndarray:
         return np.minimum((cents - lo) // width, nb - 1)
 
-    def count_partial(t: pa.Table) -> pa.Table:
+    def add_bucket(t: pa.Table) -> pa.Table:
         c = t["cents"].to_numpy(zero_copy_only=False)
-        cnt = np.bincount(bucket_of(c), minlength=nb).astype(np.int64)
-        return pa.table({"b": pa.array(np.arange(nb, dtype=np.int64)),
-                         "n": pa.array(cnt)})
+        return t.append_column("b", pa.array(bucket_of(c)))
 
-    counts = (rows.map_batches(count_partial, batch_format="pyarrow")
-              .groupby("b").aggregate(Sum("n", alias_name="n"))
-              .to_pandas().sort_values("b"))
+    counts = combine_agg(rows, ["b"],
+                         lambda t: add_bucket(t).select(["b"]),
+                         [("b", "count")], _named("b", "n")).to_pandas()
     per_bucket = np.zeros(nb, dtype=np.int64)
     per_bucket[counts["b"].to_numpy()] = counts["n"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(per_bucket)[:-1]))
     total = int(per_bucket.sum())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        c = t["cents"].to_numpy(zero_copy_only=False)
-        return t.append_column("b", pa.array(bucket_of(c)))
 
     empty = pa.table({"rnk": pa.array([], type=pa.int64()),
                       "o_orderkey": pa.array([], type=pa.int64()),
@@ -4033,36 +3603,10 @@ def nearest_centroid_confusion(sf_dir: str) -> "ray.data.Dataset":
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
 
-    cent_empty = pa.table({"label": pa.array([], type=pa.int64()),
-                           "dim": pa.array([], type=pa.int64()),
-                           "n_vecs": pa.array([], type=pa.int64()),
-                           "s": pa.array([], type=pa.int64())})
-
-    def cent_partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return cent_empty
-        mat = list_to_matrix(t["embedding"], dtype=np.float64)
-        units = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
-        lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ul, inv = np.unique(lab, return_inverse=True)
-        d = units.shape[1]
-        sums = np.zeros((ul.shape[0], d), dtype=np.int64)
-        np.add.at(sums, inv, units)
-        cnt = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "label": pa.array(np.repeat(ul, d)),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64),
-                                    ul.shape[0])),
-            "n_vecs": pa.array(np.repeat(cnt, d)),
-            "s": pa.array(sums.ravel()),
-        })
-
-    cent_tbl = (ds.map_batches(cent_partials, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby(["label", "dim"])
-                .aggregate(Sum("n_vecs", alias_name="n"),
-                           Sum("s", alias_name="s"))
-                .to_pandas())
+    cent_tbl = combine_agg(ds, ["label", "dim"],
+                           lambda t: _label_dim_units(t, 1000.0),
+                           [("units", "count"), ("units", "sum")],
+                           _named("label", "dim", "n", "s")).to_pandas()
     labels = np.sort(cent_tbl["label"].unique()).astype(np.int64)
     n_dim = int(cent_tbl["dim"].max()) + 1
     lpos = {int(l): i for i, l in enumerate(labels)}
@@ -4077,49 +3621,27 @@ def nearest_centroid_confusion(sf_dir: str) -> "ray.data.Dataset":
                           + 0.5).astype(np.int64)
     cent_ref = ray.put((labels, cent_milli))
 
-    out_empty = pa.table({"label": pa.array([], type=pa.int64()),
-                          "pred": pa.array([], type=pa.int64()),
-                          "n": pa.array([], type=pa.int64()),
-                          "sum_d2": pa.array([], type=pa.int64())})
-
     def assign(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return out_empty
+            return pa.table({"label": pa.array([], type=pa.int64()),
+                             "pred": pa.array([], type=pa.int64()),
+                             "d2": pa.array([], type=pa.int64())})
         labs, cm = ray.get(cent_ref)
         mat = list_to_matrix(t["embedding"], dtype=np.float64)
         x = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
         diff = x[:, None, :] - cm[None, :, :]
         d2 = np.einsum("nld,nld->nl", diff, diff)
         best = np.argmin(d2, axis=1)  # first minimum = smallest label
-        pred = labs[best]
-        bd2 = d2[np.arange(d2.shape[0]), best]
-        true = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nl = np.int64(labs.max() + 1)
-        comp = true * nl + pred
-        u, inv = np.unique(comp, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        sd = np.zeros(u.shape[0], np.int64)
-        np.add.at(sd, inv, bd2)
-        return pa.table({"label": pa.array(u // nl),
-                         "pred": pa.array(u % nl),
-                         "n": pa.array(n), "sum_d2": pa.array(sd)})
-
-    agg = (ds.map_batches(assign, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["label", "pred"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sum_d2", alias_name="sum_d2")))
-
-    def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
-            "label": pc.cast(t["label"], pa.int64()),
-            "pred": pc.cast(t["pred"], pa.int64()),
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_d2": pc.cast(t["sum_d2"], pa.int64()),
-        })
+            "label": pa.array(
+                t["label"].to_numpy(zero_copy_only=False).astype(np.int64)),
+            "pred": pa.array(labs[best]),
+            "d2": pa.array(d2[np.arange(d2.shape[0]), best])})
 
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort(["label", "pred"]))
+    return combine_agg(ds, ["label", "pred"], assign,
+                       [("d2", "count"), ("d2", "sum")],
+                       _named("label", "pred", "n", "sum_d2")
+                       ).sort(["label", "pred"])
 
 
 NEAREST_CENTROID_SQL = """
@@ -4331,8 +3853,7 @@ def incremental_dedup_stats(sf_dir: str, hash_tier: str = "fp64",
      .write_parquet(root, partition_cols=["bucket"]))
 
     out_empty = pa.table({"lang": pa.array([], type=pa.string()),
-                          "n_incoming": pa.array([], type=pa.int64()),
-                          "n_dup": pa.array([], type=pa.int64())})
+                          "dup": pa.array([], type=pa.int64())})
 
     class IndexProbe:
         """Actor: membership probe against per-bucket index files,
@@ -4370,30 +3891,20 @@ def incremental_dedup_stats(sf_dir: str, hash_tier: str = "fp64",
                     pos = np.searchsorted(hist, key[m])
                     pos[pos == hist.shape[0]] = 0
                     dup[m] = hist[pos] == key[m]
-            lang = np.asarray(t["lang"].to_pylist(), dtype=np.str_)
-            ul, inv = np.unique(lang, return_inverse=True)
-            n = np.bincount(inv).astype(np.int64)
-            nd = np.zeros(ul.shape[0], np.int64)
-            np.add.at(nd, inv, dup.astype(np.int64))
-            return pa.table({
-                "lang": pa.array(ul.tolist(), type=pa.string()),
-                "n_incoming": pa.array(n), "n_dup": pa.array(nd),
-            })
-
-    agg = (docs.map_batches(IndexProbe, batch_format="pyarrow",
-                            zero_copy_batch=True, concurrency=2)
-           .groupby("lang")
-           .aggregate(Sum("n_incoming", alias_name="n_incoming"),
-                      Sum("n_dup", alias_name="n_dup")))
+            return pa.table({"lang": t["lang"],
+                             "dup": pa.array(dup.astype(np.int64))})
 
     def finalize(t: pa.Table) -> pa.Table:
-        n = pc.cast(t["n_incoming"], pa.int64())
-        d = pc.cast(t["n_dup"], pa.int64())
+        n, d = t["dup_count"], t["dup_sum"]
         return pa.table({"lang": t["lang"], "n_incoming": n,
                          "n_dup": d,
                          "n_admitted": pc.subtract(n, d)})
 
-    return agg.map_batches(finalize, batch_format="pyarrow").sort("lang")
+    return combine_agg(docs.map_batches(IndexProbe, batch_format="pyarrow",
+                                        zero_copy_batch=True, concurrency=2),
+                       ["lang"], lambda t: t,
+                       [("dup", "count"), ("dup", "sum")],
+                       finalize).sort("lang")
 
 
 INCREMENTAL_DEDUP_SQL = """
@@ -4446,33 +3957,10 @@ def compact_small_files_stats(sf_dir: str, n_fragments: int = 64,
     frag.repartition(n_compacted).write_parquet(f"{root}/compacted")
 
     comp = ray.data.read_parquet(f"{root}/compacted")
-
-    def partial(t: pa.Table) -> pa.Table:
-        et = np.asarray(t["event_type"].to_pylist(), dtype=np.str_)
-        v = t["val_c"].to_numpy(zero_copy_only=False)
-        ue, inv = np.unique(et, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(ue.shape[0], np.int64)
-        np.add.at(s, inv, v)
-        return pa.table({"event_type": pa.array(ue.tolist(),
-                                                type=pa.string()),
-                         "n": pa.array(n), "s": pa.array(s)})
-
-    agg = (comp.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n_events"),
-                      Sum("s", alias_name="sum_value_cents")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": t["event_type"],
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "sum_value_cents": pc.cast(t["sum_value_cents"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize,
-                           batch_format="pyarrow").sort("event_type")
+    return combine_agg(comp, ["event_type"], lambda t: t,
+                       [("val_c", "count"), ("val_c", "sum")],
+                       _named("event_type", "n_events", "sum_value_cents")
+                       ).sort("event_type")
 
 
 COMPACTION_SQL = """
@@ -4496,25 +3984,14 @@ def zscore_outlier_counts(sf_dir: str, k_sigma: int = 3) -> "ray.data.Dataset":
     division, no float crosses an engine boundary."""
     ev = _read(sf_dir, "events", ["event_type", "value"])
 
-    def mom_partial(t: pa.Table) -> pa.Table:
-        c = _int_units(t["value"], 100).to_numpy(zero_copy_only=False)
-        et = np.asarray(t["event_type"].to_pylist(), dtype=np.str_)
-        ue, inv = np.unique(et, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(ue.shape[0], np.int64)
-        np.add.at(s, inv, c)
-        q = np.zeros(ue.shape[0], np.int64)
-        np.add.at(q, inv, c * c)
-        return pa.table({"event_type": pa.array(ue.tolist(),
-                                                type=pa.string()),
-                         "n": pa.array(n), "s": pa.array(s),
-                         "q": pa.array(q)})
+    def moments(t: pa.Table) -> pa.Table:
+        c = _int_units(t["value"], 100)
+        return pa.table({"event_type": t["event_type"], "c": c,
+                         "c2": pc.multiply(c, c)})
 
-    mom = (ev.map_batches(mom_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-                      Sum("q", alias_name="q")).to_pandas())
+    mom = combine_agg(ev, ["event_type"], moments,
+                      [("c", "count"), ("c", "sum"), ("c2", "sum")],
+                      _named("event_type", "n", "s", "q")).to_pandas()
     stats = {r.event_type: (int(r.n), int(r.s), int(r.q))
              for r in mom.itertuples()}
     stats_ref = ray.put(stats)
@@ -4530,30 +4007,13 @@ def zscore_outlier_counts(sf_dir: str, k_sigma: int = 3) -> "ray.data.Dataset":
         q_arr = np.array([st[e][2] for e in ue], dtype=np.int64)[inv]
         lhs = (c * n_arr - s_arr) ** 2
         rhs = kk * (n_arr * q_arr - s_arr * s_arr)
-        out = lhs > rhs
-        cnt = np.bincount(inv, minlength=ue.shape[0]).astype(np.int64)
-        no = np.zeros(ue.shape[0], np.int64)
-        np.add.at(no, inv, out.astype(np.int64))
-        return pa.table({"event_type": pa.array(ue.tolist(),
-                                                type=pa.string()),
-                         "n_events": pa.array(cnt),
-                         "n_outliers": pa.array(no)})
+        return pa.table({"event_type": t["event_type"],
+                         "out": (lhs > rhs).astype(np.int64)})
 
-    agg = (ev.map_batches(flag_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("n_outliers", alias_name="n_outliers")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": t["event_type"],
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "n_outliers": pc.cast(t["n_outliers"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize,
-                           batch_format="pyarrow").sort("event_type")
+    return combine_agg(ev, ["event_type"], flag_partial,
+                       [("out", "count"), ("out", "sum")],
+                       _named("event_type", "n_events", "n_outliers")
+                       ).sort("event_type")
 
 
 ZSCORE_OUTLIER_SQL = """
@@ -4600,36 +4060,23 @@ def value_histogram_by_type(sf_dir: str,
     lo, hi = int(mm["min(c)"]), int(mm["max(c)"])
     width = max(1, (hi - lo + n_bins) // n_bins)
 
-    def hist_partial(t: pa.Table) -> pa.Table:
+    def binned(t: pa.Table) -> pa.Table:
         c = t["c"].to_numpy(zero_copy_only=False)
-        b = np.minimum((c - lo) // width, n_bins - 1)
-        et = np.asarray(t["event_type"].to_pylist(), dtype=np.str_)
-        ue, inv = np.unique(et, return_inverse=True)
-        comp = inv * np.int64(n_bins) + b
-        u, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "event_type": pa.array(ue[u // n_bins].tolist(),
-                                   type=pa.string()),
-            "bin": pa.array((u % n_bins).astype(np.int64)),
-            "n": pa.array(cnt.astype(np.int64)),
-        })
-
-    agg = (rows.map_batches(hist_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby(["event_type", "bin"])
-           .aggregate(Sum("n", alias_name="n")))
+        return pa.table({"event_type": t["event_type"],
+                         "bin": np.minimum((c - lo) // width, n_bins - 1)})
 
     def finalize(t: pa.Table) -> pa.Table:
-        b = pc.cast(t["bin"], pa.int64()).to_numpy(zero_copy_only=False)
+        b = t["bin"].to_numpy(zero_copy_only=False)
         return pa.table({
             "event_type": t["event_type"],
-            "bin": pa.array(b),
+            "bin": t["bin"],
             "bin_lo_cents": pa.array(lo + b * width),
-            "n": pc.cast(t["n"], pa.int64()),
+            "n": t["bin_count"],
         })
 
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort(["event_type", "bin"]))
+    return combine_agg(rows, ["event_type", "bin"], binned,
+                       [("bin", "count")], finalize
+                       ).sort(["event_type", "bin"])
 
 
 VALUE_HISTOGRAM_SQL = """
@@ -4702,29 +4149,10 @@ def salted_join_rollup(sf_dir: str, n_salts: int = 4) -> "ray.data.Dataset":
     joined = fact.join(dim, join_type="inner", num_partitions=8,
                        on=("k", "salt"))
 
-    def rollup(t: pa.Table) -> pa.Table:
-        nat = t["nat"].to_numpy(zero_copy_only=False)
-        v = t["val_c"].to_numpy(zero_copy_only=False)
-        un, inv = np.unique(nat, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(un.shape[0], np.int64)
-        np.add.at(s, inv, v)
-        return pa.table({"nation": pa.array(un), "n": pa.array(n),
-                         "s": pa.array(s)})
-
-    agg = (joined.map_batches(rollup, batch_format="pyarrow")
-           .groupby("nation")
-           .aggregate(Sum("n", alias_name="n_events"),
-                      Sum("s", alias_name="sum_value_cents")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "nation": pc.cast(t["nation"], pa.int64()),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "sum_value_cents": pc.cast(t["sum_value_cents"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow").sort("nation")
+    return combine_agg(joined, ["nat"], lambda t: t,
+                       [("val_c", "count"), ("val_c", "sum")],
+                       _named("nation", "n_events", "sum_value_cents")
+                       ).sort("nation")
 
 
 SALTED_JOIN_SQL = """
@@ -4752,32 +4180,8 @@ def lang_source_chi2(sf_dir: str) -> "ray.data.Dataset":
     one partition (contingency tables are tiny by construction)."""
     from ..stages.partition import partition_by
     ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    pair_empty = pa.table({"lang": pa.array([], type=pa.string()),
-                           "source": pa.array([], type=pa.string()),
-                           "n": pa.array([], type=pa.int64())})
-
-    def cell_counts(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pair_empty
-        lang = np.asarray(t["lang"].to_pylist(), dtype=np.str_)
-        src = np.asarray(t["source"].to_pylist(), dtype=np.str_)
-        ul, li = np.unique(lang, return_inverse=True)
-        us, si = np.unique(src, return_inverse=True)
-        comp = li * np.int64(us.shape[0]) + si
-        u, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "lang": pa.array(ul[u // us.shape[0]].tolist(),
-                             type=pa.string()),
-            "source": pa.array(us[u % us.shape[0]].tolist(),
-                               type=pa.string()),
-            "n": pa.array(cnt.astype(np.int64)),
-        })
-
-    agg = (ds.map_batches(cell_counts, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["lang", "source"])
-           .aggregate(Sum("n", alias_name="n")))
+    agg = combine_agg(ds, ["lang", "source"], lambda t: t,
+                      [("source", "count")], _named("lang", "source", "n"))
 
     out_empty = pa.table({"lang": pa.array([], type=pa.string()),
                           "source": pa.array([], type=pa.string()),
@@ -4960,24 +4364,8 @@ def unigram_logprob_stats(sf_dir: str) -> "ray.data.Dataset":
     from ..stages.partition import partition_by
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
-    cnt_empty = pa.table({"tok": pa.array([], type=pa.string()),
-                          "n": pa.array([], type=pa.int64())})
-
-    def tok_counts(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return cnt_empty
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        dic = flat.dictionary_encode()
-        code = dic.indices.to_numpy(zero_copy_only=False)
-        cnt = np.bincount(code, minlength=len(dic.dictionary))
-        return pa.table({"tok": dic.dictionary,
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    counts = (ds.map_batches(tok_counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby("tok").aggregate(Sum("n", alias_name="n"))
-              .to_pandas())
+    counts = combine_agg(ds, ["tok"], _tokens, [("tok", "count")],
+                         _named("tok", "n")).to_pandas()
     vocab = np.asarray(counts["tok"], dtype=np.str_)
     vn = counts["n"].to_numpy().astype(np.int64)
     order = np.argsort(vocab)
@@ -4988,14 +4376,7 @@ def unigram_logprob_stats(sf_dir: str) -> "ray.data.Dataset":
                        * 1e6).astype(np.int64)
     lut_ref = ray.put((vocab, contrib))
 
-    out_empty = pa.table({"lang": pa.array([], type=pa.string()),
-                          "n_docs": pa.array([], type=pa.int64()),
-                          "sum_lp": pa.array([], type=pa.int64()),
-                          "min_lp": pa.array([], type=pa.int64())})
-
     def doc_scores(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_empty
         vv, cc = ray.get(lut_ref)
         toks = pc.split_pattern(t["text"], pattern=" ")
         flat = np.asarray(pc.list_flatten(toks).combine_chunks()
@@ -5007,36 +4388,12 @@ def unigram_logprob_stats(sf_dir: str) -> "ray.data.Dataset":
         did = np.repeat(np.arange(t.num_rows), nper)
         lp = np.zeros(t.num_rows, np.int64)
         np.add.at(lp, did, per_tok)
-        lang = np.asarray(t["lang"].to_pylist(), dtype=np.str_)
-        ul, inv = np.unique(lang, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(ul.shape[0], np.int64)
-        np.add.at(s, inv, lp)
-        mn = np.full(ul.shape[0], np.iinfo(np.int64).max)
-        np.minimum.at(mn, inv, lp)
-        return pa.table({"lang": pa.array(ul.tolist(), type=pa.string()),
-                         "n_docs": pa.array(n), "sum_lp": pa.array(s),
-                         "min_lp": pa.array(mn)})
+        return pa.table({"lang": t["lang"], "lp": lp})
 
-    from ray.data.aggregate import Min as _Min
-    agg = (ds.map_batches(doc_scores, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("sum_lp", alias_name="sum_logprob_micro"),
-                      _Min("min_lp", alias_name="min_doc_logprob_micro")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": t["lang"],
-            "n_docs": pc.cast(t["n_docs"], pa.int64()),
-            "sum_logprob_micro": pc.cast(t["sum_logprob_micro"],
-                                         pa.int64()),
-            "min_doc_logprob_micro": pc.cast(
-                t["min_doc_logprob_micro"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow").sort("lang")
+    return combine_agg(ds, ["lang"], doc_scores,
+                       [("lp", "count"), ("lp", "sum"), ("lp", "min")],
+                       _named("lang", "n_docs", "sum_logprob_micro",
+                              "min_doc_logprob_micro")).sort("lang")
 
 
 UNIGRAM_LOGPROB_SQL = """
@@ -5082,37 +4439,13 @@ def grouped_regression_trend(sf_dir: str) -> "ray.data.Dataset":
             "datetime64[us]").astype(np.int64)
         x = (ts // 3_600_000_000) % 24          # hour of day
         y = _int_units(t["value"], 100).to_numpy(zero_copy_only=False)
-        et = np.asarray(t["event_type"].to_pylist(), dtype=np.str_)
-        ue, inv = np.unique(et, return_inverse=True)
-        k = ue.shape[0]
-        n = np.bincount(inv, minlength=k).astype(np.int64)
-        sx = np.zeros(k, np.int64); np.add.at(sx, inv, x)
-        sy = np.zeros(k, np.int64); np.add.at(sy, inv, y)
-        sxy = np.zeros(k, np.int64); np.add.at(sxy, inv, x * y)
-        sxx = np.zeros(k, np.int64); np.add.at(sxx, inv, x * x)
-        return pa.table({"event_type": pa.array(ue.tolist(),
-                                                type=pa.string()),
-                         "n": pa.array(n), "sx": pa.array(sx),
-                         "sy": pa.array(sy), "sxy": pa.array(sxy),
-                         "sxx": pa.array(sxx)})
-
-    agg = (ev.map_batches(mom, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sx", alias_name="sx"),
-                      Sum("sy", alias_name="sy"),
-                      Sum("sxy", alias_name="sxy"),
-                      Sum("sxx", alias_name="sxx")))
+        return pa.table({"event_type": t["event_type"], "x": x, "y": y,
+                         "xy": x * y, "xx": x * x})
 
     def finalize(t: pa.Table) -> pa.Table:
-        n = pc.cast(t["n"], pa.int64()).to_numpy(zero_copy_only=False)
-        sx = pc.cast(t["sx"], pa.int64()).to_numpy(zero_copy_only=False)
-        sy = pc.cast(t["sy"], pa.int64()).to_numpy(zero_copy_only=False)
-        sxy = pc.cast(t["sxy"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        sxx = pc.cast(t["sxx"], pa.int64()).to_numpy(
-            zero_copy_only=False)
+        n, sx, sy, sxy, sxx = (
+            t[c].to_numpy(zero_copy_only=False)
+            for c in ("x_count", "x_sum", "y_sum", "xy_sum", "xx_sum"))
         return pa.table({
             "event_type": t["event_type"],
             "n": pa.array(n),
@@ -5120,8 +4453,10 @@ def grouped_regression_trend(sf_dir: str) -> "ray.data.Dataset":
             "slope_den": pa.array(n * sxx - sx * sx),
         })
 
-    return agg.map_batches(finalize,
-                           batch_format="pyarrow").sort("event_type")
+    return combine_agg(ev, ["event_type"], mom,
+                       [("x", "count"), ("x", "sum"), ("y", "sum"),
+                        ("xy", "sum"), ("xx", "sum")],
+                       finalize).sort("event_type")
 
 
 GROUPED_REGRESSION_SQL = """
@@ -5210,8 +4545,7 @@ def lineitem_unpivot_stats(sf_dir: str) -> "ray.data.Dataset":
     (measure, value) form and aggregate per (measure, returnflag) -- the
     schema-normalization step feeding metric stores and drift monitors,
     as an in-batch reshape + combiner (no exploded table ever hits the
-    exchange: each block folds straight to its <= 4 x |flags| partial
-    rows).
+    exchange: each block folds to its <= 4 x |flags| partial rows).
 
     Integer cents keep the float sums merge-order-exact (TPC-H measures
     are 2-decimal); the shuffle moves O(measures x flags x blocks) tiny
@@ -5219,51 +4553,17 @@ def lineitem_unpivot_stats(sf_dir: str) -> "ray.data.Dataset":
     measures = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
     ds = _read(sf_dir, "lineitem", ["l_returnflag"] + measures)
 
-    empty = pa.table({"measure": pa.array([], type=pa.string()),
-                      "l_returnflag": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64()),
-                      "sum_cents": pa.array([], type=pa.int64())})
-
-    def partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        flag = t["l_returnflag"].to_numpy(zero_copy_only=False)
-        uf, finv = np.unique(flag, return_inverse=True)
-        nper = np.bincount(finv, minlength=uf.size).astype(np.int64)
-        out_m, out_f, out_n, out_s = [], [], [], []
-        for m in measures:
-            v = t[m].to_numpy(zero_copy_only=False)
-            cents = np.floor(v * 100 + 0.5).astype(np.int64)
-            sums_i = np.zeros(uf.size, dtype=np.int64)
-            np.add.at(sums_i, finv, cents)
-            out_m.extend([m] * uf.size)
-            out_f.extend(uf.tolist())
-            out_n.extend(nper.tolist())
-            out_s.extend(sums_i.tolist())
-        return pa.table({
-            "measure": pa.array(out_m, type=pa.string()),
-            "l_returnflag": pa.array(out_f, type=pa.string()),
-            "n": pa.array(out_n, type=pa.int64()),
-            "sum_cents": pa.array(out_s, type=pa.int64()),
-        })
-
-    agg = (ds.map_batches(partials, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["measure", "l_returnflag"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sum_cents", alias_name="sum_cents")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        return pa.table({
-            "measure": t["measure"],
+    def melt(t: pa.Table) -> pa.Table:
+        return pa.concat_tables([pa.table({
+            "measure": pa.repeat(pa.scalar(m), t.num_rows),
             "l_returnflag": t["l_returnflag"],
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_cents": pc.cast(t["sum_cents"], pa.int64()),
-        })
+            "cents": np.floor(t[m].to_numpy(zero_copy_only=False) * 100
+                              + 0.5).astype(np.int64),
+        }) for m in measures])
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["measure", "l_returnflag"], melt,
+                       [("cents", "count"), ("cents", "sum")],
+                       _named("measure", "l_returnflag", "n", "sum_cents"))
 
 
 LINEITEM_UNPIVOT_SQL = """
@@ -5299,52 +4599,17 @@ def split_assign_stats(sf_dir: str) -> "ray.data.Dataset":
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     names = np.array(["train", "val", "test"])
 
-    empty = pa.table({"split": pa.array([], type=pa.string()),
-                      "lang": pa.array([], type=pa.string()),
-                      "n_docs": pa.array([], type=pa.int64()),
-                      "sum_chars": pa.array([], type=pa.int64())})
-
-    def partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def assign(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         pct = (murmur64(ids) % np.uint64(100)).astype(np.int64)
         split = np.where(pct < 90, 0, np.where(pct < 95, 1, 2))
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        ul, linv = np.unique(lang, return_inverse=True)
-        comp = split * np.int64(ul.size) + linv
-        nchars = t["n_chars"].to_numpy(zero_copy_only=False)
-        width = 3 * ul.size
-        n = np.bincount(comp, minlength=width).astype(np.int64)
-        s = np.zeros(width, dtype=np.int64)
-        np.add.at(s, comp, nchars)
-        nz = n > 0
-        idx = np.flatnonzero(nz)
-        return pa.table({
-            "split": pa.array(names[idx // ul.size].tolist(),
-                              type=pa.string()),
-            "lang": pa.array(ul[idx % ul.size].tolist(), type=pa.string()),
-            "n_docs": pa.array(n[nz]),
-            "sum_chars": pa.array(s[nz]),
-        })
+        return pa.table({"split": pa.array(names[split], type=pa.string()),
+                         "lang": t["lang"],
+                         "n_chars": pc.cast(t["n_chars"], pa.int64())})
 
-    agg = (ds.map_batches(partials, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["split", "lang"])
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("sum_chars", alias_name="sum_chars")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        return pa.table({
-            "split": t["split"],
-            "lang": t["lang"],
-            "n_docs": pc.cast(t["n_docs"], pa.int64()),
-            "sum_chars": pc.cast(t["sum_chars"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["split", "lang"], assign,
+                       [("n_chars", "count"), ("n_chars", "sum")],
+                       _named("split", "lang", "n_docs", "sum_chars"))
 
 
 SPLIT_ASSIGN_SQL = """
@@ -5373,8 +4638,7 @@ def equi_depth_buckets(sf_dir: str, k: int = 8) -> pa.Table:
     Scale shape: boundary pass is the engine's histogram-bisection
     exact_quantiles (tiny mergeable histograms through the tree
     reduce); the count pass broadcasts k-1 scalars and folds each block
-    to k partial counts."""
-    import ray.data
+    to <= k partial counts."""
     from .quantiles import exact_quantiles
     ds = _read(sf_dir, "lineitem", ["l_extendedprice"])
     qs = [(i + 1) / k for i in range(k)]
@@ -5382,24 +4646,19 @@ def equi_depth_buckets(sf_dir: str, k: int = 8) -> pa.Table:
     bounds = np.asarray(bt["value"].to_pylist(), dtype=np.float64)
     inner = bounds[:-1]  # bucket i (0-based) <=> value <= bounds[i]
 
-    def counts(t: pa.Table) -> pa.Table:
+    def bucket(t: pa.Table) -> pa.Table:
         v = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         # bucket = number of inner boundaries strictly below v
-        b = np.searchsorted(inner, v, side="left")
-        n = np.bincount(b, minlength=k).astype(np.int64)
-        return pa.table({"bucket": pa.array(np.arange(k, dtype=np.int64)),
-                         "n": pa.array(n)})
+        return pa.table({"bucket": np.searchsorted(inner, v, side="left")})
 
-    agg = (ds.map_batches(counts, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("bucket").aggregate(Sum("n", alias_name="n")))
-    out = agg.take_all()  # k rows
-    out.sort(key=lambda r: r["bucket"])
+    out = combine_agg(ds, ["bucket"], bucket, [("bucket", "count")],
+                      _named("bucket", "n")).to_pandas()  # <= k rows
+    n = np.zeros(k, dtype=np.int64)
+    n[out["bucket"].to_numpy()] = out["n"].to_numpy()
     return pa.table({
-        "bucket": pa.array([int(r["bucket"]) + 1 for r in out],
-                           type=pa.int64()),
-        "hi": pa.array([float(b) for b in bounds], type=pa.float64()),
-        "n": pa.array([int(r["n"]) for r in out], type=pa.int64()),
+        "bucket": pa.array(np.arange(1, k + 1, dtype=np.int64)),
+        "hi": pa.array(bounds, type=pa.float64()),
+        "n": pa.array(n),
     })
 
 
@@ -5507,8 +4766,9 @@ def source_vocab_overlap(sf_dir: str) -> pa.Table:
                            zero_copy_batch=True)
     per_part = partition_by(masks, ["fp"], fit_partitions(32),
                             pair_kernel, empty_pairs)
-    agg = (per_part.groupby(["source_a", "source_b"])
-           .aggregate(Sum("n_common", alias_name="n_common")))
+    agg = combine_agg(per_part, ["source_a", "source_b"], lambda t: t,
+                      [("n_common", "sum")],
+                      _named("source_a", "source_b", "n_common"))
     rows = agg.take_all()  # <= sources^2 rows
     totals = {r["source_a"]: int(r["n_common"]) for r in rows
               if r["source_a"] == r["source_b"]}
@@ -5644,9 +4904,9 @@ def pq_encode_stats(sf_dir: str, m: int = 4, k: int = 16) -> "ray.data.Dataset":
     Scale shape: pass 1 is a block-local top-k prereduce on the 16-byte
     (hash, vec_id) key carrying the seed vectors (O(k x blocks) rows
     leave the cluster, k*d ints broadcast back via ray.put); pass 2
-    streams, one (n, k, d/m) einsum per subspace per batch, folded to
-    per-(subspace, code) integer partials so the exchange is O(m x k)
-    rows per block.  Vectors are quantized to milli-units exactly like
+    streams, one (n, k, d/m) einsum per subspace per batch, and the
+    combiner folds the assignments to per-(subspace, code) integer
+    partials so the exchange is O(m x k) rows per block.  Vectors are quantized to milli-units exactly like
     nearest_centroid_confusion, so distances and the argmin are
     hash-replicable in SQL.
     """
@@ -5684,55 +4944,31 @@ def pq_encode_stats(sf_dir: str, m: int = 4, k: int = 16) -> "ray.data.Dataset":
     sub_d = d // m
     cb_ref = ray.put(cb.reshape(k, m, sub_d))
 
-    empty = pa.table({"sub": pa.array([], type=pa.int64()),
-                      "code": pa.array([], type=pa.int64()),
-                      "n_assigned": pa.array([], type=pa.int64()),
-                      "sum_d2": pa.array([], type=pa.int64())})
-
     def encode(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return empty
+            return pa.table({"sub": pa.array([], type=pa.int64()),
+                             "code": pa.array([], type=pa.int64()),
+                             "d2": pa.array([], type=pa.int64())})
         cbm = ray.get(cb_ref)  # (k, m, sub_d)
         mat = list_to_matrix(t["embedding"], dtype=np.float64)
         x = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
         x = x.reshape(x.shape[0], m, sub_d)
-        subs, codes, ns, sds = [], [], [], []
+        subs, codes, sds = [], [], []
         for s in range(m):
             diff = x[:, None, s, :] - cbm[None, :, s, :]
             d2 = np.einsum("nkd,nkd->nk", diff, diff)
             best = np.argmin(d2, axis=1)  # first min = smallest code
-            bd2 = d2[np.arange(d2.shape[0]), best]
-            cnt = np.bincount(best, minlength=k).astype(np.int64)
-            sd = np.zeros(k, dtype=np.int64)
-            np.add.at(sd, best, bd2)
-            live = cnt > 0
-            subs.append(np.full(int(live.sum()), s, dtype=np.int64))
-            codes.append(np.nonzero(live)[0].astype(np.int64))
-            ns.append(cnt[live])
-            sds.append(sd[live])
-        return pa.table({
-            "sub": pa.array(np.concatenate(subs)),
-            "code": pa.array(np.concatenate(codes)),
-            "n_assigned": pa.array(np.concatenate(ns)),
-            "sum_d2": pa.array(np.concatenate(sds)),
-        })
+            subs.append(np.full(best.shape[0], s, dtype=np.int64))
+            codes.append(best.astype(np.int64))
+            sds.append(d2[np.arange(d2.shape[0]), best])
+        return pa.table({"sub": np.concatenate(subs),
+                         "code": np.concatenate(codes),
+                         "d2": np.concatenate(sds)})
 
-    agg = (ds.map_batches(encode, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["sub", "code"])
-           .aggregate(Sum("n_assigned", alias_name="n_assigned"),
-                      Sum("sum_d2", alias_name="sum_d2")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "sub": pc.cast(t["sub"], pa.int64()),
-            "code": pc.cast(t["code"], pa.int64()),
-            "n_assigned": pc.cast(t["n_assigned"], pa.int64()),
-            "sum_d2": pc.cast(t["sum_d2"], pa.int64()),
-        })
-
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort(["sub", "code"]))
+    return combine_agg(ds, ["sub", "code"], encode,
+                       [("d2", "count"), ("d2", "sum")],
+                       _named("sub", "code", "n_assigned", "sum_d2")
+                       ).sort(["sub", "code"])
 
 
 PQ_ENCODE_SQL = """
@@ -5911,44 +5147,39 @@ def kmeans_iter_stats(sf_dir: str, k: int = 8) -> pa.Table:
     d = cents0.shape[1]
 
     def assign_pass(cent_ref):
-        empty = pa.table({
-            "cluster": pa.array([], type=pa.int64()),
-            "n": pa.array([], type=pa.int64()),
-            "inertia": pa.array([], type=pa.int64()),
-            **{f"s{j}": pa.array([], type=pa.int64()) for j in range(d)}})
-
         def assign(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:
-                return empty
+                return pa.table({
+                    "cluster": pa.array([], type=pa.int64()),
+                    "inertia": pa.array([], type=pa.int64()),
+                    **{f"s{j}": pa.array([], type=pa.int64())
+                       for j in range(d)}})
             cm = ray.get(cent_ref)
             mat = list_to_matrix(t["embedding"], dtype=np.float64)
             x = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
             diff = x[:, None, :] - cm[None, :, :]
             d2 = np.einsum("nkd,nkd->nk", diff, diff)
             best = np.argmin(d2, axis=1)
-            bd2 = d2[np.arange(d2.shape[0]), best]
-            n = np.bincount(best, minlength=k).astype(np.int64)
-            inertia = np.zeros(k, dtype=np.int64)
-            np.add.at(inertia, best, bd2)
-            sums = np.zeros((k, d), dtype=np.int64)
-            np.add.at(sums, best, x)
-            cols = {"cluster": pa.array(np.arange(k, dtype=np.int64)),
-                    "n": pa.array(n), "inertia": pa.array(inertia)}
-            for j in range(d):
-                cols[f"s{j}"] = pa.array(sums[:, j])
-            return pa.table(cols)
+            return pa.table({
+                "cluster": best.astype(np.int64),
+                "inertia": d2[np.arange(d2.shape[0]), best],
+                **{f"s{j}": x[:, j] for j in range(d)}})
 
-        aggs = [Sum("n", alias_name="n"),
-                Sum("inertia", alias_name="inertia")]
-        aggs += [Sum(f"s{j}", alias_name=f"s{j}") for j in range(d)]
-        res = (ds.map_batches(assign, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("cluster").aggregate(*aggs).to_pandas()
-               .sort_values("cluster").reset_index(drop=True))
-        n = res["n"].to_numpy().astype(np.int64)
-        inertia = res["inertia"].to_numpy().astype(np.int64)
-        sums = np.stack([res[f"s{j}"].to_numpy().astype(np.int64)
-                         for j in range(d)], axis=1)
+        res = combine_agg(
+            ds, ["cluster"], assign,
+            [("inertia", "count"), ("inertia", "sum")]
+            + [(f"s{j}", "sum") for j in range(d)],
+            _named("cluster", "n", "inertia",
+                   *(f"s{j}" for j in range(d)))).to_pandas()
+        # a cluster no vector chose has no row: n, inertia and sums 0
+        at = res["cluster"].to_numpy()
+        n = np.zeros(k, dtype=np.int64)
+        inertia = np.zeros(k, dtype=np.int64)
+        sums = np.zeros((k, d), dtype=np.int64)
+        n[at] = res["n"].to_numpy()
+        inertia[at] = res["inertia"].to_numpy()
+        sums[at] = np.stack([res[f"s{j}"].to_numpy() for j in range(d)],
+                            axis=1)
         return n, inertia, sums
 
     ref0 = ray.put(cents0)
@@ -6048,29 +5279,15 @@ def loo_target_encoding(sf_dir: str, max_event_id: int = 500) -> "ray.data.Datas
 
     full = _read(sf_dir, "events", ["event_type", "value"])
 
-    cat_empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                          "s": pa.array([], type=pa.int64()),
-                          "n": pa.array([], type=pa.int64())})
+    def micro_units(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "event_type": t["event_type"],
+            "u": np.floor(t["value"].to_numpy(zero_copy_only=False)
+                          * 1e6 + 0.5).astype(np.int64)})
 
-    def cat_partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return cat_empty
-        units = np.floor(t["value"].to_numpy(zero_copy_only=False)
-                         * 1e6 + 0.5).astype(np.int64)
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        s = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(s, inv, units)
-        n = np.bincount(inv).astype(np.int64)
-        return pa.table({"event_type": pa.array(ut.tolist(),
-                                                type=pa.string()),
-                         "s": pa.array(s), "n": pa.array(n)})
-
-    cats = (full.map_batches(cat_partials, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .groupby("event_type")
-            .aggregate(Sum("s", alias_name="s"), Sum("n", alias_name="n"))
-            .to_pandas())
+    cats = combine_agg(full, ["event_type"], micro_units,
+                       [("u", "sum"), ("u", "count")],
+                       _named("event_type", "s", "n")).to_pandas()
     lut = {r.event_type: (int(r.s), int(r.n)) for r in cats.itertuples()}
     lut_ref = ray.put(lut)
 
@@ -6163,13 +5380,10 @@ def knn_vote_confusion(sf_dir: str, k: int = 5,
         columns=["vec_id", "label", "embedding"],
         filter=(pads.field("vec_id") < max_src))
 
-    empty = pa.table({"label": pa.array([], type=pa.int64()),
-                      "pred": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
     def vote(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return empty
+            return pa.table({"label": pa.array([], type=pa.int64()),
+                             "pred": pa.array([], type=pa.int64())})
         cm, cv, cl = ray.get(corpus_ref)
         m = cm.shape[0]
         x = np.floor(list_to_matrix(t["embedding"], dtype=np.float64)
@@ -6188,24 +5402,10 @@ def knn_vote_confusion(sf_dir: str, k: int = 5,
         rows = np.repeat(np.arange(x.shape[0]), k)
         np.add.at(votes, (rows, cl[nn].ravel()), 1)
         pred = np.argmax(votes, axis=1)  # first max = smallest label
-        compkey = true * np.int64(n_lab) + pred
-        u, cnt = np.unique(compkey, return_counts=True)
-        return pa.table({"label": pa.array(u // n_lab, type=pa.int64()),
-                         "pred": pa.array(u % n_lab, type=pa.int64()),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"label": true, "pred": pred.astype(np.int64)})
 
-    agg = (src.map_batches(vote, batch_format="pyarrow",
-                           zero_copy_batch=True)
-           .groupby(["label", "pred"])
-           .aggregate(Sum("n", alias_name="n")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({"label": pc.cast(t["label"], pa.int64()),
-                         "pred": pc.cast(t["pred"], pa.int64()),
-                         "n": pc.cast(t["n"], pa.int64())})
-
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort(["label", "pred"]))
+    return combine_agg(src, ["label", "pred"], vote, [("pred", "count")],
+                       _named("label", "pred", "n")).sort(["label", "pred"])
 
 
 KNN_VOTE_SQL = """
@@ -6381,32 +5581,13 @@ def lang_source_mi(sf_dir: str) -> pa.Table:
     one float expression evaluated identically by numpy and DuckDB, and
     everything distributed is integer.
 
-    Scale shape: per-block composite-unique (lang, source) count
-    partials -- O(langs x sources x blocks) shuffle rows; marginals and
-    the ln finalize fold a langs x sources table on the driver."""
+    Scale shape: per-block (lang, source) count partials -- O(langs x
+    sources x blocks) shuffle rows; marginals and the ln finalize fold a
+    langs x sources table on the driver."""
     ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        src = t["source"].to_numpy(zero_copy_only=False)
-        ul, lc = np.unique(lang, return_inverse=True)
-        us, sc = np.unique(src, return_inverse=True)
-        comp = lc.astype(np.int64) * np.int64(us.shape[0]) + sc
-        uc, inv = np.unique(comp, return_inverse=True)
-        cnt = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "lang": pa.array(ul[uc // us.shape[0]].tolist(),
-                             type=pa.string()),
-            "source": pa.array(us[uc % us.shape[0]].tolist(),
-                               type=pa.string()),
-            "cnt": pa.array(cnt),
-        })
-
-    hist = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["lang", "source"])
-            .aggregate(Sum("cnt", alias_name="cnt"))
-            .to_pandas())
+    hist = combine_agg(ds, ["lang", "source"], lambda t: t,
+                       [("source", "count")],
+                       _named("lang", "source", "cnt")).to_pandas()
     n = np.float64(hist["cnt"].sum())
     row_tot = hist.groupby("lang")["cnt"].transform("sum") \
         .to_numpy(dtype=np.float64)
@@ -6463,37 +5644,20 @@ def rendezvous_shard_stats(sf_dir: str, n_shards: int = 8) -> pa.Table:
     keys = np.array([(s * 2 + 1) * 0x9E3779B9 for s in range(n_shards + 1)],
                     dtype=np.int64)
 
-    empty = pa.table({"shard": pa.array([], type=pa.int64()),
-                      "n_docs": pa.array([], type=pa.int64()),
-                      "n_chars": pa.array([], type=pa.int64()),
-                      "n_moved": pa.array([], type=pa.int64())})
-
     def assign(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
         did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nch = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
         w = np.stack([murmur64(did ^ k) for k in keys], axis=1)
         cur = np.argmax(w[:, :n_shards], axis=1)   # first max = smaller
         nxt = np.argmax(w, axis=1)                  # shard wins ties
-        moved = (nxt == n_shards).astype(np.int64)
-        n = np.bincount(cur, minlength=n_shards).astype(np.int64)
-        ch = np.zeros(n_shards, dtype=np.int64)
-        np.add.at(ch, cur, nch)
-        mv = np.zeros(n_shards, dtype=np.int64)
-        np.add.at(mv, cur, moved)
         return pa.table({
-            "shard": pa.array(np.arange(n_shards, dtype=np.int64)),
-            "n_docs": pa.array(n), "n_chars": pa.array(ch),
-            "n_moved": pa.array(mv),
-        })
+            "shard": cur.astype(np.int64),
+            "n_chars": pc.cast(t["n_chars"], pa.int64()),
+            "moved": (nxt == n_shards).astype(np.int64)})
 
-    agg = (ds.map_batches(assign, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("shard")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("n_chars", alias_name="n_chars"),
-                      Sum("n_moved", alias_name="n_moved"))
+    agg = (combine_agg(ds, ["shard"], assign,
+                       [("n_chars", "count"), ("n_chars", "sum"),
+                        ("moved", "sum")],
+                       _named("shard", "n_docs", "n_chars", "n_moved"))
            .to_pandas().sort_values("shard").reset_index(drop=True))
     return pa.table({
         "shard": pa.array(agg["shard"].astype(np.int64)),
@@ -6691,41 +5855,16 @@ def decayed_type_popularity(sf_dir: str) -> "ray.data.Dataset":
     mx = ds.aggregate(Max("ts", alias_name="mx"))["mx"]
     max_day = int(pa.scalar(mx).cast(pa.int64()).as_py() // int(DAY_US))
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_events": pa.array([], type=pa.int64()),
-                      "decayed_ppm": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def weight(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         age = np.minimum(np.int64(max_day) - us // DAY_US, np.int64(62))
-        w = np.int64(1_000_000) >> age
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        cnt = np.bincount(inv).astype(np.int64)
-        sw = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(sw, inv, w)
-        return pa.table({"event_type": pa.array(ut.tolist(),
-                                                type=pa.string()),
-                         "n_events": pa.array(cnt),
-                         "decayed_ppm": pa.array(sw)})
+        return pa.table({"event_type": t["event_type"],
+                         "w": np.int64(1_000_000) >> age})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("decayed_ppm", alias_name="decayed_ppm")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": t["event_type"],
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "decayed_ppm": pc.cast(t["decayed_ppm"], pa.int64()),
-        })
-
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort("event_type"))
+    return combine_agg(ds, ["event_type"], weight,
+                       [("w", "count"), ("w", "sum")],
+                       _named("event_type", "n_events", "decayed_ppm")
+                       ).sort("event_type")
 
 
 DECAYED_POPULARITY_SQL = """
@@ -6816,46 +5955,17 @@ def schema_evolution_read_stats(sf_dir: str,
                .union(v2.map_batches(norm_v2, batch_format="pyarrow",
                                      zero_copy_batch=True)))
 
-    empty = pa.table({"schema_ver": pa.array([], type=pa.string()),
-                      "n_rows": pa.array([], type=pa.int64()),
-                      "n_with_props": pa.array([], type=pa.int64()),
-                      "sum_value_c": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        sv = t["schema_ver"].to_numpy(zero_copy_only=False)
-        vc = t["value_c"].to_numpy(zero_copy_only=False)
-        has = pc.is_valid(t["props"]).to_numpy(zero_copy_only=False)
-        u, inv = np.unique(sv, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        np_ = np.zeros(u.shape[0], dtype=np.int64)
-        np.add.at(np_, inv, has.astype(np.int64))
-        s = np.zeros(u.shape[0], dtype=np.int64)
-        np.add.at(s, inv, vc)
-        return pa.table({"schema_ver": pa.array(u.tolist(),
-                                                type=pa.string()),
-                         "n_rows": pa.array(n),
-                         "n_with_props": pa.array(np_),
-                         "sum_value_c": pa.array(s)})
-
-    agg = (unified.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-           .groupby("schema_ver")
-           .aggregate(Sum("n_rows", alias_name="n_rows"),
-                      Sum("n_with_props", alias_name="n_with_props"),
-                      Sum("sum_value_c", alias_name="sum_value_c")))
-
-    def finalize(t: pa.Table) -> pa.Table:
+    def flags(t: pa.Table) -> pa.Table:
         return pa.table({
             "schema_ver": t["schema_ver"],
-            "n_rows": pc.cast(t["n_rows"], pa.int64()),
-            "n_with_props": pc.cast(t["n_with_props"], pa.int64()),
-            "sum_value_c": pc.cast(t["sum_value_c"], pa.int64()),
-        })
+            "has": pc.cast(pc.is_valid(t["props"]), pa.int64()),
+            "value_c": t["value_c"]})
 
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort("schema_ver"))
+    return combine_agg(unified, ["schema_ver"], flags,
+                       [("has", "count"), ("has", "sum"),
+                        ("value_c", "sum")],
+                       _named("schema_ver", "n_rows", "n_with_props",
+                              "sum_value_c")).sort("schema_ver")
 
 
 SCHEMA_EVOLUTION_SQL = """
@@ -6907,51 +6017,19 @@ def seasonal_naive_mae(sf_dir: str) -> "ray.data.Dataset":
     feats = ds.map_batches(featurize, batch_format="pyarrow",
                            zero_copy_batch=True)
 
-    train_empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                            "hr": pa.array([], type=pa.int64()),
-                            "s": pa.array([], type=pa.int64()),
-                            "n": pa.array([], type=pa.int64())})
-
-    def train_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.invert(t["is_test"]))
-        if t.num_rows == 0:
-            return train_empty
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        hr = t["hr"].to_numpy(zero_copy_only=False)
-        vc = t["value_c"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        comp = inv.astype(np.int64) * np.int64(24) + hr
-        uc, cinv = np.unique(comp, return_inverse=True)
-        s = np.zeros(uc.shape[0], dtype=np.int64)
-        np.add.at(s, cinv, vc)
-        n = np.bincount(cinv).astype(np.int64)
-        return pa.table({
-            "event_type": pa.array(ut[uc // 24].tolist(),
-                                   type=pa.string()),
-            "hr": pa.array(uc % 24),
-            "s": pa.array(s), "n": pa.array(n),
-        })
-
-    model = (feats.map_batches(train_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-             .groupby(["event_type", "hr"])
-             .aggregate(Sum("s", alias_name="s"),
-                        Sum("n", alias_name="n"))
-             .to_pandas())
+    model = combine_agg(
+        feats, ["event_type", "hr"],
+        lambda t: t.filter(pc.invert(t["is_test"])),
+        [("value_c", "sum"), ("value_c", "count")],
+        _named("event_type", "hr", "s", "n")).to_pandas()
     # truncated integer means, same // semantics as the SQL
     cell = {(r.event_type, int(r.hr)): int(r.s) // int(r.n)
             for r in model.itertuples()}
     g_mean = int(model["s"].sum()) // int(model["n"].sum())
     cell_ref = ray.put((cell, g_mean))
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_test": pa.array([], type=pa.int64()),
-                      "sum_abs_err_c": pa.array([], type=pa.int64())})
-
     def score(t: pa.Table) -> pa.Table:
         t = t.filter(t["is_test"])
-        if t.num_rows == 0:
-            return empty
         m, gm = ray.get(cell_ref)
         et = t["event_type"].to_numpy(zero_copy_only=False)
         hr = t["hr"].to_numpy(zero_copy_only=False)
@@ -6962,30 +6040,13 @@ def seasonal_naive_mae(sf_dir: str) -> "ray.data.Dataset":
         lut = np.array([m.get((ut[c // 24], int(c % 24)), gm)
                         for c in uc], dtype=np.int64)
         pred = lut[np.searchsorted(uc, comp)]
-        err = np.abs(vc - pred)
-        n = np.bincount(inv).astype(np.int64)
-        se = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(se, inv, err)
-        return pa.table({"event_type": pa.array(ut.tolist(),
-                                                type=pa.string()),
-                         "n_test": pa.array(n),
-                         "sum_abs_err_c": pa.array(se)})
+        return pa.table({"event_type": t["event_type"],
+                         "err": np.abs(vc - pred)})
 
-    agg = (feats.map_batches(score, batch_format="pyarrow",
-                             zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_test", alias_name="n_test"),
-                      Sum("sum_abs_err_c", alias_name="sum_abs_err_c")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": t["event_type"],
-            "n_test": pc.cast(t["n_test"], pa.int64()),
-            "sum_abs_err_c": pc.cast(t["sum_abs_err_c"], pa.int64()),
-        })
-
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort("event_type"))
+    return combine_agg(feats, ["event_type"], score,
+                       [("err", "count"), ("err", "sum")],
+                       _named("event_type", "n_test", "sum_abs_err_c")
+                       ).sort("event_type")
 
 
 SEASONAL_NAIVE_MAE_SQL = """
@@ -7021,56 +6082,31 @@ def ab_test_arm_stats(sf_dir: str,
     exact distinct users, distinct converters (users with at least one
     ``conv_type`` event) and the conversion rate in integer ppm.
 
-    Scale shape: per-block DISTINCT (user, converted-bit) partials via
-    one composite np.unique (the presence-OR trick of user_churn_sets),
-    a user-keyed co-partition ORs the bits so each user counts exactly
-    once, and the arm rollup is O(2) rows."""
+    Scale shape: a grouped max of the converted bit per user (the
+    presence-OR trick of user_churn_sets: each block folds to distinct
+    users before the shuffle, so each user counts exactly once), then
+    the arm rollup is O(2) rows."""
     from ..hashing import murmur64
-    from ..stages.partition import fit_partitions, partition_by
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    empty = pa.table({"user_id": pa.array([], type=pa.int64()),
-                      "conv": pa.array([], type=pa.int64())})
+    def presence(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "user_id": pc.cast(t["user_id"], pa.int64()),
+            "conv": pc.cast(pc.equal(t["event_type"], conv_type),
+                            pa.int64())})
 
-    def block_presence(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        conv = (t["event_type"].to_numpy(zero_copy_only=False)
-                == conv_type).astype(np.int64)
-        uu, inv = np.unique(uid, return_inverse=True)
-        bit = np.zeros(uu.shape[0], dtype=np.int64)
-        np.bitwise_or.at(bit, inv, conv)
-        return pa.table({"user_id": pa.array(uu),
-                         "conv": pa.array(bit)})
-
-    arm_empty = pa.table({"arm": pa.array([], type=pa.string()),
-                          "n_users": pa.array([], type=pa.int64()),
-                          "n_converted": pa.array([], type=pa.int64())})
-
-    def per_arm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return arm_empty
+    def arm_of(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
-        conv = t["conv"].to_numpy(zero_copy_only=False)
-        uu, inv = np.unique(uid, return_inverse=True)
-        bit = np.zeros(uu.shape[0], dtype=np.int64)
-        np.bitwise_or.at(bit, inv, conv)
-        arm = (murmur64(uu) % np.uint64(2)).astype(np.int64)
-        n = np.bincount(arm, minlength=2).astype(np.int64)
-        c = np.zeros(2, dtype=np.int64)
-        np.add.at(c, arm, bit)
-        return pa.table({"arm": pa.array(["A", "B"], type=pa.string()),
-                         "n_users": pa.array(n),
-                         "n_converted": pa.array(c)})
+        arm = (murmur64(uid) % np.uint64(2)).astype(np.int64)
+        return pa.table({"arm": pa.array(np.array(["A", "B"])[arm],
+                                         type=pa.string()),
+                         "conv": t["conv_max"]})
 
-    partials = ds.map_batches(block_presence, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    arms = partition_by(partials, ["user_id"], fit_partitions(32),
-                        per_arm, arm_empty)
-    agg = (arms.groupby("arm")
-           .aggregate(Sum("n_users", alias_name="n_users"),
-                      Sum("n_converted", alias_name="n_converted")))
+    users = combine_agg(ds, ["user_id"], presence, [("conv", "max")],
+                        arm_of)
+    agg = combine_agg(users, ["arm"], lambda t: t,
+                      [("conv", "count"), ("conv", "sum")],
+                      _named("arm", "n_users", "n_converted"))
     rows = sorted(agg.take_all(), key=lambda r: r["arm"])
     n = [int(r["n_users"]) for r in rows]
     c = [int(r["n_converted"]) for r in rows]
@@ -7215,12 +6251,11 @@ def activity_streak_stats(sf_dir: str) -> "ray.data.Dataset":
         return pa.table({"user_id": pa.array(comp >> np.int64(20)),
                          "day": pa.array(comp & np.int64((1 << 20) - 1))})
 
-    hist_empty = pa.table({"streak_days": pa.array([], type=pa.int64()),
-                           "n_users": pa.array([], type=pa.int64())})
+    best_empty = pa.table({"streak_days": pa.array([], type=pa.int64())})
 
     def islands(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return hist_empty
+            return best_empty
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         day = t["day"].to_numpy(zero_copy_only=False)
         comp = np.unique(uid * np.int64(1 << 20) + day)
@@ -7234,25 +6269,15 @@ def activity_streak_stats(sf_dir: str) -> "ray.data.Dataset":
         new_user[1:] = iu[1:] != iu[:-1]
         ustarts = np.nonzero(new_user)[0]
         best = np.maximum.reduceat(lens, ustarts)
-        ul, cnt = np.unique(best, return_counts=True)
-        return pa.table({"streak_days": pa.array(ul.astype(np.int64)),
-                         "n_users": pa.array(cnt.astype(np.int64))})
+        return pa.table({"streak_days": pa.array(best.astype(np.int64))})
 
     pairs = ds.map_batches(block_days, batch_format="pyarrow",
                            zero_copy_batch=True)
-    per_part = partition_by(pairs, ["user_id"], fit_partitions(32),
-                            islands, hist_empty)
-    agg = (per_part.groupby("streak_days")
-           .aggregate(Sum("n_users", alias_name="n_users")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "streak_days": pc.cast(t["streak_days"], pa.int64()),
-            "n_users": pc.cast(t["n_users"], pa.int64()),
-        })
-
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort("streak_days"))
+    per_user = partition_by(pairs, ["user_id"], fit_partitions(32),
+                            islands, best_empty)
+    return combine_agg(per_user, ["streak_days"], lambda t: t,
+                       [("streak_days", "count")],
+                       _named("streak_days", "n_users")).sort("streak_days")
 
 
 ACTIVITY_STREAK_SQL = """
@@ -7284,35 +6309,13 @@ def prefix_autocomplete_topk(sf_dir: str, plen: int = 3,
     behind a type-ahead box, built as one streaming pass over the
     corpus.
 
-    Scale shape: per-block (token, count) folds via Arrow dictionary
-    encoding (no per-row Python), the one exchange is the vocab-bounded
-    (token) groupby, and the per-prefix rank is a block-local keep-k
-    prereduce over the merged vocabulary -- O(prefixes x k) final
-    rows."""
+    Scale shape: per-block (token, count) partials, the one exchange is
+    the vocab-bounded (token) groupby, and the per-prefix rank is a
+    block-local keep-k prereduce over the merged vocabulary --
+    O(prefixes x k) final rows."""
     ds = _read(sf_dir, "documents", ["text"])
-
-    tok_empty = pa.table({"tok": pa.array([], type=pa.string()),
-                          "cnt": pa.array([], type=pa.int64())})
-
-    def block_tokens(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return tok_empty
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        if len(flat) == 0:
-            return tok_empty
-        dic = flat.dictionary_encode()
-        idx = dic.indices.to_numpy(zero_copy_only=False)
-        cnt = np.bincount(idx, minlength=len(dic.dictionary))
-        keep = cnt > 0
-        return pa.table({
-            "tok": dic.dictionary.filter(pa.array(keep)),
-            "cnt": pa.array(cnt[keep].astype(np.int64)),
-        })
-
-    vocab = (ds.map_batches(block_tokens, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("tok").aggregate(Sum("cnt", alias_name="cnt")))
+    vocab = combine_agg(ds, ["tok"], _tokens, [("tok", "count")],
+                        _named("tok", "cnt"))
 
     out_empty = pa.table({"prefix": pa.array([], type=pa.string()),
                           "tok": pa.array([], type=pa.string()),
@@ -7392,8 +6395,9 @@ def local_supplier_volume(sf_dir: str,
     customer's nation via ONE custkey co-partition join (customer is
     fact-scale -- never broadcast); lineitem joins the slimmed
     (orderkey, c_nat) rows via ONE orderkey co-partition; the same-nation
-    + region filter and the revenue fold happen inside that kernel, so
-    the final exchange is O(nations) rows.  Two co-partition exchanges
+    + region filter happens inside that kernel and the grouped combiner
+    folds revenue per nation, so the final exchange is O(nations) rows
+    per block.  Two co-partition exchanges
     total, both on already-pruned 16-byte-ish rows."""
     import pyarrow.parquet as pq
     from ..stages.partition import fit_partitions, partition_by
@@ -7463,7 +6467,7 @@ def local_supplier_volume(sf_dir: str,
     onat = partition_by(both, ["k"], fit_partitions(32), join_cust,
                         onat_empty)
 
-    # stage 2: lineitem joins (orderkey, c_nat); filter + fold in-kernel
+    # stage 2: lineitem joins (orderkey, c_nat); filter in-kernel
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice",
                 "l_discount"])
@@ -7489,8 +6493,7 @@ def local_supplier_volume(sf_dir: str,
                                      zero_copy_batch=True)))
 
     out_empty = pa.table({"n_name": pa.array([], type=pa.string()),
-                          "n_lines": pa.array([], type=pa.int64()),
-                          "revenue_c": pa.array([], type=pa.int64())})
+                          "rev_c": pa.array([], type=pa.int64())})
 
     def join_fold(t: pa.Table) -> pa.Table:
         nk, nn, sk_lut, sn_lut = ray.get(lut_ref)
@@ -7523,32 +6526,17 @@ def local_supplier_volume(sf_dir: str,
             return out_empty
         rev = t["rev_c"].to_numpy(zero_copy_only=False)[is_l] \
             .astype(np.int64)
-        cell = npos_c[m]
-        n = np.bincount(cell, minlength=nk.shape[0]).astype(np.int64)
-        r = np.zeros(nk.shape[0], dtype=np.int64)
-        np.add.at(r, cell, rev[m])
-        live = n > 0
         return pa.table({
-            "n_name": pa.array(nn[live].tolist(), type=pa.string()),
-            "n_lines": pa.array(n[live]),
-            "revenue_c": pa.array(r[live]),
+            "n_name": pa.array(nn[npos_c[m]].tolist(), type=pa.string()),
+            "rev_c": pa.array(rev[m]),
         })
 
-    folded = partition_by(both2, ["k"], fit_partitions(32), join_fold,
+    joined = partition_by(both2, ["k"], fit_partitions(32), join_fold,
                           out_empty)
-    agg = (folded.groupby("n_name")
-           .aggregate(Sum("n_lines", alias_name="n_lines"),
-                      Sum("revenue_c", alias_name="revenue_c")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_name": t["n_name"],
-            "n_lines": pc.cast(t["n_lines"], pa.int64()),
-            "revenue_c": pc.cast(t["revenue_c"], pa.int64()),
-        })
-
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort("n_name"))
+    return combine_agg(joined, ["n_name"], lambda t: t,
+                       [("rev_c", "count"), ("rev_c", "sum")],
+                       _named("n_name", "n_lines", "revenue_c")
+                       ).sort("n_name")
 
 
 LOCAL_SUPPLIER_VOLUME_SQL = """
@@ -7602,22 +6590,16 @@ def revenue_gini(sf_dir: str, n_buckets: int | None = None) -> pa.Table:
     def bucket_of(c: np.ndarray) -> np.ndarray:
         return np.minimum((c - lo) // width, nb - 1)
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        c = t["cents"].to_numpy(zero_copy_only=False)
-        cnt = np.bincount(bucket_of(c), minlength=nb).astype(np.int64)
-        return pa.table({"b": pa.array(np.arange(nb, dtype=np.int64)),
-                         "n": pa.array(cnt)})
-
-    counts = (rows.map_batches(count_partial, batch_format="pyarrow")
-              .groupby("b").aggregate(Sum("n", alias_name="n"))
-              .to_pandas().sort_values("b"))
-    per_bucket = np.zeros(nb, dtype=np.int64)
-    per_bucket[counts["b"].to_numpy()] = counts["n"].to_numpy()
-    offsets = np.concatenate(([0], np.cumsum(per_bucket)[:-1]))
-
     def add_bucket(t: pa.Table) -> pa.Table:
         c = t["cents"].to_numpy(zero_copy_only=False)
         return t.append_column("b", pa.array(bucket_of(c)))
+
+    counts = combine_agg(rows, ["b"],
+                         lambda t: add_bucket(t).select(["b"]),
+                         [("b", "count")], _named("b", "n")).to_pandas()
+    per_bucket = np.zeros(nb, dtype=np.int64)
+    per_bucket[counts["b"].to_numpy()] = counts["n"].to_numpy()
+    offsets = np.concatenate(([0], np.cumsum(per_bucket)[:-1]))
 
     empty = pa.table({"srx": pa.array([], type=pa.int64()),
                       "n": pa.array([], type=pa.int64()),
@@ -7686,9 +6668,9 @@ def top_session_paths(sf_dir: str, gap_minutes: int = 30,
 
     Dataflow: the sessionization co-partition kernel extended by two
     shifted compares -- a trigram is valid when positions i, i+1, i+2
-    share a session -- and a composite np.unique counts each partition's
-    trigrams vectorized; path strings materialize only for the
-    O(types^3)-bounded partials, the final ranking is one keep-k pass."""
+    share a session -- emits each valid trigram's path string; the
+    grouped combiner counts them (O(types^3)-bounded partials) and the
+    final ranking is one keep-k pass."""
     from ..stages.partition import fit_partitions, partition_by
     gap_us = int(gap_minutes) * 60 * 1_000_000
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id",
@@ -7702,8 +6684,7 @@ def top_session_paths(sf_dir: str, gap_minutes: int = 30,
             "event_type": t["event_type"],
         })
 
-    empty = pa.table({"path": pa.array([], type=pa.string()),
-                      "cnt": pa.array([], type=pa.int64())})
+    empty = pa.table({"path": pa.array([], type=pa.string())})
 
     def paths(group: pa.Table) -> pa.Table:
         if group.num_rows < 3:
@@ -7711,33 +6692,21 @@ def top_session_paths(sf_dir: str, gap_minutes: int = 30,
         u = group["user_id"].to_numpy(zero_copy_only=False)
         us = group["us"].to_numpy(zero_copy_only=False)
         eid = group["event_id"].to_numpy(zero_copy_only=False)
-        et = group["event_type"].to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, us, u))
-        u, us, et = u[order], us[order], et[order]
+        u, us = u[order], us[order]
+        et = pc.take(group["event_type"], pa.array(order))
         same = (u[1:] == u[:-1]) & (us[1:] - us[:-1] <= gap_us)
-        valid = same[:-1] & same[1:]   # i..i+2 in one session
-        if not valid.any():
-            return empty
-        ut, code = np.unique(et, return_inverse=True)
-        ut = ut.astype(np.str_)
-        nt = np.int64(ut.shape[0])
-        tri = (code[:-2] * nt + code[1:-1]) * nt + code[2:]
-        utri, cnt = np.unique(tri[valid], return_counts=True)
-        a = utri // (nt * nt)
-        b = (utri // nt) % nt
-        c = utri % nt
-        path = np.char.add(np.char.add(np.char.add(ut[a], ">"),
-                                       np.char.add(ut[b], ">")), ut[c])
-        return pa.table({"path": pa.array(path.tolist(),
-                                          type=pa.string()),
-                         "cnt": pa.array(cnt.astype(np.int64))})
+        # i..i+2 in one session
+        i = np.flatnonzero(same[:-1] & same[1:])
+        return pa.table({"path": pc.binary_join_element_wise(
+            pc.take(et, i), pc.take(et, i + 1), pc.take(et, i + 2), ">")})
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
     partials = partition_by(prepped, ["user_id"], fit_partitions(32),
                             paths, empty)
-    merged = (partials.groupby("path")
-              .aggregate(Sum("cnt", alias_name="cnt")))
+    merged = combine_agg(partials, ["path"], lambda t: t,
+                         [("path", "count")], _named("path", "cnt"))
 
     out_empty = pa.table({"path": pa.array([], type=pa.string()),
                           "cnt": pa.array([], type=pa.int64()),
@@ -7802,36 +6771,26 @@ def embedding_gram_stats(sf_dir: str) -> "ray.data.Dataset":
     into a d^2 partial (d=64 -> 32 KB), the exchange is O(d^2) rows
     per block, and the driver never sees anything larger than the
     matrix itself."""
-    from ..functions.vectors import list_to_matrix
     ds = _read(sf_dir, "embeddings", ["embedding"])
+    return combine_agg(ds, ["i", "j"], _gram_upper, [("s", "sum")],
+                       _named("i", "j", "s")).sort(["i", "j"])
 
-    empty = pa.table({"i": pa.array([], type=pa.int64()),
-                      "j": pa.array([], type=pa.int64()),
-                      "s": pa.array([], type=pa.int64())})
 
-    def gram_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        x = np.floor(list_to_matrix(t["embedding"], dtype=np.float64)
-                     * 1000.0 + 0.5).astype(np.int64)
-        g = x.T @ x
-        d = g.shape[0]
-        iu, ju = np.triu_indices(d)
-        return pa.table({"i": pa.array(iu.astype(np.int64)),
-                         "j": pa.array(ju.astype(np.int64)),
-                         "s": pa.array(g[iu, ju])})
-
-    agg = (ds.map_batches(gram_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["i", "j"]).aggregate(Sum("s", alias_name="s")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({"i": pc.cast(t["i"], pa.int64()),
-                         "j": pc.cast(t["j"], pa.int64()),
-                         "s": pc.cast(t["s"], pa.int64())})
-
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort(["i", "j"]))
+def _gram_upper(t: pa.Table) -> pa.Table:
+    """The batch's upper-triangle (i <= j) Gram partial X^T X of the
+    milli-unit ``embedding`` matrix: ONE integer matmul, d(d+1)/2 rows."""
+    from ..functions.vectors import list_to_matrix
+    if t.num_rows == 0:
+        return pa.table({"i": pa.array([], type=pa.int64()),
+                         "j": pa.array([], type=pa.int64()),
+                         "s": pa.array([], type=pa.int64())})
+    x = np.floor(list_to_matrix(t["embedding"], dtype=np.float64)
+                 * 1000.0 + 0.5).astype(np.int64)
+    g = x.T @ x
+    iu, ju = np.triu_indices(g.shape[0])
+    return pa.table({"i": pa.array(iu.astype(np.int64)),
+                     "j": pa.array(ju.astype(np.int64)),
+                     "s": pa.array(g[iu, ju])})
 
 
 EMBEDDING_GRAM_SQL = """
@@ -7866,29 +6825,9 @@ def gram_power_iteration(sf_dir: str) -> pa.Table:
     100 TB corpus: one distributed reduction per STATISTIC, iterations
     on the tiny dense result.
     """
-    from ..functions.vectors import list_to_matrix
     ds = _read(sf_dir, "embeddings", ["embedding"])
-
-    empty = pa.table({"i": pa.array([], type=pa.int64()),
-                      "j": pa.array([], type=pa.int64()),
-                      "s": pa.array([], type=pa.int64())})
-
-    def gram_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        x = np.floor(list_to_matrix(t["embedding"], dtype=np.float64)
-                     * 1000.0 + 0.5).astype(np.int64)
-        g = x.T @ x
-        d = g.shape[0]
-        iu, ju = np.triu_indices(d)
-        return pa.table({"i": pa.array(iu.astype(np.int64)),
-                         "j": pa.array(ju.astype(np.int64)),
-                         "s": pa.array(g[iu, ju])})
-
-    tri = (ds.map_batches(gram_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["i", "j"]).aggregate(Sum("s", alias_name="s"))
-           .to_pandas())
+    tri = combine_agg(ds, ["i", "j"], _gram_upper, [("s", "sum")],
+                      _named("i", "j", "s")).to_pandas()
     d = int(tri["j"].max()) + 1
     G = [[0] * d for _ in range(d)]
     for r in tri.itertuples():
@@ -8042,14 +6981,13 @@ def bpe_pair_counts(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     merge round; run it in a loop with a merge-apply map for full BPE.
 
     Dataflow: per block, ONE vectorized pass over the flat text buffer
-    encodes every within-token byte pair as code = b0 * 256 + b1 and
-    bincounts into a 65536-cell partial (pairs never materialize as
-    strings until the final k rows); the exchange is O(distinct pairs)
-    per block and the ranking is the standard keep-k."""
+    encodes every within-token byte pair as code = b0 * 256 + b1 (pairs
+    never materialize as strings until the final k rows); the combiner
+    counts the codes, so the exchange is O(distinct pairs) per block and
+    the ranking is the standard keep-k."""
     ds = _read(sf_dir, "documents", ["text"])
 
-    empty = pa.table({"code": pa.array([], type=pa.int64()),
-                      "cnt": pa.array([], type=pa.int64())})
+    empty = pa.table({"code": pa.array([], type=pa.int64())})
 
     def block_pairs(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -8081,16 +7019,10 @@ def bpe_pair_counts(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
         valid[:lo] = False
         if hi < valid.shape[0]:
             valid[hi:] = False
-        cnt = np.bincount(code[valid], minlength=65536).astype(np.int64)
-        live = cnt > 0
-        return pa.table({
-            "code": pa.array(np.nonzero(live)[0].astype(np.int64)),
-            "cnt": pa.array(cnt[live]),
-        })
+        return pa.table({"code": pa.array(code[valid])})
 
-    merged = (ds.map_batches(block_pairs, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby("code").aggregate(Sum("cnt", alias_name="cnt")))
+    merged = combine_agg(ds, ["code"], block_pairs, [("code", "count")],
+                         _named("code", "cnt"))
 
     out_empty = pa.table({"pair": pa.array([], type=pa.string()),
                           "cnt": pa.array([], type=pa.int64()),
@@ -8153,69 +7085,27 @@ def dedup_normalized_stats(sf_dir: str) -> pa.Table:
 
     Dataflow: one streaming pass computes both fingerprints with Arrow
     kernels (utf8_lower + regex collapse + trim, then the shared
-    64-bit fingerprint); per-block distinct partials co-partition by
-    fingerprint so each text counts once -- the dedup_exact shape run
-    twice in the same map."""
+    64-bit fingerprint); a grouped count per (kind, fingerprint) leaves
+    each text once, and a second one per kind counts them -- the
+    dedup_exact shape run twice in the same map."""
     from ..functions.text import fingerprint64
-    from ..stages.partition import fit_partitions, partition_by
     ds = _read(sf_dir, "documents", ["text"])
 
-    empty = pa.table({"kind": pa.array([], type=pa.int64()),
-                      "fp": pa.array([], type=pa.int64()),
-                      "cnt": pa.array([], type=pa.int64())})
-
-    def block_fps(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def fps(t: pa.Table) -> pa.Table:
         raw = t["text"]
         norm = pc.utf8_trim_whitespace(
             pc.replace_substring_regex(pc.utf8_lower(raw),
                                        pattern=" +", replacement=" "))
-        fr = fingerprint64(raw).to_numpy(zero_copy_only=False)
-        fn = fingerprint64(norm).to_numpy(zero_copy_only=False)
-        kinds, fps, cnts = [], [], []
-        for kind, f in ((0, fr), (1, fn)):
-            uf, c = np.unique(f, return_counts=True)
-            kinds.append(np.full(uf.shape[0], kind, dtype=np.int64))
-            fps.append(uf.view(np.int64)
-                       if uf.dtype != np.int64 else uf)
-            cnts.append(c.astype(np.int64))
-        return pa.table({"kind": pa.array(np.concatenate(kinds)),
-                         "fp": pa.array(np.concatenate(fps)),
-                         "cnt": pa.array(np.concatenate(cnts))})
+        return pa.table({
+            "kind": np.repeat(np.arange(2, dtype=np.int64), t.num_rows),
+            "fp": pa.concat_arrays([fingerprint64(raw),
+                                    fingerprint64(norm)])})
 
-    part_empty = pa.table({"kind": pa.array([], type=pa.int64()),
-                           "n_distinct": pa.array([], type=pa.int64()),
-                           "n_rows": pa.array([], type=pa.int64())})
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_empty
-        kind = t["kind"].to_numpy(zero_copy_only=False)
-        fp = t["fp"].to_numpy(zero_copy_only=False)
-        cnt = t["cnt"].to_numpy(zero_copy_only=False)
-        out_k, out_d, out_n = [], [], []
-        for kv in (0, 1):
-            m = kind == kv
-            if not m.any():
-                continue
-            uf, inv = np.unique(fp[m], return_inverse=True)
-            tot = np.zeros(uf.shape[0], dtype=np.int64)
-            np.add.at(tot, inv, cnt[m])
-            out_k.append(kv)
-            out_d.append(uf.shape[0])
-            out_n.append(int(tot.sum()))
-        return pa.table({"kind": pa.array(out_k, type=pa.int64()),
-                         "n_distinct": pa.array(out_d, type=pa.int64()),
-                         "n_rows": pa.array(out_n, type=pa.int64())})
-
-    partials = ds.map_batches(block_fps, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    per_part = partition_by(partials, ["fp"], fit_partitions(32),
-                            fold, part_empty)
-    agg = (per_part.groupby("kind")
-           .aggregate(Sum("n_distinct", alias_name="n_distinct"),
-                      Sum("n_rows", alias_name="n_rows")).take_all())
+    texts = combine_agg(ds, ["kind", "fp"], fps, [("fp", "count")],
+                        _named("kind", "fp", "cnt"))
+    agg = combine_agg(texts, ["kind"], lambda t: t,
+                      [("cnt", "count"), ("cnt", "sum")],
+                      _named("kind", "n_distinct", "n_rows")).take_all()
     by_kind = {int(r["kind"]): (int(r["n_distinct"]), int(r["n_rows"]))
                for r in agg}
     n_docs = by_kind.get(0, (0, 0))[1]
@@ -8274,46 +7164,16 @@ def jsonl_roundtrip_stats(sf_dir: str,
                    zero_copy_batch=True).write_json(root)
     back = ray.data.read_json(root)
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64()),
-                      "sum_value_c": pa.array([], type=pa.int64()),
-                      "sum_event_id": pa.array([], type=pa.int64())})
+    def typed(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"],
+                         "value_c": pc.cast(t["value_c"], pa.int64()),
+                         "event_id": pc.cast(t["event_id"], pa.int64())})
 
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        vc = pc.cast(t["value_c"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        eid = pc.cast(t["event_id"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        sv = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(sv, inv, vc)
-        se = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(se, inv, eid)
-        return pa.table({"event_type": pa.array(ut.tolist(),
-                                                type=pa.string()),
-                         "n": pa.array(n), "sum_value_c": pa.array(sv),
-                         "sum_event_id": pa.array(se)})
-
-    agg = (back.map_batches(partial, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sum_value_c", alias_name="sum_value_c"),
-                      Sum("sum_event_id", alias_name="sum_event_id")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": t["event_type"],
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_value_c": pc.cast(t["sum_value_c"], pa.int64()),
-            "sum_event_id": pc.cast(t["sum_event_id"], pa.int64()),
-        })
-
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort("event_type"))
+    return combine_agg(back, ["event_type"], typed,
+                       [("value_c", "count"), ("value_c", "sum"),
+                        ("event_id", "sum")],
+                       _named("event_type", "n", "sum_value_c",
+                              "sum_event_id")).sort("event_type")
 
 
 JSONL_ROUNDTRIP_SQL = """
@@ -8337,32 +7197,9 @@ def stratified_allocation_plan(sf_dir: str, total_k: int = 100) -> pa.Table:
     partials; the seat assignment folds a strata-sized table on the
     driver."""
     ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    empty = pa.table({"lang": pa.array([], type=pa.string()),
-                      "source": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        src = t["source"].to_numpy(zero_copy_only=False)
-        ul, lc = np.unique(lang, return_inverse=True)
-        us, sc = np.unique(src, return_inverse=True)
-        comp = lc.astype(np.int64) * us.shape[0] + sc
-        uc, inv = np.unique(comp, return_inverse=True)
-        return pa.table({
-            "lang": pa.array(ul[uc // us.shape[0]].tolist(),
-                             type=pa.string()),
-            "source": pa.array(us[uc % us.shape[0]].tolist(),
-                               type=pa.string()),
-            "n": pa.array(np.bincount(inv).astype(np.int64)),
-        })
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["lang", "source"])
-              .aggregate(Sum("n", alias_name="n"))
+    counts = (combine_agg(ds, ["lang", "source"], lambda t: t,
+                          [("source", "count")],
+                          _named("lang", "source", "n"))
               .to_pandas().sort_values(["lang", "source"])
               .reset_index(drop=True))
     n = counts["n"].to_numpy(dtype=np.int64)
@@ -8603,25 +7440,19 @@ def feature_hashing_report(sf_dir: str, n_buckets: int = 1024) -> pa.Table:
         fp = fingerprint64(uniq)
         return pa.table({"fp": fp, "tok": uniq})
 
-    bucket_empty = pa.table({"bucket": pa.array([], type=pa.int64()),
-                             "n_words": pa.array([], type=pa.int64())})
+    bucket_empty = pa.table({"bucket": pa.array([], type=pa.int64())})
 
-    def fold(t: pa.Table) -> pa.Table:
+    def word_buckets(t: pa.Table) -> pa.Table:
         uniq = pc.unique(t["tok"].combine_chunks())
-        if len(uniq) == 0:
-            return bucket_empty
         b = (md5_uint64(uniq) % np.uint64(n_buckets)).astype(np.int64)
-        ub, cnt = np.unique(b, return_counts=True)
-        return pa.table({"bucket": pa.array(ub),
-                         "n_words": pa.array(cnt.astype(np.int64))})
+        return pa.table({"bucket": pa.array(b)})
 
     vocab = ds.map_batches(block_vocab, batch_format="pyarrow",
                            zero_copy_batch=True)
-    per_part = partition_by(vocab, ["fp"], fit_partitions(32),
-                            fold, bucket_empty)
-    agg = (per_part.groupby("bucket")
-           .aggregate(Sum("n_words", alias_name="n_words"))
-           .to_pandas())
+    words = partition_by(vocab, ["fp"], fit_partitions(32),
+                         word_buckets, bucket_empty)
+    agg = combine_agg(words, ["bucket"], lambda t: t, [("bucket", "count")],
+                      _named("bucket", "n_words")).to_pandas()
     n_words = agg["n_words"].to_numpy(dtype=np.int64)
     vocab_size = int(n_words.sum())
     occupied = int((n_words > 0).sum())
@@ -8850,38 +7681,20 @@ def tukey_outlier_counts(sf_dir: str) -> pa.Table:
                   q1, q3)
     fen_ref = ray.put(fen)
 
-    empty = pa.table({"l_returnflag": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64()),
-                      "n_low": pa.array([], type=pa.int64()),
-                      "n_high": pa.array([], type=pa.int64())})
-
-    def count(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def fences(t: pa.Table) -> pa.Table:
         f = ray.get(fen_ref)
         flag = t["flag"].to_numpy(zero_copy_only=False)
         c = t["cents"].to_numpy(zero_copy_only=False)
         uf, inv = np.unique(flag, return_inverse=True)
         lo = np.array([f[x][0] for x in uf], dtype=np.int64)[inv]
         hi = np.array([f[x][1] for x in uf], dtype=np.int64)[inv]
-        is_lo = 4 * c < lo
-        is_hi = 4 * c > hi
-        n = np.bincount(inv).astype(np.int64)
-        nl = np.zeros(uf.shape[0], dtype=np.int64)
-        np.add.at(nl, inv, is_lo.astype(np.int64))
-        nh = np.zeros(uf.shape[0], dtype=np.int64)
-        np.add.at(nh, inv, is_hi.astype(np.int64))
-        return pa.table({"l_returnflag": pa.array(uf.tolist(),
-                                                  type=pa.string()),
-                         "n": pa.array(n), "n_low": pa.array(nl),
-                         "n_high": pa.array(nh)})
+        return pa.table({"l_returnflag": t["flag"],
+                         "low": (4 * c < lo).astype(np.int64),
+                         "high": (4 * c > hi).astype(np.int64)})
 
-    agg = (rows.map_batches(count, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby("l_returnflag")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("n_low", alias_name="n_low"),
-                      Sum("n_high", alias_name="n_high"))
+    agg = (combine_agg(rows, ["l_returnflag"], fences,
+                       [("low", "count"), ("low", "sum"), ("high", "sum")],
+                       _named("l_returnflag", "n", "n_low", "n_high"))
            .to_pandas().sort_values("l_returnflag")
            .reset_index(drop=True))
     return pa.table({
@@ -8929,34 +7742,23 @@ def benford_digit_audit(sf_dir: str) -> pa.Table:
     integers.  The fraud/data-quality screen: a synthetic or truncated
     price column shows up as a large dev_ppm on digits 1-2.
 
-    Scale shape: one 9-row bincount per block (zero-copy Arrow in,
+    Scale shape: <= 9 digit partials per block (zero-copy Arrow in,
     int64 partials out), a 9-key groupby, all ratio math on the driver
     over exactly 9 rows.  No float crosses the shuffle.
     """
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
-    empty = pa.table({"digit": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def count(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def first_digit(t: pa.Table) -> pa.Table:
         c = _int_units(t["o_totalprice"], 100).to_numpy(
             zero_copy_only=False)
         c = c[c > 0]
-        if c.shape[0] == 0:
-            return empty
         # astype to width-1 unicode truncates to the first character:
         # the first significant digit of the positive integer cents.
-        d = c.astype(np.str_).astype("U1").astype(np.int64)
-        n = np.bincount(d, minlength=10)[1:10]
-        return pa.table({"digit": pa.array(np.arange(1, 10)),
-                         "n": pa.array(n.astype(np.int64))})
+        return pa.table({
+            "digit": c.astype(np.str_).astype("U1").astype(np.int64)})
 
-    agg = (ds.map_batches(count, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("digit").aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["digit"], first_digit, [("digit", "count")],
+                      _named("digit", "n")).to_pandas()
     by = {int(r.digit): int(r.n) for r in agg.itertuples()}
     obs = [by.get(d, 0) for d in range(1, 10)]
     total = sum(obs)
@@ -9003,36 +7805,19 @@ def customer_frequency_spectrum(sf_dir: str) -> pa.Table:
     planning statistic for dedup/sampling budgets ("how much of the
     corpus is singletons?").
 
-    Scale shape: one distributed groupby(o_custkey) count (the only
-    all-to-all), then per-block bincount partials over the per-customer
-    counts and an 11-key groupby; all ratio math on <= 11 driver rows.
+    Scale shape: one distributed groupby(o_custkey) count, then an
+    11-key groupby of the per-customer counts; all ratio math on <= 11
+    driver rows.
     """
     ds = _read(sf_dir, "orders", ["o_custkey"])
-    per_user = ds.groupby("o_custkey").aggregate(Count(alias_name="k"))
-
-    empty = pa.table({"k": pa.array([], type=pa.int64()),
-                      "n_users": pa.array([], type=pa.int64()),
-                      "n_events": pa.array([], type=pa.int64())})
-
-    def spectrum(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        k = t["k"].to_numpy(zero_copy_only=False).astype(np.int64)
-        kb = np.minimum(k, 11)
-        n_users = np.bincount(kb, minlength=12)
-        n_events = np.bincount(kb, weights=k.astype(np.float64),
-                               minlength=12).astype(np.int64)
-        keep = np.nonzero(n_users)[0]
-        return pa.table({"k": pa.array(keep.astype(np.int64)),
-                         "n_users": pa.array(
-                             n_users[keep].astype(np.int64)),
-                         "n_events": pa.array(n_events[keep])})
-
-    agg = (per_user.map_batches(spectrum, batch_format="pyarrow",
-                                zero_copy_batch=True)
-           .groupby("k")
-           .aggregate(Sum("n_users", alias_name="n_users"),
-                      Sum("n_events", alias_name="n_events"))
+    per_user = combine_agg(
+        ds, ["o_custkey"], lambda t: t, [("o_custkey", "count")],
+        lambda t: pa.table({"kb": pc.min_element_wise(t["o_custkey_count"],
+                                                      11),
+                            "k": t["o_custkey_count"]}))
+    agg = (combine_agg(per_user, ["kb"], lambda t: t,
+                       [("k", "count"), ("k", "sum")],
+                       _named("k", "n_users", "n_events"))
            .to_pandas().sort_values("k").reset_index(drop=True))
     total = int(agg["n_events"].sum())
     n1 = int(agg.loc[agg["k"] == 1, "n_events"].sum())
@@ -9098,21 +7883,9 @@ def spearman_hourly_corr(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def prep(t: pa.Table) -> pa.Table:
-        h = pc.divide(pc.cast(t["ts"], pa.int64()),
-                      pa.scalar(3_600_000_000, type=pa.int64()))
-        staged = pa.table({"event_type": t["event_type"],
-                           "h": pc.cast(h, pa.int64())})
-        g = staged.group_by(["event_type", "h"]).aggregate(
-            [("h", "count")])
-        return pa.table({"event_type": g["event_type"], "h": g["h"],
-                         "n": pc.cast(g["h_count"], pa.int64())})
-
-    agg = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["event_type", "h"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["event_type", "h"], _event_hours,
+                      [("h", "count")],
+                      _named("event_type", "h", "n")).to_pandas()
     h0, h1 = int(agg["h"].min()), int(agg["h"].max())
     n_hours = h1 - h0 + 1
     types = sorted(agg["event_type"].unique())
@@ -9200,55 +7973,13 @@ def ks_drift_binned(sf_dir: str, type_a: str = "click",
     monitor, exact on the binned CDF by all-integer cross-multiplied
     arithmetic (|cum_a*n_b - cum_b*n_a|, no float ratio ever formed).
 
-    Scale shape: pass 1 streams a distributed Min/Max of the micro-unit
-    values; pass 2 emits one <=n_bins-row bincount partial per block and
-    a bounded groupby; the cumulative walk runs on the driver over
+    Scale shape (_two_sample_bins): pass 1 streams a distributed
+    Min/Max of the micro-unit values; pass 2 folds each block to <=
+    n_bins partial rows for a bounded groupby; the cumulative walk runs
+    on the driver over
     exactly n_bins rows with Python big-int overflow immunity.
     """
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def micro(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t["event_type"],
-                        value_set=pa.array([type_a, type_b]))
-        t = t.filter(keep)
-        return pa.table({"event_type": t["event_type"],
-                         "m": _int_units(t["value"], 1_000_000)})
-
-    vals = ds.map_batches(micro, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    mm = vals.aggregate(Min("m", alias_name="lo"),
-                        Max("m", alias_name="hi"))
-    lo, hi = int(mm["lo"]), int(mm["hi"])
-    span = hi - lo + 1
-
-    empty = pa.table({"bin": pa.array([], type=pa.int64()),
-                      "na": pa.array([], type=pa.int64()),
-                      "nb": pa.array([], type=pa.int64())})
-
-    def binned(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        m = t["m"].to_numpy(zero_copy_only=False)
-        b = np.zeros_like(m) if span <= 1 else (m - lo) * n_bins // span
-        is_a = np.asarray(pc.equal(t["event_type"],
-                                   pa.scalar(type_a)))
-        na = np.bincount(b[is_a], minlength=n_bins)
-        nb = np.bincount(b[~is_a], minlength=n_bins)
-        keep = np.nonzero(na | nb)[0]
-        return pa.table({"bin": pa.array(keep.astype(np.int64)),
-                         "na": pa.array(na[keep].astype(np.int64)),
-                         "nb": pa.array(nb[keep].astype(np.int64))})
-
-    agg = (vals.map_batches(binned, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby("bin")
-           .aggregate(Sum("na", alias_name="na"),
-                      Sum("nb", alias_name="nb"))
-           .to_pandas().sort_values("bin"))
-    na = np.zeros(n_bins, dtype=np.int64)
-    nb = np.zeros(n_bins, dtype=np.int64)
-    na[agg["bin"].to_numpy(dtype=np.int64)] = agg["na"]
-    nb[agg["bin"].to_numpy(dtype=np.int64)] = agg["nb"]
+    na, nb = _two_sample_bins(sf_dir, type_a, type_b, n_bins)
     n_a, n_b = int(na.sum()), int(nb.sum())
     ca, cb, best, best_bin = 0, 0, -1, 0
     for i in range(n_bins):          # exact big-int walk, n_bins rows
@@ -9265,6 +7996,45 @@ def ks_drift_binned(sf_dir: str, type_a: str = "click",
         "ks_ppm": pa.array([ks], type=pa.int64()),
         "bin_at_max": pa.array([best_bin], type=pa.int64()),
     })
+
+
+def _two_sample_bins(sf_dir: str, type_a: str, type_b: str,
+                     n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin event counts of ``type_a`` and ``type_b`` over one
+    equi-width grid of ``n_bins`` bins spanning both types' micro-unit
+    values (bin = (m - lo) * n_bins // span): a streamed Min/Max pass,
+    then one grouped sum per bin."""
+    ds = _read(sf_dir, "events", ["event_type", "value"])
+
+    def micro(t: pa.Table) -> pa.Table:
+        keep = pc.is_in(t["event_type"],
+                        value_set=pa.array([type_a, type_b]))
+        t = t.filter(keep)
+        return pa.table({"event_type": t["event_type"],
+                         "m": _int_units(t["value"], 1_000_000)})
+
+    vals = ds.map_batches(micro, batch_format="pyarrow",
+                          zero_copy_batch=True).materialize()
+    mm = vals.aggregate(Min("m", alias_name="lo"),
+                        Max("m", alias_name="hi"))
+    lo, hi = int(mm["lo"]), int(mm["hi"])
+    span = hi - lo + 1
+
+    def binned(t: pa.Table) -> pa.Table:
+        m = t["m"].to_numpy(zero_copy_only=False)
+        b = np.zeros_like(m) if span <= 1 else (m - lo) * n_bins // span
+        is_a = pc.cast(pc.equal(t["event_type"], pa.scalar(type_a)),
+                       pa.int64())
+        return pa.table({"bin": b, "a": is_a,
+                         "b": pc.subtract(pa.scalar(1, pa.int64()), is_a)})
+
+    agg = combine_agg(vals, ["bin"], binned, [("a", "sum"), ("b", "sum")],
+                      _named("bin", "na", "nb")).to_pandas()
+    na = np.zeros(n_bins, dtype=np.int64)
+    nb = np.zeros(n_bins, dtype=np.int64)
+    na[agg["bin"].to_numpy(dtype=np.int64)] = agg["na"]
+    nb[agg["bin"].to_numpy(dtype=np.int64)] = agg["nb"]
+    return na, nb
 
 
 KS_DRIFT_SQL = """
@@ -9319,10 +8089,10 @@ def km_user_survival(sf_dir: str, horizon_hours: int = 72) -> pa.Table:
     exactly zero the final term uses the defined sentinel
     floor(ln(1/(2*n_users))*1e6).
 
-    Scale shape: per-block (user, first-event min, first-purchase min)
-    combiner -> one distributed groupby(user) -> bounded
-    (hour, censored) histogram partials; the KM walk runs on the
-    driver over <= horizon_hours rows.
+    Scale shape: one distributed groupby(user) of (first-event min,
+    first-purchase min) -> bounded (hour, censored) histogram
+    partials; the KM walk runs on the driver over <= horizon_hours
+    rows.
     """
     import math
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
@@ -9332,48 +8102,26 @@ def km_user_survival(sf_dir: str, horizon_hours: int = 72) -> pa.Table:
     def prep(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64())
         is_p = pc.equal(t["event_type"], pa.scalar("purchase"))
-        pus = pc.if_else(is_p, us, pa.scalar(BIG, type=pa.int64()))
-        staged = pa.table({"user_id": t["user_id"], "us": us,
-                           "pus": pus})
-        g = staged.group_by("user_id").aggregate(
-            [("us", "min"), ("pus", "min")])
-        return pa.table({"user_id": g["user_id"],
-                         "f_us": g["us_min"], "p_us": g["pus_min"]})
+        return pa.table({
+            "user_id": t["user_id"], "f_us": us,
+            "p_us": pc.if_else(is_p, us, pa.scalar(BIG, type=pa.int64()))})
 
-    per_user = (ds.map_batches(prep, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby("user_id")
-                .aggregate(Min("f_us", alias_name="f_us"),
-                           Min("p_us", alias_name="p_us"))
-                .materialize())
+    per_user = combine_agg(ds, ["user_id"], prep,
+                           [("f_us", "min"), ("p_us", "min")],
+                           _named("user_id", "f_us", "p_us"))
 
-    empty = pa.table({"h": pa.array([], type=pa.int64()),
-                      "n_deaths": pa.array([], type=pa.int64()),
-                      "n_cens": pa.array([], type=pa.int64())})
-
-    def hist(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def outcome(t: pa.Table) -> pa.Table:
         f = t["f_us"].to_numpy(zero_copy_only=False)
         p = t["p_us"].to_numpy(zero_copy_only=False)
         conv = p < BIG
         dur = np.where(conv, (p - f) // us_hour, horizon_hours + 1)
-        death = conv & (dur <= horizon_hours)
-        obs = np.minimum(dur, horizon_hours)
-        uh, inv = np.unique(obs, return_inverse=True)
-        nde = np.zeros(uh.shape[0], dtype=np.int64)
-        nce = np.zeros(uh.shape[0], dtype=np.int64)
-        np.add.at(nde, inv, death.astype(np.int64))
-        np.add.at(nce, inv, (~death).astype(np.int64))
-        return pa.table({"h": pa.array(uh.astype(np.int64)),
-                         "n_deaths": pa.array(nde),
-                         "n_cens": pa.array(nce)})
+        death = (conv & (dur <= horizon_hours)).astype(np.int64)
+        return pa.table({"h": np.minimum(dur, horizon_hours),
+                         "death": death, "cens": 1 - death})
 
-    agg = (per_user.map_batches(hist, batch_format="pyarrow",
-                                zero_copy_batch=True)
-           .groupby("h")
-           .aggregate(Sum("n_deaths", alias_name="n_deaths"),
-                      Sum("n_cens", alias_name="n_cens"))
+    agg = (combine_agg(per_user, ["h"], outcome,
+                       [("death", "sum"), ("cens", "sum")],
+                       _named("h", "n_deaths", "n_cens"))
            .to_pandas().sort_values("h").reset_index(drop=True))
     n_users = int((agg["n_deaths"] + agg["n_cens"]).sum())
     n_at = (agg["n_deaths"] + agg["n_cens"]).to_numpy(dtype=np.int64)
@@ -9464,21 +8212,14 @@ def theilsen_daily_trend(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def prep(t: pa.Table) -> pa.Table:
-        d = pc.divide(pc.cast(t["ts"], pa.int64()),
-                      pa.scalar(86_400_000_000, type=pa.int64()))
-        staged = pa.table({"event_type": t["event_type"],
-                           "d": pc.cast(d, pa.int64())})
-        g = staged.group_by(["event_type", "d"]).aggregate(
-            [("d", "count")])
-        return pa.table({"event_type": g["event_type"], "d": g["d"],
-                         "n": pc.cast(g["d_count"], pa.int64())})
+    def days(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"],
+                         "d": pc.divide(pc.cast(t["ts"], pa.int64()),
+                                        pa.scalar(86_400_000_000,
+                                                  pa.int64()))})
 
-    agg = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["event_type", "d"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["event_type", "d"], days, [("d", "count")],
+                      _named("event_type", "d", "n")).to_pandas()
     rows = []
     for ty in sorted(agg["event_type"].unique()):
         sub = agg[agg["event_type"] == ty].sort_values("d")
@@ -9543,7 +8284,7 @@ def moment_shape_by_type(sf_dir: str, n_bins: int = 1024) -> pa.Table:
     to ppm.
 
     Scale shape: pass 1 = distributed Min/Max; pass 2 = one bounded
-    bincount partial per block and a (types x bins)-key groupby; the
+    (type, bin) partial per block and a (types x bins)-key groupby; the
     moment math runs on the driver over <= types*n_bins rows.
     """
     ds = _read(sf_dir, "events", ["event_type", "value"])
@@ -9559,28 +8300,15 @@ def moment_shape_by_type(sf_dir: str, n_bins: int = 1024) -> pa.Table:
     lo, hi = int(mm["lo"]), int(mm["hi"])
     span = hi - lo + 1
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "bin": pa.array([], type=pa.int64()),
-                      "c": pa.array([], type=pa.int64())})
-
     def binned(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
         m = t["m"].to_numpy(zero_copy_only=False)
         b = np.zeros_like(m) if span <= 1 else (m - lo) * n_bins // span
-        staged = pa.table({"event_type": t["event_type"],
-                           "bin": pa.array(b.astype(np.int64))})
-        g = staged.group_by(["event_type", "bin"]).aggregate(
-            [("bin", "count")])
-        return pa.table({"event_type": g["event_type"],
-                         "bin": g["bin"],
-                         "c": pc.cast(g["bin_count"], pa.int64())})
+        return pa.table({"event_type": t["event_type"],
+                         "bin": pa.array(b.astype(np.int64))})
 
-    agg = (vals.map_batches(binned, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby(["event_type", "bin"])
-           .aggregate(Sum("c", alias_name="c"))
-           .to_pandas())
+    agg = combine_agg(vals, ["event_type", "bin"], binned,
+                      [("bin", "count")],
+                      _named("event_type", "bin", "c")).to_pandas()
     import math
     rows = []
     for ty in sorted(agg["event_type"].unique()):
@@ -9682,21 +8410,9 @@ def cusum_hourly_alarms(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def prep(t: pa.Table) -> pa.Table:
-        h = pc.divide(pc.cast(t["ts"], pa.int64()),
-                      pa.scalar(3_600_000_000, type=pa.int64()))
-        staged = pa.table({"event_type": t["event_type"],
-                           "h": pc.cast(h, pa.int64())})
-        g = staged.group_by(["event_type", "h"]).aggregate(
-            [("h", "count")])
-        return pa.table({"event_type": g["event_type"], "h": g["h"],
-                         "n": pc.cast(g["h_count"], pa.int64())})
-
-    agg = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["event_type", "h"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["event_type", "h"], _event_hours,
+                      [("h", "count")],
+                      _named("event_type", "h", "n")).to_pandas()
     h0, h1 = int(agg["h"].min()), int(agg["h"].max())
     nh = h1 - h0 + 1
     rows = []
@@ -9811,7 +8527,7 @@ def gopher_rules_report(sf_dir: str) -> pa.Table:
         f3 = punct * 10 > toks
         f4 = stops < 2
         ok = ~(f1 | f2 | f3 | f4)
-        staged = pa.table({
+        return pa.table({
             "lang": t["lang"],
             "f1": pa.array(f1.astype(np.int64)),
             "f2": pa.array(f2.astype(np.int64)),
@@ -9819,30 +8535,13 @@ def gopher_rules_report(sf_dir: str) -> pa.Table:
             "f4": pa.array(f4.astype(np.int64)),
             "ok": pa.array(ok.astype(np.int64)),
         })
-        g = staged.group_by("lang").aggregate(
-            [("f1", "sum"), ("f2", "sum"), ("f3", "sum"),
-             ("f4", "sum"), ("ok", "sum"), ("ok", "count")])
-        return pa.table({
-            "lang": g["lang"], "n_docs": pc.cast(g["ok_count"],
-                                                 pa.int64()),
-            "n_fail_wordcount": g["f1_sum"],
-            "n_fail_wordlen": g["f2_sum"],
-            "n_fail_symbol": g["f3_sum"],
-            "n_fail_stopword": g["f4_sum"],
-            "n_pass": g["ok_sum"],
-        })
 
-    agg = (ds.map_batches(rules, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("n_fail_wordcount",
-                          alias_name="n_fail_wordcount"),
-                      Sum("n_fail_wordlen", alias_name="n_fail_wordlen"),
-                      Sum("n_fail_symbol", alias_name="n_fail_symbol"),
-                      Sum("n_fail_stopword",
-                          alias_name="n_fail_stopword"),
-                      Sum("n_pass", alias_name="n_pass"))
+    agg = (combine_agg(ds, ["lang"], rules,
+                       [("ok", "count"), ("f1", "sum"), ("f2", "sum"),
+                        ("f3", "sum"), ("f4", "sum"), ("ok", "sum")],
+                       _named("lang", "n_docs", "n_fail_wordcount",
+                              "n_fail_wordlen", "n_fail_symbol",
+                              "n_fail_stopword", "n_pass"))
            .to_pandas().sort_values("lang").reset_index(drop=True))
     return pa.table({
         "lang": pa.array(agg["lang"], type=pa.string()),
@@ -9891,41 +8590,22 @@ def vocab_growth_curve(sf_dir: str) -> pa.Table:
         docs = np.repeat(t["doc_id"].to_numpy(zero_copy_only=False),
                          lens)
         docs = docs[np.asarray(keep)]
-        staged = pa.table({"token": flat,
-                           "doc": pa.array(docs.astype(np.int64))})
-        g = staged.group_by("token").aggregate(
-            [("doc", "min"), ("doc", "count")])
-        return pa.table({"token": g["token"], "first_doc": g["doc_min"],
-                         "occ": pc.cast(g["doc_count"], pa.int64())})
+        return pa.table({"token": flat,
+                         "doc": pa.array(docs.astype(np.int64))})
 
-    agg = (ds.map_batches(toks, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("token")
-           .aggregate(Min("first_doc", alias_name="first_doc"),
-                      Sum("occ", alias_name="occ")))
+    agg = combine_agg(ds, ["token"], toks,
+                      [("doc", "min"), ("doc", "count")],
+                      _named("token", "first_doc", "occ"))
 
-    empty = pa.table({"decile": pa.array([], type=pa.int64()),
-                      "new_tokens": pa.array([], type=pa.int64()),
-                      "occurrences": pa.array([], type=pa.int64())})
+    def decile(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "decile": t["first_doc"].to_numpy(zero_copy_only=False)
+            * 10 // span,
+            "occ": t["occ"]})
 
-    def by_decile(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        d = t["first_doc"].to_numpy(zero_copy_only=False) * 10 // span
-        occ = t["occ"].to_numpy(zero_copy_only=False)
-        nt = np.bincount(d, minlength=10)[:10]
-        oc = np.bincount(d, weights=occ.astype(np.float64),
-                         minlength=10)[:10].astype(np.int64)
-        return pa.table({"decile": pa.array(np.arange(10,
-                                                      dtype=np.int64)),
-                         "new_tokens": pa.array(nt.astype(np.int64)),
-                         "occurrences": pa.array(oc)})
-
-    out = (agg.map_batches(by_decile, batch_format="pyarrow",
-                           zero_copy_batch=True)
-           .groupby("decile")
-           .aggregate(Sum("new_tokens", alias_name="new_tokens"),
-                      Sum("occurrences", alias_name="occurrences"))
+    out = (combine_agg(agg, ["decile"], decile,
+                       [("occ", "count"), ("occ", "sum")],
+                       _named("decile", "new_tokens", "occurrences"))
            .to_pandas().sort_values("decile").reset_index(drop=True))
     nt = np.zeros(10, dtype=np.int64)
     oc = np.zeros(10, dtype=np.int64)
@@ -9981,21 +8661,9 @@ def fano_dispersion_by_type(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def prep(t: pa.Table) -> pa.Table:
-        h = pc.divide(pc.cast(t["ts"], pa.int64()),
-                      pa.scalar(3_600_000_000, type=pa.int64()))
-        staged = pa.table({"event_type": t["event_type"],
-                           "h": pc.cast(h, pa.int64())})
-        g = staged.group_by(["event_type", "h"]).aggregate(
-            [("h", "count")])
-        return pa.table({"event_type": g["event_type"], "h": g["h"],
-                         "n": pc.cast(g["h_count"], pa.int64())})
-
-    agg = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["event_type", "h"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["event_type", "h"], _event_hours,
+                      [("h", "count")],
+                      _named("event_type", "h", "n")).to_pandas()
     h0, h1 = int(agg["h"].min()), int(agg["h"].max())
     nh = h1 - h0 + 1
     rows = []
@@ -10052,18 +8720,9 @@ def hhi_source_concentration(sf_dir: str) -> pa.Table:
     Python big ints.
     """
     ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        g = t.group_by(["lang", "source"]).aggregate([("source",
-                                                       "count")])
-        return pa.table({"lang": g["lang"], "source": g["source"],
-                         "n": pc.cast(g["source_count"], pa.int64())})
-
-    agg = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["lang", "source"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["lang", "source"], lambda t: t,
+                      [("source", "count")],
+                      _named("lang", "source", "n")).to_pandas()
     rows = []
     for lang in sorted(agg["lang"].unique()):
         sub = agg[agg["lang"] == lang]
@@ -10110,20 +8769,14 @@ def eb_shrunk_user_rates(sf_dir: str, m: int = 20,
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def prep(t: pa.Table) -> pa.Table:
-        isp = pc.cast(pc.equal(t["event_type"],
-                               pa.scalar("purchase")), pa.int64())
-        staged = pa.table({"user_id": t["user_id"], "p": isp})
-        g = staged.group_by("user_id").aggregate(
-            [("p", "sum"), ("p", "count")])
-        return pa.table({"user_id": g["user_id"], "p": g["p_sum"],
-                         "n": pc.cast(g["p_count"], pa.int64())})
+        return pa.table({
+            "user_id": t["user_id"],
+            "p": pc.cast(pc.equal(t["event_type"], pa.scalar("purchase")),
+                         pa.int64())})
 
-    per_user = (ds.map_batches(prep, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby("user_id")
-                .aggregate(Sum("p", alias_name="p"),
-                           Sum("n", alias_name="n"))
-                .materialize())
+    per_user = combine_agg(ds, ["user_id"], prep,
+                           [("p", "sum"), ("p", "count")],
+                           _named("user_id", "p", "n")).materialize()
     tot = per_user.aggregate(Sum("p", alias_name="tp"),
                              Sum("n", alias_name="tn"))
     prior_ppm = int(tot["tp"]) * 1_000_000 // int(tot["tn"])
@@ -10199,15 +8852,8 @@ def temperature_mix_weights(sf_dir: str, temp_num: int = 7,
     """
     import math
     ds = _read(sf_dir, "documents", ["lang"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate([("lang", "count")])
-        return pa.table({"lang": g["lang"],
-                         "n": pc.cast(g["lang_count"], pa.int64())})
-
-    agg = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("lang").aggregate(Sum("n", alias_name="n"))
+    agg = (combine_agg(ds, ["lang"], lambda t: t, [("lang", "count")],
+                       _named("lang", "n"))
            .to_pandas().sort_values("lang").reset_index(drop=True))
     langs = list(agg["lang"])
     ns = [int(v) for v in agg["n"]]
@@ -10541,61 +9187,33 @@ def char_bigram_entropy_by_lang(sf_dir: str) -> pa.Table:
     text" corpus statistic (and the cross-entropy a char-bigram
     compressor would achieve), plus doc/bigram/vocabulary counts.
 
-    Scale shape: per-batch vectorized bigram counting (texts decode to
-    one uint32 codepoint buffer per language group -- C-level encode per
-    doc, numpy pair-keying, np.unique; never a per-character Python
-    loop) -> groupby(lang, bigram) -> hash co-partition on (lang, first
-    char) so each partition holds whole conditional distributions ->
-    per-partition floor(1e6*ln(c/t)) terms and per-lang partials ->
-    O(langs) driver fold.  The model table is vocabulary-bounded
+    Scale shape: per-batch vectorized bigram keying (each text decodes
+    to one uint32 codepoint buffer -- C-level encode per doc, numpy
+    pair-keying; never a per-character Python loop) -> grouped count
+    per (lang, bigram) -> hash co-partition on (lang, first char) so
+    each partition holds whole conditional distributions -> per-bigram
+    floor(1e6*ln(c/t)) terms -> grouped per-lang sums.  The model table is vocabulary-bounded
     (distinct bigrams), never corpus-sized.
 
     Determinism: ln is applied to the SAME double ratio in numpy and
     DuckDB and floored to micro-nats per (lang, bigram) term, so the
     integer totals hash-match (proven per-term-ln-parity pattern).
     """
-    from ray.data.aggregate import Sum as _Sum
-
     ds = _read(sf_dir, "documents", ["lang", "text"])
-    SEP = np.uint32(0xFFFFFFFF)
 
-    def bigram_counts(t: pa.Table) -> pa.Table:
-        out_lang: list[str] = []
-        out_bg: list[np.ndarray] = []
-        out_c: list[np.ndarray] = []
-        langs = t["lang"].to_numpy(zero_copy_only=False)
-        texts = t["text"].to_numpy(zero_copy_only=False)
-        for lang in np.unique(langs):
-            sel = texts[langs == lang]
-            bufs = []
-            for s in sel:  # C-level utf-32 decode per doc
-                if s is not None and len(s) >= 1:
-                    bufs.append(np.frombuffer(
-                        s.encode("utf-32-le"), dtype=np.uint32))
-                    bufs.append(np.array([SEP], dtype=np.uint32))
-            if not bufs:
-                continue
-            codes = np.concatenate(bufs)
-            a, b = codes[:-1], codes[1:]
-            ok = (a != SEP) & (b != SEP)
-            if not ok.any():
-                continue
-            key = (a[ok].astype(np.int64) << 21) | b[ok].astype(np.int64)
-            uk, cnt = np.unique(key, return_counts=True)
-            out_lang.extend([str(lang)] * len(uk))
-            out_bg.append(uk)
-            out_c.append(cnt.astype(np.int64))
-        if not out_bg:
-            return pa.table({"lang": pa.array([], type=pa.string()),
-                             "bg": pa.array([], type=pa.int64()),
-                             "c": pa.array([], type=pa.int64())})
-        return pa.table({"lang": pa.array(out_lang, type=pa.string()),
-                         "bg": pa.array(np.concatenate(out_bg)),
-                         "c": pa.array(np.concatenate(out_c))})
+    def bigrams(t: pa.Table) -> pa.Table:
+        keys, docs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for i, s in enumerate(t["text"].to_numpy(zero_copy_only=False)):
+            if s is not None and len(s) >= 2:  # C-level utf-32 decode
+                c = np.frombuffer(s.encode("utf-32-le"),
+                                  dtype=np.uint32).astype(np.int64)
+                keys.append((c[:-1] << 21) | c[1:])
+                docs.append(np.full(c.shape[0] - 1, i, dtype=np.int64))
+        return pa.table({"lang": pc.take(t["lang"], np.concatenate(docs)),
+                         "bg": np.concatenate(keys)})
 
-    model = (ds.map_batches(bigram_counts, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["lang", "bg"]).aggregate(_Sum("c", alias_name="c")))
+    model = combine_agg(ds, ["lang", "bg"], bigrams, [("bg", "count")],
+                        _named("lang", "bg", "c"))
 
     def add_ctxkey(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "bg" not in t.column_names:
@@ -10616,58 +9234,34 @@ def char_bigram_entropy_by_lang(sf_dir: str) -> pa.Table:
                          "ctxkey": pa.array(ctx)})
 
     empty = pa.table({"lang": pa.array([], type=pa.string()),
-                      "distinct_bigrams": pa.array([], type=pa.int64()),
-                      "n_bigrams": pa.array([], type=pa.int64()),
-                      "xent_micro": pa.array([], type=pa.int64())})
+                      "c": pa.array([], type=pa.int64()),
+                      "code_len": pa.array([], type=pa.int64())})
 
     def score_partition(t: pa.Table) -> pa.Table:
         langs = t["lang"].to_numpy(zero_copy_only=False)
         bg = t["bg"].to_numpy(zero_copy_only=False)
         c = t["c"].to_numpy(zero_copy_only=False)
-        rows = {"lang": [], "distinct_bigrams": [], "n_bigrams": [],
-                "xent_micro": []}
-        for lang in np.unique(langs):
-            m = langs == lang
-            a = bg[m] >> 21
-            uk, inv = np.unique(a, return_inverse=True)
-            tot = np.bincount(inv, weights=c[m]).astype(np.int64)
-            lp = np.floor(np.log(c[m].astype(np.float64)
-                                 / tot[inv].astype(np.float64))
-                          * 1_000_000.0).astype(np.int64)
-            rows["lang"].append(str(lang))
-            rows["distinct_bigrams"].append(int(m.sum()))
-            rows["n_bigrams"].append(int(c[m].sum()))
-            rows["xent_micro"].append(int(-(c[m] * lp).sum()))
-        return pa.table({
-            "lang": pa.array(rows["lang"], type=pa.string()),
-            "distinct_bigrams": pa.array(rows["distinct_bigrams"],
-                                         type=pa.int64()),
-            "n_bigrams": pa.array(rows["n_bigrams"], type=pa.int64()),
-            "xent_micro": pa.array(rows["xent_micro"], type=pa.int64()),
-        })
+        # per (lang, first char < 2^21): the context total of each bigram
+        lcode = np.unique(langs, return_inverse=True)[1].astype(np.int64)
+        _, inv = np.unique((lcode << 21) | (bg >> 21), return_inverse=True)
+        tot = np.bincount(inv, weights=c).astype(np.int64)
+        lp = np.floor(np.log(c.astype(np.float64)
+                             / tot[inv].astype(np.float64))
+                      * 1_000_000.0).astype(np.int64)
+        return pa.table({"lang": t["lang"], "c": pa.array(c),
+                         "code_len": pa.array(-(c * lp))})
 
     from ..stages.partition import fit_partitions, partition_by
     partials = partition_by(
         model.map_batches(add_ctxkey, batch_format="pyarrow"),
         ["ctxkey"], fit_partitions(16), score_partition, empty)
-    stats = (partials.groupby("lang")
-             .aggregate(_Sum("distinct_bigrams",
-                             alias_name="distinct_bigrams"),
-                        _Sum("n_bigrams", alias_name="n_bigrams"),
-                        _Sum("xent_micro", alias_name="xent_micro"))
-             .to_pandas())
-
-    def docs_per_lang(t: pa.Table) -> pa.Table:
-        g = t.select(["lang"]).group_by("lang").aggregate(
-            [("lang", "count")])
-        return pa.table({"lang": g["lang"],
-                         "n_docs": pc.cast(g["lang_count"], pa.int64())})
-
-    nd = (_read(sf_dir, "documents", ["lang"])
-          .map_batches(docs_per_lang, batch_format="pyarrow",
-                       zero_copy_batch=True)
-          .groupby("lang").aggregate(_Sum("n_docs", alias_name="n_docs"))
-          .to_pandas())
+    stats = combine_agg(partials, ["lang"], lambda t: t,
+                        [("c", "count"), ("c", "sum"), ("code_len", "sum")],
+                        _named("lang", "distinct_bigrams", "n_bigrams",
+                               "xent_micro")).to_pandas()
+    nd = combine_agg(_read(sf_dir, "documents", ["lang"]), ["lang"],
+                     lambda t: t, [("lang", "count")],
+                     _named("lang", "n_docs")).to_pandas()
     merged = nd.merge(stats, on="lang", how="left").fillna(0)
     merged = merged.sort_values("lang").reset_index(drop=True)
     return pa.table({
@@ -10729,54 +9323,26 @@ def tokenizer_fertility_by_lang(sf_dir: str) -> "ray.data.Dataset":
     per-block and folded through one langs-cardinality groupby; ratios
     are exact integer ppm.
     """
-    from ray.data.aggregate import Sum as _Sum
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     def prep(t: pa.Table) -> pa.Table:
         texts = t["text"]
-        staged = pa.table({
+        return pa.table({
             "lang": t["lang"],
-            "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
             "ws": pc.cast(pc.count_substring_regex(texts, _WS_TOKEN_RE),
                           pa.int64()),
             "bpe": pc.cast(pc.count_substring_regex(texts, _BPE_TOKEN_RE),
                            pa.int64()),
             "chars": pc.cast(pc.utf8_length(texts), pa.int64()),
         })
-        g = staged.group_by("lang").aggregate(
-            [("one", "sum"), ("ws", "sum"), ("bpe", "sum"),
-             ("chars", "sum")])
-        return pa.table({"lang": g["lang"],
-                         "n_docs": pc.cast(g["one_sum"], pa.int64()),
-                         "ws_tokens": pc.cast(g["ws_sum"], pa.int64()),
-                         "bpe_tokens": pc.cast(g["bpe_sum"], pa.int64()),
-                         "n_chars": pc.cast(g["chars_sum"], pa.int64())})
-
-    agg = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(_Sum("n_docs", alias_name="n_docs"),
-                      _Sum("ws_tokens", alias_name="ws_tokens"),
-                      _Sum("bpe_tokens", alias_name="bpe_tokens"),
-                      _Sum("n_chars", alias_name="n_chars")))
 
     def fert(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "ws_tokens" not in t.column_names:
-            return pa.table({
-                "lang": pa.array([], type=pa.string()),
-                "n_docs": pa.array([], type=pa.int64()),
-                "ws_tokens": pa.array([], type=pa.int64()),
-                "bpe_tokens": pa.array([], type=pa.int64()),
-                "n_chars": pa.array([], type=pa.int64()),
-                "fertility_ppm": pa.array([], type=pa.int64()),
-                "tokens_per_kchar_ppm": pa.array([], type=pa.int64())})
-        ws = t["ws_tokens"].to_numpy(zero_copy_only=False)
-        bpe = t["bpe_tokens"].to_numpy(zero_copy_only=False)
-        ch = t["chars" if "chars" in t.column_names else "n_chars"] \
-            .to_numpy(zero_copy_only=False)
+        ws = t["ws_sum"].to_numpy(zero_copy_only=False)
+        bpe = t["bpe_sum"].to_numpy(zero_copy_only=False)
+        ch = t["chars_sum"].to_numpy(zero_copy_only=False)
         return pa.table({
             "lang": t["lang"],
-            "n_docs": pc.cast(t["n_docs"], pa.int64()),
+            "n_docs": t["ws_count"],
             "ws_tokens": pa.array(ws),
             "bpe_tokens": pa.array(bpe),
             "n_chars": pa.array(ch),
@@ -10786,7 +9352,9 @@ def tokenizer_fertility_by_lang(sf_dir: str) -> "ray.data.Dataset":
                 bpe * 1_000_000_000 // np.maximum(ch, 1)),
         })
 
-    return agg.map_batches(fert, batch_format="pyarrow")
+    return combine_agg(ds, ["lang"], prep,
+                       [("ws", "count"), ("ws", "sum"), ("bpe", "sum"),
+                        ("chars", "sum")], fert)
 
 
 TOKENIZER_FERTILITY_SQL = r"""
@@ -10815,43 +9383,21 @@ def join_fanout_histogram(sf_dir: str) -> pa.Table:
     reads before sizing partitions (a hot key's fanout bounds the
     largest co-partition).
 
-    Scale shape: per-block (orderkey, lines) combiner -> groupby(key) ->
-    per-block (fanout, n) combiner -> groupby(fanout): both exchanges
-    are cardinality-bounded (keys, then distinct fanouts).  The zero
-    bucket is total orders minus matched keys -- two scalar aggregates,
-    no anti-join needed.
+    Scale shape: a grouped count of lines per order key, then a grouped
+    count of orders per fanout: both exchanges are cardinality-bounded
+    (keys, then distinct fanouts).  The zero bucket is total orders
+    minus matched keys -- two scalar aggregates, no anti-join needed.
     """
-    from ray.data.aggregate import Sum as _Sum
-
     li = _read(sf_dir, "lineitem", ["l_orderkey"])
-
-    def per_key(t: pa.Table) -> pa.Table:
-        g = (t.select(["l_orderkey"]).group_by("l_orderkey")
-             .aggregate([("l_orderkey", "count")]))
-        return pa.table({"key": pc.cast(g["l_orderkey"], pa.int64()),
-                         "n": pc.cast(g["l_orderkey_count"], pa.int64())})
-
-    # order-grain fold via the co-partition kernel (near-unique key:
-    # Ray's aggregate combine is ~6 us/GROUP, ~1 s over 150k orders)
-    from ..stages.partition import fit_partitions, fold_sum_by_key
-    per_order = fold_sum_by_key(
-        li.map_batches(per_key, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        "key", ["n"], fit_partitions(16))
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "n" not in t.column_names:
-            return pa.table({"fanout": pa.array([], type=pa.int64()),
-                             "n_orders": pa.array([], type=pa.int64())})
-        f, c = np.unique(t["n"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"fanout": pa.array(f.astype(np.int64)),
-                         "n_orders": pa.array(c.astype(np.int64))})
-
-    hist = (per_order.map_batches(hist_partial, batch_format="pyarrow")
-            .groupby("fanout").aggregate(_Sum("n_orders",
-                                              alias_name="n_orders"))
-            .to_pandas().sort_values("fanout"))
+    per_order = combine_agg(
+        li, ["key"],
+        lambda t: pa.table({"key": pc.cast(t["l_orderkey"], pa.int64())}),
+        [("key", "count")], lambda t: pa.table({"fanout": t["key_count"]}))
+    hist = combine_agg(
+        per_order, ["fanout"], lambda t: t, [("fanout", "count")],
+        lambda t: pa.table({"fanout": t["fanout"],
+                            "n_orders": t["fanout_count"]})
+    ).to_pandas().sort_values("fanout")
 
     n_orders_total = _read(sf_dir, "orders", ["o_orderkey"]).count()
     matched = int(hist["n_orders"].sum())
@@ -10882,45 +9428,25 @@ def dup_cluster_size_hist(sf_dir: str,
     corpus dedup papers ("X% of the crawl is exact-duplicate in
     clusters of size >= k").
 
-    Scale shape: content-hash per block -> per-block (hash, n) combiner
-    -> groupby(hash) -> per-block (size, clusters, docs) combiner ->
-    groupby(size): every exchange is bounded by distinct content, then
-    by distinct sizes.  ``hash_tier="md5"`` is the oracle-replicable
-    tier; pass "fp64" for the C-vectorized 100 TB path (same dataflow).
+    Scale shape: content-hash per block -> grouped count per hash ->
+    grouped count and sum per cluster size: every exchange is bounded
+    by distinct content, then by distinct sizes.  ``hash_tier="md5"`` is
+    the oracle-replicable tier; pass "fp64" for the C-vectorized 100 TB
+    path (same dataflow).
     """
     from functools import partial as _partial
-    from ray.data.aggregate import Sum as _Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     hashed = ds.map_batches(_partial(_content_hash_batch,
                                      hash_tier=hash_tier),
                             batch_format="pyarrow", zero_copy_batch=True)
     col = "text_md5" if hash_tier == "md5" else "text_fp64"
-
-    def per_hash(t: pa.Table) -> pa.Table:
-        g = (t.select([col]).group_by(col)
-             .aggregate([([], "count_all")]))
-        return pa.table({"h": g[col],
-                         "n": pc.cast(g["count_all"], pa.int64())})
-
-    sizes = (hashed.map_batches(per_hash, batch_format="pyarrow")
-             .groupby("h").aggregate(_Sum("n", alias_name="n")))
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "n" not in t.column_names:
-            return pa.table({"cluster_size": pa.array([], type=pa.int64()),
-                             "n_clusters": pa.array([], type=pa.int64()),
-                             "n_docs": pa.array([], type=pa.int64())})
-        s, c = np.unique(t["n"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"cluster_size": pa.array(s.astype(np.int64)),
-                         "n_clusters": pa.array(c.astype(np.int64)),
-                         "n_docs": pa.array((s * c).astype(np.int64))})
-
-    out = (sizes.map_batches(hist_partial, batch_format="pyarrow")
-           .groupby("cluster_size")
-           .aggregate(_Sum("n_clusters", alias_name="n_clusters"),
-                      _Sum("n_docs", alias_name="n_docs"))
+    sizes = combine_agg(hashed, [col], lambda t: t.select([col]),
+                        [(col, "count")],
+                        lambda t: pa.table({"n": t[f"{col}_count"]}))
+    out = (combine_agg(sizes, ["n"], lambda t: t,
+                       [("n", "count"), ("n", "sum")],
+                       _named("cluster_size", "n_clusters", "n_docs"))
            .to_pandas().sort_values("cluster_size"))
     return pa.table({
         "cluster_size": pa.array(out["cluster_size"].astype(np.int64)),
@@ -10947,53 +9473,31 @@ def source_similarity_matrix(sf_dir: str) -> pa.Table:
     squared norms; cos_ppm is ONE mirrored float expression
     (dot / (sqrt(na2)*sqrt(nb2)) * 1e6, floored) so it hash-matches.
 
-    Scale shape: per-block (source, token) count partials (dictionary-
-    encode + composite np.unique, the engine's standard vocabulary
-    combiner) -> groupby(source, token) -> token co-partition, where
+    Scale shape: per-block (token fingerprint, source) count partials
+    (the engine's standard vocabulary combiner) -> groupby(token,
+    source) -> token co-partition, where
     each partition builds a dense (tokens x sources) count matrix and
     one int64 M^T @ M gives every pair's partial dot -- O(sources^2)
     per partition, summed on the driver.  Norms ride the same matmul's
     diagonal.  Assumes a schema-bounded source domain (DOC_SOURCES),
     the same contract as docs_lang_source_pivot.
     """
-    from ray.data.aggregate import Sum as _Sum
     from ..functions.text import fingerprint64
     from ..stages.partition import fit_partitions, partition_by
 
     src_domain = sorted(DOC_SOURCES)
-    idx_of = {s: i for i, s in enumerate(src_domain)}
     n_src = len(src_domain)
 
     ds = _read(sf_dir, "documents", ["source", "text"])
 
-    def counts(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        if len(flat) == 0:
-            return pa.table({"fp": pa.array([], type=pa.int64()),
-                             "src": pa.array([], type=pa.int64()),
-                             "c": pa.array([], type=pa.int64())})
-        nper = pc.list_value_length(toks).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        src = t["source"].to_numpy(zero_copy_only=False)
-        scode = np.array([idx_of[s] for s in src], dtype=np.int64)
-        tok_src = np.repeat(scode, nper)
-        fp = fingerprint64(flat).to_numpy(zero_copy_only=False)
-        # 59-bit token id so id*32+src never wraps uint64 (a full-width
-        # fp * n_src DOES wrap for "negative" int64 fps, corrupting the
-        # decode); dropping 5 hash bits keeps the same collision class.
-        tid = fp.view(np.uint64) >> np.uint64(5)
-        comp_f = tid * np.uint64(32) + tok_src.astype(np.uint64)
-        uc, cnt = np.unique(comp_f, return_counts=True)
-        return pa.table({
-            "fp": pa.array((uc >> np.uint64(5)).view(np.int64)),
-            "src": pa.array((uc & np.uint64(31)).astype(np.int64)),
-            "c": pa.array(cnt.astype(np.int64)),
-        })
+    def tokens(t: pa.Table) -> pa.Table:
+        tok = _tokens(t, "source")
+        return pa.table({"fp": fingerprint64(tok["tok"]),
+                         "src": pc.index_in(tok["source"],
+                                            pa.array(src_domain))})
 
-    vec = (ds.map_batches(counts, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["fp", "src"]).aggregate(_Sum("c", alias_name="c")))
+    vec = combine_agg(ds, ["fp", "src"], tokens, [("src", "count")],
+                      _named("fp", "src", "c"))
 
     empty = pa.table({"i": pa.array([], type=pa.int64()),
                       "j": pa.array([], type=pa.int64()),
@@ -11014,8 +9518,8 @@ def source_similarity_matrix(sf_dir: str) -> pa.Table:
                          "v": pa.array(g[i[keep], j[keep]])})
 
     parts = partition_by(vec, ["fp"], fit_partitions(16), gram, empty)
-    g = (parts.groupby(["i", "j"]).aggregate(_Sum("v", alias_name="v"))
-         .to_pandas())
+    g = combine_agg(parts, ["i", "j"], lambda t: t, [("v", "sum")],
+                    _named("i", "j", "v")).to_pandas()
     full = np.zeros((n_src, n_src), dtype=np.int64)
     for _, r in g.iterrows():
         full[int(r.i), int(r.j)] = int(r.v)
@@ -11098,7 +9602,6 @@ def pinball_eval_hourly(sf_dir: str, q_num: int = 9,
     model is an O(cells) broadcast; scoring pass streams test rows with
     a vectorized lookup and per-type integer partials.
     """
-    from ray.data.aggregate import Sum as _Sum
     from ..hashing import murmur64
     from .quantiles import exact_quantiles, exact_quantiles_grouped
 
@@ -11134,37 +9637,20 @@ def pinball_eval_hourly(sf_dir: str, q_num: int = 9,
     preds = [int(v) for v in model_t["value"].to_pylist()]
     model_ref = ray.put((dict(zip(cells, preds)), fallback))
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_test": pa.array([], type=pa.int64()),
-                      "pinball_x10": pa.array([], type=pa.int64())})
-
     def score(t: pa.Table) -> pa.Table:
         t = t.filter(t["is_test"])
-        if t.num_rows == 0:
-            return empty
         model, fb = ray.get(model_ref)
         cell = t["cell"].to_numpy(zero_copy_only=False)
         y = t["value_c"].to_numpy(zero_copy_only=False)
         p = np.array([model.get(c, fb) for c in cell], dtype=np.int64)
         diff = y - p
         loss = np.where(diff >= 0, q_num * diff, (q_den - q_num) * -diff)
-        staged = pa.table({
-            "event_type": t["event_type"],
-            "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "loss": pa.array(loss.astype(np.int64)),
-        })
-        g = staged.group_by("event_type").aggregate(
-            [("one", "sum"), ("loss", "sum")])
-        return pa.table({
-            "event_type": g["event_type"],
-            "n_test": pc.cast(g["one_sum"], pa.int64()),
-            "pinball_x10": pc.cast(g["loss_sum"], pa.int64()),
-        })
+        return pa.table({"event_type": t["event_type"],
+                         "loss": pa.array(loss.astype(np.int64))})
 
-    return (feats.map_batches(score, batch_format="pyarrow")
-            .groupby("event_type")
-            .aggregate(_Sum("n_test", alias_name="n_test"),
-                       _Sum("pinball_x10", alias_name="pinball_x10")))
+    return combine_agg(feats, ["event_type"], score,
+                       [("loss", "count"), ("loss", "sum")],
+                       _named("event_type", "n_test", "pinball_x10"))
 
 
 PINBALL_EVAL_SQL = """
@@ -11203,11 +9689,10 @@ def postings_gap_stats(sf_dir: str) -> pa.Table:
     combiner -> groupby to finish the dedup -> token co-partition,
     where a single lexsort + masked diff produces every gap in the
     partition at once (no per-token loop) and np.frexp gives exact
-    integer bit lengths; the final exchange is <= 64 rows.  Token
+    integer bit lengths; the final exchange is <= 64 rows per block.  Token
     identity by 64-bit fingerprint (same collision class the
     oracle-green source_vocab_overlap accepts).
     """
-    from ray.data.aggregate import Sum as _Sum
     from ..functions.text import fingerprint64
     from ..stages.partition import fit_partitions, partition_by
 
@@ -11230,25 +9715,16 @@ def postings_gap_stats(sf_dir: str) -> pa.Table:
                 all_toks.extend(ts_)
                 all_docs.append(np.full(len(ts_), doc[i],
                                         dtype=np.int64))
-        if not all_toks:
-            return pa.table({"fp": pa.array([], type=pa.int64()),
-                             "doc_id": pa.array([], type=pa.int64())})
-        fp = fingerprint64(pa.array(all_toks, type=pa.string())) \
-            .to_numpy(zero_copy_only=False)
-        dids = np.concatenate(all_docs)
-        comp = np.stack([fp, dids], axis=1)
-        uniq = np.unique(comp, axis=0)
-        return pa.table({"fp": pa.array(uniq[:, 0]),
-                         "doc_id": pa.array(uniq[:, 1])})
+        return pa.table({
+            "fp": fingerprint64(pa.array(all_toks, type=pa.string())),
+            "doc_id": np.concatenate([np.zeros(0, np.int64)] + all_docs)})
 
-    postings = (ds.map_batches(pairs, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby(["fp", "doc_id"])
-                .aggregate(Count(alias_name="_x")))
+    postings = combine_agg(ds, ["fp", "doc_id"], pairs,
+                           [("doc_id", "count")],
+                           lambda t: t.select(["fp", "doc_id"]))
 
     empty = pa.table({"bitlen": pa.array([], type=pa.int64()),
-                      "n_gaps": pa.array([], type=pa.int64()),
-                      "sum_gaps": pa.array([], type=pa.int64())})
+                      "gap": pa.array([], type=pa.int64())})
 
     def gaps(t: pa.Table) -> pa.Table:
         fp = t["fp"].to_numpy(zero_copy_only=False)
@@ -11257,20 +9733,14 @@ def postings_gap_stats(sf_dir: str) -> pa.Table:
         fp, doc = fp[order], doc[order]
         same = fp[1:] == fp[:-1]
         gap = (doc[1:] - doc[:-1])[same]
-        if len(gap) == 0:
-            return empty
-        bl = np.frexp(gap.astype(np.float64))[1].astype(np.int64)
-        ub, cnt = np.unique(bl, return_counts=True)
-        sums = np.zeros(len(ub), dtype=np.int64)
-        np.add.at(sums, np.searchsorted(ub, bl), gap)
-        return pa.table({"bitlen": pa.array(ub),
-                         "n_gaps": pa.array(cnt.astype(np.int64)),
-                         "sum_gaps": pa.array(sums)})
+        return pa.table({
+            "bitlen": np.frexp(gap.astype(np.float64))[1].astype(np.int64),
+            "gap": gap})
 
     out = partition_by(postings, ["fp"], fit_partitions(16), gaps, empty)
-    res = (out.groupby("bitlen")
-           .aggregate(_Sum("n_gaps", alias_name="n_gaps"),
-                      _Sum("sum_gaps", alias_name="sum_gaps"))
+    res = (combine_agg(out, ["bitlen"], lambda t: t,
+                       [("gap", "count"), ("gap", "sum")],
+                       _named("bitlen", "n_gaps", "sum_gaps"))
            .to_pandas().sort_values("bitlen"))
     return pa.table({
         "bitlen": pa.array(res["bitlen"].astype(np.int64)),
@@ -11318,25 +9788,17 @@ def changepoint_binary_split(sf_dir: str) -> pa.Table:
     cardinality-bounded); the gain scan is driver math over the hourly
     series, O(hours).
     """
-    from ray.data.aggregate import Sum as _Sum
 
     ds = _read(sf_dir, "events", ["ts", "value"])
     HOUR_US = np.int64(3_600_000_000)
 
     def hourly(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"hour": pa.array(us // HOUR_US),
-                           "vc": _int_units(t["value"], 100)})
-        g = staged.group_by("hour").aggregate([("vc", "sum"),
-                                               ("vc", "count")])
-        return pa.table({"hour": g["hour"],
-                         "s": pc.cast(g["vc_sum"], pa.int64()),
-                         "n": pc.cast(g["vc_count"], pa.int64())})
+        return pa.table({"hour": pa.array(us // HOUR_US),
+                         "vc": _int_units(t["value"], 100)})
 
-    h = (ds.map_batches(hourly, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("hour").aggregate(_Sum("s", alias_name="s"),
-                                    _Sum("n", alias_name="n"))
+    h = (combine_agg(ds, ["hour"], hourly, [("vc", "sum"), ("vc", "count")],
+                     _named("hour", "s", "n"))
          .to_pandas().sort_values("hour").reset_index(drop=True))
     s = h["s"].to_numpy(dtype=np.int64)
     n = h["n"].to_numpy(dtype=np.int64)
@@ -11411,7 +9873,6 @@ def association_rules(sf_dir: str) -> pa.Table:
     supports are exact sums -- no pair shuffle at all.  Integer ops
     mirror the SQL exactly, including the two-step lift division.
     """
-    from ray.data.aggregate import Sum as _Sum
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -11436,8 +9897,7 @@ def association_rules(sf_dir: str) -> pa.Table:
     # meet in one partition) before the tiny mask histogram.
     from ..stages.partition import fit_partitions, partition_by
 
-    empty = pa.table({"mask": pa.array([], type=pa.int64()),
-                      "n_users": pa.array([], type=pa.int64())})
+    empty = pa.table({"mask": pa.array([], type=pa.int64())})
 
     def fold_masks(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
@@ -11445,16 +9905,14 @@ def association_rules(sf_dir: str) -> pa.Table:
         uu, inv = np.unique(uid, return_inverse=True)
         fm = np.zeros(len(uu), dtype=np.int64)
         np.bitwise_or.at(fm, inv, m)
-        um, cnt = np.unique(fm, return_counts=True)
-        return pa.table({"mask": pa.array(um),
-                         "n_users": pa.array(cnt.astype(np.int64))})
+        return pa.table({"mask": pa.array(fm)})
 
-    hist = (partition_by(
+    hist = combine_agg(partition_by(
         ds.map_batches(masks, batch_format="pyarrow",
                        zero_copy_batch=True),
-        ["user_id"], fit_partitions(32), fold_masks, empty)
-        .groupby("mask").aggregate(_Sum("n_users", alias_name="n_users"))
-        .to_pandas())
+        ["user_id"], fit_partitions(32), fold_masks, empty),
+        ["mask"], lambda t: t, [("mask", "count")],
+        _named("mask", "n_users")).to_pandas()
     mask_v = hist["mask"].to_numpy(dtype=np.int64)
     cnt_v = hist["n_users"].to_numpy(dtype=np.int64)
     total = int(cnt_v.sum())
@@ -11519,7 +9977,6 @@ def length_quality_corr(sf_dir: str) -> pa.Table:
     a langs-cardinality groupby.  corr_ppm is one mirrored double
     expression over the exact integer moments.
     """
-    from ray.data.aggregate import Sum as _Sum
     from ..functions.text import token_count
 
     ds = _read(sf_dir, "documents", ["lang", "text", "n_chars"])
@@ -11528,33 +9985,13 @@ def length_quality_corr(sf_dir: str) -> pa.Table:
         x = pc.cast(t["n_chars"], pa.int64()).to_numpy(
             zero_copy_only=False)
         y = token_count(t["text"]).to_numpy(zero_copy_only=False)
-        staged = pa.table({
-            "lang": t["lang"],
-            "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "sx": pa.array(x), "sy": pa.array(y),
-            "sxy": pa.array(x * y), "sxx": pa.array(x * x),
-            "syy": pa.array(y * y),
-        })
-        g = staged.group_by("lang").aggregate(
-            [("one", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum"), ("sxx", "sum"), ("syy", "sum")])
-        return pa.table({"lang": g["lang"],
-                         "n": pc.cast(g["one_sum"], pa.int64()),
-                         "sx": pc.cast(g["sx_sum"], pa.int64()),
-                         "sy": pc.cast(g["sy_sum"], pa.int64()),
-                         "sxy": pc.cast(g["sxy_sum"], pa.int64()),
-                         "sxx": pc.cast(g["sxx_sum"], pa.int64()),
-                         "syy": pc.cast(g["syy_sum"], pa.int64())})
+        return pa.table({"lang": t["lang"], "sx": x, "sy": y,
+                         "sxy": x * y, "sxx": x * x, "syy": y * y})
 
-    agg = (ds.map_batches(moments, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(_Sum("n", alias_name="n"),
-                      _Sum("sx", alias_name="sx"),
-                      _Sum("sy", alias_name="sy"),
-                      _Sum("sxy", alias_name="sxy"),
-                      _Sum("sxx", alias_name="sxx"),
-                      _Sum("syy", alias_name="syy"))
+    agg = (combine_agg(ds, ["lang"], moments,
+                       [("sx", "count")] + [(c, "sum") for c in (
+                           "sx", "sy", "sxy", "sxx", "syy")],
+                       _named("lang", "n", "sx", "sy", "sxy", "sxx", "syy"))
            .to_pandas().sort_values("lang").reset_index(drop=True))
     n = agg["n"].to_numpy(np.float64)
     sx = agg["sx"].to_numpy(np.float64)
@@ -11657,22 +10094,17 @@ def hourly_autocorrelation(sf_dir: str,
     Scale shape: one per-hour integer combiner + cardinality-bounded
     groupby; the lag products are driver math over the O(hours) series.
     """
-    from ray.data.aggregate import Sum as _Sum
 
     ds = _read(sf_dir, "events", ["ts", "value"])
     HOUR_US = np.int64(3_600_000_000)
 
     def hourly(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"hour": pa.array(us // HOUR_US),
-                           "vc": _int_units(t["value"], 100)})
-        g = staged.group_by("hour").aggregate([("vc", "sum")])
-        return pa.table({"hour": g["hour"],
-                         "s": pc.cast(g["vc_sum"], pa.int64())})
+        return pa.table({"hour": pa.array(us // HOUR_US),
+                         "vc": _int_units(t["value"], 100)})
 
-    h = (ds.map_batches(hourly, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("hour").aggregate(_Sum("s", alias_name="s"))
+    h = (combine_agg(ds, ["hour"], hourly, [("vc", "sum")],
+                     _named("hour", "s"))
          .to_pandas().sort_values("hour").reset_index(drop=True))
     hours = h["hour"].to_numpy(dtype=np.int64)
     s = h["s"].to_numpy(dtype=np.int64)
@@ -11746,55 +10178,21 @@ def k_anonymity_audit(sf_dir: str, at_risk_k: int = 5) -> pa.Table:
     first number a privacy review asks for before a data release.
 
     Scale shape: per-block (QI) count combiner -> one groupby over the
-    QI domain (cardinality-bounded) -> per-block scalar partials ->
-    driver fold of O(blocks) rows.
+    QI domain (cardinality-bounded) -> driver fold of the QI-domain
+    class sizes.
     """
-    from ray.data.aggregate import Sum as _Sum
-
     ds = _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment"])
-
-    def per_class(t: pa.Table) -> pa.Table:
-        g = (pa.table({"nk": pc.cast(t["c_nationkey"], pa.int64()),
-                       "seg": t["c_mktsegment"]})
-             .group_by(["nk", "seg"]).aggregate([([], "count_all")]))
-        return pa.table({"nk": g["nk"], "seg": g["seg"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
-
-    classes = (ds.map_batches(per_class, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby(["nk", "seg"]).aggregate(_Sum("n",
-                                                      alias_name="n")))
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "n" not in t.column_names:
-            return pa.table({c: pa.array([], type=pa.int64())
-                             for c in ("n_classes", "n_rows", "k_min",
-                                       "k_max", "classes_at_risk",
-                                       "rows_at_risk")})
-        n = t["n"].to_numpy(zero_copy_only=False)
-        risk = n < at_risk_k
-        return pa.table({
-            "n_classes": pa.array([len(n)], type=pa.int64()),
-            "n_rows": pa.array([int(n.sum())], type=pa.int64()),
-            "k_min": pa.array([int(n.min())], type=pa.int64()),
-            "k_max": pa.array([int(n.max())], type=pa.int64()),
-            "classes_at_risk": pa.array([int(risk.sum())],
-                                        type=pa.int64()),
-            "rows_at_risk": pa.array([int(n[risk].sum())],
-                                     type=pa.int64()),
-        })
-
-    f = classes.map_batches(fold, batch_format="pyarrow").to_pandas()
+    n = combine_agg(ds, ["c_nationkey", "c_mktsegment"], lambda t: t,
+                    [("c_nationkey", "count")],
+                    _named("nk", "seg", "n")).to_pandas()["n"].to_numpy()
+    risk = n < at_risk_k
     return pa.table({
-        "n_classes": pa.array([int(f["n_classes"].sum())],
-                              type=pa.int64()),
-        "n_rows": pa.array([int(f["n_rows"].sum())], type=pa.int64()),
-        "k_min": pa.array([int(f["k_min"].min())], type=pa.int64()),
-        "k_max": pa.array([int(f["k_max"].max())], type=pa.int64()),
-        "classes_at_risk": pa.array([int(f["classes_at_risk"].sum())],
-                                    type=pa.int64()),
-        "rows_at_risk": pa.array([int(f["rows_at_risk"].sum())],
-                                 type=pa.int64()),
+        "n_classes": pa.array([len(n)], type=pa.int64()),
+        "n_rows": pa.array([int(n.sum())], type=pa.int64()),
+        "k_min": pa.array([int(n.min())], type=pa.int64()),
+        "k_max": pa.array([int(n.max())], type=pa.int64()),
+        "classes_at_risk": pa.array([int(risk.sum())], type=pa.int64()),
+        "rows_at_risk": pa.array([int(n[risk].sum())], type=pa.int64()),
     })
 
 
@@ -11829,8 +10227,7 @@ def cuped_adjusted_outcomes(sf_dir: str) -> pa.Table:
     combiners over the per-user table; only mirrored double expressions
     touch floats.
     """
-    from ray.data.aggregate import Max as _Max, Min as _Min, \
-        Sum as _Sum
+    from ray.data.aggregate import Max as _Max, Min as _Min
     from ..hashing import murmur64
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
@@ -11840,60 +10237,33 @@ def cuped_adjusted_outcomes(sf_dir: str) -> pa.Table:
     hi = int(pa.scalar(bounds["hi"]).cast(pa.int64()).as_py())
     mid = (lo + hi) // 2
 
-    def per_user_partial(t: pa.Table) -> pa.Table:
+    def pre_post(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         vc = _int_units(t["value"], 100).to_numpy(zero_copy_only=False)
         is_pre = us <= mid
-        staged = pa.table({
+        return pa.table({
             "user_id": pc.cast(t["user_id"], pa.int64()),
             "pre": pa.array(np.where(is_pre, vc, 0)),
             "post": pa.array(np.where(is_pre, 0, vc)),
         })
-        g = staged.group_by("user_id").aggregate(
-            [("pre", "sum"), ("post", "sum")])
-        return pa.table({"user_id": g["user_id"],
-                         "pre": pc.cast(g["pre_sum"], pa.int64()),
-                         "post": pc.cast(g["post_sum"], pa.int64())})
 
-    per_user = (ds.map_batches(per_user_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby("user_id")
-                .aggregate(_Sum("pre", alias_name="pre"),
-                           _Sum("post", alias_name="post")))
+    per_user = combine_agg(ds, ["user_id"], pre_post,
+                           [("pre", "sum"), ("post", "sum")],
+                           _named("user_id", "pre", "post"))
 
     def moments(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "pre" not in t.column_names:
-            return pa.table({c: pa.array([], type=pa.int64())
-                             for c in ("arm", "n", "sp", "so",
-                                       "spp", "spo")})
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         pre = t["pre"].to_numpy(zero_copy_only=False)
         post = t["post"].to_numpy(zero_copy_only=False)
-        arm = (murmur64(uid.astype(np.int64)) % np.uint64(2)) \
-            .astype(np.int64)
-        rows = []
-        for a in (0, 1):
-            m = arm == a
-            rows.append((a, int(m.sum()), int(pre[m].sum()),
-                         int(post[m].sum()),
-                         int((pre[m] * pre[m]).sum()),
-                         int((pre[m] * post[m]).sum())))
         return pa.table({
-            "arm": pa.array([r[0] for r in rows], type=pa.int64()),
-            "n": pa.array([r[1] for r in rows], type=pa.int64()),
-            "sp": pa.array([r[2] for r in rows], type=pa.int64()),
-            "so": pa.array([r[3] for r in rows], type=pa.int64()),
-            "spp": pa.array([r[4] for r in rows], type=pa.int64()),
-            "spo": pa.array([r[5] for r in rows], type=pa.int64()),
-        })
+            "arm": (murmur64(uid.astype(np.int64)) % np.uint64(2))
+            .astype(np.int64),
+            "pre": pre, "post": post, "pp": pre * pre, "po": pre * post})
 
-    agg = (per_user.map_batches(moments, batch_format="pyarrow")
-           .groupby("arm")
-           .aggregate(_Sum("n", alias_name="n"),
-                      _Sum("sp", alias_name="sp"),
-                      _Sum("so", alias_name="so"),
-                      _Sum("spp", alias_name="spp"),
-                      _Sum("spo", alias_name="spo"))
+    agg = (combine_agg(per_user, ["arm"], moments,
+                       [("pre", "count"), ("pre", "sum"), ("post", "sum"),
+                        ("pp", "sum"), ("po", "sum")],
+                       _named("arm", "n", "sp", "so", "spp", "spo"))
            .to_pandas().sort_values("arm").reset_index(drop=True))
     N = float(agg["n"].sum())
     SP = float(agg["sp"].sum())
@@ -11978,37 +10348,30 @@ def filter_threshold_grid(sf_dir: str) -> "ray.data.Dataset":
     ONE pass (counts per doc once, 9 vectorized threshold masks per
     block, grid-keyed combiner).
     """
-    from ray.data.aggregate import Sum as _Sum
     from ..functions.text import punct_count, token_count
 
     ds = _read(sf_dir, "documents", ["text", "n_chars"])
+    mt, mp = (np.array(c, dtype=np.int64) for c in zip(*_FILTER_GRID))
 
     def sweep(t: pa.Table) -> pa.Table:
+        """One row per (document, grid cell)."""
         toks = token_count(t["text"]).to_numpy(zero_copy_only=False)
         punct = punct_count(t["text"]).to_numpy(zero_copy_only=False)
         chars = pc.cast(t["n_chars"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        rows = []
-        for mt, mp in _FILTER_GRID:
-            keep = (toks >= mt) & (punct * 100 <= toks * mp)
-            rows.append((mt, mp, int(keep.sum()),
-                         int(chars[keep].sum())))
+        keep = ((toks[:, None] >= mt)
+                & (punct[:, None] * 100 <= toks[:, None] * mp))
         return pa.table({
-            "min_tokens": pa.array([r[0] for r in rows],
-                                   type=pa.int64()),
-            "max_punct_per_100": pa.array([r[1] for r in rows],
-                                          type=pa.int64()),
-            "kept_docs": pa.array([r[2] for r in rows],
-                                  type=pa.int64()),
-            "kept_chars": pa.array([r[3] for r in rows],
-                                   type=pa.int64()),
+            "min_tokens": np.tile(mt, t.num_rows),
+            "max_punct_per_100": np.tile(mp, t.num_rows),
+            "kept": keep.ravel().astype(np.int64),
+            "chars": (keep * chars[:, None]).ravel(),
         })
 
-    return (ds.map_batches(sweep, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["min_tokens", "max_punct_per_100"])
-            .aggregate(_Sum("kept_docs", alias_name="kept_docs"),
-                       _Sum("kept_chars", alias_name="kept_chars")))
+    return combine_agg(ds, ["min_tokens", "max_punct_per_100"], sweep,
+                       [("kept", "sum"), ("chars", "sum")],
+                       _named("min_tokens", "max_punct_per_100",
+                              "kept_docs", "kept_chars"))
 
 
 FILTER_GRID_SQL = """
@@ -12043,22 +10406,17 @@ def rolling_extrema_hourly(sf_dir: str, window: int = 24) -> pa.Table:
     row-bounded).  Missing hours count as 0, matching the gap-filled
     SQL window replica.
     """
-    from ray.data.aggregate import Sum as _Sum
 
     ds = _read(sf_dir, "events", ["ts", "value"])
     HOUR_US = np.int64(3_600_000_000)
 
     def hourly(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"hour": pa.array(us // HOUR_US),
-                           "vc": _int_units(t["value"], 100)})
-        g = staged.group_by("hour").aggregate([("vc", "sum")])
-        return pa.table({"hour": g["hour"],
-                         "s": pc.cast(g["vc_sum"], pa.int64())})
+        return pa.table({"hour": pa.array(us // HOUR_US),
+                         "vc": _int_units(t["value"], 100)})
 
-    h = (ds.map_batches(hourly, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("hour").aggregate(_Sum("s", alias_name="s"))
+    h = (combine_agg(ds, ["hour"], hourly, [("vc", "sum")],
+                     _named("hour", "s"))
          .to_pandas().sort_values("hour").reset_index(drop=True))
     hours = h["hour"].to_numpy(dtype=np.int64)
     s = h["s"].to_numpy(dtype=np.int64)
@@ -12111,24 +10469,11 @@ def revenue_topshare(sf_dir: str, q: float = 0.99) -> pa.Table:
     threshold comes from the histogram-bisection exact quantile; the
     share is one more streaming filter + sum.
     """
-    from ray.data.aggregate import Sum as _Sum
     from .quantiles import exact_quantiles
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def per_cust(t: pa.Table) -> pa.Table:
-        staged = pa.table({
-            "cust": pc.cast(t["o_custkey"], pa.int64()),
-            "rev": _int_units(t["o_totalprice"], 100),
-        })
-        g = staged.group_by("cust").aggregate([("rev", "sum")])
-        return pa.table({"cust": g["cust"],
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
-
-    per_user = (orders.map_batches(per_cust, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-                .groupby("cust").aggregate(_Sum("rev", alias_name="rev"))
-                .materialize())
+    per_user = _customer_revenue(orders).materialize()
     thr = int(exact_quantiles(per_user, "rev", [q])["value"][0].as_py())
 
     def above_partial(t: pa.Table) -> pa.Table:
@@ -12191,53 +10536,12 @@ def emd_drift_binned(sf_dir: str, type_a: str = "view",
     cross-multiplied arithmetic (sum |cum_a*n_b - cum_b*n_a|; the only
     division is the final ppm).
 
-    Scale shape is identical to ks_drift_binned: a streamed global
-    Min/Max, one <=n_bins-row bincount partial per block, a bounded
-    groupby, and an O(n_bins) driver walk with big-int immunity.
+    Scale shape is identical to ks_drift_binned (the same
+    _two_sample_bins pass): a streamed global Min/Max, a bounded
+    per-bin groupby, and an O(n_bins) driver walk with big-int
+    immunity.
     """
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def micro(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t["event_type"],
-                        value_set=pa.array([type_a, type_b]))
-        t = t.filter(keep)
-        return pa.table({"event_type": t["event_type"],
-                         "m": _int_units(t["value"], 1_000_000)})
-
-    vals = ds.map_batches(micro, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    mm = vals.aggregate(Min("m", alias_name="lo"),
-                        Max("m", alias_name="hi"))
-    lo, hi = int(mm["lo"]), int(mm["hi"])
-    span = hi - lo + 1
-
-    empty = pa.table({"bin": pa.array([], type=pa.int64()),
-                      "na": pa.array([], type=pa.int64()),
-                      "nb": pa.array([], type=pa.int64())})
-
-    def binned(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        m = t["m"].to_numpy(zero_copy_only=False)
-        b = np.zeros_like(m) if span <= 1 else (m - lo) * n_bins // span
-        is_a = np.asarray(pc.equal(t["event_type"], pa.scalar(type_a)))
-        na = np.bincount(b[is_a], minlength=n_bins)
-        nb = np.bincount(b[~is_a], minlength=n_bins)
-        keep = np.nonzero(na | nb)[0]
-        return pa.table({"bin": pa.array(keep.astype(np.int64)),
-                         "na": pa.array(na[keep].astype(np.int64)),
-                         "nb": pa.array(nb[keep].astype(np.int64))})
-
-    agg = (vals.map_batches(binned, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby("bin")
-           .aggregate(Sum("na", alias_name="na"),
-                      Sum("nb", alias_name="nb"))
-           .to_pandas().sort_values("bin"))
-    na = np.zeros(n_bins, dtype=np.int64)
-    nb = np.zeros(n_bins, dtype=np.int64)
-    na[agg["bin"].to_numpy(dtype=np.int64)] = agg["na"]
-    nb[agg["bin"].to_numpy(dtype=np.int64)] = agg["nb"]
+    na, nb = _two_sample_bins(sf_dir, type_a, type_b, n_bins)
     n_a, n_b = int(na.sum()), int(nb.sum())
     ca, cb, acc = 0, 0, 0
     for i in range(n_bins):          # exact big-int walk, n_bins rows
@@ -12305,19 +10609,11 @@ def mann_kendall_trend(sf_dir: str) -> pa.Table:
 
     def daily(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"event_type": t["event_type"],
-                           "day": pa.array(us // DAY_US),
-                           "one": pa.array(
-                               np.ones(t.num_rows, dtype=np.int64))})
-        g = staged.group_by(["event_type", "day"]).aggregate(
-            [("one", "sum")])
-        return pa.table({"event_type": g["event_type"], "day": g["day"],
-                         "n": pc.cast(g["one_sum"], pa.int64())})
+        return pa.table({"event_type": t["event_type"],
+                         "day": pa.array(us // DAY_US)})
 
-    grid = (ds.map_batches(daily, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "day"])
-            .aggregate(Sum("n", alias_name="n"))
+    grid = (combine_agg(ds, ["event_type", "day"], daily,
+                        [("day", "count")], _named("event_type", "day", "n"))
             .to_pandas().sort_values(["event_type", "day"]))
 
     types, s_out, n_out, var18_out, tau_out = [], [], [], [], []
@@ -12398,30 +10694,7 @@ def mannwhitney_qty_flags(sf_dir: str, flag_a: str = "R",
     O(distinct values) driver walk -- cardinality-bounded, never
     row-bounded.
     """
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
-
-    def hist(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t["l_returnflag"],
-                        value_set=pa.array([flag_a, flag_b]))
-        t = t.filter(keep)
-        staged = pa.table({
-            "q": pc.cast(t["l_quantity"], pa.int64()),
-            "a": pc.cast(pc.equal(t["l_returnflag"],
-                                  pa.scalar(flag_a)), pa.int64()),
-            "b": pc.cast(pc.equal(t["l_returnflag"],
-                                  pa.scalar(flag_b)), pa.int64()),
-        })
-        g = staged.group_by("q").aggregate([("a", "sum"), ("b", "sum")])
-        return pa.table({"q": g["q"],
-                         "na": pc.cast(g["a_sum"], pa.int64()),
-                         "nb": pc.cast(g["b_sum"], pa.int64())})
-
-    h = (ds.map_batches(hist, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("q")
-         .aggregate(Sum("na", alias_name="na"),
-                    Sum("nb", alias_name="nb"))
-         .to_pandas().sort_values("q"))
+    h = _flag_qty_hist(sf_dir, flag_a, flag_b)
     na = h["na"].to_numpy(dtype=np.int64)
     nb = h["nb"].to_numpy(dtype=np.int64)
     tot = na + nb
@@ -12441,6 +10714,27 @@ def mannwhitney_qty_flags(sf_dir: str, flag_a: str = "R",
         "u1_x2": pa.array([u1_x2], type=pa.int64()),
         "auc_ppm": pa.array([auc], type=pa.int64()),
     })
+
+
+def _flag_qty_hist(sf_dir: str, flag_a: str, flag_b: str):
+    """(q, na, nb) pandas frame sorted by q: per l_quantity value, the
+    line counts of return flags ``flag_a`` and ``flag_b``."""
+    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
+
+    def flags(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t["l_returnflag"],
+                              value_set=pa.array([flag_a, flag_b])))
+        return pa.table({
+            "q": pc.cast(t["l_quantity"], pa.int64()),
+            "a": pc.cast(pc.equal(t["l_returnflag"],
+                                  pa.scalar(flag_a)), pa.int64()),
+            "b": pc.cast(pc.equal(t["l_returnflag"],
+                                  pa.scalar(flag_b)), pa.int64()),
+        })
+
+    return (combine_agg(ds, ["q"], flags, [("a", "sum"), ("b", "sum")],
+                        _named("q", "na", "nb"))
+            .to_pandas().sort_values("q"))
 
 
 MANNWHITNEY_SQL = """
@@ -12490,23 +10784,15 @@ def wilson_lb_types(sf_dir: str,
 
     def part(t: pa.Table) -> pa.Table:
         m = _int_units(t["value"], 1_000_000)
-        staged = pa.table({
+        return pa.table({
             "event_type": t["event_type"],
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
             "k": pc.cast(pc.greater(m, pa.scalar(thr_m, pa.int64())),
                          pa.int64()),
         })
-        g = staged.group_by("event_type").aggregate(
-            [("n", "sum"), ("k", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "n": pc.cast(g["n_sum"], pa.int64()),
-                         "k": pc.cast(g["k_sum"], pa.int64())})
 
-    agg = (ds.map_batches(part, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("k", alias_name="k"))
+    agg = (combine_agg(ds, ["event_type"], part,
+                       [("k", "count"), ("k", "sum")],
+                       _named("event_type", "n", "k"))
            .to_pandas().sort_values("event_type"))
     n = agg["n"].to_numpy(dtype=np.float64)
     k = agg["k"].to_numpy(dtype=np.float64)
@@ -12566,8 +10852,9 @@ def ndcg_retrieval_eval(sf_dir: str,
     retrieval stack runs, with zero float divergence risk.
 
     Scale shape: one tokenized pass emits per-block top-10 prereduced
-    candidates per term plus an O(terms) relevant-count partial; the
-    final ranking folds O(10 x blocks x terms) rows on the driver.
+    candidates per term, and a grouped sum counts relevant docs per
+    term; the final ranking folds O(10 x blocks x terms) rows on the
+    driver.
     """
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     terms = tuple(terms)
@@ -12578,7 +10865,7 @@ def ndcg_retrieval_eval(sf_dir: str,
                            "tf": pa.array([], type=pa.int64()),
                            "rel": pa.array([], type=pa.int64())})
     rel_empty = pa.table({"ti": pa.array([], type=pa.int64()),
-                          "n_rel": pa.array([], type=pa.int64())})
+                          "rel": pa.array([], type=pa.int64())})
 
     def _tf_rel(t: pa.Table):
         toks = pc.split_pattern(t["text"], pattern=" ")
@@ -12622,19 +10909,20 @@ def ndcg_retrieval_eval(sf_dir: str,
                          "tf": pa.array(np.concatenate(tfs)),
                          "rel": pa.array(np.concatenate(rels))})
 
-    def rel_partial(t: pa.Table) -> pa.Table:
+    def rel_rows(t: pa.Table) -> pa.Table:
+        """One (term, relevant) row per (document, term)."""
         if t.num_rows == 0:
             return rel_empty
         _, relm = _tf_rel(t)
         return pa.table({
-            "ti": pa.array(np.arange(len(terms), dtype=np.int64)),
-            "n_rel": pa.array(relm.sum(axis=0).astype(np.int64))})
+            "ti": np.tile(np.arange(len(terms), dtype=np.int64),
+                          t.num_rows),
+            "rel": relm.ravel()})
 
     cand = (docs.map_batches(candidates, batch_format="pyarrow",
                              zero_copy_batch=True).to_pandas())
-    rtot = (docs.map_batches(rel_partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .groupby("ti").aggregate(Sum("n_rel", alias_name="n_rel"))
+    rtot = (combine_agg(docs, ["ti"], rel_rows, [("rel", "sum")],
+                        _named("ti", "n_rel"))
             .to_pandas().set_index("ti")["n_rel"])
 
     rows = {c: [] for c in ("term", "n_rel", "dcg_e9", "idcg_e9",
@@ -12789,34 +11077,19 @@ def conformal_coverage(sf_dir: str, alpha: float = 0.1) -> pa.Table:
             for i in range(qhat_t.num_rows)}
     qhat_arr = np.array([qhat[t] for t in types], dtype=np.int64)
 
-    cov_empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                          "n_test": pa.array([], type=pa.int64()),
-                          "n_covered": pa.array([], type=pa.int64())})
-
     def cover(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return cov_empty
         code = pc.index_in(t["event_type"],
                            value_set=type_lookup).to_numpy(
             zero_copy_only=False).astype(np.int64)
         m = t["m"].to_numpy(zero_copy_only=False)
-        hit = (np.abs(m - med_arr[code]) <= qhat_arr[code])
-        n = np.bincount(code, minlength=len(types))
-        c = np.bincount(code[hit], minlength=len(types))
-        nz = n > 0
-        idx = np.flatnonzero(nz)
         return pa.table({
-            "event_type": pa.array([types[i] for i in idx],
-                                   type=pa.string()),
-            "n_test": pa.array(n[nz].astype(np.int64)),
-            "n_covered": pa.array(c[nz].astype(np.int64))})
+            "event_type": t["event_type"],
+            "hit": (np.abs(m - med_arr[code]) <= qhat_arr[code])
+            .astype(np.int64)})
 
-    agg = (e.filter(expr="pct >= 8")
-           .map_batches(cover, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_test", alias_name="n_test"),
-                      Sum("n_covered", alias_name="n_covered"))
+    agg = (combine_agg(e.filter(expr="pct >= 8"), ["event_type"], cover,
+                       [("hit", "count"), ("hit", "sum")],
+                       _named("event_type", "n_test", "n_covered"))
            .to_pandas().sort_values("event_type"))
     nt = agg["n_test"].to_numpy(dtype=np.int64)
     nc = agg["n_covered"].to_numpy(dtype=np.int64)
@@ -13159,20 +11432,8 @@ def zipf_slope_tokens(sf_dir: str, k: int = 100) -> pa.Table:
 
     empty = pa.table({"tok": pa.array([], type=pa.string()),
                       "n": pa.array([], type=pa.int64())})
-
-    def counts(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        if len(flat) == 0:
-            return empty
-        g = pa.table({"tok": flat}).group_by("tok").aggregate(
-            [("tok", "count")])
-        return pa.table({"tok": g["tok"],
-                         "n": pc.cast(g["tok_count"], pa.int64())})
-
-    freq = (docs.map_batches(counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .groupby("tok").aggregate(Sum("n", alias_name="n")))
+    freq = combine_agg(docs, ["tok"], _tokens, [("tok", "count")],
+                       _named("tok", "n"))
 
     def prereduce(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -13356,20 +11617,12 @@ def cohens_kappa_langid(sf_dir: str) -> pa.Table:
         texts = (t["text"].combine_chunks()
                  if isinstance(t["text"], pa.ChunkedArray)
                  else t["text"])
-        staged = pa.table({"true_lang": t["lang"],
-                           "pred_lang": lang_id(texts),
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by(["true_lang", "pred_lang"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"true_lang": g["true_lang"],
-                         "pred_lang": g["pred_lang"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
+        return pa.table({"true_lang": t["lang"],
+                         "pred_lang": lang_id(texts)})
 
-    conf = (ds.map_batches(predict, batch_format="pyarrow")
-            .groupby(["true_lang", "pred_lang"])
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
+    conf = combine_agg(ds, ["true_lang", "pred_lang"], predict,
+                       [("pred_lang", "count")],
+                       _named("true_lang", "pred_lang", "n")).to_pandas()
     n_tot = int(conf["n"].sum())
     agree = int(conf.loc[conf["true_lang"] == conf["pred_lang"],
                          "n"].sum())
@@ -13412,17 +11665,10 @@ def haar_energy_hourly(sf_dir: str) -> pa.Table:
 
     def hourly(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"hour": pa.array(us // HOUR_US),
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by("hour").aggregate([("n", "sum")])
-        return pa.table({"hour": g["hour"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
+        return pa.table({"hour": pa.array(us // HOUR_US)})
 
-    h = (ds.map_batches(hourly, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("hour").aggregate(Sum("n", alias_name="n"))
-         .to_pandas())
+    h = combine_agg(ds, ["hour"], hourly, [("hour", "count")],
+                    _named("hour", "n")).to_pandas()
     hours = h["hour"].to_numpy(dtype=np.int64)
     lo = int(hours.min())
     grid = np.zeros(_HAAR_N, dtype=np.int64)
@@ -13491,25 +11737,10 @@ def runs_test_hourly(sf_dir: str) -> pa.Table:
     groupby, O(types x hours) driver walk.
     """
     ds = _read(sf_dir, "events", ["event_type", "ts"])
-    HOUR_US = np.int64(3_600_000_000)
 
-    def hourly(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"event_type": t["event_type"],
-                           "hour": pa.array(us // HOUR_US),
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by(["event_type", "hour"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "hour": g["hour"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    grid = (ds.map_batches(hourly, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "hour"])
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
+    grid = combine_agg(ds, ["event_type", "h"], _event_hours,
+                       [("h", "count")],
+                       _named("event_type", "hour", "n")).to_pandas()
     lo = int(grid["hour"].min())
     hi = int(grid["hour"].max())
     span = hi - lo + 1
@@ -13594,59 +11825,32 @@ def lorenz_deciles(sf_dir: str) -> pa.Table:
 
     Scale shape: per-customer revenue groupby, ONE shared
     histogram-bisection pass for all nine thresholds, then a single
-    streaming pass folding per-threshold (count, sum) partials via
-    searchsorted.
+    streaming pass of per-(customer, threshold) rows into a 9-key
+    grouped (count, sum).
     """
     from .quantiles import exact_quantiles
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def per_cust(t: pa.Table) -> pa.Table:
-        staged = pa.table({
-            "cust": pc.cast(t["o_custkey"], pa.int64()),
-            "rev": _int_units(t["o_totalprice"], 100),
-        })
-        g = staged.group_by("cust").aggregate([("rev", "sum")])
-        return pa.table({"cust": g["cust"],
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
-
-    per_user = (orders.map_batches(per_cust, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-                .groupby("cust").aggregate(Sum("rev", alias_name="rev"))
-                .materialize())
+    per_user = _customer_revenue(orders).materialize()
     qs = [d / 10.0 for d in range(1, 10)]
     thr_t = exact_quantiles(per_user, "rev", qs)
     thr = np.array(sorted(int(v.as_py())
                           for v in thr_t["value"]), dtype=np.int64)
 
-    part_empty = pa.table({
-        "d": pa.array([], type=pa.int64()),
-        "n_le": pa.array([], type=pa.int64()),
-        "rev_le": pa.array([], type=pa.int64()),
-        "n": pa.array([], type=pa.int64()),
-        "rev": pa.array([], type=pa.int64())})
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "rev" not in t.column_names:
-            return part_empty
-        rev = np.sort(t["rev"].to_numpy(zero_copy_only=False))
-        cum = np.concatenate([[0], np.cumsum(rev)])
-        pos = np.searchsorted(rev, thr, side="right")
+    def at_or_below(t: pa.Table) -> pa.Table:
+        """One row per (customer, decile threshold)."""
+        rev = t["rev"].to_numpy(zero_copy_only=False)
+        le = (rev[:, None] <= thr[None, :]).astype(np.int64)
         return pa.table({
-            "d": pa.array(np.arange(1, 10, dtype=np.int64)),
-            "n_le": pa.array(pos.astype(np.int64)),
-            "rev_le": pa.array(cum[pos].astype(np.int64)),
-            "n": pa.array(np.full(9, rev.size, dtype=np.int64)),
-            "rev": pa.array(np.full(9, int(rev.sum()),
-                                    dtype=np.int64)),
-        })
+            "d": np.tile(np.arange(1, 10, dtype=np.int64), rev.size),
+            "le": le.ravel(), "rev_le": (le * rev[:, None]).ravel(),
+            "rev": np.repeat(rev, 9)})
 
-    f = (per_user.map_batches(fold, batch_format="pyarrow")
-         .groupby("d")
-         .aggregate(Sum("n_le", alias_name="n_le"),
-                    Sum("rev_le", alias_name="rev_le"),
-                    Sum("n", alias_name="n"),
-                    Sum("rev", alias_name="rev"))
+    f = (combine_agg(per_user, ["d"], at_or_below,
+                     [("le", "sum"), ("rev_le", "sum"), ("rev", "count"),
+                      ("rev", "sum")],
+                     _named("d", "n_le", "rev_le", "n", "rev"))
          .to_pandas().sort_values("d"))
     tot_rev = int(f["rev"].iloc[0])
     return pa.table({
@@ -13691,8 +11895,8 @@ def brand_year_revenue(sf_dir: str) -> pa.Table:
 
     Scale shape: the part dimension is projected to (partkey, brand)
     and broadcast once via ray.put (pc.index_in lookup per block --
-    never a shuffle); revenue folds in-block per (brand, year); YoY is
-    an O(brands x years) driver pass.
+    never a shuffle); revenue folds per (brand, year); YoY is an
+    O(brands x years) driver pass.
     """
     part = (_read(sf_dir, "part", ["p_partkey", "p_brand"])
             .to_pandas())
@@ -13730,19 +11934,14 @@ def brand_year_revenue(sf_dir: str) -> pa.Table:
                 zero_copy_only=False)
             year = (us.astype("datetime64[us]")
                     .astype("datetime64[Y]").astype(np.int64) + 1970)
-            staged = pa.table({"b": pa.array(self.pb[idx]),
-                               "year": pa.array(year),
-                               "rev": pa.array(rev)})
-            g = staged.group_by(["b", "year"]).aggregate(
-                [("rev", "sum")])
-            return pa.table({"b": g["b"], "year": g["year"],
-                             "rev": pc.cast(g["rev_sum"],
-                                            pa.int64())})
+            return pa.table({"b": pa.array(self.pb[idx]),
+                             "year": pa.array(year),
+                             "rev": pa.array(rev)})
 
-    agg = (li.map_batches(Roll, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=2)
-           .groupby(["b", "year"])
-           .aggregate(Sum("rev", alias_name="rev"))
+    agg = (combine_agg(li.map_batches(Roll, batch_format="pyarrow",
+                                      zero_copy_batch=True, concurrency=2),
+                       ["b", "year"], lambda t: t, [("rev", "sum")],
+                       _named("b", "year", "rev"))
            .to_pandas().sort_values(["b", "year"]))
     b = agg["b"].to_numpy(dtype=np.int64)
     year = agg["year"].to_numpy(dtype=np.int64)
@@ -13816,8 +12015,7 @@ def cross_source_dup_matrix(sf_dir: str) -> pa.Table:
         return g
 
     pair_empty = pa.table({"a": pa.array([], type=pa.string()),
-                           "b": pa.array([], type=pa.string()),
-                           "n": pa.array([], type=pa.int64())})
+                           "b": pa.array([], type=pa.string())})
 
     def expand(t: pa.Table) -> pa.Table:
         h = t["h"].to_numpy(zero_copy_only=False)
@@ -13839,19 +12037,15 @@ def cross_source_dup_matrix(sf_dir: str) -> pa.Table:
             for i in range(ln - 1):
                 for j in range(i + 1, ln):
                     rows_a.append(grp[i]); rows_b.append(grp[j])
-        if not rows_a:
-            return pair_empty
         return pa.table({"a": pa.array(rows_a, type=pa.string()),
-                         "b": pa.array(rows_b, type=pa.string()),
-                         "n": pa.array(np.ones(len(rows_a),
-                                               dtype=np.int64))})
+                         "b": pa.array(rows_b, type=pa.string())})
 
     mems = ds.map_batches(memberships, batch_format="pyarrow",
                           zero_copy_batch=True)
-    pairs = (partition_by(mems, ["h"], fit_partitions(16), expand,
-                          pair_empty)
-             .groupby(["a", "b"]).aggregate(Sum("n", alias_name="n"))
-             .to_pandas())
+    pairs = combine_agg(partition_by(mems, ["h"], fit_partitions(16),
+                                     expand, pair_empty),
+                        ["a", "b"], lambda t: t, [("b", "count")],
+                        _named("a", "b", "n")).to_pandas()
 
     def srcs(t: pa.Table) -> pa.Table:
         return pa.table({"source": pc.unique(
@@ -13907,21 +12101,8 @@ def vocab_coverage_curve(sf_dir: str,
 
     empty = pa.table({"tok": pa.array([], type=pa.string()),
                       "n": pa.array([], type=pa.int64())})
-
-    def counts(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        if len(flat) == 0:
-            return empty
-        g = pa.table({"tok": flat}).group_by("tok").aggregate(
-            [("tok", "count")])
-        return pa.table({"tok": g["tok"],
-                         "n": pc.cast(g["tok_count"], pa.int64())})
-
-    freq = (docs.map_batches(counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .groupby("tok").aggregate(Sum("n", alias_name="n"))
-            .materialize())
+    freq = combine_agg(docs, ["tok"], _tokens, [("tok", "count")],
+                       _named("tok", "n")).materialize()
     total = int(freq.sum("n") or 0)
     vocab_size = int(freq.count())
 
@@ -14000,30 +12181,20 @@ def rfm_segments(sf_dir: str) -> pa.Table:
                    ["o_custkey", "o_totalprice", "o_orderdate"])
     DAY_US = np.int64(86_400_000_000)
 
-    def per_cust(t: pa.Table) -> pa.Table:
+    def per_order(t: pa.Table) -> pa.Table:
         us = pc.cast(t["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        staged = pa.table({
+        return pa.table({
             "cust": pc.cast(t["o_custkey"], pa.int64()),
             "last_day": pa.array(us // DAY_US),
-            "freq": pa.array(np.ones(t.num_rows, dtype=np.int64)),
             "money": _int_units(t["o_totalprice"], 100),
         })
-        g = staged.group_by("cust").aggregate(
-            [("last_day", "max"), ("freq", "sum"), ("money", "sum")])
-        return pa.table({"cust": g["cust"],
-                         "last_day": pc.cast(g["last_day_max"],
-                                             pa.int64()),
-                         "freq": pc.cast(g["freq_sum"], pa.int64()),
-                         "money": pc.cast(g["money_sum"], pa.int64())})
 
-    pu = (orders.map_batches(per_cust, batch_format="pyarrow",
-                             zero_copy_batch=True)
-          .groupby("cust")
-          .aggregate(Max("last_day", alias_name="last_day"),
-                     Sum("freq", alias_name="freq"),
-                     Sum("money", alias_name="money"))
-          .materialize())
+    pu = combine_agg(orders, ["cust"], per_order,
+                     [("last_day", "max"), ("money", "count"),
+                      ("money", "sum")],
+                     _named("cust", "last_day", "freq", "money")
+                     ).materialize()
     anchor = int(pu.max("last_day"))
 
     def add_rec(t: pa.Table) -> pa.Table:
@@ -14045,12 +12216,7 @@ def rfm_segments(sf_dir: str) -> pa.Table:
                                    for v in tt["value"]),
                             dtype=np.int64)
 
-    cen_empty = pa.table({"rfm_code": pa.array([], type=pa.int64()),
-                          "n_users": pa.array([], type=pa.int64())})
-
     def census(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return cen_empty
         rec = t["recency"].to_numpy(zero_copy_only=False)
         fr = t["freq"].to_numpy(zero_copy_only=False)
         mo = t["money"].to_numpy(zero_copy_only=False)
@@ -14058,14 +12224,11 @@ def rfm_segments(sf_dir: str) -> pa.Table:
         r = 6 - r_raw                       # fresher = higher score
         f_ = 1 + (fr[:, None] > thr["freq"][None, :]).sum(axis=1)
         m = 1 + (mo[:, None] > thr["money"][None, :]).sum(axis=1)
-        code = 100 * r + 10 * f_ + m
-        uc, cnt = np.unique(code, return_counts=True)
-        return pa.table({"rfm_code": pa.array(uc.astype(np.int64)),
-                         "n_users": pa.array(cnt.astype(np.int64))})
+        return pa.table({"rfm_code": (100 * r + 10 * f_ + m)
+                         .astype(np.int64)})
 
-    agg = (feats.map_batches(census, batch_format="pyarrow")
-           .groupby("rfm_code")
-           .aggregate(Sum("n_users", alias_name="n_users"))
+    agg = (combine_agg(feats, ["rfm_code"], census, [("rfm_code", "count")],
+                       _named("rfm_code", "n_users"))
            .to_pandas().sort_values("rfm_code"))
     return pa.table({
         "rfm_code": pa.array(agg["rfm_code"].to_numpy(dtype=np.int64)),
@@ -14124,44 +12287,31 @@ def bootstrap_mean_ci(sf_dir: str, n_resamples: int = 16) -> pa.Table:
     micro units -- distribution-free error bars with ONE pass and no
     data duplication.
 
-    Scale shape: one streaming combiner emitting B (sum, n) partials
-    per block; the exchange carries O(B) rows.
+    Scale shape: one streaming pass of (replicate, weight) rows into a
+    B-key grouped sum; the exchange carries O(B) rows per block.
     """
     from ..hashing import murmur64
     ds = _read(sf_dir, "events", ["event_id", "value"])
     B = int(n_resamples)
     cdf = np.array(_POISSON_CDF_10K, dtype=np.uint64)
 
-    empty = pa.table({"b": pa.array([], type=pa.int64()),
-                      "wsum": pa.array([], type=pa.int64()),
-                      "wn": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def weighted(t: pa.Table) -> pa.Table:
+        """One row per (event, replicate)."""
         ids = t["event_id"].to_numpy(zero_copy_only=False).astype(
             np.int64)
         m = _int_units(t["value"], 1_000_000).to_numpy(
             zero_copy_only=False)
-        wsums = np.empty(B, dtype=np.int64)
-        wns = np.empty(B, dtype=np.int64)
-        for b in range(B):
-            with np.errstate(over="ignore"):
-                h = murmur64(ids * np.int64(B) + np.int64(b)) \
-                    % np.uint64(10_000)
-            w = (h[:, None] >= cdf[None, :]).sum(axis=1).astype(
-                np.int64)
-            wsums[b] = int((w * m).sum())
-            wns[b] = int(w.sum())
-        return pa.table({"b": pa.array(np.arange(B, dtype=np.int64)),
-                         "wsum": pa.array(wsums),
-                         "wn": pa.array(wns)})
+        with np.errstate(over="ignore"):
+            h = murmur64((ids[:, None] * np.int64(B)
+                          + np.arange(B, dtype=np.int64)).ravel()) \
+                % np.uint64(10_000)
+        w = (h[:, None] >= cdf[None, :]).sum(axis=1).astype(np.int64)
+        return pa.table({"b": np.tile(np.arange(B, dtype=np.int64),
+                                      ids.size),
+                         "wm": w * np.repeat(m, B), "w": w})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("b")
-           .aggregate(Sum("wsum", alias_name="wsum"),
-                      Sum("wn", alias_name="wn"))
+    agg = (combine_agg(ds, ["b"], weighted, [("wm", "sum"), ("w", "sum")],
+                       _named("b", "wsum", "wn"))
            .to_pandas().sort_values("b"))
     wsum = agg["wsum"].to_numpy(dtype=np.int64)
     wn = agg["wn"].to_numpy(dtype=np.int64)
@@ -14205,49 +12355,32 @@ def ams_f2_estimate(sf_dir: str, n_estimators: int = 9) -> pa.Table:
     machine-checked by the gate itself.
 
     Scale shape: per-block (user, count) combiner, one user groupby;
-    the J sign projections fold per block AFTER the exact counts (O(J)
-    integers per block through the exchange).
+    the J sign projections of each user's exact count fold per block
+    (O(J) integers per block through the exchange).
     """
     from ..hashing import murmur64
     ds = _read(sf_dir, "events", ["user_id"])
     J = int(n_estimators)
 
-    def per_user(t: pa.Table) -> pa.Table:
-        ids = t["user_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        u, c = np.unique(ids, return_counts=True)
-        return pa.table({"u": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
-
-    counts = (ds.map_batches(per_user, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby("u").aggregate(Sum("c", alias_name="c")))
-
-    empty = pa.table({"j": pa.array([], type=pa.int64()),
-                      "z": pa.array([], type=pa.int64()),
-                      "f2": pa.array([], type=pa.int64())})
+    counts = combine_agg(
+        ds, ["u"],
+        lambda t: pa.table({"u": pc.cast(t["user_id"], pa.int64())}),
+        [("u", "count")], _named("u", "c"))
 
     def project(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "c" not in t.column_names:
-            return empty
+        """One row per (user, estimator)."""
         u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        zs = np.empty(J, dtype=np.int64)
-        for j in range(J):
-            with np.errstate(over="ignore"):
-                bit = (murmur64(u * np.int64(J) + np.int64(j))
-                       & np.uint64(1)).astype(np.int64)
-            zs[j] = int(((1 - 2 * bit) * c).sum())
-        return pa.table({"j": pa.array(np.arange(J, dtype=np.int64)),
-                         "z": pa.array(zs),
-                         "f2": pa.array(np.full(
-                             J, int((c.astype(object) ** 2).sum()),
-                             dtype=np.int64))})
+        c = np.repeat(t["c"].to_numpy(zero_copy_only=False), J)
+        with np.errstate(over="ignore"):
+            bit = (murmur64((u[:, None] * np.int64(J)
+                             + np.arange(J, dtype=np.int64)).ravel())
+                   & np.uint64(1)).astype(np.int64)
+        return pa.table({"j": np.tile(np.arange(J, dtype=np.int64),
+                                      u.size),
+                         "z": (1 - 2 * bit) * c, "f2": c * c})
 
-    agg = (counts.map_batches(project, batch_format="pyarrow")
-           .groupby("j")
-           .aggregate(Sum("z", alias_name="z"),
-                      Sum("f2", alias_name="f2"))
+    agg = (combine_agg(counts, ["j"], project, [("z", "sum"), ("f2", "sum")],
+                       _named("j", "z", "f2"))
            .to_pandas().sort_values("j"))
     z = agg["z"].to_numpy(dtype=np.int64)
     exact = int(agg["f2"].iloc[0])
@@ -14296,56 +12429,15 @@ def hapax_ratio_by_source(sf_dir: str) -> pa.Table:
     vocab) partials.
     """
     ds = _read(sf_dir, "documents", ["source", "text"])
-
-    empty = pa.table({"source": pa.array([], type=pa.string()),
-                      "tok": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def counts(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        if len(flat) == 0:
-            return empty
-        nper = pc.list_value_length(toks).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        src = np.repeat(t["source"].to_numpy(zero_copy_only=False),
-                        nper)
-        staged = pa.table({"source": pa.array(src.tolist(),
-                                              type=pa.string()),
-                           "tok": flat,
-                           "n": pa.array(np.ones(len(flat),
-                                                 dtype=np.int64))})
-        g = staged.group_by(["source", "tok"]).aggregate([("n", "sum")])
-        return pa.table({"source": g["source"], "tok": g["tok"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    vocab = (ds.map_batches(counts, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["source", "tok"])
-             .aggregate(Sum("n", alias_name="n")))
-
-    part_empty = pa.table({"source": pa.array([], type=pa.string()),
-                           "hapax": pa.array([], type=pa.int64()),
-                           "vocab": pa.array([], type=pa.int64())})
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "n" not in t.column_names:
-            return part_empty
-        n = t["n"].to_numpy(zero_copy_only=False)
-        staged = pa.table({
-            "source": t["source"],
-            "hapax": pa.array((n == 1).astype(np.int64)),
-            "vocab": pa.array(np.ones(len(n), dtype=np.int64))})
-        g = staged.group_by("source").aggregate(
-            [("hapax", "sum"), ("vocab", "sum")])
-        return pa.table({"source": g["source"],
-                         "hapax": pc.cast(g["hapax_sum"], pa.int64()),
-                         "vocab": pc.cast(g["vocab_sum"], pa.int64())})
-
-    agg = (vocab.map_batches(fold, batch_format="pyarrow")
-           .groupby("source")
-           .aggregate(Sum("hapax", alias_name="hapax"),
-                      Sum("vocab", alias_name="vocab"))
+    vocab = combine_agg(ds, ["source", "tok"], lambda t: _tokens(t, "source"),
+                        [("tok", "count")],
+                        lambda t: pa.table({
+                            "source": t["source"],
+                            "hapax": pc.cast(pc.equal(t["tok_count"], 1),
+                                             pa.int64())}))
+    agg = (combine_agg(vocab, ["source"], lambda t: t,
+                       [("hapax", "sum"), ("hapax", "count")],
+                       _named("source", "hapax", "vocab"))
            .to_pandas().sort_values("source"))
     hp = agg["hapax"].to_numpy(dtype=np.int64)
     vb = agg["vocab"].to_numpy(dtype=np.int64)
@@ -14386,27 +12478,9 @@ def l_diversity_audit(sf_dir: str, l_threshold: int = 3) -> pa.Table:
     combiner, one bounded groupby, O(nations) driver fold.
     """
     ds = _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment"])
-
-    empty = pa.table({"nk": pa.array([], type=pa.int64()),
-                      "seg": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def per_cell(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        g = (pa.table({"nk": pc.cast(t["c_nationkey"], pa.int64()),
-                       "seg": t["c_mktsegment"],
-                       "n": pa.array(np.ones(t.num_rows,
-                                             dtype=np.int64))})
-             .group_by(["nk", "seg"]).aggregate([("n", "sum")]))
-        return pa.table({"nk": g["nk"], "seg": g["seg"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    cells = (ds.map_batches(per_cell, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["nk", "seg"])
-             .aggregate(Sum("n", alias_name="n"))
-             .to_pandas())
+    cells = combine_agg(ds, ["c_nationkey", "c_mktsegment"], lambda t: t,
+                        [("c_nationkey", "count")],
+                        _named("nk", "seg", "n")).to_pandas()
     g = cells.groupby("nk").agg(n_rows=("n", "sum"),
                                 l_div=("seg", "nunique")).reset_index()
     g = g.sort_values("nk")
@@ -14441,30 +12515,7 @@ def hodges_lehmann_shift(sf_dir: str, flag_a: str = "R",
     Scale shape: identical histogram combiner to mannwhitney_qty_flags;
     the convolution runs on the driver over the tiny value domain.
     """
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
-
-    def hist(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t["l_returnflag"],
-                        value_set=pa.array([flag_a, flag_b]))
-        t = t.filter(keep)
-        staged = pa.table({
-            "q": pc.cast(t["l_quantity"], pa.int64()),
-            "a": pc.cast(pc.equal(t["l_returnflag"],
-                                  pa.scalar(flag_a)), pa.int64()),
-            "b": pc.cast(pc.equal(t["l_returnflag"],
-                                  pa.scalar(flag_b)), pa.int64()),
-        })
-        g = staged.group_by("q").aggregate([("a", "sum"), ("b", "sum")])
-        return pa.table({"q": g["q"],
-                         "na": pc.cast(g["a_sum"], pa.int64()),
-                         "nb": pc.cast(g["b_sum"], pa.int64())})
-
-    h = (ds.map_batches(hist, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("q")
-         .aggregate(Sum("na", alias_name="na"),
-                    Sum("nb", alias_name="nb"))
-         .to_pandas().sort_values("q"))
+    h = _flag_qty_hist(sf_dir, flag_a, flag_b)
     q = h["q"].to_numpy(dtype=np.int64)
     na = h["na"].to_numpy(dtype=np.int64)
     nb = h["nb"].to_numpy(dtype=np.int64)
@@ -14540,20 +12591,8 @@ def dict_encoding_report(sf_dir: str) -> pa.Table:
                             "plain_bytes", "dict_bytes",
                             "saving_ppm")}
     for table, col in _DICT_COLS:
-        ds = _read(sf_dir, table, [col])
-
-        def vc(t: pa.Table, col=col) -> pa.Table:
-            g = (pa.table({"v": t[col],
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-                 .group_by("v").aggregate([("n", "sum")]))
-            return pa.table({"v": g["v"],
-                             "n": pc.cast(g["n_sum"], pa.int64())})
-
-        agg = (ds.map_batches(vc, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("v").aggregate(Sum("n", alias_name="n"))
-               .to_pandas())
+        agg = combine_agg(_read(sf_dir, table, [col]), [col], lambda t: t,
+                          [(col, "count")], _named("v", "n")).to_pandas()
         vals = agg["v"].to_numpy()
         n = agg["n"].to_numpy(dtype=np.int64)
         lens = np.array([len(str(v).encode()) for v in vals],
@@ -14623,35 +12662,17 @@ def capture_recapture_users(sf_dir: str, type_a: str = "click",
     """
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    def per_user(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t["event_type"],
-                        value_set=pa.array([type_a, type_b]))
-        t2 = t.filter(keep)
-        staged = pa.table({
+    def seen(t: pa.Table) -> pa.Table:
+        return pa.table({
             "u": pc.cast(t["user_id"], pa.int64()),
-            "a": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "b": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
+            "a": pc.cast(pc.equal(t["event_type"], pa.scalar(type_a)),
+                         pa.int64()),
+            "b": pc.cast(pc.equal(t["event_type"], pa.scalar(type_b)),
+                         pa.int64()),
         })
-        if t2.num_rows:
-            staged2 = pa.table({
-                "u": pc.cast(t2["user_id"], pa.int64()),
-                "a": pc.cast(pc.equal(t2["event_type"],
-                                      pa.scalar(type_a)), pa.int64()),
-                "b": pc.cast(pc.equal(t2["event_type"],
-                                      pa.scalar(type_b)), pa.int64()),
-            })
-            staged = pa.concat_tables([staged, staged2])
-        g = staged.group_by("u").aggregate([("a", "max"),
-                                            ("b", "max")])
-        return pa.table({"u": g["u"],
-                         "a": pc.cast(g["a_max"], pa.int64()),
-                         "b": pc.cast(g["b_max"], pa.int64())})
 
-    per = (ds.map_batches(per_user, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("u")
-           .aggregate(Max("a", alias_name="a"),
-                      Max("b", alias_name="b")))
+    per = combine_agg(ds, ["u"], seen, [("a", "max"), ("b", "max")],
+                      _named("u", "a", "b"))
 
     empty = pa.table({c: pa.array([], type=pa.int64())
                       for c in ("n1", "n2", "m", "tot")})
@@ -14716,37 +12737,20 @@ def simpsons_flip_report(sf_dir: str,
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
     thr_m = int(round(threshold * 1_000_000))
 
-    empty = pa.table({"stype": pa.array([], type=pa.string()),
-                      "arm": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64()),
-                      "k": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def arms(t: pa.Table) -> pa.Table:
         ids = t["event_id"].to_numpy(zero_copy_only=False).astype(
             np.int64)
-        arm = (murmur64(ids) % np.uint64(2)).astype(np.int64)
         m = _int_units(t["value"], 1_000_000).to_numpy(
             zero_copy_only=False)
-        staged = pa.table({
+        return pa.table({
             "stype": t["event_type"],
-            "arm": pa.array(arm),
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
+            "arm": pa.array((murmur64(ids) % np.uint64(2)).astype(np.int64)),
             "k": pa.array((m > thr_m).astype(np.int64)),
         })
-        g = staged.group_by(["stype", "arm"]).aggregate(
-            [("n", "sum"), ("k", "sum")])
-        return pa.table({"stype": g["stype"], "arm": g["arm"],
-                         "n": pc.cast(g["n_sum"], pa.int64()),
-                         "k": pc.cast(g["k_sum"], pa.int64())})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["stype", "arm"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("k", alias_name="k"))
-           .to_pandas())
+    agg = combine_agg(ds, ["stype", "arm"], arms,
+                      [("k", "count"), ("k", "sum")],
+                      _named("stype", "arm", "n", "k")).to_pandas()
     piv = agg.pivot_table(index="stype", columns="arm",
                           values=["n", "k"], fill_value=0,
                           aggfunc="sum")
@@ -14822,35 +12826,19 @@ def weekend_share_by_priority(sf_dir: str) -> pa.Table:
                ["o_orderpriority", "o_orderdate", "o_totalprice"])
     DAY_US = np.int64(86_400_000_000)
 
-    empty = pa.table({"prio": pa.array([], type=pa.string()),
-                      "wk": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64()),
-                      "rev": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def weekend(t: pa.Table) -> pa.Table:
         us = pc.cast(t["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
         wd = (us // DAY_US + 3) % 7
-        staged = pa.table({
+        return pa.table({
             "prio": t["o_orderpriority"],
             "wk": pa.array((wd >= 5).astype(np.int64)),
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
             "rev": _int_units(t["o_totalprice"], 100),
         })
-        g = staged.group_by(["prio", "wk"]).aggregate(
-            [("n", "sum"), ("rev", "sum")])
-        return pa.table({"prio": g["prio"], "wk": g["wk"],
-                         "n": pc.cast(g["n_sum"], pa.int64()),
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["prio", "wk"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("rev", alias_name="rev"))
-           .to_pandas())
+    agg = combine_agg(ds, ["prio", "wk"], weekend,
+                      [("rev", "count"), ("rev", "sum")],
+                      _named("prio", "wk", "n", "rev")).to_pandas()
     piv = agg.pivot_table(index="prio", columns="wk",
                           values=["n", "rev"], fill_value=0,
                           aggfunc="sum").sort_index()
@@ -14983,8 +12971,7 @@ def audience_overlap_matrix(sf_dir: str) -> pa.Table:
 
     from ..stages.partition import fit_partitions, partition_by
 
-    mask_empty = pa.table({"mask": pa.array([], type=pa.int64()),
-                           "n": pa.array([], type=pa.int64())})
+    mask_empty = pa.table({"mask": pa.array([], type=pa.int64())})
     types_all = sorted(
         pairs.map_batches(
             lambda t: pa.table({"event_type": pc.unique(
@@ -15006,14 +12993,12 @@ def audience_overlap_matrix(sf_dir: str) -> pa.Table:
         grp = np.cumsum(new) - 1
         masks = np.zeros(int(grp[-1]) + 1, dtype=np.int64)
         np.bitwise_or.at(masks, grp, np.int64(1) << b_s)
-        um, cnt = np.unique(masks, return_counts=True)
-        return pa.table({"mask": pa.array(um),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"mask": pa.array(masks)})
 
-    hist = (partition_by(pairs, ["u"], fit_partitions(16), to_mask,
-                         mask_empty)
-            .groupby("mask").aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
+    hist = combine_agg(partition_by(pairs, ["u"], fit_partitions(16),
+                                    to_mask, mask_empty),
+                       ["mask"], lambda t: t, [("mask", "count")],
+                       _named("mask", "n")).to_pandas()
     masks = hist["mask"].to_numpy(dtype=np.int64)
     cnts = hist["n"].to_numpy(dtype=np.int64)
     k = len(types_all)
@@ -15081,28 +13066,15 @@ def weight_ess_report(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def weights(t: pa.Table) -> pa.Table:
         w = _int_units(t["value"], 100).to_numpy(
             zero_copy_only=False)
-        staged = pa.table({
-            "event_type": t["event_type"],
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "sw": pa.array(w),
-            "sww": pa.array(w * w),
-        })
-        g = staged.group_by("event_type").aggregate(
-            [("n", "sum"), ("sw", "sum"), ("sww", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "n": pc.cast(g["n_sum"], pa.int64()),
-                         "sw": pc.cast(g["sw_sum"], pa.int64()),
-                         "sww": pc.cast(g["sww_sum"], pa.int64())})
+        return pa.table({"event_type": t["event_type"], "w": w,
+                         "ww": w * w})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sw", alias_name="sw"),
-                      Sum("sww", alias_name="sww"))
+    agg = (combine_agg(ds, ["event_type"], weights,
+                       [("w", "count"), ("w", "sum"), ("ww", "sum")],
+                       _named("event_type", "n", "sw", "sww"))
            .to_pandas().sort_values("event_type"))
     n = agg["n"].to_numpy(dtype=np.int64)
     sw = agg["sw"].astype(object).to_numpy()
@@ -15155,54 +13127,24 @@ def ratio_metric_delta(sf_dir: str) -> pa.Table:
     from ..hashing import murmur64
     ds = _read(sf_dir, "events", ["user_id", "value"])
 
-    def per_user(t: pa.Table) -> pa.Table:
-        staged = pa.table({
-            "u": pc.cast(t["user_id"], pa.int64()),
-            "s": _int_units(t["value"], 100),
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        })
-        g = staged.group_by("u").aggregate([("s", "sum"),
-                                            ("n", "sum")])
-        return pa.table({"u": g["u"],
-                         "s": pc.cast(g["s_sum"], pa.int64()),
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    per = (ds.map_batches(per_user, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("u")
-           .aggregate(Sum("s", alias_name="s"),
-                      Sum("n", alias_name="n")))
-
-    empty = pa.table({c: pa.array([], type=pa.int64())
-                      for c in ("arm", "k", "ss", "sn", "sss", "snn",
-                                "ssn")})
+    per = combine_agg(
+        ds, ["u"],
+        lambda t: pa.table({"u": pc.cast(t["user_id"], pa.int64()),
+                            "s": _int_units(t["value"], 100)}),
+        [("s", "sum"), ("s", "count")], _named("u", "s", "n"))
 
     def moments(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "s" not in t.column_names:
-            return empty
         u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = t["s"].to_numpy(zero_copy_only=False).astype(object)
-        n = t["n"].to_numpy(zero_copy_only=False).astype(object)
-        arm = (murmur64(u) % np.uint64(2)).astype(np.int64)
-        rows = {c: [] for c in ("arm", "k", "ss", "sn", "sss", "snn",
-                                "ssn")}
-        for a in (0, 1):
-            m = arm == a
-            rows["arm"].append(a)
-            rows["k"].append(int(m.sum()))
-            rows["ss"].append(int(s[m].sum()))
-            rows["sn"].append(int(n[m].sum()))
-            rows["sss"].append(int((s[m] * s[m]).sum()))
-            rows["snn"].append(int((n[m] * n[m]).sum()))
-            rows["ssn"].append(int((s[m] * n[m]).sum()))
-        return pa.table({c: pa.array(v, type=pa.int64())
-                         for c, v in rows.items()})
+        s = t["s"].to_numpy(zero_copy_only=False)
+        n = t["n"].to_numpy(zero_copy_only=False)
+        return pa.table({
+            "arm": (murmur64(u) % np.uint64(2)).astype(np.int64),
+            "s": s, "n": n, "s2": s * s, "n2": n * n, "sn": s * n})
 
-    agg = (per.map_batches(moments, batch_format="pyarrow")
-           .groupby("arm")
-           .aggregate(*[Sum(c, alias_name=c)
-                        for c in ("k", "ss", "sn", "sss", "snn",
-                                  "ssn")])
+    agg = (combine_agg(per, ["arm"], moments,
+                       [("s", "count")] + [(c, "sum") for c in (
+                           "s", "n", "s2", "n2", "sn")],
+                       _named("arm", "k", "ss", "sn", "sss", "snn", "ssn"))
            .to_pandas().sort_values("arm"))
     out = {c: [] for c in ("arm", "n_users", "ratio_x100",
                            "se_x100")}
@@ -15289,29 +13231,13 @@ def cochran_armitage_trend(sf_dir: str) -> pa.Table:
                        zero_copy_batch=True).materialize()
     med = int(exact_quantiles(e, "c", [0.5])["value"][0].as_py())
 
-    empty = pa.table({"prio": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64()),
-                      "k": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "c" not in t.column_names:
-            return empty
+    def above(t: pa.Table) -> pa.Table:
         c = t["c"].to_numpy(zero_copy_only=False)
-        staged = pa.table({
-            "prio": t["prio"],
-            "n": pa.array(np.ones(len(c), dtype=np.int64)),
-            "k": pa.array((c > med).astype(np.int64)),
-        })
-        g = staged.group_by("prio").aggregate([("n", "sum"),
-                                               ("k", "sum")])
-        return pa.table({"prio": g["prio"],
-                         "n": pc.cast(g["n_sum"], pa.int64()),
-                         "k": pc.cast(g["k_sum"], pa.int64())})
+        return pa.table({"prio": t["prio"],
+                         "k": pa.array((c > med).astype(np.int64))})
 
-    agg = (e.map_batches(partial, batch_format="pyarrow")
-           .groupby("prio")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("k", alias_name="k"))
+    agg = (combine_agg(e, ["prio"], above, [("k", "count"), ("k", "sum")],
+                       _named("prio", "n", "k"))
            .to_pandas().sort_values("prio"))
     # weight = leading digit of the priority label ('1-URGENT' -> 1)
     w = np.array([int(str(p)[0]) for p in agg["prio"]],
@@ -15483,33 +13409,18 @@ def order_aging_report(sf_dir: str, bucket_days: int = 30) -> pa.Table:
                        zero_copy_batch=True).materialize()
     anchor = int(e.max("day"))
 
-    empty = pa.table({"status": pa.array([], type=pa.string()),
-                      "bucket": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64()),
-                      "rev": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "day" not in t.column_names:
-            return empty
+    def aged(t: pa.Table) -> pa.Table:
         day = t["day"].to_numpy(zero_copy_only=False)
-        bucket = (anchor - day) // bucket_days
-        staged = pa.table({
+        return pa.table({
             "status": t["status"],
-            "bucket": pa.array(bucket.astype(np.int64)),
-            "n": pa.array(np.ones(len(day), dtype=np.int64)),
+            "bucket": pa.array(((anchor - day) // bucket_days)
+                               .astype(np.int64)),
             "rev": t["rev"],
         })
-        g = staged.group_by(["status", "bucket"]).aggregate(
-            [("n", "sum"), ("rev", "sum")])
-        return pa.table({"status": g["status"],
-                         "bucket": g["bucket"],
-                         "n": pc.cast(g["n_sum"], pa.int64()),
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
 
-    agg = (e.map_batches(partial, batch_format="pyarrow")
-           .groupby(["status", "bucket"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("rev", alias_name="rev"))
+    agg = (combine_agg(e, ["status", "bucket"], aged,
+                       [("rev", "count"), ("rev", "sum")],
+                       _named("status", "bucket", "n", "rev"))
            .to_pandas().sort_values(["status", "bucket"]))
     return pa.table({
         "o_orderstatus": pa.array(agg["status"].tolist(),
@@ -15577,15 +13488,8 @@ def learned_index_audit(sf_dir: str,
 
     bt = rows.map_batches(bucketed, batch_format="pyarrow",
                           zero_copy_batch=True).materialize()
-    counts = (bt.map_batches(
-        lambda t: pa.table({
-            "b": pa.array(np.arange(nb, dtype=np.int64)),
-            "n": pa.array(np.bincount(
-                t["b"].to_numpy(zero_copy_only=False),
-                minlength=nb).astype(np.int64))}),
-        batch_format="pyarrow")
-        .groupby("b").aggregate(Sum("n", alias_name="n"))
-        .to_pandas().sort_values("b"))
+    counts = combine_agg(bt, ["b"], lambda t: t.select(["b"]),
+                         [("b", "count")], _named("b", "n")).to_pandas()
     per_bucket = np.zeros(nb, dtype=np.int64)
     per_bucket[counts["b"].to_numpy(dtype=np.int64)] = \
         counts["n"].to_numpy(dtype=np.int64)
@@ -15728,10 +13632,6 @@ def negative_sampling_audit(sf_dir: str) -> pa.Table:
     n = len(labels)
     lab_ref = ray.put(labels)
 
-    empty = pa.table({"label": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64()),
-                      "n_false_neg": pa.array([], type=pa.int64())})
-
     def audit(t: pa.Table) -> pa.Table:
         lab = ray.get(lab_ref)
         vid = t["vec_id"].to_numpy(zero_copy_only=False).astype(
@@ -15739,24 +13639,11 @@ def negative_sampling_audit(sf_dir: str) -> pa.Table:
         own = t["label"].to_numpy(zero_copy_only=False).astype(
             np.int64)
         neg = (murmur64(vid) % np.uint64(n)).astype(np.int64)
-        false_neg = lab[neg] == own
-        staged = pa.table({
-            "label": pa.array(own),
-            "n": pa.array(np.ones(len(own), dtype=np.int64)),
-            "n_false_neg": pa.array(false_neg.astype(np.int64)),
-        })
-        g = staged.group_by("label").aggregate(
-            [("n", "sum"), ("n_false_neg", "sum")])
-        return pa.table({"label": g["label"],
-                         "n": pc.cast(g["n_sum"], pa.int64()),
-                         "n_false_neg": pc.cast(g["n_false_neg_sum"],
-                                                pa.int64())})
+        return pa.table({"label": pa.array(own),
+                         "fn": pa.array((lab[neg] == own).astype(np.int64))})
 
-    agg = (ds.map_batches(audit, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("label")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("n_false_neg", alias_name="n_false_neg"))
+    agg = (combine_agg(ds, ["label"], audit, [("fn", "count"), ("fn", "sum")],
+                       _named("label", "n", "n_false_neg"))
            .to_pandas().sort_values("label"))
     nn = agg["n"].to_numpy(dtype=np.int64)
     fn = agg["n_false_neg"].to_numpy(dtype=np.int64)
@@ -15797,21 +13684,9 @@ def lang_entropy_by_source(sf_dir: str) -> pa.Table:
     domain, O(sources x langs) driver fold.
     """
     ds = _read(sf_dir, "documents", ["source", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        staged = pa.table({"source": t["source"], "lang": t["lang"],
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by(["source", "lang"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"source": g["source"], "lang": g["lang"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["source", "lang"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["source", "lang"], lambda t: t,
+                      [("lang", "count")],
+                      _named("source", "lang", "n")).to_pandas()
     out = {c: [] for c in ("source", "n_docs", "n_langs",
                            "entropy_micronats")}
     for src, g in agg.groupby("source", sort=True):
@@ -15860,47 +13735,33 @@ def embedding_isotropy_report(sf_dir: str) -> pa.Table:
     integer sums make both numerator and denominator big integers; the
     only division is the final integer ppm.
 
-    Scale shape: per-block (label, sum-vector, sum-sq, n) partials
-    (bounded by labels x dims), one small groupby, O(labels) fold.
+    Scale shape: per-block (label, dim) partials of the component sum,
+    row count and per-vector sum-sq (bounded by labels x dims), one
+    small groupby, O(labels) fold.
     """
     from ..functions.vectors import list_to_matrix
     ds = _read(sf_dir, "embeddings", ["embedding", "label"])
 
-    empty = pa.table({"label": pa.array([], type=pa.int64()),
-                      "dim": pa.array([], type=pa.int64()),
-                      "s": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64()),
-                      "qq": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
+    def components(t: pa.Table) -> pa.Table:
+        """One row per (vector, dim), the vector's sum-sq on each."""
         if t.num_rows == 0:
-            return empty
+            return pa.table({c: pa.array([], type=pa.int64())
+                             for c in ("label", "dim", "s", "qq")})
         q = np.floor(list_to_matrix(t["embedding"]) * 1000.0) \
             .astype(np.int64)
         lab = t["label"].to_numpy(zero_copy_only=False).astype(
             np.int64)
-        ul, inv = np.unique(lab, return_inverse=True)
-        d = q.shape[1]
-        sums = np.zeros((ul.size, d), dtype=np.int64)
-        np.add.at(sums, inv, q)
-        cnt = np.bincount(inv).astype(np.int64)
-        qq = np.zeros(ul.size, dtype=np.int64)
-        np.add.at(qq, inv, (q * q).sum(axis=1))
+        n, d = q.shape
         return pa.table({
-            "label": pa.array(np.repeat(ul, d)),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64),
-                                    ul.size)),
-            "s": pa.array(sums.reshape(-1)),
-            "n": pa.array(np.repeat(cnt, d)),
-            "qq": pa.array(np.repeat(qq, d)),
+            "label": np.repeat(lab, d),
+            "dim": np.tile(np.arange(d, dtype=np.int64), n),
+            "s": q.ravel(),
+            "qq": np.repeat((q * q).sum(axis=1), d),
         })
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["label", "dim"])
-           .aggregate(Sum("s", alias_name="s"),
-                      Sum("n", alias_name="n"),
-                      Sum("qq", alias_name="qq"))
+    agg = (combine_agg(ds, ["label", "dim"], components,
+                       [("s", "sum"), ("s", "count"), ("qq", "sum")],
+                       _named("label", "dim", "s", "n", "qq"))
            .to_pandas().sort_values(["label", "dim"]))
     out = {c: [] for c in ("label", "n", "anisotropy_ppm")}
     d_count = int(agg["dim"].max()) + 1
@@ -16009,9 +13870,8 @@ def fair_mass_by_source(sf_dir: str) -> pa.Table:
                                            pa.int64())})
 
     out_empty = pa.table({"source": pa.array([], type=pa.string()),
-                          "n_docs": pa.array([], type=pa.int64()),
-                          "fair_micro": pa.array([],
-                                                 type=pa.int64())})
+                          "copies": pa.array([], type=pa.int64()),
+                          "fair": pa.array([], type=pa.int64())})
 
     def attach(t: pa.Table) -> pa.Table:
         h = t["h"].to_numpy(zero_copy_only=False)
@@ -16035,24 +13895,18 @@ def fair_mass_by_source(sf_dir: str) -> pa.Table:
         totals = np.add.reduceat(cp_f, starts) if h_f.size else \
             np.array([], dtype=np.int64)
         cluster = np.repeat(totals, rlen)
-        fair = cp_f * (1_000_000 // cluster)
-        us, inv = np.unique(src_f, return_inverse=True)
-        nd = np.zeros(us.size, dtype=np.int64)
-        fm = np.zeros(us.size, dtype=np.int64)
-        np.add.at(nd, inv, cp_f)
-        np.add.at(fm, inv, fair)
-        return pa.table({"source": pa.array(us.tolist(),
+        return pa.table({"source": pa.array(src_f.tolist(),
                                             type=pa.string()),
-                         "n_docs": pa.array(nd),
-                         "fair_micro": pa.array(fm)})
+                         "copies": pa.array(cp_f),
+                         "fair": pa.array(cp_f * (1_000_000 // cluster))})
 
     mem = ds.map_batches(mems, batch_format="pyarrow",
                          zero_copy_batch=True)
-    agg = (partition_by(mem, ["h"], fit_partitions(16), attach,
-                        out_empty)
-           .groupby("source")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("fair_micro", alias_name="fair_micro"))
+    agg = (combine_agg(partition_by(mem, ["h"], fit_partitions(16), attach,
+                                    out_empty),
+                       ["source"], lambda t: t,
+                       [("copies", "sum"), ("fair", "sum")],
+                       _named("source", "n_docs", "fair_micro"))
            .to_pandas().sort_values("source"))
     return pa.table({
         "source": pa.array(agg["source"].tolist(), type=pa.string()),
@@ -16123,6 +13977,7 @@ def segment_priority_cramers_v(sf_dir: str) -> pa.Table:
                       "n": pa.array([], type=pa.int64())})
 
     def resolve(t: pa.Table) -> pa.Table:
+        """Each order partial's (segment, priority, n)."""
         key = t["key"].to_numpy(zero_copy_only=False)
         side = t["side"].to_numpy(zero_copy_only=False)
         n = t["n"].to_numpy(zero_copy_only=False)
@@ -16134,22 +13989,14 @@ def segment_priority_cramers_v(sf_dir: str) -> pa.Table:
         pos = np.searchsorted(ck, ok_)
         seg = cs[np.minimum(pos, ck.size - 1)] if ck.size else \
             np.array([], dtype=np.str_)
-        comb = np.char.add(np.char.add(seg.astype(np.str_), "|"),
-                           oa.astype(np.str_))
-        uc, inv = np.unique(comb, return_inverse=True)
-        tot = np.zeros(uc.size, dtype=np.int64)
-        np.add.at(tot, inv, on)
-        segs = [c.split("|")[0] for c in uc.tolist()]
-        prios = [c.split("|")[1] for c in uc.tolist()]
-        return pa.table({"seg": pa.array(segs, type=pa.string()),
-                         "prio": pa.array(prios, type=pa.string()),
-                         "n": pa.array(tot)})
+        return pa.table({"seg": pa.array(seg.tolist(), type=pa.string()),
+                         "prio": pa.array(oa.tolist(), type=pa.string()),
+                         "n": pa.array(on)})
 
-    agg = (partition_by(both, ["key"], fit_partitions(16), resolve,
-                        empty)
-           .groupby(["seg", "prio"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(partition_by(both, ["key"], fit_partitions(16),
+                                   resolve, empty),
+                      ["seg", "prio"], lambda t: t, [("n", "sum")],
+                      _named("seg", "prio", "n")).to_pandas()
     piv = agg.pivot_table(index="seg", columns="prio", values="n",
                           fill_value=0, aggfunc="sum")
     obs = piv.to_numpy(dtype=np.int64)
@@ -16229,30 +14076,15 @@ def median_of_means_value(sf_dir: str, k_groups: int = 15) -> pa.Table:
     ds = _read(sf_dir, "events", ["event_id", "value"])
     K = int(k_groups)
 
-    empty = pa.table({"g": pa.array([], type=pa.int64()),
-                      "s": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def grouped(t: pa.Table) -> pa.Table:
         ids = t["event_id"].to_numpy(zero_copy_only=False).astype(
             np.int64)
-        g = (murmur64(ids) % np.uint64(K)).astype(np.int64)
-        m = _int_units(t["value"], 1_000_000).to_numpy(
-            zero_copy_only=False)
-        s = np.zeros(K, dtype=np.int64)
-        n = np.zeros(K, dtype=np.int64)
-        np.add.at(s, g, m)
-        np.add.at(n, g, 1)
-        return pa.table({"g": pa.array(np.arange(K, dtype=np.int64)),
-                         "s": pa.array(s), "n": pa.array(n)})
+        return pa.table({
+            "g": (murmur64(ids) % np.uint64(K)).astype(np.int64),
+            "m": _int_units(t["value"], 1_000_000)})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("g")
-           .aggregate(Sum("s", alias_name="s"),
-                      Sum("n", alias_name="n"))
+    agg = (combine_agg(ds, ["g"], grouped, [("m", "sum"), ("m", "count")],
+                       _named("g", "s", "n"))
            .to_pandas().sort_values("g"))
     s = agg["s"].to_numpy(dtype=np.int64)
     n = agg["n"].to_numpy(dtype=np.int64)
@@ -16293,27 +14125,19 @@ def hourweek_profile(sf_dir: str) -> pa.Table:
     share in ppm -- the capacity-planning heatmap behind batch-window
     placement, exact integers.
 
-    Scale shape: one streamed 168-cell combiner.
+    Scale shape: one streamed 168-cell grouped count.
     """
     ds = _read(sf_dir, "events", ["ts"])
     HOUR_US = np.int64(3_600_000_000)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cells(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         hour_abs = us // HOUR_US
-        day = hour_abs // 24
-        dow = (day + 3) % 7
-        hod = hour_abs % 24
-        cell = dow * 24 + hod
-        cnt = np.bincount(cell, minlength=168)
-        return pa.table({
-            "cell": pa.array(np.arange(168, dtype=np.int64)),
-            "n": pa.array(cnt.astype(np.int64))})
+        dow = (hour_abs // 24 + 3) % 7
+        return pa.table({"cell": dow * 24 + hour_abs % 24})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("cell").aggregate(Sum("n", alias_name="n"))
-           .to_pandas().sort_values("cell"))
+    agg = combine_agg(ds, ["cell"], cells, [("cell", "count")],
+                      _named("cell", "n")).to_pandas()
     n = np.zeros(168, dtype=np.int64)
     n[agg["cell"].to_numpy(dtype=np.int64)] = \
         agg["n"].to_numpy(dtype=np.int64)
@@ -16366,24 +14190,8 @@ def lexical_sophistication_by_source(sf_dir: str) -> pa.Table:
     """
     from ..functions.text import token_value_arrays, token_value_lookup
     docs = _read(sf_dir, "documents", ["source", "text"])
-
-    vocab_empty = pa.table({"tok": pa.array([], type=pa.string()),
-                            "n": pa.array([], type=pa.int64())})
-
-    def counts(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        if len(flat) == 0:
-            return vocab_empty
-        g = pa.table({"tok": flat}).group_by("tok").aggregate(
-            [("tok", "count")])
-        return pa.table({"tok": g["tok"],
-                         "n": pc.cast(g["tok_count"], pa.int64())})
-
-    freq = (docs.map_batches(counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .groupby("tok").aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
+    freq = combine_agg(docs, ["tok"], _tokens, [("tok", "count")],
+                       _named("tok", "n")).to_pandas()
     toks_all = freq["tok"].to_numpy()
     nf = freq["n"].to_numpy(dtype=np.int64)
     order = np.lexsort((toks_all, -nf))     # most frequent first
@@ -16392,36 +14200,16 @@ def lexical_sophistication_by_source(sf_dir: str) -> pa.Table:
     rank_ref = ray.put(token_value_arrays(
         pa.array(toks_all, type=pa.string()), ranks))
 
-    empty = pa.table({"source": pa.array([], type=pa.string()),
-                      "sum_rank": pa.array([], type=pa.int64()),
-                      "n_tokens": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
+    def token_ranks(t: pa.Table) -> pa.Table:
         fp_sorted, rank_vals = ray.get(rank_ref)
-        toks = pc.split_pattern(t["text"], pattern=" ")
-        flat = pc.list_flatten(toks).combine_chunks()
-        if len(flat) == 0:
-            return empty
-        nper = pc.list_value_length(toks).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        src = np.repeat(t["source"].to_numpy(zero_copy_only=False),
-                        nper)
-        rk = token_value_lookup(fp_sorted, rank_vals, flat)
-        us, inv = np.unique(src, return_inverse=True)
-        sr = np.zeros(us.size, dtype=np.int64)
-        nt = np.zeros(us.size, dtype=np.int64)
-        np.add.at(sr, inv, rk)
-        np.add.at(nt, inv, 1)
-        return pa.table({"source": pa.array(us.tolist(),
-                                            type=pa.string()),
-                         "sum_rank": pa.array(sr),
-                         "n_tokens": pa.array(nt)})
+        tok = _tokens(t, "source")
+        return pa.table({"source": tok["source"],
+                         "rank": token_value_lookup(fp_sorted, rank_vals,
+                                                    tok["tok"])})
 
-    agg = (docs.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby("source")
-           .aggregate(Sum("sum_rank", alias_name="sum_rank"),
-                      Sum("n_tokens", alias_name="n_tokens"))
+    agg = (combine_agg(docs, ["source"], token_ranks,
+                       [("rank", "sum"), ("rank", "count")],
+                       _named("source", "sum_rank", "n_tokens"))
            .to_pandas().sort_values("source"))
     sr = agg["sum_rank"].to_numpy(dtype=np.int64)
     nt = agg["n_tokens"].to_numpy(dtype=np.int64)
@@ -16532,23 +14320,17 @@ def price_endings_report(sf_dir: str) -> pa.Table:
     pricing / synthetic-data fingerprint check (real retail prices
     cluster on endings; uniform endings scream generated data).
 
-    Scale shape: one streamed 100-cell combiner.
+    Scale shape: one streamed 100-cell grouped count.
     """
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def ending(t: pa.Table) -> pa.Table:
         cents = _int_units(t["o_totalprice"], 100).to_numpy(
             zero_copy_only=False)
-        e = cents % 100
-        cnt = np.bincount(e, minlength=100)
-        return pa.table({
-            "ending": pa.array(np.arange(100, dtype=np.int64)),
-            "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"ending": cents % 100})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("ending").aggregate(Sum("n", alias_name="n"))
-           .to_pandas().sort_values("ending"))
+    agg = combine_agg(ds, ["ending"], ending, [("ending", "count")],
+                      _named("ending", "n")).to_pandas()
     n = np.zeros(100, dtype=np.int64)
     n[agg["ending"].to_numpy(dtype=np.int64)] = \
         agg["n"].to_numpy(dtype=np.int64)
@@ -16598,8 +14380,7 @@ def bigram_lm_perplexity(sf_dir: str) -> pa.Table:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     big_empty = pa.table({"w1": pa.array([], type=pa.string()),
-                          "w2": pa.array([], type=pa.string()),
-                          "n": pa.array([], type=pa.int64())})
+                          "w2": pa.array([], type=pa.string())})
 
     def _bigrams(t: pa.Table, want_train: bool):
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(
@@ -16621,25 +14402,17 @@ def bigram_lm_perplexity(sf_dir: str) -> pa.Table:
         w2 = flat[1:][valid[:-1]]
         return w1, w2
 
-    def train_counts(t: pa.Table) -> pa.Table:
+    def train_bigrams(t: pa.Table) -> pa.Table:
         r = _bigrams(t, want_train=True)
         if r is None:
             return big_empty
         w1, w2 = r
-        comb = np.char.add(np.char.add(w1, " "), w2)
-        u, c = np.unique(comb, return_counts=True)
-        parts = np.char.partition(u, " ")
-        return pa.table({"w1": pa.array(parts[:, 0].tolist(),
-                                        type=pa.string()),
-                         "w2": pa.array(parts[:, 2].tolist(),
-                                        type=pa.string()),
-                         "n": pa.array(c.astype(np.int64))})
+        return pa.table({"w1": pa.array(w1.tolist(), type=pa.string()),
+                         "w2": pa.array(w2.tolist(), type=pa.string())})
 
-    counts = (docs.map_batches(train_counts, batch_format="pyarrow",
-                               zero_copy_batch=True)
-              .groupby(["w1", "w2"])
-              .aggregate(Sum("n", alias_name="n"))
-              .to_pandas())
+    counts = combine_agg(docs, ["w1", "w2"], train_bigrams,
+                         [("w2", "count")],
+                         _named("w1", "w2", "n")).to_pandas()
     # vocabulary = distinct SECOND tokens seen in train (the
     # prediction space); row totals per first token
     vocab = int(counts["w2"].nunique())
@@ -16732,52 +14505,10 @@ def cvm_drift_binned(sf_dir: str, type_a: str = "view",
     -- exact big-integer arithmetic: sum (ca*n_b - cb*n_a)^2 with the
     single final division into ppm of the maximum possible.
 
-    Scale shape: identical to ks/emd_drift_binned -- streamed Min/Max,
-    bounded bincount partials, O(n_bins) driver walk.
+    Scale shape: identical to ks/emd_drift_binned (_two_sample_bins) --
+    streamed Min/Max, bounded per-bin partials, O(n_bins) driver walk.
     """
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def micro(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t["event_type"],
-                        value_set=pa.array([type_a, type_b]))
-        t = t.filter(keep)
-        return pa.table({"event_type": t["event_type"],
-                         "m": _int_units(t["value"], 1_000_000)})
-
-    vals = ds.map_batches(micro, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    mm = vals.aggregate(Min("m", alias_name="lo"),
-                        Max("m", alias_name="hi"))
-    lo, hi = int(mm["lo"]), int(mm["hi"])
-    span = hi - lo + 1
-
-    empty = pa.table({"bin": pa.array([], type=pa.int64()),
-                      "na": pa.array([], type=pa.int64()),
-                      "nb": pa.array([], type=pa.int64())})
-
-    def binned(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        m = t["m"].to_numpy(zero_copy_only=False)
-        b = np.zeros_like(m) if span <= 1 else (m - lo) * n_bins // span
-        is_a = np.asarray(pc.equal(t["event_type"], pa.scalar(type_a)))
-        na = np.bincount(b[is_a], minlength=n_bins)
-        nb = np.bincount(b[~is_a], minlength=n_bins)
-        keep = np.nonzero(na | nb)[0]
-        return pa.table({"bin": pa.array(keep.astype(np.int64)),
-                         "na": pa.array(na[keep].astype(np.int64)),
-                         "nb": pa.array(nb[keep].astype(np.int64))})
-
-    agg = (vals.map_batches(binned, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby("bin")
-           .aggregate(Sum("na", alias_name="na"),
-                      Sum("nb", alias_name="nb"))
-           .to_pandas().sort_values("bin"))
-    na = np.zeros(n_bins, dtype=np.int64)
-    nb = np.zeros(n_bins, dtype=np.int64)
-    na[agg["bin"].to_numpy(dtype=np.int64)] = agg["na"]
-    nb[agg["bin"].to_numpy(dtype=np.int64)] = agg["nb"]
+    na, nb = _two_sample_bins(sf_dir, type_a, type_b, n_bins)
     n_a, n_b = int(na.sum()), int(nb.sum())
     ca, cb, acc = 0, 0, 0
     for i in range(n_bins):
@@ -16933,25 +14664,10 @@ def poisson_surprise_hours(sf_dir: str, k: int = 5) -> pa.Table:
     groupby, O(types x hours) driver fold with a k-row output.
     """
     ds = _read(sf_dir, "events", ["event_type", "ts"])
-    HOUR_US = np.int64(3_600_000_000)
 
-    def hourly(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"event_type": t["event_type"],
-                           "hour": pa.array(us // HOUR_US),
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by(["event_type", "hour"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "hour": g["hour"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    grid = (ds.map_batches(hourly, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "hour"])
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
+    grid = combine_agg(ds, ["event_type", "h"], _event_hours,
+                       [("h", "count")],
+                       _named("event_type", "hour", "n")).to_pandas()
     lo = int(grid["hour"].min()); hi = int(grid["hour"].max())
     span = hi - lo + 1
     rows = {c: [] for c in ("event_type", "hour", "n",
@@ -17032,16 +14748,10 @@ def sax_motif_counts(sf_dir: str, k: int = 5) -> pa.Table:
 
     def hourly(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"hour": pa.array(us // HOUR_US),
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by("hour").aggregate([("n", "sum")])
-        return pa.table({"hour": g["hour"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
+        return pa.table({"hour": pa.array(us // HOUR_US)})
 
-    h = (ds.map_batches(hourly, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("hour").aggregate(Sum("n", alias_name="n"))
+    h = (combine_agg(ds, ["hour"], hourly, [("hour", "count")],
+                     _named("hour", "n"))
          .to_pandas().sort_values("hour"))
     hours = h["hour"].to_numpy(dtype=np.int64)
     lo, hi = int(hours.min()), int(hours.max())
@@ -17125,7 +14835,7 @@ def returns_rate_by_brand(sf_dir: str) -> pa.Table:
                ["l_partkey", "l_returnflag", "l_extendedprice"])
 
     empty = pa.table({c: pa.array([], type=pa.int64())
-                      for c in ("b", "n", "n_ret", "rev", "rev_ret")})
+                      for c in ("b", "ret", "rev", "rev_ret")})
 
     class Roll:
         def __init__(self):
@@ -17137,34 +14847,20 @@ def returns_rate_by_brand(sf_dir: str) -> pa.Table:
             idx = pc.index_in(pc.cast(t["l_partkey"], pa.int64()),
                               value_set=self.pk).to_numpy(
                 zero_copy_only=False).astype(np.int64)
-            b = self.pb[idx]
             ret = np.asarray(pc.equal(t["l_returnflag"],
-                                      pa.scalar("R")))
+                                      pa.scalar("R"))).astype(np.int64)
             rev = _int_units(t["l_extendedprice"], 100).to_numpy(
                 zero_copy_only=False)
-            nb = len(np.unique(self.pb)) + 1
-            n = np.bincount(b, minlength=nb)
-            nr = np.bincount(b[ret], minlength=nb)
-            rv = np.zeros(nb, dtype=np.int64)
-            rr = np.zeros(nb, dtype=np.int64)
-            np.add.at(rv, b, rev)
-            np.add.at(rr, b[ret], rev[ret])
-            nz = np.flatnonzero(n)
-            return pa.table({
-                "b": pa.array(nz.astype(np.int64)),
-                "n": pa.array(n[nz].astype(np.int64)),
-                "n_ret": pa.array(nr[nz].astype(np.int64)),
-                "rev": pa.array(rv[nz]),
-                "rev_ret": pa.array(rr[nz]),
-            })
+            return pa.table({"b": pa.array(self.pb[idx]),
+                             "ret": pa.array(ret), "rev": pa.array(rev),
+                             "rev_ret": pa.array(rev * ret)})
 
-    agg = (li.map_batches(Roll, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=2)
-           .groupby("b")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("n_ret", alias_name="n_ret"),
-                      Sum("rev", alias_name="rev"),
-                      Sum("rev_ret", alias_name="rev_ret"))
+    agg = (combine_agg(li.map_batches(Roll, batch_format="pyarrow",
+                                      zero_copy_batch=True, concurrency=2),
+                       ["b"], lambda t: t,
+                       [("ret", "count"), ("ret", "sum"), ("rev", "sum"),
+                        ("rev_ret", "sum")],
+                       _named("b", "n", "n_ret", "rev", "rev_ret"))
            .to_pandas().sort_values("b"))
     b = agg["b"].to_numpy(dtype=np.int64)
     n = agg["n"].to_numpy(dtype=np.int64)
@@ -17211,25 +14907,10 @@ def mix_anomaly_hours(sf_dir: str, k: int = 5) -> pa.Table:
     O(types x hours) driver fold, k-row output.
     """
     ds = _read(sf_dir, "events", ["event_type", "ts"])
-    HOUR_US = np.int64(3_600_000_000)
 
-    def hourly(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"event_type": t["event_type"],
-                           "hour": pa.array(us // HOUR_US),
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by(["event_type", "hour"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "hour": g["hour"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    grid = (ds.map_batches(hourly, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "hour"])
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
+    grid = combine_agg(ds, ["event_type", "h"], _event_hours,
+                       [("h", "count")],
+                       _named("event_type", "hour", "n")).to_pandas()
     piv = grid.pivot_table(index="hour", columns="event_type",
                            values="n", fill_value=0, aggfunc="sum")
     obs = piv.to_numpy(dtype=np.int64)
@@ -17500,7 +15181,7 @@ def length_token_copula_grid(sf_dir: str) -> pa.Table:
     vs complementary, beyond what one correlation number says.
 
     Scale shape: two shared bisection threshold passes, one streamed
-    25-cell census combiner.
+    25-cell grouped count.
     """
     from .quantiles import exact_quantiles
     from ..functions.text import token_count
@@ -17523,25 +15204,15 @@ def length_token_copula_grid(sf_dir: str) -> pa.Table:
                             exact_quantiles(e, "toks", qs)["value"]),
                      dtype=np.int64)
 
-    empty = pa.table({"cell": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
     def census(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
         c = t["chars"].to_numpy(zero_copy_only=False)
         k = t["toks"].to_numpy(zero_copy_only=False)
         bc = (c[:, None] > thr_c[None, :]).sum(axis=1)
         bt = (k[:, None] > thr_t[None, :]).sum(axis=1)
-        cell = bc * 5 + bt
-        cnt = np.bincount(cell, minlength=25)
-        return pa.table({
-            "cell": pa.array(np.arange(25, dtype=np.int64)),
-            "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"cell": (bc * 5 + bt).astype(np.int64)})
 
-    agg = (e.map_batches(census, batch_format="pyarrow")
-           .groupby("cell").aggregate(Sum("n", alias_name="n"))
-           .to_pandas().sort_values("cell"))
+    agg = combine_agg(e, ["cell"], census, [("cell", "count")],
+                      _named("cell", "n")).to_pandas()
     n = np.zeros(25, dtype=np.int64)
     n[agg["cell"].to_numpy(dtype=np.int64)] = \
         agg["n"].to_numpy(dtype=np.int64)
@@ -17821,21 +15492,19 @@ def copurchase_part_pairs(sf_dir: str, k: int = 10) -> pa.Table:
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def prep(t: pa.Table) -> pa.Table:
-        staged = pa.table({
+        return pa.table({
             "okey": pc.cast(t["l_orderkey"], pa.int64()),
             "part": pc.cast(t["l_partkey"], pa.int64()),
         })
-        return staged.group_by(["okey", "part"]).aggregate([])
 
-    pair_empty = pa.table({"ab": pa.array([], type=pa.int64()),
-                           "n": pa.array([], type=pa.int64())})
+    pair_empty = pa.table({"ab": pa.array([], type=pa.int64())})
 
     def expand(t: pa.Table) -> pa.Table:
         okey = t["okey"].to_numpy(zero_copy_only=False)
         part = t["part"].to_numpy(zero_copy_only=False)
         order = np.lexsort((part, okey))
         o_s, p_s = okey[order], part[order]
-        keep = np.ones(o_s.size, dtype=bool)    # cross-block dedup
+        keep = np.ones(o_s.size, dtype=bool)    # distinct (order, part)
         keep[1:] = (o_s[1:] != o_s[:-1]) | (p_s[1:] != p_s[:-1])
         o_s, p_s = o_s[keep], p_s[keep]
         n = o_s.size
@@ -17852,25 +15521,19 @@ def copurchase_part_pairs(sf_dir: str, k: int = 10) -> pa.Table:
         excl = np.concatenate([[0], np.cumsum(cnt_a)[:-1]])
         b_idx = a_idx + (np.arange(total)
                          - np.repeat(excl, cnt_a)) + 1
+        # one packed int64 pair key: the sort shuffle samples and
+        # compares one numpy column; a/b are split after the count
         comp = p_s[a_idx] * (np.int64(1) << np.int64(31)) \
             + p_s[b_idx]
-        u, c = np.unique(comp, return_counts=True)
-        # keep the PACKED pair key through the exchange: a two-column
-        # groupby over ~1M rows costs 16.6 s on Ray 2.49's sort-based
-        # aggregate where the same rows keyed on one packed int64 cost
-        # 0.6 s (multi-key comparisons); split a/b after the aggregate
-        return pa.table({"ab": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
+        return pa.table({"ab": pa.array(comp)})
 
-    from ..stages.partition import fold_sum_by_key
     staged = li.map_batches(prep, batch_format="pyarrow",
                             zero_copy_batch=True)
-    # pair-grain aggregate via the vectorized fold kernel: Ray's
-    # aggregate pays ~6 us/GROUP and this table has ~1 group per row
-    pairs = fold_sum_by_key(
+    pairs = combine_agg(
         partition_by(staged, ["okey"], fit_partitions(16),
                      expand, pair_empty),
-        "ab", ["n"], fit_partitions(16))
+        ["ab"], lambda t: t, [("ab", "count")],
+        lambda t: pa.table({"ab": t["ab"], "n": t["ab_count"]}))
 
     pre_empty = pa.table({"a": pa.array([], type=pa.int64()),
                           "b": pa.array([], type=pa.int64()),
@@ -17934,29 +15597,13 @@ def nation_share_of_region(sf_dir: str) -> pa.Table:
 
     sup = _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
 
-    empty = pa.table({"nk": pa.array([], type=pa.int64()),
-                      "bal": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
+    def balance(t: pa.Table) -> pa.Table:
+        return pa.table({"nk": pc.cast(t["s_nationkey"], pa.int64()),
+                         "bal": _int_units(t["s_acctbal"], 100)})
 
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        staged = pa.table({
-            "nk": pc.cast(t["s_nationkey"], pa.int64()),
-            "bal": _int_units(t["s_acctbal"], 100),
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        })
-        g = staged.group_by("nk").aggregate([("bal", "sum"),
-                                             ("n", "sum")])
-        return pa.table({"nk": g["nk"],
-                         "bal": pc.cast(g["bal_sum"], pa.int64()),
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    agg = (sup.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-           .groupby("nk")
-           .aggregate(Sum("bal", alias_name="bal"),
-                      Sum("n", alias_name="n"))
+    agg = (combine_agg(sup, ["nk"], balance,
+                       [("bal", "sum"), ("bal", "count")],
+                       _named("nk", "bal", "n"))
            .to_pandas().sort_values("nk"))
     nk_arr = agg["nk"].to_numpy(dtype=np.int64)
     bal = agg["bal"].to_numpy(dtype=np.int64)
@@ -18026,32 +15673,18 @@ def youden_threshold_scan(sf_dir: str) -> pa.Table:
     med = int(exact_quantiles(ds, "n_chars", [0.5])["value"][0]
               .as_py())
 
-    empty = pa.table({"tc": pa.array([], type=pa.int64()),
-                      "pos": pa.array([], type=pa.int64()),
-                      "neg": pa.array([], type=pa.int64())})
-
-    def hist(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def labeled(t: pa.Table) -> pa.Table:
         toks = token_count(t["text"]).to_numpy(zero_copy_only=False)
         gold = (pc.cast(t["n_chars"], pa.int64())
                 .to_numpy(zero_copy_only=False) > med)
-        staged = pa.table({
+        return pa.table({
             "tc": pa.array(toks.astype(np.int64)),
             "pos": pa.array(gold.astype(np.int64)),
             "neg": pa.array((~gold).astype(np.int64)),
         })
-        g = staged.group_by("tc").aggregate([("pos", "sum"),
-                                             ("neg", "sum")])
-        return pa.table({"tc": g["tc"],
-                         "pos": pc.cast(g["pos_sum"], pa.int64()),
-                         "neg": pc.cast(g["neg_sum"], pa.int64())})
 
-    h = (ds.map_batches(hist, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("tc")
-         .aggregate(Sum("pos", alias_name="pos"),
-                    Sum("neg", alias_name="neg"))
+    h = (combine_agg(ds, ["tc"], labeled, [("pos", "sum"), ("neg", "sum")],
+                     _named("tc", "pos", "neg"))
          .to_pandas().sort_values("tc"))
     tc = h["tc"].to_numpy(dtype=np.int64)
     pos = h["pos"].to_numpy(dtype=np.int64)
@@ -18214,31 +15847,16 @@ def zonemap_pruning_audit(sf_dir: str, chunk_bits: int = 12) -> pa.Table:
     Scale shape: per-block (chunk, min, max) partials, one bounded
     chunk groupby, O(chunks x windows) driver fold.
     """
-    from ray.data.aggregate import Max, Min
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
     def prep(t: pa.Table) -> pa.Table:
         okey = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        us = pc.cast(t["l_shipdate"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        chunk = okey >> chunk_bits
-        uk, inv = np.unique(chunk, return_inverse=True)
-        mn = np.full(uk.size, np.iinfo(np.int64).max, dtype=np.int64)
-        mx = np.full(uk.size, np.iinfo(np.int64).min, dtype=np.int64)
-        np.minimum.at(mn, inv, us)
-        np.maximum.at(mx, inv, us)
-        cnt = np.bincount(inv).astype(np.int64)
-        return pa.table({"chunk": pa.array(uk.astype(np.int64)),
-                         "mn": pa.array(mn), "mx": pa.array(mx),
-                         "n": pa.array(cnt)})
+        return pa.table({"chunk": (okey >> chunk_bits).astype(np.int64),
+                         "us": pc.cast(t["l_shipdate"], pa.int64())})
 
-    agg = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("chunk")
-           .aggregate(Min("mn", alias_name="mn"),
-                      Max("mx", alias_name="mx"),
-                      Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["chunk"], prep,
+                      [("us", "min"), ("us", "max"), ("us", "count")],
+                      _named("chunk", "mn", "mx", "n")).to_pandas()
     mn = agg["mn"].to_numpy(dtype=np.int64)
     mx = agg["mx"].to_numpy(dtype=np.int64)
     nrow = agg["n"].to_numpy(dtype=np.int64)
@@ -18267,24 +15885,17 @@ def zonemap_pruning_audit(sf_dir: str, chunk_bits: int = 12) -> pa.Table:
                                   "us").astype(np.int64)))
                for y, m in _ZONEMAP_WINDOWS]
 
-    empty = pa.table({"w": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def matches(t: pa.Table) -> pa.Table:
+    def window(t: pa.Table) -> pa.Table:
+        """Each row's (disjoint) matching window, rows in none dropped."""
         us = pc.cast(t["l_shipdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        ws, ns = [], []
+        w = np.full(us.size, -1, dtype=np.int64)
         for i, (lo, hi) in enumerate(win_ref):
-            ws.append(i)
-            ns.append(int(((us >= lo) & (us < hi)).sum()))
-        return pa.table({"w": pa.array(np.array(ws, dtype=np.int64)),
-                         "n": pa.array(np.array(ns,
-                                                dtype=np.int64))})
+            w[(us >= lo) & (us < hi)] = i
+        return pa.table({"w": w[w >= 0]})
 
-    mt = (ds.map_batches(matches, batch_format="pyarrow",
-                         zero_copy_batch=True)
-          .groupby("w").aggregate(Sum("n", alias_name="n"))
-          .to_pandas().sort_values("w"))
+    mt = combine_agg(ds, ["w"], window, [("w", "count")],
+                     _named("w", "n")).to_pandas()
     mrows = np.zeros(len(win_ref), dtype=np.int64)
     mrows[mt["w"].to_numpy(dtype=np.int64)] = \
         mt["n"].to_numpy(dtype=np.int64)
@@ -18536,7 +16147,6 @@ def weekday_pattern_census(sf_dir: str, k: int = 8) -> pa.Table:
     Scale shape: per-user mask co-partition fold, <= 128-cell
     histogram, k-row output.
     """
-    from ray.data.aggregate import Sum
     from ..stages.partition import fit_partitions, partition_by
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
@@ -18551,8 +16161,7 @@ def weekday_pattern_census(sf_dir: str, k: int = 8) -> pa.Table:
         })
         return staged.group_by(["user_id", "dow"]).aggregate([])
 
-    empty = pa.table({"mask": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
+    empty = pa.table({"mask": pa.array([], type=pa.int64())})
 
     def masks(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
@@ -18565,15 +16174,14 @@ def weekday_pattern_census(sf_dir: str, k: int = 8) -> pa.Table:
         m = np.zeros(int(grp[-1]) + 1 if u_s.size else 0,
                      dtype=np.int64)
         np.bitwise_or.at(m, grp, np.int64(1) << d_s)
-        um, cnt = np.unique(m, return_counts=True)
-        return pa.table({"mask": pa.array(um),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"mask": pa.array(m)})
 
-    agg = (partition_by(ds.map_batches(prep, batch_format="pyarrow",
-                                       zero_copy_batch=True),
-                        ["user_id"], fit_partitions(32), masks, empty)
-           .groupby("mask").aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(partition_by(ds.map_batches(prep, batch_format="pyarrow",
+                                                  zero_copy_batch=True),
+                                   ["user_id"], fit_partitions(32), masks,
+                                   empty),
+                      ["mask"], lambda t: t, [("mask", "count")],
+                      _named("mask", "n")).to_pandas()
     order = np.lexsort((agg["mask"].to_numpy(),
                         -agg["n"].to_numpy()))[:k]
     m = agg["mask"].to_numpy(dtype=np.int64)[order]
@@ -18704,10 +16312,9 @@ def session_entry_types(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     session (30-minute gap semantics) with counts and ppm shares --
     the landing-page analysis of clickstream work.
 
-    Scale shape: the gap-sessionization kernel emits one bounded
-    (type -> count) partial per partition.
+    Scale shape: the gap-sessionization kernel emits each session's
+    entry type, folded by a bounded (type -> count) combiner.
     """
-    from ray.data.aggregate import Sum
     from ..stages.partition import fit_partitions, partition_by
 
     gap_us = int(gap_minutes) * 60 * 1_000_000
@@ -18722,30 +16329,28 @@ def session_entry_types(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
             "event_type": t["event_type"],
         })
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64())})
+    empty = pa.table({"event_type": pa.array([], type=pa.string())})
 
     def kernel(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
         us = t["us"].to_numpy(zero_copy_only=False)
         eid = t["event_id"].to_numpy(zero_copy_only=False)
-        et = t["event_type"].to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, us, u))
-        u_s, us_s, et_s = u[order], us[order], et[order]
+        u_s, us_s = u[order], us[order]
         new_session = np.ones(u_s.size, dtype=bool)
         new_session[1:] = (u_s[1:] != u_s[:-1]) \
             | (us_s[1:] - us_s[:-1] > gap_us)
-        entry = et_s[new_session]
-        ue, cnt = np.unique(entry, return_counts=True)
-        return pa.table({"event_type": pa.array(ue.tolist(),
-                                                type=pa.string()),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"event_type": pc.take(
+            t["event_type"], pa.array(order[new_session]))})
 
-    agg = (partition_by(ds.map_batches(prep, batch_format="pyarrow",
-                                       zero_copy_batch=True),
-                        ["user_id"], fit_partitions(32), kernel,
-                        empty)
-           .groupby("event_type").aggregate(Sum("n", alias_name="n"))
+    agg = (combine_agg(partition_by(ds.map_batches(prep,
+                                                   batch_format="pyarrow",
+                                                   zero_copy_batch=True),
+                                    ["user_id"], fit_partitions(32), kernel,
+                                    empty),
+                       ["event_type"], lambda t: t,
+                       [("event_type", "count")],
+                       _named("event_type", "n"))
            .to_pandas().sort_values("event_type"))
     n = agg["n"].to_numpy(dtype=np.int64)
     tot = int(n.sum())
@@ -18788,15 +16393,11 @@ def weekly_revenue_wow(sf_dir: str) -> pa.Table:
     def weekly(t: pa.Table) -> pa.Table:
         us = pc.cast(t["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        staged = pa.table({"week": pa.array(us // WEEK_US),
-                           "rev": _int_units(t["o_totalprice"], 100)})
-        g = staged.group_by("week").aggregate([("rev", "sum")])
-        return pa.table({"week": g["week"],
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
+        return pa.table({"week": pa.array(us // WEEK_US),
+                         "rev": _int_units(t["o_totalprice"], 100)})
 
-    h = (ds.map_batches(weekly, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("week").aggregate(Sum("rev", alias_name="rev"))
+    h = (combine_agg(ds, ["week"], weekly, [("rev", "sum")],
+                     _named("week", "rev"))
          .to_pandas().sort_values("week"))
     weeks = h["week"].to_numpy(dtype=np.int64)
     lo, hi = int(weeks.min()), int(weeks.max())
@@ -18843,7 +16444,6 @@ def activity_span_quantiles(sf_dir: str) -> pa.Table:
 
     Scale shape: per-user Min/Max groupby, one bisection pass.
     """
-    from ray.data.aggregate import Max, Min
     from .quantiles import exact_quantiles
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
@@ -18855,20 +16455,13 @@ def activity_span_quantiles(sf_dir: str) -> pa.Table:
             "us": pc.cast(t["ts"], pa.int64()),
         })
 
-    per = (ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("u")
-           .aggregate(Min("us", alias_name="mn"),
-                      Max("us", alias_name="mx")))
-
     def span(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "mn" not in t.column_names:
-            return pa.table({"h": pa.array([], type=pa.int64())})
-        mn = t["mn"].to_numpy(zero_copy_only=False)
-        mx = t["mx"].to_numpy(zero_copy_only=False)
+        mn = t["us_min"].to_numpy(zero_copy_only=False)
+        mx = t["us_max"].to_numpy(zero_copy_only=False)
         return pa.table({"h": pa.array((mx - mn) // HOUR_US)})
 
-    spans = per.map_batches(span, batch_format="pyarrow").materialize()
+    spans = combine_agg(ds, ["u"], prep, [("us", "min"), ("us", "max")],
+                        span).materialize()
     n = int(spans.count())
     qt = exact_quantiles(spans, "h", [0.25, 0.5, 0.75])
     vals = {float(qt["q"][i].as_py()): int(qt["value"][i].as_py())
@@ -18905,30 +16498,16 @@ def priority_mix_by_year(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_orderpriority"])
 
-    empty = pa.table({"year": pa.array([], type=pa.int64()),
-                      "prio": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def yearly(t: pa.Table) -> pa.Table:
         us = pc.cast(t["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        year = (us.astype("datetime64[us]").astype("datetime64[Y]")
-                .astype(np.int64) + 1970)
-        staged = pa.table({
-            "year": pa.array(year),
-            "prio": t["o_orderpriority"],
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        })
-        g = staged.group_by(["year", "prio"]).aggregate([("n", "sum")])
-        return pa.table({"year": g["year"], "prio": g["prio"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
+        return pa.table({
+            "year": (us.astype("datetime64[us]").astype("datetime64[Y]")
+                     .astype(np.int64) + 1970),
+            "prio": t["o_orderpriority"]})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["year", "prio"])
-           .aggregate(Sum("n", alias_name="n"))
+    agg = (combine_agg(ds, ["year", "prio"], yearly, [("prio", "count")],
+                       _named("year", "prio", "n"))
            .to_pandas().sort_values(["year", "prio"]))
     ytot = agg.groupby("year")["n"].transform("sum").to_numpy(
         dtype=np.int64)
@@ -18969,20 +16548,11 @@ def abc_classification(sf_dir: str) -> pa.Table:
     cardinality-bounded by design), O(parts) driver cumsum.
     """
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
-
-    def per_part(t: pa.Table) -> pa.Table:
-        staged = pa.table({
-            "part": pc.cast(t["l_partkey"], pa.int64()),
-            "rev": _int_units(t["l_extendedprice"], 100),
-        })
-        g = staged.group_by("part").aggregate([("rev", "sum")])
-        return pa.table({"part": g["part"],
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
-
-    agg = (li.map_batches(per_part, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("part").aggregate(Sum("rev", alias_name="rev"))
-           .to_pandas())
+    agg = combine_agg(
+        li, ["part"],
+        lambda t: pa.table({"part": pc.cast(t["l_partkey"], pa.int64()),
+                            "rev": _int_units(t["l_extendedprice"], 100)}),
+        [("rev", "sum")], _named("part", "rev")).to_pandas()
     part = agg["part"].to_numpy(dtype=np.int64)
     rev = agg["rev"].to_numpy(dtype=np.int64)
     order = np.lexsort((part, -rev))
@@ -19147,21 +16717,12 @@ def daily_type_entropy(sf_dir: str) -> pa.Table:
 
     def daily(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        staged = pa.table({"day": pa.array(us // DAY_US),
-                           "event_type": t["event_type"],
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by(["day", "event_type"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"day": g["day"],
-                         "event_type": g["event_type"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
+        return pa.table({"day": pa.array(us // DAY_US),
+                         "event_type": t["event_type"]})
 
-    grid = (ds.map_batches(daily, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["day", "event_type"])
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
+    grid = combine_agg(ds, ["day", "event_type"], daily,
+                       [("event_type", "count")],
+                       _named("day", "event_type", "n")).to_pandas()
     out = {c: [] for c in ("day", "n_events", "entropy_micronats")}
     for day, g in grid.groupby("day", sort=True):
         c = g["n"].to_numpy(dtype=np.int64).astype(np.float64)
@@ -19217,33 +16778,21 @@ def part_rank_movers(sf_dir: str, year0: int = 1999,
     hi1 = int(np.datetime64(f"{year1 + 1}-01-01", "us")
               .astype(np.int64))
 
-    empty = pa.table({"part": pa.array([], type=pa.int64()),
-                      "y": pa.array([], type=pa.int64()),
-                      "rev": pa.array([], type=pa.int64())})
-
     def prep(t: pa.Table) -> pa.Table:
         us = pc.cast(t["l_shipdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
         y = np.where((us >= lo0) & (us < hi0), 0,
                      np.where((us >= lo1) & (us < hi1), 1, -1))
         keep = y >= 0
-        if not keep.any():
-            return empty
         t2 = t.filter(pa.array(keep))
-        staged = pa.table({
+        return pa.table({
             "part": pc.cast(t2["l_partkey"], pa.int64()),
             "y": pa.array(y[keep]),
             "rev": _int_units(t2["l_extendedprice"], 100),
         })
-        g = staged.group_by(["part", "y"]).aggregate([("rev", "sum")])
-        return pa.table({"part": g["part"], "y": g["y"],
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
 
-    agg = (li.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["part", "y"])
-           .aggregate(Sum("rev", alias_name="rev"))
-           .to_pandas())
+    agg = combine_agg(li, ["part", "y"], prep, [("rev", "sum")],
+                      _named("part", "y", "rev")).to_pandas()
     g0 = agg[agg["y"] == 0]
     g1 = agg[agg["y"] == 1]
     both = set(g0["part"]).intersection(set(g1["part"]))
@@ -19438,21 +16987,16 @@ def monthly_seasonal_index(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def monthly(t: pa.Table) -> pa.Table:
         us = pc.cast(t["o_orderdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
         months = (us.astype("datetime64[us]").astype("datetime64[M]")
                   .astype(np.int64) % 12)
-        staged = pa.table({"month": pa.array(months + 1),
-                           "rev": _int_units(t["o_totalprice"], 100)})
-        g = staged.group_by("month").aggregate([("rev", "sum")])
-        return pa.table({"month": g["month"],
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
+        return pa.table({"month": pa.array(months + 1),
+                         "rev": _int_units(t["o_totalprice"], 100)})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("month").aggregate(Sum("rev", alias_name="rev"))
-           .to_pandas().sort_values("month"))
+    agg = combine_agg(ds, ["month"], monthly, [("rev", "sum")],
+                      _named("month", "rev")).to_pandas()
     rev = np.zeros(12, dtype=np.int64)
     rev[agg["month"].to_numpy(dtype=np.int64) - 1] = \
         agg["rev"].to_numpy(dtype=np.int64)
@@ -19601,31 +17145,20 @@ def discount_by_qty_bucket(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "lineitem", ["l_quantity", "l_discount"])
 
-    empty = pa.table({"b": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64()),
-                      "bp": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
+    def bucketed(t: pa.Table) -> pa.Table:
         q = pc.cast(t["l_quantity"], pa.int64()).to_numpy(
             zero_copy_only=False)
         d = t["l_discount"].to_numpy(zero_copy_only=False)
-        bp = np.floor(d * 10_000.0 + 0.5).astype(np.int64)
-        b = np.clip((q - 1) // 10, 0, 4)
-        n = np.bincount(b, minlength=5)
-        s = np.zeros(5, dtype=np.int64)
-        np.add.at(s, b, bp)
-        return pa.table({"b": pa.array(np.arange(5, dtype=np.int64)),
-                         "n": pa.array(n.astype(np.int64)),
-                         "bp": pa.array(s)})
+        return pa.table({"b": np.clip((q - 1) // 10, 0, 4),
+                         "bp": np.floor(d * 10_000.0 + 0.5)
+                         .astype(np.int64)})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("b")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("bp", alias_name="bp"))
-           .to_pandas().sort_values("b"))
-    n = agg["n"].to_numpy(dtype=np.int64)
-    bp = agg["bp"].to_numpy(dtype=np.int64)
+    agg = combine_agg(ds, ["b"], bucketed, [("bp", "count"), ("bp", "sum")],
+                      _named("b", "n", "bp")).to_pandas()
+    n = np.zeros(5, dtype=np.int64)
+    bp = np.zeros(5, dtype=np.int64)
+    n[agg["b"].to_numpy()] = agg["n"].to_numpy()
+    bp[agg["b"].to_numpy()] = agg["bp"].to_numpy()
     los = [lo for lo, _ in _QTY_BUCKETS]
     his = [hi for _, hi in _QTY_BUCKETS]
     return pa.table({
@@ -19706,25 +17239,17 @@ def incremental_daily_revenue(sf_dir: str,
     empty = pa.table({"day_idx": pa.array([], type=pa.int64()),
                       "revenue_cents": pa.array([], type=pa.int64())})
 
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def daily(t: pa.Table) -> pa.Table:
         ts = t["o_orderdate"].to_numpy(zero_copy_only=False)
-        day = ts.astype("datetime64[us]").view(np.int64) // DAY_US
-        cents = np.floor(t["o_totalprice"].to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        u, inv = np.unique(day, return_inverse=True)
-        sums = np.zeros(u.shape[0], dtype=np.int64)
-        np.add.at(sums, inv, cents)
-        return pa.table({"day_idx": pa.array(u),
-                         "revenue_cents": pa.array(sums)})
+        return pa.table({
+            "day_idx": ts.astype("datetime64[us]").view(np.int64) // DAY_US,
+            "revenue_cents": np.floor(t["o_totalprice"].to_numpy(
+                zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)})
 
-    def day_agg(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-        return (ds.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby("day_idx")
-                .aggregate(Sum("revenue_cents",
-                               alias_name="revenue_cents")))
+    def day_agg(ds: "ray.data.Dataset", prep) -> "ray.data.Dataset":
+        return combine_agg(ds, ["day_idx"], prep,
+                           [("revenue_cents", "sum")],
+                           _named("day_idx", "revenue_cents"))
 
     done_marker = f"{root}/_SUCCESS"
     if not os.path.exists(done_marker):
@@ -19735,7 +17260,7 @@ def incremental_daily_revenue(sf_dir: str,
             columns=["o_orderdate", "o_totalprice"],
             filter=(pads.field("o_orderdate") < cut_dt))
         tbl = pa.concat_tables(
-            [ray.get(r) for r in day_agg(base).to_arrow_refs()],
+            [ray.get(r) for r in day_agg(base, daily).to_arrow_refs()],
             promote_options="default")
         os.makedirs(root, exist_ok=True)
         _pq.write_table(
@@ -19748,11 +17273,9 @@ def incremental_daily_revenue(sf_dir: str,
         f"{sf_dir}/orders.parquet",
         columns=["o_orderdate", "o_totalprice"],
         filter=(pads.field("o_orderdate") >= cut_dt))
-    merged = (day_agg(delta)
-              .union(ray.data.read_parquet(f"{root}/base.parquet"))
-              .groupby("day_idx")
-              .aggregate(Sum("revenue_cents",
-                             alias_name="revenue_cents"))
+    merged = (day_agg(day_agg(delta, daily).union(
+                  ray.data.read_parquet(f"{root}/base.parquet")),
+                      lambda t: t)
               .to_pandas().sort_values("day_idx"))
     return pa.table({
         "day_idx": pa.array(merged["day_idx"].to_numpy(dtype=np.int64)),
@@ -19782,7 +17305,7 @@ def t_closeness_audit(sf_dir: str, n_bins: int = 8) -> pa.Table:
     attribute through its quasi-identifier.
 
     Scale shape: one Min/Max pass fixes the bin grid, one streamed
-    per-block combiner folds to the bounded (lang x source x bin) grid,
+    grouped count folds to the bounded (lang x source x bin) grid,
     and the EMD arithmetic runs on that grid driver-side in exact
     Python big ints (prefix cross-multiplication |pg*N - pG*n_g| never
     overflows and never divides early)."""
@@ -19794,19 +17317,12 @@ def t_closeness_audit(sf_dir: str, n_bins: int = 8) -> pa.Table:
     def cells(tbl: pa.Table) -> pa.Table:
         nc = tbl["n_chars"].to_numpy(zero_copy_only=False)
         bins = (nc - mn) * n_bins // width_den
-        staged = pa.table({"lang": tbl["lang"], "source": tbl["source"],
-                           "bin": pa.array(bins.astype(np.int64))})
-        g = staged.group_by(["lang", "source", "bin"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"lang": g["lang"], "source": g["source"],
-                         "bin": g["bin"],
-                         "c": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"lang": tbl["lang"], "source": tbl["source"],
+                         "bin": pa.array(bins.astype(np.int64))})
 
-    grid = (ds.map_batches(cells, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["lang", "source", "bin"])
-            .aggregate(Sum("c", alias_name="c"))
-            .to_pandas())
+    grid = combine_agg(ds, ["lang", "source", "bin"], cells,
+                       [("bin", "count")],
+                       _named("lang", "source", "bin", "c")).to_pandas()
     import pandas as pd
     piv = grid.pivot_table(index=["lang", "source"], columns="bin",
                            values="c", fill_value=0, aggfunc="sum")
@@ -19911,26 +17427,15 @@ def psi_drift_binned(sf_dir: str, split: str = "2024-01-16",
     def cells(t: pa.Table) -> pa.Table:
         v = t["value"].to_numpy(zero_copy_only=False)
         vc = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        bins = (vc - mn) * n_bins // width_den
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        period = (us >= split_us).astype(np.int64)
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        ut, tinv = np.unique(et, return_inverse=True)
-        comp = (tinv.astype(np.int64) * n_bins + bins) * 2 + period
-        uc, inv = np.unique(comp, return_inverse=True)
-        cnt = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "event_type": pa.array(ut[uc // (2 * n_bins)].tolist(),
-                                   type=pa.string()),
-            "bin": pa.array((uc // 2) % n_bins),
-            "period": pa.array(uc % 2),
-            "cnt": pa.array(cnt)})
+        return pa.table({"event_type": t["event_type"],
+                         "bin": (vc - mn) * n_bins // width_den,
+                         "period": (us >= split_us).astype(np.int64)})
 
-    grid = (ds.map_batches(cells, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "bin", "period"])
-            .aggregate(Sum("cnt", alias_name="cnt"))
-            .to_pandas())
+    grid = combine_agg(ds, ["event_type", "bin", "period"], cells,
+                       [("period", "count")],
+                       _named("event_type", "bin", "period", "cnt")
+                       ).to_pandas()
     import pandas as pd
     piv = grid.pivot_table(index=["event_type", "bin"],
                            columns="period", values="cnt",
@@ -20032,32 +17537,20 @@ def diff_in_diff_report(sf_dir: str,
     ds = _read(sf_dir, "events", ["ts", "user_id", "value"])
     split_us = int(np.datetime64(split, "us").astype(np.int64))
 
-    empty = pa.table({"cell": pa.array([], type=pa.int64()),
-                      "s": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def fold(t: pa.Table) -> pa.Table:
+    def cells(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         treat = (murmur64(uid) % np.uint64(2) == 0).astype(np.int64)
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         post = (us >= split_us).astype(np.int64)
         v = t["value"].to_numpy(zero_copy_only=False)
-        micro = np.floor(v * 1_000_000.0 + 0.5).astype(np.int64)
-        cell = treat * 2 + post
-        s = np.zeros(4, dtype=np.int64)
-        n = np.zeros(4, dtype=np.int64)
-        np.add.at(s, cell, micro)
-        np.add.at(n, cell, 1)
-        return pa.table({"cell": pa.array(np.arange(4,
-                                                    dtype=np.int64)),
-                         "s": pa.array(s), "n": pa.array(n)})
+        return pa.table({
+            "cell": treat * 2 + post,
+            "micro": np.floor(v * 1_000_000.0 + 0.5).astype(np.int64)})
 
-    grid = (ds.map_batches(fold, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("cell")
-            .aggregate(Sum("s", alias_name="s"),
-                       Sum("n", alias_name="n"))
+    grid = (combine_agg(ds, ["cell"], cells,
+                        [("micro", "sum"), ("micro", "count")],
+                        _named("cell", "s", "n"))
             .to_pandas().set_index("cell"))
     means = {}
     for cell in range(4):
@@ -20110,11 +17603,11 @@ def rake_keywords_topk(sf_dir: str, k: int = 15,
     unsupervised keyword miner that complements tf-idf
     (`tfidf_top_term_per_doc`) with multi-word phrases.
 
-    Scale shape: stage 1 folds each block to per-word (freq, deg)
-    partials (vocab-bounded groupby); the word scores broadcast as the
+    Scale shape: stage 1 is a grouped per-word (freq, deg) combiner
+    (vocab-bounded groupby); the word scores broadcast as the
     shared sorted-fp + searchsorted arrays (never a dict); stage 2
     rescans, scores each phrase with one vectorized lookup, and
-    reduces distinct phrases through a per-block prereduce + bounded
+    reduces distinct phrases through a grouped combiner + bounded
     top-k.  Phrase strings materialize only at phrase grain (np.char
     column joins, max_phrase vectorized steps), never per token.
     Word score is floor(deg * 1e6 / freq) micro-units, mirrored in the
@@ -20161,31 +17654,19 @@ def rake_keywords_topk(sf_dir: str, k: int = 15,
                 gid[keep2], sizes, ok, pos_in_group[keep2])
 
     ws_empty = pa.table({"tok": pa.array([], type=pa.string()),
-                         "freq": pa.array([], type=pa.int64()),
                          "deg": pa.array([], type=pa.int64())})
 
-    def word_partials(t: pa.Table) -> pa.Table:
+    def word_degrees(t: pa.Table) -> pa.Table:
         lay = _phrase_layout(t)
         if lay is None:
             return ws_empty
         toks, gid, sizes, ok, _pos = lay
-        deg = sizes[gid]        # gid keeps original group ids
-        staged = pa.table({"tok": toks,
-                           "freq": pa.array(np.ones(gid.shape[0],
-                                                    dtype=np.int64)),
-                           "deg": pa.array(deg)})
-        g = staged.group_by("tok").aggregate([("freq", "sum"),
-                                              ("deg", "sum")])
-        return pa.table({"tok": g["tok"],
-                         "freq": pc.cast(g["freq_sum"], pa.int64()),
-                         "deg": pc.cast(g["deg_sum"], pa.int64())})
+        # gid keeps original group ids
+        return pa.table({"tok": toks, "deg": pa.array(sizes[gid])})
 
-    wstats = (ds.map_batches(word_partials, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby("tok")
-              .aggregate(Sum("freq", alias_name="freq"),
-                         Sum("deg", alias_name="deg"))
-              .to_pandas())
+    wstats = combine_agg(ds, ["tok"], word_degrees,
+                         [("deg", "count"), ("deg", "sum")],
+                         _named("tok", "freq", "deg")).to_pandas()
     ws = (wstats["deg"].to_numpy(dtype=np.int64) * 1_000_000
           // wstats["freq"].to_numpy(dtype=np.int64))
     fp_sorted, vals = token_value_arrays(
@@ -20193,8 +17674,7 @@ def rake_keywords_topk(sf_dir: str, k: int = 15,
     map_ref = ray.put((fp_sorted, vals))
 
     ph_empty = pa.table({"phrase": pa.array([], type=pa.string()),
-                         "n_occurrences": pa.array([], type=pa.int64()),
-                         "score_micro": pa.array([], type=pa.int64())})
+                         "score": pa.array([], type=pa.int64())})
 
     def phrase_scores(t: pa.Table) -> pa.Table:
         lay = _phrase_layout(t)
@@ -20219,27 +17699,13 @@ def rake_keywords_topk(sf_dir: str, k: int = 15,
             phrase = np.char.add(np.char.add(
                 phrase.astype(str), sep.astype(str)),
                 cols[i].astype(str))
-        staged = pa.table({
-            "phrase": pa.array(phrase.astype(object),
-                               type=pa.string()),
-            "n_occurrences": pa.array(np.ones(n_groups,
-                                              dtype=np.int64)),
-            "score_micro": pa.array(score)})
-        g = staged.group_by("phrase").aggregate(
-            [("n_occurrences", "sum"), ("score_micro", "max")])
         return pa.table({
-            "phrase": g["phrase"],
-            "n_occurrences": pc.cast(g["n_occurrences_sum"],
-                                     pa.int64()),
-            "score_micro": pc.cast(g["score_micro_max"], pa.int64())})
+            "phrase": pa.array(phrase.astype(object), type=pa.string()),
+            "score": pa.array(score)})
 
-    grouped = (ds.map_batches(phrase_scores, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("phrase")
-               .aggregate(Sum("n_occurrences",
-                              alias_name="n_occurrences"),
-                          Max("score_micro",
-                              alias_name="score_micro")))
+    grouped = combine_agg(ds, ["phrase"], phrase_scores,
+                          [("score", "count"), ("score", "max")],
+                          _named("phrase", "n_occurrences", "score_micro"))
     out = _topk(grouped, [("score_micro", "descending"),
                           ("phrase", "ascending")], k).to_pandas()
     return pa.table({
@@ -20390,35 +17856,15 @@ def q13_custdist(sf_dir: str) -> pa.Table:
     """
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
-    empty = pa.table({"o_custkey": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def per_cust(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def non_urgent(t: pa.Table) -> pa.Table:
         keep = pc.not_equal(t["o_orderpriority"], "1-URGENT")
-        k = pc.cast(t.filter(keep)["o_custkey"], pa.int64())
-        g = pa.table({"o_custkey": k}).group_by("o_custkey").aggregate(
-            [([], "count_all")])
-        return pa.table({"o_custkey": g["o_custkey"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({"o_custkey": pc.cast(t.filter(keep)["o_custkey"],
+                                              pa.int64())})
 
-    counts = (orders.map_batches(per_cust, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-              .groupby("o_custkey").aggregate(Sum("n", alias_name="n")))
-
-    def hist(t: pa.Table) -> pa.Table:
-        g = pa.table({"c_count": t["n"]}).group_by(
-            "c_count").aggregate([([], "count_all")])
-        return pa.table({"c_count": pc.cast(g["c_count"], pa.int64()),
-                         "custdist": pc.cast(g["count_all"],
-                                             pa.int64())})
-
-    h = (counts.map_batches(hist, batch_format="pyarrow",
-                            zero_copy_batch=True)
-         .groupby("c_count").aggregate(Sum("custdist",
-                                           alias_name="custdist"))
-         .to_pandas())
+    counts = combine_agg(orders, ["o_custkey"], non_urgent,
+                         [("o_custkey", "count")], _named("o_custkey", "n"))
+    h = combine_agg(counts, ["n"], lambda t: t, [("n", "count")],
+                    _named("c_count", "custdist")).to_pandas()
     n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()
     cc = h["c_count"].to_numpy(dtype=np.int64)
     cd = h["custdist"].to_numpy(dtype=np.int64)
@@ -20473,11 +17919,7 @@ def q17_small_quantity_revenue(sf_dir: str,
     lineitem = _read(sf_dir, "lineitem",
                      ["l_partkey", "l_quantity", "l_extendedprice"])
 
-    empty = pa.table({"pk": pa.array([], type=pa.int64()),
-                      "sq": pa.array([], type=pa.int64()),
-                      "cnt": pa.array([], type=pa.int64())})
-
-    def stats_partial(t: pa.Table) -> pa.Table:
+    def brand_rows(t: pa.Table) -> pa.Table:
         keys = _ray.get(keys_ref)
         pk = pc.cast(t["l_partkey"], pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -20485,24 +17927,13 @@ def q17_small_quantity_revenue(sf_dir: str,
         pos[pos == keys.size] = 0
         hit = keys[pos] == pk if keys.size else np.zeros(
             pk.size, dtype=bool)
-        if not hit.any():
-            return empty
         q = t["l_quantity"].to_numpy(zero_copy_only=False)[hit]
-        qi = np.floor(q * 100.0 + 0.5).astype(np.int64)
-        staged = pa.table({"pk": pa.array(pk[hit]),
-                           "sq": pa.array(qi),
-                           "one": pa.array(np.ones(qi.size,
-                                                   dtype=np.int64))})
-        g = staged.group_by("pk").aggregate([("sq", "sum"),
-                                             ("one", "sum")])
-        return pa.table({"pk": g["pk"],
-                         "sq": pc.cast(g["sq_sum"], pa.int64()),
-                         "cnt": pc.cast(g["one_sum"], pa.int64())})
+        return pa.table({"pk": pa.array(pk[hit]),
+                         "sq": np.floor(q * 100.0 + 0.5).astype(np.int64)})
 
-    st = (lineitem.map_batches(stats_partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-          .groupby("pk").aggregate(Sum("sq", alias_name="sq"),
-                                   Sum("cnt", alias_name="cnt"))
+    st = (combine_agg(lineitem, ["pk"], brand_rows,
+                      [("sq", "sum"), ("sq", "count")],
+                      _named("pk", "sq", "cnt"))
           .to_pandas().sort_values("pk"))
     tk = st["pk"].to_numpy(dtype=np.int64)
     tsq = st["sq"].to_numpy(dtype=np.int64)
@@ -20579,56 +18010,33 @@ def epoch_shuffle_stats(sf_dir: str, n_shards: int = 8) -> pa.Table:
     Ray pipeline and the DuckDB replica -- can assert byte-equal
     placement without comparing row sets.
 
-    Scale shape: one streamed pass; each block folds to
-    O(epochs x shards) partial rows (all Sum-foldable integers), one
-    tiny groupby finishes.  Nothing key-shaped leaves the blocks.
+    Scale shape: one streamed pass of (epoch, shard) placement rows;
+    each block folds to O(epochs x shards) partial rows (all
+    Sum-foldable integers), one tiny groupby finishes.  Nothing
+    key-shaped leaves the blocks.
     """
-    from ray.data.aggregate import Sum
     from ..hashing import murmur64
 
     EPOCH_SEEDS = (0, 6364136223846793005, 2862933555777941757)
     ds = _read(sf_dir, "documents", ["doc_id"])
 
-    empty = pa.table({"epoch": pa.array([], type=pa.int64()),
-                      "shard": pa.array([], type=pa.int64()),
-                      "n_docs": pa.array([], type=pa.int64()),
-                      "sum_doc_id": pa.array([], type=pa.int64()),
-                      "hash_check": pa.array([], type=pa.int64())})
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def placements(t: pa.Table) -> pa.Table:
+        """One row per (document, epoch)."""
         did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        eps, shs, ns, sds, hcs = [], [], [], [], []
-        for e, seed in enumerate(EPOCH_SEEDS):
-            h = murmur64(did ^ np.int64(seed))
-            shard = (h % np.uint64(n_shards)).astype(np.int64)
-            chk = (h % np.uint64(1_000_003)).astype(np.int64)
-            n = np.bincount(shard, minlength=n_shards).astype(np.int64)
-            sd = np.zeros(n_shards, dtype=np.int64)
-            np.add.at(sd, shard, did)
-            hc = np.zeros(n_shards, dtype=np.int64)
-            np.add.at(hc, shard, chk)
-            nz = np.nonzero(n)[0]
-            eps.append(np.full(nz.shape[0], e, dtype=np.int64))
-            shs.append(nz.astype(np.int64))
-            ns.append(n[nz])
-            sds.append(sd[nz])
-            hcs.append(hc[nz])
+        h = np.concatenate([murmur64(did ^ np.int64(seed))
+                            for seed in EPOCH_SEEDS])
         return pa.table({
-            "epoch": pa.array(np.concatenate(eps)),
-            "shard": pa.array(np.concatenate(shs)),
-            "n_docs": pa.array(np.concatenate(ns)),
-            "sum_doc_id": pa.array(np.concatenate(sds)),
-            "hash_check": pa.array(np.concatenate(hcs)),
-        })
+            "epoch": np.repeat(np.arange(len(EPOCH_SEEDS), dtype=np.int64),
+                               did.size),
+            "shard": (h % np.uint64(n_shards)).astype(np.int64),
+            "doc_id": np.tile(did, len(EPOCH_SEEDS)),
+            "chk": (h % np.uint64(1_000_003)).astype(np.int64)})
 
-    agg = (ds.map_batches(fold, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["epoch", "shard"])
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("sum_doc_id", alias_name="sum_doc_id"),
-                      Sum("hash_check", alias_name="hash_check"))
+    agg = (combine_agg(ds, ["epoch", "shard"], placements,
+                       [("doc_id", "count"), ("doc_id", "sum"),
+                        ("chk", "sum")],
+                       _named("epoch", "shard", "n_docs", "sum_doc_id",
+                              "hash_check"))
            .to_pandas().sort_values(["epoch", "shard"])
            .reset_index(drop=True))
     return pa.table({
@@ -20672,12 +18080,11 @@ def percentile_norm_by_source(sf_dir: str) -> pa.Table:
     below-counts per lang segment); one streamed combiner pass probes
     it with two searchsorteds per batch and folds to O(sources) rows.
     """
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
 
-    hist = (ds.groupby(["lang", "n_chars"])
-            .aggregate(Count(alias_name="c")).to_pandas())
+    hist = combine_agg(ds, ["lang", "n_chars"], lambda t: t,
+                       [("n_chars", "count")],
+                       _named("lang", "n_chars", "c")).to_pandas()
     langs = np.sort(hist["lang"].unique().astype(np.str_))
     lcode = np.searchsorted(langs, hist["lang"].to_numpy(dtype=np.str_))
     vals = hist["n_chars"].to_numpy(dtype=np.int64)
@@ -20698,13 +18105,7 @@ def percentile_norm_by_source(sf_dir: str) -> pa.Table:
         n_lang_rows[j] = int(cnts[lo:hi].sum())
     lut_ref = ray.put((langs, seg_starts, vals, below, n_lang_rows))
 
-    empty = pa.table({"source": pa.array([], type=pa.string()),
-                      "n_docs": pa.array([], type=pa.int64()),
-                      "sum_pr_ppm": pa.array([], type=pa.int64())})
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def percent_rank(t: pa.Table) -> pa.Table:
         lg, starts, v, bl, nl = ray.get(lut_ref)
         code = np.searchsorted(
             lg, t["lang"].to_numpy(zero_copy_only=False)
@@ -20721,21 +18122,12 @@ def percentile_norm_by_source(sf_dir: str) -> pa.Table:
                 v[starts[j]:ends[j]], x[m], side="left")
         count_lt = bl[np.minimum(pos, bl.shape[0] - 1)]
         denom = np.maximum(nl[code] - 1, 1)
-        ppm = count_lt * np.int64(1_000_000) // denom
-        src = t["source"].to_numpy(zero_copy_only=False)
-        us, inv = np.unique(src, return_inverse=True)
-        n = np.bincount(inv, minlength=us.shape[0]).astype(np.int64)
-        sm = np.zeros(us.shape[0], dtype=np.int64)
-        np.add.at(sm, inv, ppm)
-        return pa.table({"source": pa.array(us, type=pa.string()),
-                         "n_docs": pa.array(n),
-                         "sum_pr_ppm": pa.array(sm)})
+        return pa.table({"source": t["source"],
+                         "ppm": count_lt * np.int64(1_000_000) // denom})
 
-    agg = (ds.map_batches(fold, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("source")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("sum_pr_ppm", alias_name="sum_pr_ppm"))
+    agg = (combine_agg(ds, ["source"], percent_rank,
+                       [("ppm", "count"), ("ppm", "sum")],
+                       _named("source", "n_docs", "sum_pr_ppm"))
            .to_pandas().sort_values("source").reset_index(drop=True))
     n = agg["n_docs"].to_numpy(dtype=np.int64)
     sm = agg["sum_pr_ppm"].to_numpy(dtype=np.int64)
@@ -20779,24 +18171,12 @@ def hhh_type_user(sf_dir: str, phi_den: int = 200) -> pa.Table:
     Nothing unbounded ever reaches the driver.
     """
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        staged = pa.table({
-            "event_type": t["event_type"], "user_id": t["user_id"],
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64))})
-        g = staged.group_by(["event_type", "user_id"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "user_id": g["user_id"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    pairs = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "user_id"])
-             .aggregate(Sum("n", alias_name="n")))
-    type_tot = (pairs.groupby("event_type")
-                .aggregate(Sum("n", alias_name="raw"))
-                .to_pandas())
+    pairs = combine_agg(ds, ["event_type", "user_id"], lambda t: t,
+                        [("user_id", "count")],
+                        _named("event_type", "user_id", "n"))
+    type_tot = combine_agg(pairs, ["event_type"], lambda t: t,
+                           [("n", "sum")],
+                           _named("event_type", "raw")).to_pandas()
     n_total = int(type_tot["raw"].sum())
     thresh = (n_total + phi_den - 1) // phi_den
 
@@ -20873,23 +18253,17 @@ def feature_info_gain(sf_dir: str) -> pa.Table:
     quantity decade, discount band.  The feature-selection pass a
     labeling/curation pipeline runs before training a filter model.
 
-    Scale shape: ONE streaming pass emits per-block (feature, value,
-    label) count partials for all four features at once (in-batch
-    bincount on a composite code); one groupby folds them; the entropy
-    algebra runs on O(sum of feature arities) rows on the driver.
+    Scale shape: ONE streaming pass emits (feature, value, label) rows
+    for all four features at once; one grouped count folds them per
+    block and again after the shuffle; the entropy algebra runs on
+    O(sum of feature arities) rows on the driver.
     """
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_shipdate",
                 "l_quantity", "l_discount"])
 
-    empty = pa.table({"feature": pa.array([], type=pa.string()),
-                      "val": pa.array([], type=pa.string()),
-                      "y": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def labeled(t: pa.Table) -> pa.Table:
+        """One (feature, value, label) row per (lineitem, feature)."""
         y = (t["l_returnflag"].to_numpy(zero_copy_only=False)
              == "R").astype(np.int64)
         month = pc.month(t["l_shipdate"]).to_numpy(
@@ -20905,28 +18279,14 @@ def feature_info_gain(sf_dir: str) -> pa.Table:
             "qty_decade": qty.astype(np.str_),
             "disc_band": disc.astype(np.str_),
         }
-        fs, vs, ys, ns = [], [], [], []
-        for fname, vals in feats.items():
-            uv, inv = np.unique(vals, return_inverse=True)
-            code = inv * 2 + y
-            cnt = np.bincount(code, minlength=uv.shape[0] * 2)
-            nz = np.flatnonzero(cnt)
-            fs.extend([fname] * nz.shape[0])
-            vs.extend(uv[nz // 2].tolist())
-            ys.extend((nz % 2).tolist())
-            ns.extend(cnt[nz].tolist())
         return pa.table({
-            "feature": pa.array(fs, type=pa.string()),
-            "val": pa.array(vs, type=pa.string()),
-            "y": pa.array(np.asarray(ys, dtype=np.int64)),
-            "n": pa.array(np.asarray(ns, dtype=np.int64)),
+            "feature": np.repeat(list(feats), t.num_rows),
+            "val": np.concatenate(list(feats.values())),
+            "y": np.tile(y, len(feats)),
         })
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["feature", "val", "y"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_agg(ds, ["feature", "val", "y"], labeled, [("y", "count")],
+                      _named("feature", "val", "y", "n")).to_pandas()
 
     n_total = float(agg["n"].sum() / 4)  # each row counted once per feature
     # label entropy from any one feature's marginals
@@ -21029,8 +18389,9 @@ def dp_noisy_counts(sf_dir: str, eps_x1000: int = 100,
     bounded result.
     """
     ds = _read(sf_dir, "events", ["event_type"])
-    counts = (ds.groupby("event_type").count()
-              .rename_columns({"count()": "n_exact"}).to_pandas())
+    counts = combine_agg(ds, ["event_type"], lambda t: t,
+                         [("event_type", "count")],
+                         _named("event_type", "n_exact")).to_pandas()
     b = 1000.0 / eps_x1000  # b = 1/eps
     from ..hashing import md5_pair_uint64
     keys = [f"{t}:{seed_tag}" for t in counts["event_type"]]
@@ -21084,19 +18445,12 @@ def huber_location_by_flag(sf_dir: str, k_cents: int = 20000,
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
 
     def cents_stage(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "flag": t["l_returnflag"],
-            "cents": _int_units(t["l_extendedprice"], 100),
-        }).group_by("flag").aggregate([("cents", "sum"),
-                                       ("cents", "count")])
-        return pa.table({"flag": g["flag"],
-                         "s": pc.cast(g["cents_sum"], pa.int64()),
-                         "n": pc.cast(g["cents_count"], pa.int64())})
+        return pa.table({"flag": t["l_returnflag"],
+                         "cents": _int_units(t["l_extendedprice"], 100)})
 
-    base = (ds.map_batches(cents_stage, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("flag").aggregate(Sum("s", alias_name="s"),
-                                       Sum("n", alias_name="n"))
+    base = (combine_agg(ds, ["flag"], cents_stage,
+                        [("cents", "sum"), ("cents", "count")],
+                        _named("flag", "s", "n"))
             .to_pandas().sort_values("flag"))
     flags = base["flag"].tolist()
     mu = {f: int(s) // int(n)
@@ -21119,19 +18473,12 @@ def huber_location_by_flag(sf_dir: str, k_cents: int = 20000,
             w = np.where(dev <= k_cents, np.int64(1000),
                          (np.int64(k_cents) * 1000)
                          // np.maximum(dev, 1))
-            sw = np.zeros(uf.shape[0], dtype=np.int64)
-            swx = np.zeros(uf.shape[0], dtype=np.int64)
-            np.add.at(sw, inv, w)
-            np.add.at(swx, inv, w * x)
-            return pa.table({"flag": pa.array(uf.tolist(),
-                                              type=pa.string()),
-                             "swx": pa.array(swx), "sw": pa.array(sw)})
+            return pa.table({"flag": t["l_returnflag"], "wx": w * x,
+                             "w": w})
 
-        it = (ds.map_batches(wstage, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby("flag").aggregate(Sum("swx", alias_name="swx"),
-                                         Sum("sw", alias_name="sw"))
-              .to_pandas())
+        it = combine_agg(ds, ["flag"], wstage,
+                         [("wx", "sum"), ("w", "sum")],
+                         _named("flag", "swx", "sw")).to_pandas()
         mu = {f: int(swx) // int(sw)
               for f, swx, sw in zip(it["flag"], it["swx"], it["sw"])}
 
@@ -21208,32 +18555,16 @@ def template_prefix_clusters(sf_dir: str, n_tokens: int = 2,
 
     def prep(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], pattern=" ")
-        pre = pc.binary_join(pc.list_slice(toks, 0, n_tokens), " ")
-        g = pa.table({"prefix": pre, "source": t["source"]}) \
-            .group_by(["prefix", "source"]).aggregate([([], "count_all")])
-        return pa.table({"prefix": g["prefix"], "source": g["source"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
+        return pa.table({
+            "prefix": pc.binary_join(pc.list_slice(toks, 0, n_tokens), " "),
+            "source": t["source"]})
 
-    per_src = (ds.map_batches(prep, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby(["prefix", "source"])
-               .aggregate(Sum("n", alias_name="n")))
-
-    def fold(t: pa.Table) -> pa.Table:
-        g = pa.table({"prefix": t["prefix"],
-                      "n": pc.cast(t["n"], pa.int64()),
-                      "one": pa.array(np.ones(t.num_rows,
-                                              dtype=np.int64))}) \
-            .group_by("prefix").aggregate([("n", "sum"), ("one", "sum")])
-        return pa.table({"prefix": g["prefix"],
-                         "n_docs": pc.cast(g["n_sum"], pa.int64()),
-                         "n_sources": pc.cast(g["one_sum"], pa.int64())})
-
-    agg = (per_src.map_batches(fold, batch_format="pyarrow")
-           .groupby("prefix")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("n_sources", alias_name="n_sources"))
-           .to_pandas())
+    per_src = combine_agg(ds, ["prefix", "source"], prep,
+                          [("source", "count")],
+                          _named("prefix", "source", "n"))
+    agg = combine_agg(per_src, ["prefix"], lambda t: t,
+                      [("n", "sum"), ("n", "count")],
+                      _named("prefix", "n_docs", "n_sources")).to_pandas()
     agg = agg.sort_values(["n_docs", "prefix"],
                           ascending=[False, True]).head(k)
     return pa.table({
@@ -21269,8 +18600,8 @@ def doc_novelty_stats(sf_dir: str, shingle_n: int = 3) -> pa.Table:
     rows via token fingerprints combined through a splitmix chain; a
     shingle-fp co-partition attaches global document frequency as a
     run length IN PLACE (no vocabulary groupby, nothing driver-side --
-    the same rarity trick as ppjoin); per-block (doc, source) partials
-    fold to per-doc (n_shingles, n_unique); the per-source mean is a
+    the same rarity trick as ppjoin); a grouped (doc, source) combiner
+    folds to per-doc (n_shingles, n_unique); the per-source mean is a
     tiny final groupby.  Fp64 tier: grouping by 64-bit shingle
     fingerprints equals the SQL twin's group-by-string as long as the
     fingerprint is collision-free on the observed shingle set (the
@@ -21328,56 +18659,39 @@ def doc_novelty_stats(sf_dir: str, shingle_n: int = 3) -> pa.Table:
 
     part_empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
                            "src": pa.array([], type=pa.string()),
-                           "n_sh": pa.array([], type=pa.int64()),
-                           "n_uniq": pa.array([], type=pa.int64())})
+                           "uniq": pa.array([], type=pa.int64())})
 
     def attach_df(t: pa.Table) -> pa.Table:
         # fp co-partition: every row of a shingle is here, so df is a
-        # run length; fold straight to per-(doc, src) partials
-        if t.num_rows == 0:
-            return part_empty
+        # run length; each (doc, src, shingle) row learns if it is unique
         fp = t["fp"].to_numpy(zero_copy_only=False)
         order = np.argsort(fp, kind="stable")
         f_s = fp[order]
         new = np.ones(f_s.size, dtype=bool)
         new[1:] = f_s[1:] != f_s[:-1]
         rlen = np.diff(np.append(np.flatnonzero(new), f_s.size))
-        uniq = (np.repeat(rlen, rlen) == 1).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "doc_id": pc.take(t["doc_id"], pa.array(order)),
             "src": pc.take(t["src"], pa.array(order)),
-            "one": pa.array(np.ones(f_s.size, dtype=np.int64)),
-            "uniq": pa.array(uniq),
-        }).group_by(["doc_id", "src"]).aggregate([("one", "sum"),
-                                                  ("uniq", "sum")])
-        return pa.table({"doc_id": g["doc_id"], "src": g["src"],
-                         "n_sh": pc.cast(g["one_sum"], pa.int64()),
-                         "n_uniq": pc.cast(g["uniq_sum"], pa.int64())})
+            "uniq": pa.array((np.repeat(rlen, rlen) == 1).astype(np.int64)),
+        })
 
-    per_doc = partition_by(rows, ["fp"], fit_partitions(16),
-                           attach_df, part_empty) \
-        .groupby(["doc_id", "src"]) \
-        .aggregate(Sum("n_sh", alias_name="n_sh"),
-                   Sum("n_uniq", alias_name="n_uniq"))
+    per_doc = combine_agg(partition_by(rows, ["fp"], fit_partitions(16),
+                                       attach_df, part_empty),
+                          ["doc_id", "src"], lambda t: t,
+                          [("uniq", "count"), ("uniq", "sum")],
+                          _named("doc_id", "src", "n_sh", "n_uniq"))
 
-    def src_fold(t: pa.Table) -> pa.Table:
-        share = (pc.cast(t["n_uniq"], pa.int64()).to_numpy(
-            zero_copy_only=False) * np.int64(1_000_000)) \
-            // pc.cast(t["n_sh"], pa.int64()).to_numpy(
-                zero_copy_only=False)
-        g = pa.table({
+    def share(t: pa.Table) -> pa.Table:
+        return pa.table({
             "source": t["src"],
-            "share": pa.array(share),
-            "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by("source").aggregate([("share", "sum"),
-                                         ("one", "sum")])
-        return pa.table({"source": g["source"],
-                         "s": pc.cast(g["share_sum"], pa.int64()),
-                         "n": pc.cast(g["one_sum"], pa.int64())})
+            "share": (t["n_uniq"].to_numpy(zero_copy_only=False)
+                      * np.int64(1_000_000))
+            // t["n_sh"].to_numpy(zero_copy_only=False)})
 
-    agg = (per_doc.map_batches(src_fold, batch_format="pyarrow")
-           .groupby("source").aggregate(Sum("s", alias_name="s"),
-                                        Sum("n", alias_name="n"))
+    agg = (combine_agg(per_doc, ["source"], share,
+                       [("share", "sum"), ("share", "count")],
+                       _named("source", "s", "n"))
            .to_pandas().sort_values("source"))
     return pa.table({
         "source": pa.array(agg["source"], type=pa.string()),

@@ -76,33 +76,3 @@ def partition_by(ds, cols: list[str], num_partitions: int,
     return staged.groupby("_part").map_groups(apply,
                                               batch_format="pyarrow")
 
-
-def fold_sum_by_key(ds, key_col: str, val_cols: list[str],
-                    num_partitions: int):
-    """High-cardinality integer Sum-groupby WITHOUT Ray's aggregate:
-    co-partition by ``key_col`` (int64) and fold each partition with one
-    vectorized np.unique + scatter-add per value column.
-
-    Ray 2.49's sort-based ``groupby().aggregate(Sum)`` spends ~6 us of
-    per-GROUP Python in the combine (measured: 1.2M rows / 1.2M groups
-    7.5 s vs the same rows / 1k groups 1.1 s); this kernel's cost is
-    per-ROW vectorized, independent of group cardinality.  Use it when
-    the group count is within ~an order of magnitude of the row count
-    (pair tables, token tables); Ray's aggregate stays fine for
-    low-cardinality rollups."""
-    empty = pa.table({key_col: pa.array([], type=pa.int64()),
-                      **{c: pa.array([], type=pa.int64())
-                         for c in val_cols}})
-
-    def fold(t: pa.Table) -> pa.Table:
-        k = t[key_col].to_numpy(zero_copy_only=False)
-        u, inv = np.unique(k, return_inverse=True)
-        cols = {key_col: pa.array(u.astype(np.int64))}
-        for c in val_cols:
-            v = t[c].to_numpy(zero_copy_only=False)
-            s = np.zeros(u.shape[0], dtype=np.int64)
-            np.add.at(s, inv, v)
-            cols[c] = pa.array(s)
-        return pa.table(cols)
-
-    return partition_by(ds, [key_col], num_partitions, fold, empty)

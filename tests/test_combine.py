@@ -138,15 +138,94 @@ def test_empty_input_unknown_schema(ray_session, table):
                        lambda t: t).count() == 0
 
 
-# every registered query on combine_agg: the exact relational family and
-# the exact quantile / rank-select queries over its stats pass
+# every registered query on combine_agg: the exact relational family,
+# the exact quantile / rank-select queries over its stats, and every
+# relational pipeline whose grouped aggregate moved off Ray's
+# groupby().aggregate()
 MIGRATED = ["pricing_summary", "customer_nation_rollup",
             "events_hourly_window", "docs_by_lang", "distinct_user_count",
-            "token_stats_by_lang", "quality_filter_by_lang",
-            "top_users_exact", "lang_id_counts", "dedup_exact_docs",
-            "dedup_exact_keep", "exact_quantiles_price",
-            "exact_quantiles_by_flag", "weighted_median_by_flag",
-            "dgim_sliding_count"]
+            "token_stats_by_lang", "quality_filter_by_lang", "top_users_exact",
+            "lang_id_counts", "dedup_exact_docs", "dedup_exact_keep",
+            "exact_quantiles_price", "exact_quantiles_by_flag",
+            "weighted_median_by_flag", "dgim_sliding_count",
+            "ab_test_arm_stats", "abc_classification",
+            "activity_span_quantiles", "activity_streak_stats",
+            "ams_f2_estimate", "association_rules", "audience_overlap_matrix",
+            "benford_digit_audit", "bigram_lm_by_lang", "bigram_lm_perplexity",
+            "bootstrap_mean_ci", "bpe_pair_counts", "brand_year_revenue",
+            "bucketed_join_rollup", "capture_recapture_users",
+            "changepoint_binary_split", "char_bigram_entropy_by_lang",
+            "cochran_armitage_trend", "cohens_kappa_langid",
+            "combined_daily_activity", "compact_small_files_stats",
+            "conformal_coverage", "copurchase_part_pairs",
+            "cross_source_dup_matrix", "cube_pricing",
+            "cuped_adjusted_outcomes", "curated_corpus_stats",
+            "customer_event_activity", "customer_frequency_spectrum",
+            "customers_without_events", "cusum_hourly_alarms",
+            "cvm_drift_binned", "daily_type_entropy",
+            "day_pruned_window_stats", "decayed_type_popularity",
+            "dedup_normalized_stats", "dict_encoding_report",
+            "diff_in_diff_report", "discount_by_qty_bucket",
+            "distinct_users_per_type", "doc_novelty_stats",
+            "docs_lang_source_pivot", "dp_noisy_counts",
+            "dup_cluster_size_hist", "eb_shrunk_user_rates",
+            "embedding_covariance_topk", "embedding_gram_stats",
+            "embedding_isotropy_report", "emd_drift_binned",
+            "epoch_shuffle_stats", "equi_depth_buckets",
+            "events_hourly_gapfill", "fair_mass_by_source",
+            "fano_dispersion_by_type", "feature_hashing_report",
+            "feature_info_gain", "filter_threshold_grid", "global_order_ranks",
+            "gopher_rules_report", "gram_power_iteration",
+            "grouped_regression_trend", "haar_energy_hourly",
+            "hapax_ratio_by_source", "hhh_type_user",
+            "hhi_source_concentration", "hodges_lehmann_shift",
+            "hour_entropy_by_type", "hourly_autocorrelation",
+            "hourweek_profile", "huber_location_by_flag",
+            "incremental_daily_revenue", "incremental_dedup_stats",
+            "join_fanout_histogram", "jsonl_roundtrip_stats",
+            "k_anonymity_audit", "km_user_survival", "kmeans_iter_stats",
+            "knn_vote_confusion", "ks_drift_binned", "l_diversity_audit",
+            "label_centroids", "lang_entropy_by_source", "lang_source_chi2",
+            "lang_source_mi", "learned_index_audit", "length_quality_corr",
+            "length_token_copula_grid", "lexical_sophistication_by_source",
+            "lineitem_unpivot_stats", "local_supplier_volume",
+            "loo_target_encoding", "lorenz_deciles", "mann_kendall_trend",
+            "mannwhitney_qty_flags", "median_of_means_value",
+            "mix_anomaly_hours", "moment_shape_by_type",
+            "monthly_seasonal_index", "nation_share_of_region",
+            "ndcg_retrieval_eval", "nearest_centroid_confusion",
+            "negative_sampling_audit", "order_aging_report",
+            "orders_customer_join_agg", "part_rank_movers",
+            "percentile_norm_by_source", "pinball_eval_hourly",
+            "pmi_bigrams_topk", "poisson_surprise_hours", "postings_gap_stats",
+            "pq_encode_stats", "prefix_autocomplete_topk",
+            "price_endings_report", "priority_mix_by_year",
+            "props_extract_stats", "psi_drift_binned", "quantile_prune_docs",
+            "rake_keywords_topk", "ratio_metric_delta", "redact_props_stats",
+            "rendezvous_shard_stats", "repetition_stats_by_lang",
+            "returned_revenue_top_customers", "returns_rate_by_brand",
+            "revenue_gini", "revenue_topshare", "rfm_segments",
+            "rolling_extrema_hourly", "runs_test_hourly", "salted_join_rollup",
+            "sampled_events_by_type", "sax_motif_counts",
+            "schema_evolution_read_stats", "seasonal_naive_mae",
+            "segment_priority_cramers_v", "session_entry_types",
+            "simpsons_flip_report", "source_similarity_matrix",
+            "source_vocab_overlap", "spearman_hourly_corr",
+            "split_assign_stats", "stratified_allocation_plan",
+            "supplier_region_rollup", "t_closeness_audit",
+            "temperature_mix_weights", "template_prefix_clusters",
+            "tfidf_top_term_per_doc", "theilsen_daily_trend",
+            "tokenizer_fertility_by_lang", "top_session_paths",
+            "top_tokens_by_lang", "tpch_q13_custdist",
+            "tpch_q17_small_qty_revenue", "tukey_outlier_counts",
+            "unigram_logprob_stats", "upsert_compaction",
+            "user_activity_quartiles", "user_churn_sets", "validation_report",
+            "value_histogram_by_type", "value_hour_sufficient_stats",
+            "vocab_coverage_curve", "vocab_growth_curve",
+            "weekday_pattern_census", "weekend_share_by_priority",
+            "weekly_revenue_wow", "weight_ess_report", "wilson_lb_types",
+            "youden_threshold_scan", "zipf_slope_tokens",
+            "zonemap_pruning_audit", "zscore_outlier_counts"]
 
 
 @pytest.fixture(scope="module")

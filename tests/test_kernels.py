@@ -159,7 +159,7 @@ def test_minhash_signatures_memory():
 # Answers of the sort-based per-lang merge this tree merge replaced, on
 # the fixture below (one batch per 6-row read block, 200 blocks).
 FUSED_40 = {
-    "band_checksum": 106655345749, "tokens": 487718, "docs": 1200,
+    "band_checksum": 354905173, "tokens": 487718, "docs": 1200,
     "global": [1002.42800852213, 6702.552357973647, 16159.6555501374],
     "per_lang": [
         963.1209598593665, 5065.632816114987, 8692.817152451365,
@@ -214,6 +214,22 @@ def test_fused_sketch_build_across_fanin_round(ray_session, tmp_path,
     assert res["global"].equals(glob_t)
     assert per.select(["lang", "q", "est"]).equals(
         grouped.select(["lang", "q", "est"]))
+
+
+def test_fused_band_checksum_ignores_batching(ray_session, tmp_path):
+    """The checksum is all band hashes summed mod 2^30, whatever the batch
+    size cuts the rows into."""
+    import pyarrow.parquet as pq
+
+    from p2pddsketch_ray.pipelines.webpages import fused_sketch_build
+    path = tmp_path / "pages"
+    path.mkdir()
+    for i in range(4):
+        pq.write_table(make_rows(np.arange(i * 30, (i + 1) * 30), 7),
+                       str(path / f"part-{i}.parquet"))
+    got = {bs: fused_sketch_build(str(path), (0.5,), batch_size=bs)
+           ["band_checksum"] for bs in (None, 7)}
+    assert got[None] == got[7] < 2 ** 30
 
 
 def test_tree_merge_of_empty_dataset_raises(ray_session):
