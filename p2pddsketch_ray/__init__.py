@@ -19,8 +19,11 @@ def configure_for_cluster(num_cpus: int | None = None) -> None:
     Strategy note (measured on Ray 2.49, local mode): the HASH_SHUFFLE
     strategy's aggregator actors throttle upstream map stages at low CPU
     counts (~1.3 of 8 CPUs utilized), so the engine keeps the default
-    sort-based shuffle and co-locates LSH buckets via an explicit coarse
-    partition column + groupby().map_groups instead of keyed repartition.
+    sort-based shuffle: exact grouped aggregates sort their per-batch
+    partials (``stages.combine.combine_agg``, no Ray
+    ``groupby().aggregate()``), and LSH buckets co-locate via an explicit
+    coarse partition column + groupby().map_groups
+    (``stages.partition.partition_by``) instead of keyed repartition.
     The hash-shuffle parallelism knobs are still bounded here (Ray's
     default of 200 partitions deadlocks a small cluster) in case a caller
     opts into HASH_SHUFFLE."""

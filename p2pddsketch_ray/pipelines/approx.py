@@ -20,7 +20,14 @@ from ..sketches.bloom import BloomFilter
 from ..sketches.countmin import CountMinSketch
 from ..sketches.hll import HyperLogLog
 from ..sources.tables import read_table as _read
+from ..stages.combine import combine_agg, named
 from ..stages.generic_build import build_and_merge
+
+
+def _key_counts(ds: "ray.data.Dataset", key: str) -> "ray.data.Dataset":
+    """(key, n): every value of ``ds[key]`` with its row count."""
+    return combine_agg(ds, [key], lambda t: t.select([key]), [(key, "count")],
+                       named(key, "n"))
 
 
 def hll_build(ds, col: str, p: int = 12,
@@ -101,15 +108,9 @@ def bloom_semijoin_orders(sf_dir: str, min_acctbal: float = 7000.0) -> "ray.data
         ok = np.isin(t["o_custkey"].to_numpy(zero_copy_only=False), confirm)
         return t.filter(pa.array(ok))
 
-    from ray.data.aggregate import Count
-    agg = (ds.map_batches(probe, batch_format="pyarrow")
-           .groupby("o_orderstatus").aggregate(Count(alias_name="n_orders")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({"o_orderstatus": t["o_orderstatus"],
-                         "n_orders": pc.cast(t["n_orders"], pa.int64())})
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(ds, ["o_orderstatus"], probe,
+                       [("o_custkey", "count")],
+                       named("o_orderstatus", "n_orders"))
 
 
 def hll_users_by_type(sf_dir: str, p: int = 12) -> "ray.data.Dataset":
@@ -212,7 +213,8 @@ def kmv_sketches_by_group(sf_dir: str, k: int = 64) -> dict:
         })
 
     out = (parts.groupby("event_type")
-           .map_groups(merge_group, batch_format="pyarrow").to_arrow_refs())
+           .map_groups(merge_group, batch_format="pyarrow")
+           .materialize().to_arrow_refs())
     import ray as _ray
     sketches = {}
     for ref in out:
@@ -384,7 +386,6 @@ def mg_heavy_users(sf_dir: str, k: int = 400,
     shuffle moves O(k x blocks) tiny rows.  At 100 TB the driver never
     holds more than k counters."""
     from ..sketches.misragries import MisraGries
-    from ray.data.aggregate import Sum
     import math
 
     ds = _read(sf_dir, "events", ["user_id"])
@@ -405,35 +406,22 @@ def mg_heavy_users(sf_dir: str, k: int = 400,
     if cand.size == 0:
         # no candidate survives the MG guarantee => the exact answer is
         # the empty set; return the typed empty table directly so the
-        # schema survives (an all-empty confirm pass leaves the groupby
-        # with zero blocks, and Ray's empty Dataset drops the schema on
-        # to_pandas -- the sf0.1 regime, where no user reaches
-        # ceil(n / inv_phi) events)
+        # schema survives without a confirm pass (the sf0.1 regime,
+        # where no user reaches ceil(n / inv_phi) events)
         return empty
 
     def confirm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or cand.size == 0:
-            return empty
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         idx = np.searchsorted(cand, uid)
         idx[idx == cand.size] = 0
-        hit = cand[idx] == uid
-        if not hit.any():
-            return empty
-        cnt = np.bincount(idx[hit], minlength=cand.size).astype(np.int64)
-        nz = cnt > 0
-        return pa.table({"user_id": pa.array(cand[nz]),
-                         "n_events": pa.array(cnt[nz])})
+        return pa.table({"user_id": pa.array(
+            uid[cand[idx] == uid].astype(np.int64))})
 
-    agg = (ds.map_batches(confirm, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("user_id")
-           .aggregate(Sum("n_events", alias_name="n_events")))
+    agg = combine_agg(ds, ["user_id"], confirm, [("user_id", "count")],
+                      named("user_id", "n_events"))
     return agg.map_batches(
-        lambda t: pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-        }).filter(pc.greater_equal(t["n_events"], pa.scalar(min_count))),
+        lambda t: t.filter(pc.greater_equal(t["n_events"],
+                                            pa.scalar(min_count))),
         batch_format="pyarrow")
 
 
@@ -757,23 +745,12 @@ def cms_error_report(sf_dir: str, topk: int = 10) -> pa.Table:
 
     Reuses the distributed CMS build (integer cells, DuckDB-replicable
     hash(xor(k, seed)) % width) and the exact top-k path (per-block
-    combiner + block-local prereduce); the report join happens on the
+    count + block-local prereduce); the report join happens on the
     driver over k rows.
     """
-    from ray.data.aggregate import Sum as _Sum
-
     ds = _read(sf_dir, "events", ["user_id"])
     cms = cms_build(ds, "user_id", width=8192, depth=4)
-
-    def per_user(t: pa.Table) -> pa.Table:
-        g = (t.select(["user_id"]).group_by("user_id")
-             .aggregate([("user_id", "count")]))
-        return pa.table({"user_id": pc.cast(g["user_id"], pa.int64()),
-                         "n": pc.cast(g["user_id_count"], pa.int64())})
-
-    exact = (ds.map_batches(per_user, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("user_id").aggregate(_Sum("n", alias_name="n")))
+    exact = _key_counts(ds, "user_id")
 
     def prereduce(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "n" not in t.column_names:
@@ -844,14 +821,13 @@ def table_profile_sketched(sf_dir: str) -> pa.Table:
     built from mergeable sketches so a single streamed pass profiles
     every column at once at any scale.
 
-    Scale shape: each block folds every column to its non-zero
-    (register index, rho) pairs plus one count row -- O(cols x 4096)
-    rows per block regardless of block size; one bounded groupby
-    max/sum merges them; the estimator arithmetic (same float op order
+    Scale shape: every value of every column is one (column, register,
+    rho) row (a null is register -1); one ``combine_agg`` max/count/sum
+    folds them to O(cols x 4096) rows per batch regardless of batch
+    size and merges those; the estimator arithmetic (same float op order
     as `hll_distinct_users`) runs on the cols x 4096 grid driver-side.
     Register-level columns (nonzero/sum) ride along so the oracle
     verifies the whole sketch state, not just the rounded estimate."""
-    from ray.data.aggregate import Max, Sum
 
     from ..hashing import md5_uint64, murmur64
     from ..sketches.hll import HyperLogLog, register_updates
@@ -859,58 +835,40 @@ def table_profile_sketched(sf_dir: str) -> pa.Table:
     cols = [c for c, _ in _PROFILE_COLS]
     ds = _read(sf_dir, "orders", cols)
 
-    empty = pa.table({"col": pa.array([], type=pa.string()),
-                      "idx": pa.array([], type=pa.int64()),
-                      "rho": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64()),
-                      "n_null": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        names, idxs, rhos, ns, nulls = [], [], [], [], []
-        for col, kind in _PROFILE_COLS:
+    def registers(t: pa.Table) -> pa.Table:
+        # one row per (row, profiled column): the register the value
+        # updates and its rho, or register -1 for a null
+        cis, idxs, rhos, nulls = [], [], [], []
+        for ci, (col, kind) in enumerate(_PROFILE_COLS):
             arr = t[col]
-            n_null = int(arr.null_count)
-            vals = arr.drop_null() if n_null else arr
+            valid = arr.is_valid().to_numpy(zero_copy_only=False)
+            vals = arr.drop_null()
             if kind == "int":
                 h = murmur64(vals.to_numpy(zero_copy_only=False))
             else:
                 h = md5_uint64(vals)
-            idx, rho = register_updates(h, 12)
-            regs = np.zeros(4096, dtype=np.uint8)
-            np.maximum.at(regs, idx, rho)
-            nz = np.flatnonzero(regs)
-            k = nz.size
-            names.extend([col] * (k + 1))
-            idxs.append(nz.astype(np.int64))
-            idxs.append(np.array([-1], dtype=np.int64))
-            rhos.append(regs[nz].astype(np.int64))
-            rhos.append(np.array([0], dtype=np.int64))
-            ns.append(np.zeros(k, dtype=np.int64))
-            ns.append(np.array([t.num_rows], dtype=np.int64))
-            nulls.append(np.zeros(k, dtype=np.int64))
-            nulls.append(np.array([n_null], dtype=np.int64))
-        if not names:
-            return empty
-        return pa.table({
-            "col": pa.array(names, type=pa.string()),
-            "idx": pa.array(np.concatenate(idxs)),
-            "rho": pa.array(np.concatenate(rhos)),
-            "n": pa.array(np.concatenate(ns)),
-            "n_null": pa.array(np.concatenate(nulls))})
+            idx = np.full(t.num_rows, -1, dtype=np.int64)
+            rho = np.zeros(t.num_rows, dtype=np.int64)
+            idx[valid], rho[valid] = register_updates(h, 12)
+            cis.append(np.full(t.num_rows, ci, dtype=np.int64))
+            idxs.append(idx)
+            rhos.append(rho)
+            nulls.append((~valid).astype(np.int64))
+        return pa.table({"ci": pa.array(np.concatenate(cis)),
+                         "idx": pa.array(np.concatenate(idxs)),
+                         "rho": pa.array(np.concatenate(rhos)),
+                         "null": pa.array(np.concatenate(nulls))})
 
-    merged = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["col", "idx"])
-              .aggregate(Max("rho", alias_name="rho"),
-                         Sum("n", alias_name="n"),
-                         Sum("n_null", alias_name="n_null"))
-              .to_pandas())
+    merged = combine_agg(ds, ["ci", "idx"], registers,
+                         [("rho", "max"), ("rho", "count"),
+                          ("null", "sum")],
+                         named("ci", "idx", "rho", "n", "n_null")
+                         ).to_pandas()
     rows = []
-    for col, _ in _PROFILE_COLS:
-        sub = merged[merged["col"] == col]
-        counts = sub[sub["idx"] == -1]
-        n = int(counts["n"].sum())
-        n_null = int(counts["n_null"].sum())
+    for ci, (col, _) in enumerate(_PROFILE_COLS):
+        sub = merged[merged["ci"] == ci]
+        n = int(sub["n"].sum())
+        n_null = int(sub["n_null"].sum())
         regs_rows = sub[sub["idx"] >= 0]
         h = HyperLogLog(12)
         h.registers[regs_rows["idx"].to_numpy(dtype=np.int64)] = \
@@ -1079,11 +1037,9 @@ def countsketch_topk_confirm(sf_dir: str, width: int = 256,
 
     Scale shape: sketch build = linear per-block partials + tree
     merge; the shortlist (O(k) keys) is broadcast as a sorted array
-    and confirmed by an in-batch bincount combiner + one tiny
-    groupby -- the fact stream is never shuffled.
+    and confirmed by one tiny ``combine_agg`` count of the shortlisted
+    rows -- the fact stream is never shuffled.
     """
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["user_id"])
     cs = countsketch_build(ds, "user_id", width=width, depth=3)
     keys = np.asarray(sorted(ds.unique("user_id")), dtype=np.int64)
@@ -1093,28 +1049,15 @@ def countsketch_topk_confirm(sf_dir: str, width: int = 256,
     short = np.sort(keys[order])
     short_ref = ray.put(short)
 
-    empty = pa.table({"user_id": pa.array([], type=pa.int64()),
-                      "exact_count": pa.array([], type=pa.int64())})
-
     def confirm(t: pa.Table) -> pa.Table:
         sl = ray.get(short_ref)
         uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.searchsorted(sl, uid)
         pos[pos == sl.shape[0]] = 0
-        hit = sl[pos] == uid
-        if not hit.any():
-            return empty
-        cnt = np.bincount(pos[hit], minlength=sl.shape[0])
-        nz = np.nonzero(cnt)[0]
-        return pa.table({"user_id": pa.array(sl[nz]),
-                         "exact_count": pa.array(
-                             cnt[nz].astype(np.int64))})
+        return pa.table({"user_id": pa.array(uid[sl[pos] == uid])})
 
-    agg = (ds.map_batches(confirm, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("user_id")
-           .aggregate(Sum("exact_count", alias_name="exact_count"))
-           .to_pandas())
+    agg = combine_agg(ds, ["user_id"], confirm, [("user_id", "count")],
+                      named("user_id", "exact_count")).to_pandas()
     uid = agg["user_id"].to_numpy().astype(np.int64)
     exact = agg["exact_count"].to_numpy().astype(np.int64)
     est_short = cs.estimate(uid)
@@ -1269,7 +1212,7 @@ def cms_join_size_estimate(sf_dir: str, width: int = 8192,
     Both sketches use the same seeds/width so the DuckDB replica
     rebuilds both cell tables and the identical min-of-inner-products.
     """
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     events = _read(sf_dir, "events", ["user_id"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
@@ -1280,9 +1223,7 @@ def cms_join_size_estimate(sf_dir: str, width: int = 8192,
 
     # exact join size WITHOUT the join: per-user event counts (bounded
     # census) broadcast; each orders block sums its rows' frequencies
-    per_user = (events.groupby("user_id")
-                .aggregate(Count(alias_name="n"))
-                .to_pandas())
+    per_user = _key_counts(events, "user_id").to_pandas()
     uk = per_user["user_id"].to_numpy(dtype=np.int64)
     un = per_user["n"].to_numpy(dtype=np.int64)
     order = np.argsort(uk)
@@ -1325,7 +1266,7 @@ def universe_join_sample(sf_dir: str, buckets: int = 16) -> pa.Table:
     join size rides along the same way (full O(users) census, bounded)
     for the error panel.
     """
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     from ..hashing import murmur64
 
@@ -1334,8 +1275,7 @@ def universe_join_sample(sf_dir: str, buckets: int = 16) -> pa.Table:
     b = np.uint64(buckets)
 
     def census(ds, key):
-        per = (ds.groupby(key).aggregate(Count(alias_name="n"))
-               .to_pandas())
+        per = _key_counts(ds, key).to_pandas()
         k = per[key].to_numpy(dtype=np.int64)
         n = per["n"].to_numpy(dtype=np.int64)
         o = np.argsort(k)
@@ -1427,7 +1367,7 @@ def linear_counting_users(sf_dir: str, m: int = 4096) -> pa.Table:
 
     Scale shape: the bitmap is a fixed 512-byte blob regardless of
     input rows -- the whole shuffle is O(blocks * m/8) bytes; the exact
-    count reuses the per-block distinct + groupby path.  At 10^12 rows
+    count is the rows of the per-user grouped count.  At 10^12 rows
     the accuracy collapses once fill approaches 1 (the documented
     regime bound: keep n <~ m * ln(m)); the query surfaces fill so a
     caller can see saturation.
@@ -1445,7 +1385,7 @@ def linear_counting_users(sf_dir: str, m: int = 4096) -> pa.Table:
     zeros = m - nonzero
     est = round(-m * float(np.log(zeros / m)), 6) if zeros else float("inf")
 
-    exact = int(ds.groupby("user_id").count().count())
+    exact = _key_counts(ds, "user_id").count()
     return pa.table({
         "m": pa.array([m], type=pa.int64()),
         "nonzero_bits": pa.array([nonzero], type=pa.int64()),
@@ -1654,8 +1594,6 @@ def bloom_partition_pruning_audit(sf_dir: str, n_parts: int = 16,
     path-level (zero foreign bytes); probes stream once.
     """
     import shutil
-
-    from ray.data.aggregate import Sum
 
     out_dir = out_dir or "/tmp/p2pdds_gate/events_bloom_parts"
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -2135,8 +2073,8 @@ def hyperminhash_type_jaccard(sf_dir: str, r_bits: int = 10) -> pa.Table:
     co-partition, <= C(5,2) integer pair partials per partition -- so
     the estimator's error is audited in-query.
 
-    Scale shape: per-block distinct combiner -> (type, bucket) min
-    groupby (kilobytes), driver folds 5 x 256 registers; exact side
+    Scale shape: ``combine_agg`` (type, bucket) min (kilobytes), driver
+    folds 5 x 256 registers; exact side
     shuffles only distinct int64 pairs and emits 10-row partials.
     """
     from ..hashing import murmur64
@@ -2145,18 +2083,9 @@ def hyperminhash_type_jaccard(sf_dir: str, r_bits: int = 10) -> pa.Table:
     R = 1 << r_bits
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
-    reg_empty = pa.table({"ty": pa.array([], type=pa.string()),
-                          "idx": pa.array([], type=pa.int64()),
-                          "d": pa.array([], type=pa.int64())})
-
     def reg_partial(t: pa.Table) -> pa.Table:
-        # block-local distinct (type, user) then per-(type, bucket) min
-        if t.num_rows == 0:
-            return reg_empty
-        grp = pa.table({"ty": t["event_type"],
-                        "u": t["user_id"]}).group_by(
-            ["ty", "u"]).aggregate([])
-        uid = grp["u"].to_numpy(zero_copy_only=False).astype(np.int64)
+        # each event's (type, bucket, D); registers keep the min D
+        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         h = murmur64(uid)
         idx = (h >> np.uint64(56)).astype(np.int64)
         w = (h & np.uint64((1 << 52) - 1)).astype(np.int64)
@@ -2167,19 +2096,15 @@ def hyperminhash_type_jaccard(sf_dir: str, r_bits: int = 10) -> pa.Table:
         msb = np.int64(1) << e
         d = np.where(nz, (e + 1) * R + (w - msb) * R // msb,
                      np.int64(0))
-        out = pa.table({"ty": grp["ty"], "idx": pa.array(idx),
-                        "d": pa.array(d)}).group_by(
-            ["ty", "idx"]).aggregate([("d", "min")])
-        return pa.table({"ty": out["ty"], "idx": out["idx"],
-                         "d": pc.cast(out["d_min"], pa.int64())})
+        return pa.table({"ty": t["event_type"], "idx": pa.array(idx),
+                         "d": pa.array(d)})
 
-    regs = (ds.map_batches(reg_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["ty", "idx"]).min("d").to_pandas())
+    regs = combine_agg(ds, ["ty", "idx"], reg_partial, [("d", "min")],
+                       named("ty", "idx", "d")).to_pandas()
     # driver folds <= n_types x 256 rows
     types = sorted(regs["ty"].unique())
     mat = {ty: np.full(256, -1, dtype=np.int64) for ty in types}
-    for ty, idx, d in zip(regs["ty"], regs["idx"], regs["min(d)"]):
+    for ty, idx, d in zip(regs["ty"], regs["idx"], regs["d"]):
         mat[ty][idx] = d
 
     # exact side: distinct (user, type) -> user co-partition -> pair
@@ -2334,21 +2259,12 @@ def cmm_user_counts(sf_dir: str, width: int = 2048, depth: int = 4,
 
     Scale shape: the CMS build is the standard mergeable-accumulator
     tree (depth x width int64 cells ride the merge); the exact census
-    is the distributed top-k prereduce; the driver folds one sketch +
-    topk rows.
+    is a grouped count with a per-block top-k prereduce; the driver
+    folds one sketch + topk rows.
     """
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["user_id"])
     cms = cms_build(ds, "user_id", width=width, depth=depth)
     N = cms.n
-
-    def user_partial(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        uk, cnts = np.unique(uid, return_counts=True)
-        return pa.table({"user_id": pa.array(uk),
-                         "n": pa.array(cnts.astype(np.int64))})
 
     def local_top(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
@@ -2357,9 +2273,7 @@ def cmm_user_counts(sf_dir: str, width: int = 2048, depth: int = 4,
         return pa.table({"user_id": pa.array(uid[order]),
                          "n": pa.array(n[order])})
 
-    census = (ds.map_batches(user_partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby("user_id").aggregate(Sum("n", alias_name="n"))
+    census = (_key_counts(ds, "user_id")
               .map_batches(local_top, batch_format="pyarrow")
               .to_pandas())
     uid = census["user_id"].to_numpy(dtype=np.int64)

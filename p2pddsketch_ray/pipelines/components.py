@@ -29,7 +29,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg, named
 from ..stages.partition import fit_partitions, partition_by
+from ..stages.sketch_build import collect
 
 _EMPTY_EDGES = pa.table({"a": pa.array([], type=pa.int64()),
                          "b": pa.array([], type=pa.int64())})
@@ -128,7 +131,7 @@ def _edge_signature(edges: "ray.data.Dataset") -> tuple[int, int]:
         n_edges = None
     if n_edges is not None and n_edges <= 65536:
         n_tot, s_tot = 0, 0
-        for ref in edges.to_arrow_refs():
+        for ref in edges.materialize().to_arrow_refs():
             t = ray.get(ref)
             if t.num_rows == 0:
                 continue
@@ -186,11 +189,10 @@ def connected_components(edges: "ray.data.Dataset",
     def self_labels(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["node"], "component": t["node"]})
 
-    from ray.data.aggregate import Min
     lab = edges.map_batches(leaf_labels, batch_format="pyarrow").union(
         nodes.map_batches(self_labels, batch_format="pyarrow"))
-    return lab.groupby("node").aggregate(Min("component",
-                                             alias_name="component"))
+    return combine_agg(lab, ["node"], lambda t: t, [("component", "min")],
+                       named("node", "component"))
 
 
 def neardup_components(sf_dir: str, k: int = 9, max_doc_id: int = 40,
@@ -250,12 +252,11 @@ def neardup_keep_stats(sf_dir: str, k: int = 9, max_doc_id: int = 40,
                                                       type=pa.int64())),
         pairs["uni"])
     sel_p = pairs.filter(good)
-    stars = converged_star_edges(ray.data.from_arrow(
-        pa.table({"a": sel_p["doc_a"], "b": sel_p["doc_b"]})))
-    drop = np.unique(np.concatenate(
-        [ray.get(r)["b"].to_numpy(zero_copy_only=False)
-         for r in stars.to_arrow_refs()] + [np.empty(0, dtype=np.int64)]
-    ).astype(np.int64))
+    stars = collect(converged_star_edges(ray.data.from_arrow(
+        pa.table({"a": sel_p["doc_a"], "b": sel_p["doc_b"]}))))
+    drop = (np.unique(stars["b"].to_numpy(zero_copy_only=False)
+                      .astype(np.int64)) if stars.num_rows
+            else np.empty(0, dtype=np.int64))
 
     import pyarrow.dataset as pads
     docs = ray.data.read_parquet(
@@ -264,41 +265,15 @@ def neardup_keep_stats(sf_dir: str, k: int = 9, max_doc_id: int = 40,
         filter=(pads.field("doc_id") < max_doc_id))
     ids_ref = ray.put(drop)
 
-    empty = pa.table({"lang": pa.array([], type=pa.string()),
-                      "n_kept": pa.array([], type=pa.int64()),
-                      "sum_chars": pa.array([], type=pa.int64())})
-
-    def rollup(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        dropped = ray.get(ids_ref)
+    def kept(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sel = ~np.isin(ids, dropped)
-        kept = t.filter(pa.array(sel))
-        if kept.num_rows == 0:
-            return empty
-        lang = kept["lang"].to_numpy(zero_copy_only=False)
-        chars = kept["n_chars"].to_numpy(zero_copy_only=False)
-        ul, inv = np.unique(lang, return_inverse=True)
-        return pa.table({
-            "lang": pa.array(ul, type=pa.string()),
-            "n_kept": pa.array(np.bincount(inv).astype(np.int64)),
-            "sum_chars": pa.array(np.bincount(
-                inv, weights=chars).astype(np.int64)),
-        })
+        t = t.filter(pa.array(~np.isin(ids, ray.get(ids_ref))))
+        return pa.table({"lang": t["lang"],
+                         "chars": pc.cast(t["n_chars"], pa.int64())})
 
-    from ray.data.aggregate import Sum
-    agg = (docs.map_batches(rollup, batch_format="pyarrow",
-                            zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(Sum("n_kept", alias_name="n_kept"),
-                      Sum("sum_chars", alias_name="sum_chars")))
-    out = agg.to_pandas().sort_values("lang").reset_index(drop=True)
-    return pa.table({
-        "lang": pa.array(out["lang"], type=pa.string()),
-        "n_kept": pa.array(out["n_kept"].astype("int64")),
-        "sum_chars": pa.array(out["sum_chars"].astype("int64")),
-    })
+    return collect(combine_agg(
+        docs, ["lang"], kept, [("chars", "count"), ("chars", "sum")],
+        named("lang", "n_kept", "sum_chars"))).sort_by("lang")
 
 
 def pagerank_part_supplier(sf_dir: str, iters: int = 3,
@@ -317,17 +292,14 @@ def pagerank_part_supplier(sf_dir: str, iters: int = 3,
     src-keyed co-partition (static across iterations, materialized).
     The node set here is DIMENSION-sized (parts + suppliers), so each
     round broadcasts the sorted (v, r) vector once via ray.put and every
-    edge batch looks ranks up by searchsorted, pre-combining per-dst
-    contributions in-batch -- the single O(|E|-combined) integer Sum
-    exchange is the only shuffle per round.  For a corpus-sized node set
-    (a web graph) swap the broadcast for the same src-keyed co-partition
-    ``attach_deg`` uses; the iteration body is otherwise identical."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
-
+    edge looks its source's rank up by searchsorted; ``combine_agg``
+    folds the contributions per dst in each batch, and its
+    O(|E|-combined) integer sum exchange is the only shuffle per round.
+    For a corpus-sized node set (a web graph) swap the broadcast for
+    the same src-keyed co-partition ``attach_deg`` uses; the iteration
+    body is otherwise identical."""
     SCALE = np.int64(1_000_000_000_000)
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_partkey", "l_suppkey"])
+    ds = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
     def edge_partial(t: pa.Table) -> pa.Table:
         p = pc.cast(t["l_partkey"], pa.int64()).to_numpy(
@@ -363,8 +335,8 @@ def pagerank_part_supplier(sf_dir: str, iters: int = 3,
     # edges and deg are each consumed by several stages -- pin them
     edges = pairs.map_batches(expand,
                               batch_format="pyarrow").materialize()
-    deg = edges.groupby("src").aggregate(
-        Count(alias_name="d")).materialize()
+    deg = combine_agg(edges, ["src"], lambda t: t, [("src", "count")],
+                      named("src", "d")).materialize()
 
     # attach static degree to edges once (src-keyed co-partition)
     ewd_empty = pa.table({"src": pa.array([], type=pa.int64()),
@@ -410,19 +382,13 @@ def pagerank_part_supplier(sf_dir: str, iters: int = 3,
         def contribute(t: pa.Table) -> pa.Table:
             vs, rs = ray.get(ref)
             src = t["src"].to_numpy(zero_copy_only=False)
-            dst = t["dst"].to_numpy(zero_copy_only=False)
             d = t["d"].to_numpy(zero_copy_only=False)
             r_of_src = rs[np.searchsorted(vs, src)]
             c = (r_of_src * np.int64(85)) // (np.int64(100) * d)
-            # in-batch combiner: one row per distinct dst per block
-            ud, inv = np.unique(dst, return_inverse=True)
-            acc = np.zeros(ud.shape[0], np.int64)
-            np.add.at(acc, inv, c)     # exact int64 (bincount is float)
-            return pa.table({"dst": pa.array(ud), "c": pa.array(acc)})
+            return pa.table({"dst": t["dst"], "c": pa.array(c)})
 
-        summed = (ewd.map_batches(contribute, batch_format="pyarrow")
-                  .groupby("dst").aggregate(Sum("c", alias_name="c"))
-                  .to_pandas())
+        summed = combine_agg(ewd, ["dst"], contribute, [("c", "sum")],
+                             named("dst", "c")).to_pandas()
         # every node of this undirected graph receives >= 1 contribution
         pos = np.searchsorted(v_sorted,
                               summed["dst"].to_numpy(dtype=np.int64))
@@ -478,6 +444,20 @@ PAGERANK_SQL = _pagerank_sql()
 _TRI_SPAN = np.int64(1) << np.int64(31)  # composite (u, v) edge encoding
 
 
+def _endpoints(t: pa.Table) -> pa.Table:
+    """(node): both endpoints of every edge (a, b)."""
+    return pa.table({"node": pa.array(np.concatenate([
+        t["a"].to_numpy(zero_copy_only=False),
+        t["b"].to_numpy(zero_copy_only=False)]).astype(np.int64))})
+
+
+def _degrees(edges: "ray.data.Dataset") -> "ray.data.Dataset":
+    """(node, d): every node of the undirected ``edges`` (a, b) with its
+    degree."""
+    return combine_agg(edges, ["node"], _endpoints, [("node", "count")],
+                       named("node", "d"))
+
+
 def triangle_stats(edges: "ray.data.Dataset") -> dict:
     """EXACT distributed triangle count + global clustering coefficient
     over an undirected edge dataset (columns ``a`` < ``b``, int64,
@@ -489,7 +469,7 @@ def triangle_stats(edges: "ray.data.Dataset") -> dict:
     triangle is counted exactly once, at its lowest-ordered vertex.
 
     Dataflow (all co-partitions, no driver-side adjacency):
-      1. degree pass: per-block endpoint counts -> keyed Sum;
+      1. degree pass: ``_degrees``, an endpoint count per node;
       2. orientation: TWO degree-attach co-partition joins (edges by a,
          then by b) -- degrees are never broadcast (O(V) can be 10^9);
       3. wedge pass: src co-partition + the rank-arithmetic pair
@@ -500,8 +480,6 @@ def triangle_stats(edges: "ray.data.Dataset") -> dict:
     Returns {n_vertices, n_edges, n_wedges, n_triangles} (wedges =
     sum d(d-1)/2 over UNDIRECTED degrees, for the clustering
     coefficient 3*tri/wedges)."""
-    from ray.data.aggregate import Sum
-
     parts = fit_partitions(32)
     # the edge list is consumed by four downstream passes (degrees,
     # both orientation joins, closure) -- pin it once; O(E) rows is the
@@ -509,27 +487,7 @@ def triangle_stats(edges: "ray.data.Dataset") -> dict:
     edges = edges.materialize()
 
     # -- 1) undirected degrees ------------------------------------------
-    deg_empty = pa.table({"node": pa.array([], type=pa.int64()),
-                          "d": pa.array([], type=pa.int64())})
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return deg_empty
-        both = np.concatenate([
-            t["a"].to_numpy(zero_copy_only=False),
-            t["b"].to_numpy(zero_copy_only=False)])
-        un, cnt = np.unique(both, return_counts=True)
-        return pa.table({"node": pa.array(un),
-                         "d": pa.array(cnt.astype(np.int64))})
-
-    degrees = (edges.map_batches(deg_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-               .groupby("node").aggregate(Sum("d", alias_name="d"))
-               .map_batches(lambda t: pa.table({
-                   "node": pc.cast(t["node"], pa.int64()),
-                   "d": pc.cast(t["d"], pa.int64())}),
-                   batch_format="pyarrow")
-               .materialize())  # consumed by totals + both joins
+    degrees = _degrees(edges).materialize()  # totals + both joins
 
     # vertex / wedge totals (tiny scalar pass)
     def deg_stats(t: pa.Table) -> pa.Table:
@@ -718,12 +676,10 @@ def copresence_edges(sf_dir: str,
     at larger sf, which no triangle algorithm should be fed -- real
     graphs are sparse; the subsample keeps the gate query honest at
     every testdata scale)."""
-    from ray.data.aggregate import Count
     from .temporal import _as_int64
 
     parts = fit_partitions(32)
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "event_type", "user_id"])
+    events = read_table(sf_dir, "events", ["ts", "event_type", "user_id"])
 
     mem_empty = pa.table({"cell": pa.array([], type=pa.int64()),
                           "user": pa.array([], type=pa.int64())})
@@ -861,36 +817,19 @@ def copresence_assortativity(sf_dir: str, user_mod: int = 3) -> pa.Table:
     sums are exact integers and the single division is sign-safe ppm
     (HUGEINT intermediates in the SQL replica).
 
-    Scale shape: degrees from one groupby over edge endpoints; each
-    endpoint's degree is attached by a key co-partition join (two
-    rounds, never a driver-side degree map); the moment fold is one
-    streaming combiner.
+    Scale shape: degrees from one grouped count over edge endpoints
+    (``_degrees``); each endpoint's degree is attached by a key
+    co-partition join (two rounds, never a driver-side degree map); the
+    moment fold is one streaming combiner.
     """
-    from ray.data.aggregate import Sum
 
     edges = copresence_edges(sf_dir, user_mod)
-
-    end_empty = pa.table({"u": pa.array([], type=pa.int64()),
-                          "c": pa.array([], type=pa.int64())})
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return end_empty
-        both = np.concatenate([
-            t["a"].to_numpy(zero_copy_only=False),
-            t["b"].to_numpy(zero_copy_only=False)])
-        u, c = np.unique(both, return_counts=True)
-        return pa.table({"u": pa.array(u.astype(np.int64)),
-                         "c": pa.array(c.astype(np.int64))})
-
-    deg = (edges.map_batches(endpoints, batch_format="pyarrow",
-                             zero_copy_batch=True)
-           .groupby("u").aggregate(Sum("c", alias_name="d")))
+    deg = _degrees(edges)
 
     parts = fit_partitions(16)
 
     def tag_deg(t: pa.Table) -> pa.Table:
-        return pa.table({"key": pc.cast(t["u"], pa.int64()),
+        return pa.table({"key": t["node"],
                          "other": pa.array(
                              np.zeros(t.num_rows, dtype=np.int64)),
                          "d": pc.cast(t["d"], pa.int64()),
@@ -1040,7 +979,7 @@ def neardup_keep_best_quality(sf_dir: str, k: int = 9,
     the truncated scrape, keep the full page).  Output per lang:
     surviving docs and their characters.
 
-    The winner comes out of ONE Max() over a composite int64
+    The winner comes out of ONE max over a composite int64
     ((n_chars * 1024 + (1023 - doc_id)) * 8 + lang_code), so the
     keeper's identity, quality and lang all ride the same aggregate --
     no join back.  Bounded to this verification tier's max_doc_id cap
@@ -1094,12 +1033,8 @@ def neardup_keep_best_quality(sf_dir: str, k: int = 9,
         return pa.table({"component": pa.array(lab),
                          "score": pa.array(score)})
 
-    from ray.data.aggregate import Max
-    best = (docs.map_batches(score_rows, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .groupby("component").aggregate(Max("score",
-                                                alias_name="score"))
-            .to_pandas())
+    best = combine_agg(docs, ["component"], score_rows, [("score", "max")],
+                       named("component", "score")).to_pandas()
     v = best["score"].to_numpy().astype(np.int64)
     code = v % 8
     rest = v // 8
@@ -1128,14 +1063,13 @@ def kcore_part_graph(sf_dir: str, k: int = 80,
 
     Scale shape: the distinct-edge build is the co-purchase
     co-partition kernel (pair expansion bounded by order fanout, never
-    corpus-quadratic); each round is one per-block degree partial +
-    O(|V|) groupby -- the node set is CATALOG-bounded (parts), so the
+    corpus-quadratic); each round is one O(|V|) grouped endpoint count
+    (``_degrees``) -- the node set is CATALOG-bounded (parts), so the
     survivor set broadcasts via ray.put as a sorted int64 array probed
     with np.isin, the same dimension-broadcast contract as
     pagerank_part_supplier above.  Edges stay distributed throughout.
     """
-    li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_orderkey", "l_partkey"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def prep(t: pa.Table) -> pa.Table:
         staged = pa.table({
@@ -1178,29 +1112,14 @@ def kcore_part_graph(sf_dir: str, k: int = 80,
     edges = partition_by(edges, ["a", "b"], fit_partitions(16),
                          dedup_block, _EMPTY_EDGES).materialize()
 
-    deg_empty = pa.table({"v": pa.array([], type=pa.int64()),
-                          "d": pa.array([], type=pa.int64())})
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return deg_empty
-        both = np.concatenate([t["a"].to_numpy(zero_copy_only=False),
-                               t["b"].to_numpy(zero_copy_only=False)])
-        u, c = np.unique(both, return_counts=True)
-        return pa.table({"v": pa.array(u),
-                         "d": pa.array(c.astype(np.int64))})
-
-    from ray.data.aggregate import Sum
     out_round, out_nodes, out_edges = [], [], []
 
     def record(r: int, ed) -> "pa.Table":
-        deg = (ed.map_batches(deg_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("v").aggregate(Sum("d", alias_name="d"))
-               .to_pandas())  # O(|V|): catalog-bounded (parts)
+        # O(|V|): catalog-bounded (parts)
+        deg = _degrees(ed).to_pandas()
         if "d" not in deg.columns:  # fully peeled: empty frame
             import pandas as pd
-            deg = pd.DataFrame({"v": [], "d": []})
+            deg = pd.DataFrame({"node": [], "d": []})
         out_round.append(r)
         out_nodes.append(len(deg))
         out_edges.append(ed.count())
@@ -1208,7 +1127,7 @@ def kcore_part_graph(sf_dir: str, k: int = 80,
 
     deg = record(0, edges)
     for r in range(1, rounds + 1):
-        surv = np.sort(deg.loc[deg["d"] >= k, "v"]
+        surv = np.sort(deg.loc[deg["d"] >= k, "node"]
                        .to_numpy(dtype=np.int64))
         surv_ref = ray.put(surv)
 

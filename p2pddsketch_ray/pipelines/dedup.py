@@ -41,8 +41,17 @@ _SIGNATURE_TIERS = {
     "oph": lambda texts, num_perm, k: oph_signatures(
         texts, n_bins=num_perm, k=k),
 }
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg, named
 from ..stages.partition import fit_partitions as _fit_partitions
 from ..stages.partition import partition_by as _partition_by
+
+
+def _distinct(ds: "ray.data.Dataset", keys: list[str],
+              prep) -> "ray.data.Dataset":
+    """The distinct ``keys`` rows of ``prep``'s rows over ``ds``."""
+    return combine_agg(ds, keys, prep, [(keys[0], "count")],
+                       lambda t: t.select(keys))
 
 # Shingle-hashing stages allocate transient arrays proportional to batch
 # byte size (flat rolling-hash buffer + per-perm temporaries).  Batches of
@@ -166,7 +175,8 @@ def minhash_near_dups(ds: "ray.data.Dataset", id_col: str, text_col: str,
        by a second tiny (doc_a, doc_b) shuffle.  The signature never
        rides a shuffle in this pass.
     2. Verify (distributed): the candidate ids (union of doc_a/doc_b)
-       are distinct-ed with a groupby and semi-joined against the corpus
+       are distinct-ed with ``combine_agg`` and semi-joined against the
+       corpus
        to select the signature-recompute docs; two more doc_id-keyed
        hash joins attach sig_a / sig_b to each pair and the Jaccard
        estimate is computed vectorized in the join output's map_batches.
@@ -223,7 +233,7 @@ def minhash_near_dups(ds: "ray.data.Dataset", id_col: str, text_col: str,
     join_parts = max(2, min(num_partitions, 16))
 
     # candidate id set, fully distributed: union of doc_a/doc_b ->
-    # distributed distinct (groupby) -> semi-join the corpus against it
+    # distributed distinct (combine_agg) -> semi-join the corpus against it
     # to select the signature-recompute docs.  Nothing O(candidate
     # pairs) ever reaches the driver (on a duplicate-heavy crawl the
     # candidate set is billions of ids).
@@ -233,11 +243,7 @@ def minhash_near_dups(ds: "ray.data.Dataset", id_col: str, text_col: str,
             pa.compute.cast(t["doc_b"], pa.int64()).combine_chunks()])
         return pa.table({"need_id": ids})
 
-    from ray.data.aggregate import Count as _Count
-    need_ids = (cand.map_batches(both_ids, batch_format="pyarrow")
-                .groupby("need_id").aggregate(_Count(alias_name="_c"))
-                .map_batches(lambda t: t.select(["need_id"]),
-                             batch_format="pyarrow"))
+    need_ids = _distinct(cand, ["need_id"], both_ids)
 
     corpus = ds.map_batches(
         lambda t: pa.table({id_col: pa.compute.cast(t[id_col], pa.int64()),
@@ -436,8 +442,7 @@ def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.9, *,
     from ..functions.vectors import list_to_matrix
     from .knn import _unit_rows, kmeans_fit
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     sample = pa.concat_tables(
         [ray.get(r) for r in
          ds.limit(sample_size).materialize().to_arrow_refs()])
@@ -619,17 +624,16 @@ def ngram_jaccard_pairs(sf_dir: str, k: int = 9,
     # per-doc distinct-shingle sizes: tiny aggregate (<= max_doc_id
     # rows) held as SORTED ARRAYS probed by searchsorted — the repo's
     # broadcast contract (never a dict probed row-at-a-time)
-    from ray.data.aggregate import Count
-    sizes_t = (rows.groupby("doc_id").aggregate(Count(alias_name="n"))
-               .to_pandas())
+    sizes_t = combine_agg(rows, ["doc_id"], lambda t: t.select(["doc_id"]),
+                          [("doc_id", "count")],
+                          named("doc_id", "n")).to_pandas()
     sz_ids = sizes_t["doc_id"].to_numpy().astype(np.int64)
     sz_n = sizes_t["n"].to_numpy().astype(np.int64)
     o = np.argsort(sz_ids)
     sz_ids, sz_n = sz_ids[o], sz_n[o]
 
     span = np.int64(max(max_doc_id, 2))
-    empty = pa.table({"pair": pa.array([], type=pa.int64()),
-                      "inter": pa.array([], type=pa.int64())})
+    empty = pa.table({"pair": pa.array([], type=pa.int64())})
 
     def run_pairs(group: pa.Table) -> pa.Table:
         if group.num_rows < 2:
@@ -652,16 +656,13 @@ def ngram_jaccard_pairs(sf_dir: str, k: int = 9,
         a_idx = np.repeat(np.arange(n), cnt_a)
         excl = np.concatenate([[0], np.cumsum(cnt_a)[:-1]])
         b_idx = a_idx + (np.arange(total) - np.repeat(excl, cnt_a)) + 1
-        comp = d_s[a_idx] * span + d_s[b_idx]
-        upair, cnts = np.unique(comp, return_counts=True)
-        return pa.table({"pair": pa.array(upair),
-                         "inter": pa.array(cnts.astype(np.int64))})
+        # one row per shared shingle of each pair
+        return pa.table({"pair": pa.array(d_s[a_idx] * span + d_s[b_idx])})
 
-    from ray.data.aggregate import Sum
-    agg = (_partition_by(rows, ["part"], _fit_partitions(16), run_pairs,
-                         empty)
-           .groupby("pair").aggregate(Sum("inter", alias_name="inter"))
-           .to_pandas())
+    agg = combine_agg(_partition_by(rows, ["part"], _fit_partitions(16),
+                                    run_pairs, empty),
+                      ["pair"], lambda t: t, [("pair", "count")],
+                      named("pair", "inter")).to_pandas()
 
     pair = agg["pair"].to_numpy().astype(np.int64)
     inter = agg["inter"].to_numpy().astype(np.int64)
@@ -874,19 +875,18 @@ def benchmark_decontamination(sf_dir: str, k: int = 16,
       lang-sized denominator table at the end.  Equal shingles always
       co-locate because the FP itself is the partition key.
     - each partition sorts its benchmark fps once and marks training
-      rows by searchsorted membership -- emitting at most one
-      (doc_id, lang-fp) row per contaminated doc per partition.
-    - a doc_id groupby dedups across partitions (O(contaminated docs)
-      tiny rows), and an integer per-lang-fp rollup finishes; the
-      train-per-lang denominator is a separate cardinality-bounded
-      groupby.  Nothing larger than the contaminated-id stream ever
-      leaves the cluster, and the driver folds only lang-sized tables."""
+      rows by searchsorted membership -- emitting one (doc_id, lang-fp)
+      row per contaminated shingle.
+    - a doc_id grouped min dedups them (O(contaminated docs) tiny rows),
+      and a per-lang-fp grouped count finishes; the train-per-lang
+      denominator is a separate cardinality-bounded grouped sum.
+      Nothing larger than the contaminated-id stream ever leaves the
+      cluster, and the driver folds only lang-sized tables."""
     from ..functions.text import fingerprint64
     from ..hashing import splitmix64
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text", "lang",
-                                          "source"])
+    docs = read_table(sf_dir, "documents",
+                      ["doc_id", "text", "lang", "source"])
 
     sh_empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
                          "langfp": pa.array([], type=pa.int64()),
@@ -948,8 +948,6 @@ def benchmark_decontamination(sf_dir: str, k: int = 16,
             "shfp": pa.array(shfp),
         })
 
-    from ray.data.aggregate import Min, Sum
-
     rows = docs.map_batches(sh_rows, batch_format="pyarrow",
                             zero_copy_batch=True)
 
@@ -968,36 +966,29 @@ def benchmark_decontamination(sf_dir: str, k: int = 16,
         hit = bench[pos] == shfp[tr]
         if not hit.any():
             return hit_empty
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)[tr][hit]
-        langfp = group["langfp"].to_numpy(zero_copy_only=False)[tr][hit]
-        uid, first = np.unique(ids, return_index=True)
         return pa.table({
-            "doc_id": pa.array(uid),
-            "langfp": pa.array(langfp[first]),
+            "doc_id": group["doc_id"].filter(pa.array(tr)).filter(
+                pa.array(hit)),
+            "langfp": group["langfp"].filter(pa.array(tr)).filter(
+                pa.array(hit)),
         })
 
     cont = _partition_by(rows, ["shfp"], _fit_partitions(16), mark,
                          hit_empty)
     # distinct contaminated docs across partitions, then per-lang count
-    cont_lang = (cont.groupby("doc_id")
-                 .aggregate(Min("langfp", alias_name="langfp"))
-                 .map_batches(lambda t: pa.table({
-                     "langfp": pc.cast(t["langfp"], pa.int64()),
-                     "pn": pa.array(np.ones(t.num_rows, np.int64)),
-                 }), batch_format="pyarrow")
-                 .groupby("langfp")
-                 .aggregate(Sum("pn", alias_name="n_cont"))
-                 .to_pandas())
+    per_doc = combine_agg(cont, ["doc_id"], lambda t: t,
+                          [("langfp", "min")], named("doc_id", "langfp"))
+    cont_lang = combine_agg(per_doc, ["langfp"], lambda t: t,
+                            [("langfp", "count")],
+                            named("langfp", "n_cont")).to_pandas()
     n_cont_fp = dict(zip(cont_lang["langfp"].astype(int),
                          cont_lang["n_cont"].astype(int)))
 
-    denom = (docs.map_batches(lambda t: pa.table({
+    denom = combine_agg(docs, ["lang"], lambda t: pa.table({
         "lang": pc.cast(t["lang"], pa.string()),
         "tn": pc.cast(pc.not_equal(t["source"],
                                    pa.scalar(bench_source)), pa.int64()),
-    }), batch_format="pyarrow")
-        .groupby("lang").aggregate(Sum("tn", alias_name="n_train"))
-        .to_pandas())
+    }), [("tn", "sum")], named("lang", "n_train")).to_pandas()
 
     langs = sorted(denom.loc[denom["n_train"] > 0, "lang"])
     nt = dict(zip(denom["lang"], denom["n_train"].astype(int)))
@@ -1046,29 +1037,20 @@ def fuzzy_props_pairs(sf_dir: str) -> pa.Table:
     deletion-variant hash join.  The typo-tolerant record-linkage /
     vocabulary-merge primitive.
 
-    Scale shape: the corpus collapses to DISTINCT payloads first (per-
-    block unique partials -> one vocabulary groupby, the only corpus-
-    bounded exchange).  The per-token deletion explode is a vocabulary-
-    side loop (|vocab| << corpus, the dimension side of the join);
-    variants and tokens co-partition by the variant-string fingerprint,
-    each partition detects substitution runs and indel hits vectorized,
-    and a final distinct-pair groupby dedups the multi-position
-    witnesses.  Pairs, not payload rows, ride every exchange."""
-    from ray.data.aggregate import Count
-
+    Scale shape: the corpus collapses to DISTINCT payloads first (one
+    vocabulary ``combine_agg``, the only corpus-bounded exchange).  The
+    per-token deletion explode is a vocabulary-side loop (|vocab| <<
+    corpus, the dimension side of the join); variants and tokens
+    co-partition by the variant-string fingerprint, each partition
+    detects substitution runs and indel hits vectorized, and a final
+    distinct-pair grouping dedups the multi-position witnesses.  Pairs,
+    not payload rows, ride every exchange."""
     from ..functions.text import fingerprint64
     from ..stages.partition import fit_partitions, partition_by
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["props"])
-
-    def distinct_partial(t: pa.Table) -> pa.Table:
-        u = pc.unique(t["props"].combine_chunks())
-        return pa.table({"tok": pc.cast(u, pa.string())})
-
-    vocab = (ds.map_batches(distinct_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("tok").aggregate(Count(alias_name="_c")))
+    ds = read_table(sf_dir, "events", ["props"])
+    vocab = _distinct(ds, ["tok"], lambda t: pa.table(
+        {"tok": pc.cast(t["props"], pa.string())}))
 
     row_empty = pa.table({"s": pa.array([], type=pa.string()),
                           "i": pa.array([], type=pa.int64()),
@@ -1166,8 +1148,7 @@ def fuzzy_props_pairs(sf_dir: str) -> pa.Table:
     cand = partition_by(rows, ["fp"], fit_partitions(16), match,
                         pair_empty)
     # multi-position witnesses of the same pair dedup here
-    out = (cand.groupby(["tok_a", "tok_b", "kind"])
-           .aggregate(Count(alias_name="_w"))
+    out = (_distinct(cand, ["tok_a", "tok_b", "kind"], lambda t: t)
            .to_pandas()
            .sort_values(["kind", "tok_a", "tok_b"])
            .reset_index(drop=True))
@@ -1305,6 +1286,26 @@ ORDER BY 1, 2"""
 SIMHASH_NEARDUP_SQL = _simhash_neardup_sql()
 
 
+def _dup_windows(t: pa.Table, key: str) -> pa.Table:
+    """The ``key`` of every (hv, key, cnt) window partial of one hv
+    co-partition, its positions (``pos``) and those of them whose window
+    occurs >= 2 times in the corpus (``dup``): the partition holds every
+    partial of its fingerprints, so one reduceat gives each one's
+    corpus-wide multiplicity."""
+    hv = t["hv"].to_numpy(zero_copy_only=False)
+    order = np.argsort(hv, kind="stable")
+    h_s = hv[order]
+    c_s = t["cnt"].to_numpy(zero_copy_only=False)[order]
+    new = np.ones(h_s.size, dtype=bool)
+    new[1:] = h_s[1:] != h_s[:-1]
+    starts = np.nonzero(new)[0]
+    dup = np.repeat(np.add.reduceat(c_s, starts) >= 2,
+                    np.diff(np.append(starts, h_s.size)))
+    return pa.table({key: t[key].take(pa.array(order)),
+                     "pos": pa.array(c_s, type=pa.int64()),
+                     "dup": pa.array(c_s * dup, type=pa.int64())})
+
+
 def dup_span_stats(sf_dir: str, span: int = 32) -> pa.Table:
     """EXACT duplicated-substring detection, summarized per language.
 
@@ -1325,9 +1326,9 @@ def dup_span_stats(sf_dir: str, span: int = 32) -> pa.Table:
     locally-repeated boilerplate collapses before the exchange; the
     (hv, lang, cnt) partials are coarse-co-partitioned by hv (equal
     fingerprints land in one partition), each partition computes every
-    fingerprint's global multiplicity with one reduceat pass and folds
-    its >= 2 positions into per-lang partials; a final kilobyte groupby
-    sums those.  The single exchange moves O(distinct windows) 24-byte
+    fingerprint's global multiplicity with one reduceat pass and flags
+    its >= 2 positions; a final kilobyte ``combine_agg`` sums them per
+    lang.  The single exchange moves O(distinct windows) 24-byte
     rows -- the inherent cost of exact-substring dedup (a distributed
     suffix-array build is the same O(corpus) exchange with a larger
     constant).  The DuckDB oracle recomputes the IDENTICAL Horner per
@@ -1338,8 +1339,7 @@ def dup_span_stats(sf_dir: str, span: int = 32) -> pa.Table:
     """
     from ..sketches.minhash import shingle_hashes
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["lang", "text"])
+    ds = read_table(sf_dir, "documents", ["lang", "text"])
 
     empty_partial = pa.table({"hv": pa.array([], type=pa.int64()),
                               "lang": pa.array([], type=pa.string()),
@@ -1373,47 +1373,19 @@ def dup_span_stats(sf_dir: str, span: int = 32) -> pa.Table:
             "cnt": pa.array(cnt.astype(np.int64), type=pa.int64()),
         })
 
-    empty_lang = pa.table({
-        "lang": pa.array([], type=pa.string()),
-        "n_positions": pa.array([], type=pa.int64()),
-        "n_dup_positions": pa.array([], type=pa.int64()),
-    })
-
-    def fold_partition(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty_lang
-        hv = t["hv"].to_numpy(zero_copy_only=False)
-        cnt = t["cnt"].to_numpy(zero_copy_only=False)
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        order = np.argsort(hv, kind="stable")
-        h_s, c_s, l_s = hv[order], cnt[order], lang[order]
-        new = np.empty(h_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = h_s[1:] != h_s[:-1]
-        starts = np.nonzero(new)[0]
-        seg_sizes = np.diff(np.append(starts, h_s.size))
-        seg_total = np.add.reduceat(c_s, starts)
-        dup_row = np.repeat(seg_total >= 2, seg_sizes)
-        ulang, linv = np.unique(l_s, return_inverse=True)
-        n_pos = np.bincount(linv, weights=c_s).astype(np.int64)
-        n_dup = np.bincount(linv, weights=c_s * dup_row).astype(np.int64)
-        return pa.table({
-            "lang": pa.array(ulang, type=pa.string()),
-            "n_positions": pa.array(n_pos, type=pa.int64()),
-            "n_dup_positions": pa.array(n_dup, type=pa.int64()),
-        })
+    empty_lang = pa.table({"lang": pa.array([], type=pa.string()),
+                           "pos": pa.array([], type=pa.int64()),
+                           "dup": pa.array([], type=pa.int64())})
 
     partials = ds.map_batches(block_partials, batch_format="pyarrow",
                               batch_size=SHINGLE_BATCH,
                               zero_copy_batch=True)
     per_part = _partition_by(partials, ["hv"], _fit_partitions(32),
-                             fold_partition, empty_lang)
-    from ray.data.aggregate import Sum
-    agg = (per_part.groupby("lang")
-           .aggregate(Sum("n_positions", alias_name="n_positions"),
-                      Sum("n_dup_positions",
-                          alias_name="n_dup_positions")))
-    rows = agg.take_all()  # <= #languages rows
+                             lambda t: _dup_windows(t, "lang"), empty_lang)
+    rows = combine_agg(per_part, ["lang"], lambda t: t,
+                       [("pos", "sum"), ("dup", "sum")],
+                       named("lang", "n_positions", "n_dup_positions")
+                       ).take_all()  # <= #languages rows
     rows.sort(key=lambda r: r["lang"])
     n_pos = [int(r["n_positions"]) for r in rows]
     n_dup = [int(r["n_dup_positions"]) for r in rows]
@@ -1471,8 +1443,7 @@ def minhash_blocking_report(sf_dir: str, num_perm: int = 64,
     recomputes both counts from the proven HUGEINT signature replica."""
     from functools import partial
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     band_rows = ds.map_batches(
         partial(minhash_band_rows, id_col="doc_id", text_col="text",
                 num_perm=num_perm, bands=bands, k=k),
@@ -1583,28 +1554,26 @@ def cdc_chunk_stats(sf_dir: str, window: int = 16,
 
     Dataflow: the shared FNV-Horner kernel fingerprints every window
     (the dup_span machinery with a modulus predicate instead of a
-    multiplicity fold); boundary detection, per-doc chunk counts and
-    the distinct-fingerprint partial all fold in-batch, and the only
-    exchange is the O(distinct boundary fingerprints) dedupe
+    multiplicity fold); boundary detection and per-doc chunk counts run
+    in-batch, a kilobyte ``combine_agg`` sums them per lang, and the
+    only large exchange is the O(distinct boundary fingerprints) dedupe
     co-partition."""
     from ..sketches.minhash import shingle_hashes
     from ray.data.aggregate import Sum
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["lang", "text"])
+    ds = read_table(sf_dir, "documents", ["lang", "text"])
     div = np.uint64(mask + 1)
 
-    lang_empty = pa.table({"lang": pa.array([], type=pa.string()),
-                           "n_docs": pa.array([], type=pa.int64()),
-                           "n_bytes": pa.array([], type=pa.int64()),
-                           "n_chunks": pa.array([], type=pa.int64()),
-                           "n_boundaries": pa.array([], type=pa.int64())})
+    doc_empty = pa.table({"lang": pa.array([], type=pa.string()),
+                          "n_bytes": pa.array([], type=pa.int64()),
+                          "n_chunks": pa.array([], type=pa.int64()),
+                          "n_boundaries": pa.array([], type=pa.int64())})
     fp_empty = pa.table({"bfp": pa.array([], type=pa.int64()),
                          "one": pa.array([], type=pa.int64())})
 
     def block_stats(t: pa.Table):
         if t.num_rows == 0:
-            return lang_empty, fp_empty
+            return doc_empty, fp_empty
         hv, doc_off = shingle_hashes(t["text"], k=window)
         counts = np.diff(doc_off)
         lens = pc.binary_length(t["text"]).to_numpy(
@@ -1615,35 +1584,24 @@ def cdc_chunk_stats(sf_dir: str, window: int = 16,
                             counts)
         nb = np.bincount(doc_idx[is_b],
                          minlength=t.num_rows).astype(np.int64)
-        langs = t["lang"].to_numpy(zero_copy_only=False)
-        ul, inv = np.unique(langs, return_inverse=True)
-        docs = np.bincount(inv).astype(np.int64)
-        byts = np.zeros(ul.shape[0], dtype=np.int64)
-        np.add.at(byts, inv, lens)
-        bnd = np.zeros(ul.shape[0], dtype=np.int64)
-        np.add.at(bnd, inv, nb)
-        chk = np.zeros(ul.shape[0], dtype=np.int64)
-        np.add.at(chk, inv, nb + (lens > 0))
-        lt = pa.table({"lang": pa.array(ul.tolist(), type=pa.string()),
-                       "n_docs": pa.array(docs),
-                       "n_bytes": pa.array(byts),
-                       "n_chunks": pa.array(chk),
-                       "n_boundaries": pa.array(bnd)})
+        dt = pa.table({"lang": t["lang"], "n_bytes": pa.array(lens),
+                       "n_chunks": pa.array(nb + (lens > 0)),
+                       "n_boundaries": pa.array(nb)})
         ufp = np.unique(hv[is_b])
         ft = pa.table({"bfp": pa.array(ufp.view(np.int64)),
                        "one": pa.array(np.ones(ufp.shape[0],
                                                dtype=np.int64))})
-        return lt, ft
+        return dt, ft
 
-    langs = (ds.map_batches(lambda t: block_stats(t)[0],
-                            batch_format="pyarrow",
-                            batch_size=SHINGLE_BATCH,
-                            zero_copy_batch=True)
-             .groupby("lang")
-             .aggregate(Sum("n_docs", alias_name="n_docs"),
-                        Sum("n_bytes", alias_name="n_bytes"),
-                        Sum("n_chunks", alias_name="n_chunks"),
-                        Sum("n_boundaries", alias_name="n_boundaries"))
+    per_doc = ds.map_batches(lambda t: block_stats(t)[0],
+                             batch_format="pyarrow",
+                             batch_size=SHINGLE_BATCH,
+                             zero_copy_batch=True)
+    langs = (combine_agg(per_doc, ["lang"], lambda t: t,
+                         [("n_bytes", "count"), ("n_bytes", "sum"),
+                          ("n_chunks", "sum"), ("n_boundaries", "sum")],
+                         named("lang", "n_docs", "n_bytes", "n_chunks",
+                               "n_boundaries"))
              .to_pandas().sort_values("lang").reset_index(drop=True))
 
     def distinct_fold(t: pa.Table) -> pa.Table:
@@ -1717,14 +1675,12 @@ def top_duplicated_docs(sf_dir: str, span: int = 32,
     has a boilerplate problem.
 
     Dataflow: same fingerprint exchange as dup_span_stats but keyed
-    (hv, doc) so the multiplicity fold emits per-doc duplicated counts;
-    a doc-keyed second fold merges across partitions and a keep-k
-    ranking bounds the output."""
+    (hv, doc) so the multiplicity pass flags per-(hv, doc) duplicated
+    counts; a doc-keyed ``combine_agg`` sums them across partitions and
+    a keep-k ranking bounds the output."""
     from ..sketches.minhash import shingle_hashes
-    from ray.data.aggregate import Sum
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     empty_partial = pa.table({"hv": pa.array([], type=pa.int64()),
                               "doc_id": pa.array([], type=pa.int64()),
@@ -1757,41 +1713,17 @@ def top_duplicated_docs(sf_dir: str, span: int = 32,
         })
 
     doc_empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
-                          "n_pos": pa.array([], type=pa.int64()),
-                          "n_dup": pa.array([], type=pa.int64())})
-
-    def fold_partition(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return doc_empty
-        hv = t["hv"].to_numpy(zero_copy_only=False)
-        did = t["doc_id"].to_numpy(zero_copy_only=False)
-        cnt = t["cnt"].to_numpy(zero_copy_only=False)
-        order = np.argsort(hv, kind="stable")
-        h_s, d_s, c_s = hv[order], did[order], cnt[order]
-        new = np.empty(h_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = h_s[1:] != h_s[:-1]
-        starts = np.nonzero(new)[0]
-        sizes = np.diff(np.append(starts, h_s.size))
-        tot = np.add.reduceat(c_s, starts)
-        dup = np.repeat(tot >= 2, sizes)
-        ud, inv = np.unique(d_s, return_inverse=True)
-        n_pos = np.zeros(ud.shape[0], dtype=np.int64)
-        np.add.at(n_pos, inv, c_s)
-        n_dup = np.zeros(ud.shape[0], dtype=np.int64)
-        np.add.at(n_dup, inv, c_s * dup)
-        return pa.table({"doc_id": pa.array(ud),
-                         "n_pos": pa.array(n_pos),
-                         "n_dup": pa.array(n_dup)})
+                          "pos": pa.array([], type=pa.int64()),
+                          "dup": pa.array([], type=pa.int64())})
 
     partials = ds.map_batches(block_partials, batch_format="pyarrow",
                               batch_size=SHINGLE_BATCH,
                               zero_copy_batch=True)
-    per_doc = (_partition_by(partials, ["hv"], _fit_partitions(32),
-                             fold_partition, doc_empty)
-               .groupby("doc_id")
-               .aggregate(Sum("n_pos", alias_name="n_pos"),
-                          Sum("n_dup", alias_name="n_dup")))
+    per_doc = combine_agg(
+        _partition_by(partials, ["hv"], _fit_partitions(32),
+                      lambda t: _dup_windows(t, "doc_id"), doc_empty),
+        ["doc_id"], lambda t: t, [("pos", "sum"), ("dup", "sum")],
+        named("doc_id", "n_pos", "n_dup"))
 
     out_empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
                           "n_pos": pa.array([], type=pa.int64()),
@@ -1882,8 +1814,7 @@ def sorted_neighborhood_stats(sf_dir: str, w: int = 2,
        rows land in different blocks is within w of a boundary, so both
        of its rows were collected).
     """
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def keyed(t: pa.Table) -> pa.Table:
         txt = t["text"]
@@ -2089,8 +2020,7 @@ def levenshtein_verify_pairs(sf_dir: str, key_len: int = 16,
     from ..functions.text import fingerprint64
     from ..stages.partition import fit_partitions, partition_by
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def keyed(t: pa.Table) -> pa.Table:
         k = pc.utf8_lower(pc.utf8_slice_codeunits(t["text"], 0, key_len))
@@ -2556,16 +2486,13 @@ def chunk_dedup_stats(sf_dir: str, chunk_tokens: int = 16) -> pa.Table:
 
     Scale shape: the chunk emit is one vectorized map (list-offset
     arithmetic + one pc.binary_join per batch -- no per-doc Python);
-    the global dedup is ONE groupby on the chunk string whose combiner
-    rides a composite int64 (keeper rank * 8 + lang code), so the
-    keeper's lang comes out of the same Min() -- no join back to the
+    the global dedup is ONE ``combine_agg`` on the chunk string whose
+    min rides a composite int64 (keeper rank * 8 + lang code), so the
+    keeper's lang comes out of the same min -- no join back to the
     corpus and nothing O(corpus) on the driver (the only broadcast is
     the sorted O(#langs) lang array).
     """
-    from ray.data.aggregate import Count, Min, Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "lang", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "lang", "text"])
     langs = np.sort(np.asarray(ds.unique("lang"), dtype=np.str_))
     langs_ref = ray.put(langs)
     ct = int(chunk_tokens)
@@ -2606,54 +2533,31 @@ def chunk_dedup_stats(sf_dir: str, chunk_tokens: int = 16) -> pa.Table:
         return pa.table({"chunk": pc.cast(chunk, pa.string()),
                          "rank": pa.array(rank)})
 
-    # global dedup: one string-keyed groupby; each distinct chunk's row
-    # carries its keeper (min composite rank) out of the combiner
-    kept = (ds.map_batches(chunks, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("chunk").aggregate(Min("rank", alias_name="rank")))
+    # global dedup: one string-keyed grouping; each distinct chunk's row
+    # carries its keeper (min composite rank)
+    kept = combine_agg(ds, ["chunk"], chunks, [("rank", "min")],
+                       named("chunk", "rank"))
 
-    kept_empty = pa.table({"lang": pa.array([], type=pa.string()),
-                           "n_kept": pa.array([], type=pa.int64())})
+    def keeper_lang(t: pa.Table) -> pa.Table:
+        code = pc.cast(pc.bit_wise_and(t["rank"], pa.scalar(7, pa.int64())),
+                       pa.int32())
+        return pa.table({"lang": pc.take(pa.array(ray.get(langs_ref)),
+                                         code)})
 
-    def kept_by_lang(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return kept_empty
-        lg = ray.get(langs_ref)
-        code = t["rank"].to_numpy(zero_copy_only=False) % 8
-        cnt = np.bincount(code, minlength=lg.shape[0]).astype(np.int64)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({"lang": pa.array(lg[nz], type=pa.string()),
-                         "n_kept": pa.array(cnt[nz])})
-
-    kept_agg = (kept.map_batches(kept_by_lang, batch_format="pyarrow")
-                .groupby("lang").aggregate(Sum("n_kept",
-                                               alias_name="n_kept"))
-                .to_pandas())
+    kept_agg = combine_agg(kept, ["lang"], keeper_lang, [("lang", "count")],
+                           named("lang", "n_kept")).to_pandas()
 
     # per-lang TOTAL chunk counts need no chunk rows at all:
-    # ceil(tokens/ct) per doc, folded in-batch
-    tot_empty = pa.table({"lang": pa.array([], type=pa.string()),
-                          "n_chunks": pa.array([], type=pa.int64())})
-
+    # ceil(tokens/ct) per doc
     def totals(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return tot_empty
         toks = pc.split_pattern(t["text"], pattern=" ")
         nper = pc.list_value_length(toks).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        n_chunks = -(-nper // ct)
-        lang = t["lang"].to_numpy(zero_copy_only=False)
-        ul, inv = np.unique(lang, return_inverse=True)
-        s = np.zeros(ul.shape[0], dtype=np.int64)
-        np.add.at(s, inv, n_chunks)
-        return pa.table({"lang": pa.array(ul, type=pa.string()),
-                         "n_chunks": pa.array(s)})
+        return pa.table({"lang": t["lang"],
+                         "n_chunks": pa.array(-(-nper // ct))})
 
-    tot_agg = (ds.map_batches(totals, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("lang").aggregate(Sum("n_chunks",
-                                              alias_name="n_chunks"))
-               .to_pandas())
+    tot_agg = combine_agg(ds, ["lang"], totals, [("n_chunks", "sum")],
+                          named("lang", "n_chunks")).to_pandas()
 
     out = tot_agg.merge(kept_agg, on="lang", how="left").fillna(0)
     out = out.sort_values("lang").reset_index(drop=True)

@@ -34,9 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-import ray.data
-from ray.data.aggregate import Sum
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg, named
 
 # gram hashes live below 2^25 so composite = h * 2^20 + pos stays well
 # inside int64 even after the per-doc disambiguation shift (doc * 2^45)
@@ -123,41 +122,15 @@ def winnow_fingerprint_stats(sf_dir: str, *, k: int = 8,
     The ~2/(w+1) selection density is the corpus-level signal curation
     teams track when sizing a fingerprint index.
 
-    Scale shape: the whole computation is one embarrassingly parallel
-    map pass (per-batch flat-buffer kernel + per-lang integer combiner);
-    the only shuffle moves O(langs x blocks) tiny integer rows."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["lang", "text"])
-
-    def stats(t: pa.Table) -> pa.Table:
-        per_doc = winnow_doc_stats(t, k=k, w=w)
-        lang = per_doc["lang"].to_numpy(zero_copy_only=False)
-        ul, inv = np.unique(lang, return_inverse=True)
-        out = {"lang": pa.array(ul.tolist(), type=pa.string())}
-        for col in ("docs", "grams", "fps"):
-            acc = np.zeros(ul.shape[0], dtype=np.int64)
-            np.add.at(acc, inv,
-                      per_doc[col].to_numpy(zero_copy_only=False))
-            out[col] = pa.array(acc)
-        return pa.table(out)
-
-    agg = (ds.map_batches(stats, batch_format="pyarrow", batch_size=1024,
-                          zero_copy_batch=True)
-           .groupby("lang")
-           .aggregate(Sum("docs", alias_name="docs"),
-                      Sum("grams", alias_name="sum_grams"),
-                      Sum("fps", alias_name="sum_fingerprints")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": t["lang"],
-            "docs": pc.cast(t["docs"], pa.int64()),
-            "sum_grams": pc.cast(t["sum_grams"], pa.int64()),
-            "sum_fingerprints": pc.cast(t["sum_fingerprints"],
-                                        pa.int64()),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    Scale shape: one embarrassingly parallel map pass (the per-batch
+    flat-buffer kernel, one row per doc) folded per lang by
+    ``combine_agg``; the only shuffle moves O(langs x blocks) tiny
+    integer rows."""
+    return combine_agg(
+        read_table(sf_dir, "documents", ["lang", "text"]), ["lang"],
+        lambda t: winnow_doc_stats(t, k=k, w=w),
+        [("grams", "count"), ("grams", "sum"), ("fps", "sum")],
+        named("lang", "docs", "sum_grams", "sum_fingerprints"))
 
 
 def _winnow_sql(k: int = 8, w: int = 8) -> str:

@@ -24,13 +24,16 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Max, Min, Sum
+from ray.data.aggregate import Max, Min
+
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg, named
 
 # "trained" model: integer weights over (bias, n_chars, n_toks, n_a, n_e)
 MODEL_WEIGHTS = {"bias": 2000, "w_chars": -3, "w_toks": 40,
                  "w_a": 7, "w_e": -5}
 CLS_LO, CLS_HI = 3000, 3700  # integer logit thresholds
-CLASS_NAMES = np.array(["low", "mid", "high"])
+CLASS_NAMES = pa.array(["low", "mid", "high"])
 
 
 def _letter_count(txt: pa.ChunkedArray, ch: str,
@@ -47,8 +50,7 @@ class LinearDocScorer:
     ``weights_ref`` is a ``ray.put`` handle; each pool actor resolves it
     once here (model load happens per ACTOR, not per batch -- swap in a
     real model deserialization and the economics stay right).  The
-    callable emits a per-(lang, class) partial rollup so the downstream
-    shuffle moves O(langs x classes) rows per block, never documents.
+    callable emits each document's (lang, class, logit).
     """
 
     def __init__(self, weights_ref):
@@ -74,21 +76,9 @@ class LinearDocScorer:
     def __call__(self, t: pa.Table) -> pa.Table:
         logit = self.predict(t)
         cls = (logit >= CLS_LO).astype(np.int64) + (logit >= CLS_HI)
-        lang = np.asarray(t["lang"].to_pylist(), dtype=np.str_)
-        ul, linv = np.unique(lang, return_inverse=True)
-        comp = linv * np.int64(3) + cls
-        ukey, inv = np.unique(comp, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(ukey.shape[0], np.int64)
-        np.add.at(s, inv, logit)
-        mx = np.full(ukey.shape[0], np.iinfo(np.int64).min)
-        np.maximum.at(mx, inv, logit)
-        return pa.table({
-            "lang": pa.array(ul[ukey // 3].tolist(), type=pa.string()),
-            "cls": pa.array(CLASS_NAMES[ukey % 3].tolist(),
-                            type=pa.string()),
-            "n": pa.array(n), "s": pa.array(s), "mx": pa.array(mx),
-        })
+        return pa.table({"lang": t["lang"],
+                         "cls": pc.take(CLASS_NAMES, cls),
+                         "logit": pa.array(logit)})
 
 
 def model_score_stats(sf_dir: str) -> "ray.data.Dataset":
@@ -99,30 +89,19 @@ def model_score_stats(sf_dir: str) -> "ray.data.Dataset":
     and each of the pool's actors fetches it once in ``__init__`` -- at
     a real model size (GBs) this is the only layout that works; the
     per-batch work is one vectorized feature pass + integer dot product;
-    the in-batch combiner bounds the shuffle at O(langs x 3) rows per
-    block regardless of corpus size."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["lang", "text", "n_chars"])
+    ``combine_agg`` bounds the shuffle at O(langs x 3) rows per block
+    regardless of corpus size."""
+    ds = read_table(sf_dir, "documents", ["lang", "text", "n_chars"])
     weights_ref = ray.put(dict(MODEL_WEIGHTS))
-    agg = (ds.map_batches(LinearDocScorer, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=2,
-                          fn_constructor_kwargs={
-                              "weights_ref": weights_ref})
-           .groupby(["lang", "cls"])
-           .aggregate(Sum("n", alias_name="n_docs"),
-                      Sum("s", alias_name="sum_logit"),
-                      Max("mx", alias_name="max_logit")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": t["lang"], "cls": t["cls"],
-            "n_docs": pc.cast(t["n_docs"], pa.int64()),
-            "sum_logit": pc.cast(t["sum_logit"], pa.int64()),
-            "max_logit": pc.cast(t["max_logit"], pa.int64()),
-        })
-
-    return agg.map_batches(finalize,
-                           batch_format="pyarrow").sort(["lang", "cls"])
+    scored = ds.map_batches(LinearDocScorer, batch_format="pyarrow",
+                            zero_copy_batch=True, concurrency=2,
+                            fn_constructor_kwargs={
+                                "weights_ref": weights_ref})
+    return combine_agg(
+        scored, ["lang", "cls"], lambda t: t,
+        [("logit", "count"), ("logit", "sum"), ("logit", "max")],
+        named("lang", "cls", "n_docs", "sum_logit", "max_logit")
+    ).sort(["lang", "cls"])
 
 
 MODEL_SCORE_SQL = f"""
@@ -160,14 +139,13 @@ def score_lift_report(sf_dir: str, n_bins: int = 10,
     Scale shape: pass 1 folds per-block (min, max) logits to fix the
     grid (at corpus scale you would persist the score column once via
     the partitioned-write stage instead of re-scoring); pass 2 is the
-    same actor-pool scorer emitting a <= n_bins-row partial per block;
-    the cumulative walk runs on the bounded grid driver-side."""
-    cols = ["text", "n_chars"]
+    same actor-pool scorer binning every document, folded by
+    ``combine_agg`` to <= n_bins rows per block; the cumulative walk runs
+    on the bounded grid driver-side."""
     w_ref = ray.put(MODEL_WEIGHTS)
 
     def read():
-        return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                     columns=cols)
+        return read_table(sf_dir, "documents", ["text", "n_chars"])
 
     class MinMax:
         def __init__(self, weights_ref):
@@ -196,27 +174,17 @@ def score_lift_report(sf_dir: str, n_bins: int = 10,
             pos = (pc.cast(t["n_chars"], pa.int64())
                    .to_numpy(zero_copy_only=False)
                    >= pos_chars).astype(np.int64)
-            staged = pa.table({
-                "bin": pa.array(bins.astype(np.int64)),
-                "n_docs": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                "n_pos": pa.array(pos),
-                "sum_logit": pa.array(logit.astype(np.int64))})
-            g = staged.group_by("bin").aggregate(
-                [("n_docs", "sum"), ("n_pos", "sum"),
-                 ("sum_logit", "sum")])
-            return pa.table({
-                "bin": g["bin"],
-                "n_docs": pc.cast(g["n_docs_sum"], pa.int64()),
-                "n_pos": pc.cast(g["n_pos_sum"], pa.int64()),
-                "sum_logit": pc.cast(g["sum_logit_sum"], pa.int64())})
+            return pa.table({"bin": pa.array(bins.astype(np.int64)),
+                             "pos": pa.array(pos),
+                             "logit": pa.array(logit.astype(np.int64))})
 
-    grid = (read().map_batches(BinFold, batch_format="pyarrow",
-                               zero_copy_batch=True, concurrency=2,
-                               fn_constructor_args=(w_ref,))
-            .groupby("bin")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("n_pos", alias_name="n_pos"),
-                       Sum("sum_logit", alias_name="sum_logit"))
+    binned = read().map_batches(BinFold, batch_format="pyarrow",
+                                zero_copy_batch=True, concurrency=2,
+                                fn_constructor_args=(w_ref,))
+    grid = (combine_agg(binned, ["bin"], lambda t: t,
+                        [("pos", "count"), ("pos", "sum"),
+                         ("logit", "sum")],
+                        named("bin", "n_docs", "n_pos", "sum_logit"))
             .to_pandas().sort_values("bin", ascending=False))
     n_docs = grid["n_docs"].to_numpy(dtype=np.int64)
     n_pos = grid["n_pos"].to_numpy(dtype=np.int64)
@@ -287,11 +255,10 @@ def brier_decomposition(sf_dir: str, n_bins: int = 10,
     is exact integer math the DuckDB twin replays.
 
     Scale shape: the actor pool scores each batch once (weights fetched
-    per actor), a per-batch combiner folds to O(bins) rows, and the
-    decomposition terms are driver math over the bounded bin table.
+    per actor), ``combine_agg`` folds each batch to O(bins) rows, and
+    the decomposition terms are driver math over the bounded bin table.
     """
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["text", "n_chars"])
     weights_ref = ray.put(dict(MODEL_WEIGHTS))
     span = CLS_HI - CLS_LO
 
@@ -304,33 +271,21 @@ def brier_decomposition(sf_dir: str, n_bins: int = 10,
                  .to_numpy(zero_copy_only=False)
                  >= pos_chars).astype(np.int64)
             bins = np.minimum(p * n_bins // 1_000_000, n_bins - 1)
-            n = np.bincount(bins, minlength=n_bins).astype(np.int64)
-            # int64 scatter-adds (not float-weighted bincount): the
-            # micro^2 sums must stay exact past 2^53
-            npos = np.zeros(n_bins, dtype=np.int64)
-            sp = np.zeros(n_bins, dtype=np.int64)
-            sse = np.zeros(n_bins, dtype=np.int64)
-            np.add.at(npos, bins, y)
-            np.add.at(sp, bins, p)
+            # int64 sums (never float): the micro^2 sums must stay exact
+            # past 2^53
             err = p - y * np.int64(1_000_000)
-            np.add.at(sse, bins, err * err)
-            return pa.table({
-                "bin": pa.array(np.arange(n_bins, dtype=np.int64)),
-                "n": pa.array(n), "n_pos": pa.array(npos),
-                "sum_p": pa.array(sp), "sse": pa.array(sse),
-            })
+            return pa.table({"bin": pa.array(bins), "y": pa.array(y),
+                             "p": pa.array(p), "sse": pa.array(err * err)})
 
-    agg = (ds.map_batches(_BinStage, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=2,
-                          fn_constructor_kwargs={
-                              "weights_ref": weights_ref})
-           .groupby("bin")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("n_pos", alias_name="n_pos"),
-                      Sum("sum_p", alias_name="sum_p"),
-                      Sum("sse", alias_name="sse"))
+    binned = ds.map_batches(_BinStage, batch_format="pyarrow",
+                            zero_copy_batch=True, concurrency=2,
+                            fn_constructor_kwargs={
+                                "weights_ref": weights_ref})
+    agg = (combine_agg(binned, ["bin"], lambda t: t,
+                       [("y", "count"), ("y", "sum"), ("p", "sum"),
+                        ("sse", "sum")],
+                       named("bin", "n", "n_pos", "sum_p", "sse"))
            .to_pandas().sort_values("bin"))
-    agg = agg[agg["n"] > 0]
     n = agg["n"].to_numpy(dtype=np.int64)
     npos = agg["n_pos"].to_numpy(dtype=np.int64)
     sp = agg["sum_p"].to_numpy(dtype=np.int64)

@@ -22,6 +22,9 @@ import ray
 import ray.data
 
 from ..hashing import splitmix64
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg, named
+from ..stages.sketch_build import collect
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
@@ -200,8 +203,7 @@ def reciprocal_nn_pairs(sf_dir: str) -> pa.Table:
         .astype(np.int64)
     bcast = ray.put((all_ids, qmat))
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def best_match(t: pa.Table) -> pa.Table:
         ids, mat = ray.get(bcast)
@@ -298,25 +300,14 @@ def matryoshka_truncation_hist(sf_dir: str, keep_dims: int = 32,
     sqrt-of-ratio double per vector, integer floor binning.
 
     Scale shape: pure streaming map (zero-copy list decode, vectorized
-    per-block), bounded histogram combiner, O(n_bins) exchange.
+    per-block, one bin per vector), ``combine_agg`` count per bin,
+    O(n_bins) exchange.
     """
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from ..functions.vectors import list_to_matrix
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["embedding"])
-
-    empty = pa.table({"bin": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
+    ds = read_table(sf_dir, "embeddings", ["embedding"])
 
     def hist(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
         q = np.floor(list_to_matrix(t["embedding"]) * 1000.0) \
             .astype(np.int64)
         num = (q[:, :keep_dims] ** 2).sum(axis=1)
@@ -324,18 +315,10 @@ def matryoshka_truncation_hist(sf_dir: str, keep_dims: int = 32,
         cos = np.sqrt(num.astype(np.float64) / den.astype(np.float64))
         b = np.floor(cos * n_bins).astype(np.int64)
         b = np.minimum(b, n_bins - 1)      # cos == 1.0 joins last bin
-        ub, cnt = np.unique(b, return_counts=True)
-        return pa.table({"bin": pa.array(ub),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"bin": pa.array(b)})
 
-    agg = (ds.map_batches(hist, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("bin").aggregate(Sum("n", alias_name="n"))
-           .to_pandas().sort_values("bin"))
-    return pa.table({
-        "bin": pa.array(agg["bin"].to_numpy(dtype=np.int64)),
-        "n": pa.array(agg["n"].to_numpy(dtype=np.int64)),
-    })
+    return collect(combine_agg(ds, ["bin"], hist, [("bin", "count")],
+                               named("bin", "n"))).sort_by("bin")
 
 
 MATRYOSHKA_HIST_SQL = """
@@ -368,51 +351,31 @@ def centroid_distance_matrix(sf_dir: str) -> "pa.Table":
     exact (big) integer on both sides, and only the final distance is
     ONE mirrored sqrt/divide double per pair.
 
-    Scale shape: per-block (label, dim, partial-sum) rows (bounded by
-    labels x dims), one small groupby, O(labels^2 x dims) driver fold.
+    Scale shape: one (label, dim, value) row per vector dimension,
+    folded by ``combine_agg`` to (label, dim) sums and counts (bounded by
+    labels x dims per batch), O(labels^2 x dims) driver fold.
     """
     import math
 
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from ..functions.vectors import list_to_matrix
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["embedding", "label"])
+    ds = read_table(sf_dir, "embeddings", ["embedding", "label"])
 
-    empty = pa.table({"label": pa.array([], type=pa.int64()),
-                      "dim": pa.array([], type=pa.int64()),
-                      "s": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def cells(t: pa.Table) -> pa.Table:
         q = np.floor(list_to_matrix(t["embedding"]) * 1000.0) \
             .astype(np.int64)
         lab = t["label"].to_numpy(zero_copy_only=False).astype(
             np.int64)
-        ul, inv = np.unique(lab, return_inverse=True)
-        d = q.shape[1]
-        sums = np.zeros((ul.size, d), dtype=np.int64)
-        np.add.at(sums, inv, q)
-        cnt = np.bincount(inv).astype(np.int64)
+        n, d = q.shape
         return pa.table({
-            "label": pa.array(np.repeat(ul, d)),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64),
-                                    ul.size)),
-            "s": pa.array(sums.reshape(-1)),
-            "n": pa.array(np.repeat(cnt, d)),
+            "label": pa.array(np.repeat(lab, d)),
+            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64), n)),
+            "s": pa.array(q.reshape(-1)),
         })
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["label", "dim"])
-           .aggregate(Sum("s", alias_name="s"),
-                      Sum("n", alias_name="n"))
+    agg = (combine_agg(ds, ["label", "dim"], cells,
+                       [("s", "sum"), ("s", "count")],
+                       named("label", "dim", "s", "n"))
            .to_pandas().sort_values(["label", "dim"]))
     labels = np.sort(agg["label"].unique())
     d = int(agg["dim"].max()) + 1
@@ -421,8 +384,8 @@ def centroid_distance_matrix(sf_dir: str) -> "pa.Table":
     for lb in labels:
         g = agg[agg["label"] == lb].sort_values("dim")
         svec[lb] = g["s"].to_numpy(dtype=np.int64)
-        # each block adds its count once per dim, so any dim's summed
-        # n IS the label's total vector count
+        # every vector adds one row per dim, so any dim's count IS the
+        # label's vector count
         nvec[lb] = int(g["n"].iloc[0])
     out = {c: [] for c in ("label_a", "label_b", "n_a", "n_b",
                            "dist_micro")}
@@ -497,31 +460,22 @@ def loo_1nn_accuracy(sf_dir: str) -> "pa.Table":
     """
     import numpy as np
     import pyarrow as pa
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from ..functions.vectors import list_to_matrix
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding",
-                                        "label"])
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
     full = ds.to_pandas().sort_values("vec_id")
     qmat = np.floor(np.stack(full["embedding"].to_numpy())
                     .astype(np.float64) * 1000.0).astype(np.int64)
     labels = full["label"].to_numpy(dtype=np.int64)
     ref = ray.put((qmat, labels))
 
-    empty = pa.table({"label": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64()),
-                      "n_correct": pa.array([], type=pa.int64())})
-
     def audit(t: pa.Table) -> pa.Table:
         mat, lab = ray.get(ref)
         vid = t["vec_id"].to_numpy(zero_copy_only=False).astype(
             np.int64)
+        # (0, d) for a batch without rows
         q = np.floor(list_to_matrix(t["embedding"]) * 1000.0) \
-            .astype(np.int64)
+            .astype(np.int64).reshape(len(vid), mat.shape[1])
         own = t["label"].to_numpy(zero_copy_only=False).astype(
             np.int64)
         dots = q @ mat.T                       # exact int64
@@ -530,24 +484,12 @@ def loo_1nn_accuracy(sf_dir: str) -> "pa.Table":
         # first maximum, and columns are vec_id-ordered
         nn = np.argmax(dots, axis=1)
         correct = lab[nn] == own
-        staged = pa.table({
-            "label": pa.array(own),
-            "n": pa.array(np.ones(len(own), dtype=np.int64)),
-            "n_correct": pa.array(correct.astype(np.int64)),
-        })
-        g = staged.group_by("label").aggregate(
-            [("n", "sum"), ("n_correct", "sum")])
-        return pa.table({"label": g["label"],
-                         "n": pc.cast(g["n_sum"], pa.int64()),
-                         "n_correct": pc.cast(g["n_correct_sum"],
-                                              pa.int64())})
+        return pa.table({"label": pa.array(own),
+                         "correct": pa.array(correct.astype(np.int64))})
 
-    import pyarrow.compute as pc
-    agg = (ds.map_batches(audit, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("label")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("n_correct", alias_name="n_correct"))
+    agg = (combine_agg(ds, ["label"], audit,
+                       [("correct", "count"), ("correct", "sum")],
+                       named("label", "n", "n_correct"))
            .to_pandas().sort_values("label"))
     n = agg["n"].to_numpy(dtype=np.int64)
     nc = agg["n_correct"].to_numpy(dtype=np.int64)
@@ -637,8 +579,7 @@ def hard_negative_topk(sf_dir: str, n_anchors: int = 20,
     a_lab = at["label"].to_numpy(zero_copy_only=False).astype(np.int64)
     a_ref = ray.put((a_ids, a_lab, amat))
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding", "label"])
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
 
     empty = pa.table({"anchor_id": pa.array([], type=pa.int64()),
                       "neg_id": pa.array([], type=pa.int64()),
@@ -773,8 +714,7 @@ def contrastive_margin_report(sf_dir: str,
     a_lab = at["label"].to_numpy(zero_copy_only=False).astype(np.int64)
     a_ref = ray.put((a_ids, a_lab, amat))
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding", "label"])
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
 
     empty = pa.table({"anchor_id": pa.array([], type=pa.int64()),
                       "side": pa.array([], type=pa.int64()),
@@ -917,8 +857,7 @@ def frequent_directions_embed(sf_dir: str, ell: int = 16,
     from ..sketches.freqdirs import FrequentDirections
     from ..stages.generic_build import build_and_merge
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["embedding"])
+    ds = read_table(sf_dir, "embeddings", ["embedding"])
     d = len(ds.take(1)[0]["embedding"])
 
     def add(s: FrequentDirections, t: pa.Table) -> None:

@@ -23,11 +23,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
 from ..config import (DEFAULT_ALPHA, DEFAULT_BIN_LIMIT, DEFAULT_OFFSET,
                       HEADLINE_QUANTILES)
 from ..sketches.ddsketch import DDSketch
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg, named
 from ..stages.sketch_build import (collect, merge_by_group, merged_table,
                                    partial_builder, partial_columns,
                                    quantile_finalizer, sketches_by_group)
@@ -332,7 +332,7 @@ def _resolve_exact_targets(ds, value_col: str, targets, *, bins: int,
         pcodes = np.array([lut[t["group"]] for t in pending],
                           dtype=np.int64)
 
-    def collect(tab: pa.Table) -> pa.Table:
+    def pick(tab: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         v = tab[value_col].to_numpy(zero_copy_only=False)
         ok = ~np.isnan(v)
@@ -350,14 +350,10 @@ def _resolve_exact_targets(ds, value_col: str, targets, *, bins: int,
         m = inr.any(axis=1)
         return pa.table({"k": pa.array(keys[m], type=pa.uint64())})
 
-    import ray as _ray
-    picked = (ds.select_columns(cols)
-              .map_batches(collect, batch_format="pyarrow",
-                           zero_copy_batch=True))
-    parts = [tt for tt in map(_ray.get, picked.to_arrow_refs())
-             if tt.num_rows]
-    if parts:
-        allt = pa.concat_tables(parts)
+    allt = collect(ds.select_columns(cols)
+                   .map_batches(pick, batch_format="pyarrow",
+                                zero_copy_batch=True))
+    if allt.num_rows:
         allk = allt["k"].to_numpy(zero_copy_only=False)
         allg = (allt["g"].to_numpy(zero_copy_only=False)
                 if group_col else None)
@@ -484,8 +480,7 @@ def sketch_cdf_by_type(sf_dir: str, *, alpha: float = 0.01,
     O(bin_limit) entries, ray.put once, fetched per task."""
     import ray as _ray
 
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["event_type", "value"])
+    events = read_table(sf_dir, "events", ["event_type", "value"])
     sketch = dds_sketch_global(events, "value", alpha=alpha,
                                bin_limit=bin_limit)
     keys = np.fromiter(sketch.bins.keys(), dtype=np.int64,
@@ -498,49 +493,22 @@ def sketch_cdf_by_type(sf_dir: str, *, alpha: float = 0.01,
     cdf_ref = _ray.put((keys_s, cum))
     ln_gamma, offset = sketch.ln_gamma, sketch.offset
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_events": pa.array([], type=pa.int64()),
-                      "sum_cum": pa.array([], type=pa.int64())})
-
-    def rollup(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def cum_ranks(t: pa.Table) -> pa.Table:
         ks, cs = _ray.get(cdf_ref)
-        col = t["value"]
-        if col.null_count:
-            t = t.filter(pc.is_valid(col))
-            col = t["value"]
+        t = t.filter(pc.is_valid(t["value"]))
         from ..sketches.ddsketch import compute_keys
-        k = compute_keys(col.to_numpy(zero_copy_only=False), ln_gamma,
-                         offset)
+        k = compute_keys(t["value"].to_numpy(zero_copy_only=False),
+                         ln_gamma, offset)
         pos = np.searchsorted(ks, k, side="right") - 1
         # every key was built from this same data, so pos >= 0 always;
         # guard anyway for reuse with foreign sketches
         c = np.where(pos >= 0, cs[np.maximum(pos, 0)], 0)
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        # int64 scatter-add, not bincount(weights=): float64 weight sums
-        # lose exactness once cum ranks reach 2^53-scale products
-        sums = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(sums, inv, c.astype(np.int64))
-        return pa.table({
-            "event_type": pa.array(ut, type=pa.string()),
-            "n_events": pa.array(np.bincount(inv).astype(np.int64)),
-            "sum_cum": pa.array(sums),
-        })
+        return pa.table({"event_type": t["event_type"],
+                         "cum": pa.array(c.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-    agg = (events.map_batches(rollup, batch_format="pyarrow",
-                              zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("sum_cum", alias_name="sum_cum")))
-    out = agg.to_pandas().sort_values("event_type").reset_index(drop=True)
-    return pa.table({
-        "event_type": pa.array(out["event_type"], type=pa.string()),
-        "n_events": pa.array(out["n_events"].astype("int64")),
-        "sum_cum": pa.array(out["sum_cum"].astype("int64")),
-    })
+    return collect(combine_agg(
+        events, ["event_type"], cum_ranks, [("cum", "count"), ("cum", "sum")],
+        named("event_type", "n_events", "sum_cum"))).sort_by("event_type")
 
 
 def dds_sketches_grouped(ds: "ray.data.Dataset", value_col: str,
@@ -568,10 +536,7 @@ def drift_stats_pairs(sf_dir: str, *, alpha: float = 0.01,
     the SQL replica with no float division anywhere.  Caveat: the
     cross products need n_a * cum_b < 2^63 -- at >10^9-row groups emit
     the float ratio instead."""
-    import ray.data as _rd
-
-    events = _rd.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["event_type", "value"])
+    events = read_table(sf_dir, "events", ["event_type", "value"])
     sketches = dds_sketches_grouped(events, "value", "event_type",
                                     alpha=alpha, bin_limit=bin_limit)
     types = sorted(sketches)
@@ -624,8 +589,7 @@ def mad_by_flag(sf_dir: str, *, alpha: float = 0.01,
     import ray as _ray
 
     col, grp = "l_extendedprice", "l_returnflag"
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=[grp, col])
+    ds = read_table(sf_dir, "lineitem", [grp, col])
     s1 = dds_sketches_grouped(ds, col, grp, alpha=alpha,
                               bin_limit=bin_limit)
     groups = sorted(s1)
@@ -671,8 +635,7 @@ def dds_rollup_lang_source(sf_dir: str, *, alpha: float = 0.01,
     table -- equality of the merged level with a direct per-lang build
     is exactly the merge-associativity contract the kernel property
     tests pin down."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["lang", "source", "n_chars"])
+    ds = read_table(sf_dir, "documents", ["lang", "source", "n_chars"])
     # one build keyed by the FINEST grouping
     fine = ["lang", "source"]
     partials = build_partials_ds(ds, "n_chars", fine, alpha=alpha,
@@ -700,8 +663,7 @@ def quantile_error_report(sf_dir: str, *, alpha: float = 0.01,
     verifies that error <= alpha -- trust, then verify, in the same
     engine."""
     col = "l_extendedprice"
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=[col])
+    ds = read_table(sf_dir, "lineitem", [col])
     sketch = dds_sketch_global(ds, col, alpha=alpha, bin_limit=bin_limit)
     ests = [sketch.quantile(q) for q in quantiles]
     exact = exact_quantiles(ds, col, list(quantiles))
@@ -821,7 +783,6 @@ def exact_weighted_median_grouped(ds: "ray.data.Dataset", value_col: str,
 
     pending = [t for t in targets if t["value"] is None]
     if pending:
-        import ray as _ray
         los = np.array([t["lo"] for t in pending], dtype=np.uint64)
         his = np.array([t["hi"] for t in pending], dtype=np.uint64)
         gvals = sorted({t["group"] for t in pending})
@@ -829,7 +790,7 @@ def exact_weighted_median_grouped(ds: "ray.data.Dataset", value_col: str,
         pcodes = np.array([lut[t["group"]] for t in pending],
                           dtype=np.int64)
 
-        def collect(tab: pa.Table) -> pa.Table:
+        def pick(tab: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
             v = tab[value_col].to_numpy(zero_copy_only=False)
             w = tab[weight_col].to_numpy(zero_copy_only=False)
@@ -847,15 +808,13 @@ def exact_weighted_median_grouped(ds: "ray.data.Dataset", value_col: str,
                              "w": pa.array(wts[m], type=pa.int64()),
                              "g": pa.array(gc[m], type=pa.int64())})
 
-        picked = (ds.select_columns(cols)
-                  .map_batches(collect, batch_format="pyarrow",
-                               zero_copy_batch=True))
-        parts = [tt for tt in map(_ray.get, picked.to_arrow_refs())
-                 if tt.num_rows]
-        allt = (pa.concat_tables(parts) if parts
-                else pa.table({"k": pa.array([], type=pa.uint64()),
-                               "w": pa.array([], type=pa.int64()),
-                               "g": pa.array([], type=pa.int64())}))
+        allt = collect(ds.select_columns(cols)
+                       .map_batches(pick, batch_format="pyarrow",
+                                    zero_copy_batch=True))
+        if not allt.num_rows:
+            allt = pa.table({"k": pa.array([], type=pa.uint64()),
+                             "w": pa.array([], type=pa.int64()),
+                             "g": pa.array([], type=pa.int64())})
         allk = allt["k"].to_numpy(zero_copy_only=False)
         allw = allt["w"].to_numpy(zero_copy_only=False)
         allg = allt["g"].to_numpy(zero_copy_only=False)
@@ -877,10 +836,8 @@ def weighted_median_by_flag(sf_dir: str) -> pa.Table:
     return flag -- 'the price at which half the shipped units are
     cheaper', the inventory-weighted robust center that an unweighted
     median misstates whenever price correlates with volume."""
-    import ray.data
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_extendedprice", "l_quantity"])
+    ds = read_table(sf_dir, "lineitem",
+                    ["l_returnflag", "l_extendedprice", "l_quantity"])
     res = exact_weighted_median_grouped(
         ds, "l_extendedprice", "l_quantity", "l_returnflag")
     flags = sorted(res)
@@ -929,12 +886,9 @@ def conversion_lag_dds(sf_dir: str, qs=(0.5, 0.95, 0.99),
     partials; one user co-partition computes each user's lag (one row
     per converting user); the standard DDSketch partial/merge path
     sketches the lag stream without materializing it anywhere."""
-    import ray.data
-
     from ..stages.partition import fit_partitions, partition_by
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "user_id", "event_type"])
+    ds = read_table(sf_dir, "events", ["ts", "user_id", "event_type"])
 
     part_empty = pa.table({"user_id": pa.array([], type=pa.int64()),
                            "which": pa.array([], type=pa.int64()),
@@ -1009,10 +963,7 @@ def dds_alpha_error_sweep(sf_dir: str, q: float = 0.95,
     merge is one sort shuffle of the partial rows by ``ai``; the exact
     audit adds the histogram-bisection passes (no sort, no
     materialization)."""
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_extendedprice"])
+    ds = read_table(sf_dir, "lineitem", ["l_extendedprice"])
     alphas = tuple(alphas)
 
     def partials(t: pa.Table) -> pa.Table:

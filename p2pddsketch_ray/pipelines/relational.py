@@ -11,7 +11,7 @@ input item (no hand fold), one Arrow ``group_by`` folds the batch to one
 partial row per key (so the shuffle moves O(keys) rows per batch, not one
 per input row), a sort shuffle brings each key's partials into one block,
 and one more ``group_by`` per block merges them before the pipeline's
-``finalize``, which only names, casts or derives columns (``_named``
+``finalize``, which only names, casts or derives columns (``named``
 when it just renames).  Only scalar ``Dataset.aggregate`` calls and
 driver-side pandas roll-ups remain outside it.
 
@@ -33,20 +33,15 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..sources.tables import read_table as _read
-from ..stages.combine import combine_agg
+from ..stages.combine import combine_agg, named
 from ..stages.partition import fit_partitions
+from ..stages.sketch_build import collect
 
 
 def _int_units(col: pa.ChunkedArray | pa.Array, scale: float) -> pa.Array:
     """round(col*scale) as int64 -- order-independent summation units."""
     scaled = pc.multiply(pc.cast(col, pa.float64()), pa.scalar(float(scale)))
     return pc.cast(pc.round(scaled), pa.int64())
-
-
-def _named(*names: str):
-    """A ``combine_agg`` finalize that only renames: the key columns,
-    then one merged column per aggregate, to ``names`` in that order."""
-    return lambda t: t.rename_columns(list(names))
 
 
 def _event_hours(t: pa.Table) -> pa.Table:
@@ -62,7 +57,7 @@ def _customer_revenue(orders: "ray.data.Dataset") -> "ray.data.Dataset":
         orders, ["cust"],
         lambda t: pa.table({"cust": pc.cast(t["o_custkey"], pa.int64()),
                             "rev": _int_units(t["o_totalprice"], 100)}),
-        [("rev", "sum")], _named("cust", "rev"))
+        [("rev", "sum")], named("cust", "rev"))
 
 
 def _tokens(t: pa.Table, *carry: str) -> pa.Table:
@@ -1085,7 +1080,7 @@ def top_tokens_by_lang(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     agg = combine_agg(ds, ["lang", "tok"], lambda t: _tokens(t, "lang"),
-                      [("tok", "count")], _named("lang", "tok", "n"))
+                      [("tok", "count")], named("lang", "tok", "n"))
 
     empty = pa.table({"lang": pa.array([], type=pa.string()),
                       "tok": pa.array([], type=pa.string()),
@@ -1454,8 +1449,8 @@ def user_activity_quartiles(sf_dir: str) -> pa.Table:
     agg = combine_agg(counts, ["bucket"], bucket,
                       [("n", "count"), ("n", "min"), ("n", "max"),
                        ("n", "sum")],
-                      _named("bucket", "n_users", "min_events",
-                             "max_events", "sum_events"))
+                      named("bucket", "n_users", "min_events",
+                            "max_events", "sum_events"))
 
     out = agg.to_pandas().sort_values("bucket").reset_index(drop=True)
     return pa.table({
@@ -1506,7 +1501,7 @@ def label_centroids(sf_dir: str) -> "ray.data.Dataset":
     return combine_agg(ds, ["label", "dim"],
                        lambda t: _label_dim_units(t, 1e6),
                        [("units", "count"), ("units", "sum")],
-                       _named("label", "dim", "n_vecs", "sum_units"))
+                       named("label", "dim", "n_vecs", "sum_units"))
 
 
 def _label_dim_units(t: pa.Table, scale: float) -> pa.Table:
@@ -1582,7 +1577,7 @@ def embedding_covariance_topk(sf_dir: str, k: int = 20) -> pa.Table:
                          "s": pa.array(s)})
 
     agg = combine_agg(ds, ["di", "dj"], partials, [("s", "sum")],
-                      _named("di", "dj", "s")).to_pandas()
+                      named("di", "dj", "s")).to_pandas()
     di = agg["di"].to_numpy(dtype=np.int64)
     dj = agg["dj"].to_numpy(dtype=np.int64)
     s = agg["s"].to_numpy(dtype=np.int64)
@@ -1716,8 +1711,8 @@ def redact_props_stats(sf_dir: str) -> "ray.data.Dataset":
     return combine_agg(ds, ["event_type"], measures,
                        [("nm", "count"), ("nm", "sum"), ("lb", "sum"),
                         ("la", "sum")],
-                       _named("event_type", "n_events", "n_matches",
-                              "len_before", "len_after"))
+                       named("event_type", "n_events", "n_matches",
+                             "len_before", "len_after"))
 
 
 REDACT_PROPS_SQL = """
@@ -1807,7 +1802,7 @@ def curated_corpus_stats(sf_dir: str, min_quality: float = 0.8,
     agg = combine_agg(joined, ["lang"], lambda t: t,
                       [("tokens", "count"), ("tokens", "sum"),
                        ("n_chars", "sum")],
-                      _named("lang", "n_docs", "sum_tokens", "sum_chars"))
+                      named("lang", "n_docs", "sum_tokens", "sum_chars"))
     out = agg.to_pandas().sort_values("lang").reset_index(drop=True)
     return pa.table({
         "lang": pa.array(out["lang"], type=pa.string()),
@@ -1839,8 +1834,8 @@ def value_hour_sufficient_stats(sf_dir: str) -> "ray.data.Dataset":
     return combine_agg(ds, ["event_type"], moments,
                        [("x", "count"), ("x", "sum"), ("y", "sum"),
                         ("xy", "sum"), ("x2", "sum"), ("y2", "sum")],
-                       _named("event_type", "n", "sum_x", "sum_y", "sum_xy",
-                              "sum_x2", "sum_y2"))
+                       named("event_type", "n", "sum_x", "sum_y", "sum_xy",
+                             "sum_x2", "sum_y2"))
 
 
 VALUE_HOUR_STATS_SQL = """
@@ -1924,10 +1919,8 @@ def validation_report(sf_dir: str) -> pa.Table:
                    ["o_orderkey", "o_custkey", "o_totalprice"])
     customers = _read(sf_dir, "customer", ["c_custkey"])
 
-    cust_keys = np.sort(np.concatenate([
-        ray.get(r)["c_custkey"].to_numpy(zero_copy_only=False)
-        for r in customers.to_arrow_refs()
-    ]).astype(np.int64))
+    cust_keys = np.sort(collect(customers)["c_custkey"].to_numpy(
+        zero_copy_only=False).astype(np.int64))
     keys_ref = ray.put(cust_keys)
 
     def checks(names, *flags) -> pa.Table:
@@ -1961,7 +1954,7 @@ def validation_report(sf_dir: str) -> pa.Table:
         orders.map_batches(order_checks, batch_format="pyarrow",
                            zero_copy_batch=True).union(dup),
         ["check_name"], lambda t: t, [("bad", "count"), ("bad", "sum")],
-        _named("check_name", "n_checked", "n_violations")).to_pandas()
+        named("check_name", "n_checked", "n_violations")).to_pandas()
         .sort_values("check_name").reset_index(drop=True))
     return pa.table({
         "check_name": pa.array(out["check_name"], type=pa.string()),
@@ -2100,14 +2093,12 @@ def returned_revenue_top_customers(sf_dir: str, k: int = 20) -> pa.Table:
         .union(per_order.map_batches(l_tagged, batch_format="pyarrow")),
         ["key"], fit_partitions(16), join_fold, pc_empty),
         ["o_custkey"], lambda t: t, [("rev", "sum")],
-        _named("o_custkey", "revenue_units"))
+        named("o_custkey", "revenue_units"))
 
     # broadcast dimension lookups (customer, nation are the small sides)
-    cust = pa.concat_tables([ray.get(r) for r in _read(
-        sf_dir, "customer",
-        ["c_custkey", "c_name", "c_nationkey"]).to_arrow_refs()])
-    nat = pa.concat_tables([ray.get(r) for r in _read(
-        sf_dir, "nation", ["n_nationkey", "n_name"]).to_arrow_refs()])
+    cust = collect(_read(sf_dir, "customer",
+                         ["c_custkey", "c_name", "c_nationkey"]))
+    nat = collect(_read(sf_dir, "nation", ["n_nationkey", "n_name"]))
     ck = cust["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     order_c = np.argsort(ck)
     nk = nat["n_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2441,8 +2432,8 @@ def cube_pricing(sf_dir: str) -> pa.Table:
     fine = combine_agg(ds, ["flag", "status"], cents,
                        [("qty_c", "count"), ("qty_c", "sum"),
                         ("price_c", "sum")],
-                       _named("flag", "status", "n", "sum_qty_c",
-                              "sum_price_c")).to_pandas()
+                       named("flag", "status", "n", "sum_qty_c",
+                             "sum_price_c")).to_pandas()
 
     import pandas as pd
     levels = [fine]
@@ -2504,7 +2495,7 @@ def hour_entropy_by_type(sf_dir: str) -> pa.Table:
                          "hr": (us // np.int64(3_600_000_000)) % 24})
 
     hist = combine_agg(ds, ["event_type", "hr"], hours, [("hr", "count")],
-                       _named("event_type", "hr", "cnt")).to_pandas()
+                       named("event_type", "hr", "cnt")).to_pandas()
 
     rows = []
     for etype, grp in hist.groupby("event_type"):
@@ -2565,7 +2556,7 @@ def user_churn_sets(sf_dir: str,
 
     flags = combine_agg(ds, ["user_id"], presence,
                         [("in1", "max"), ("in2", "max")],
-                        _named("user_id", "in1", "in2"))
+                        named("user_id", "in1", "in2"))
 
     def classify(t: pa.Table) -> pa.Table:
         in1 = t["in1"].to_numpy(zero_copy_only=False)
@@ -2574,7 +2565,7 @@ def user_churn_sets(sf_dir: str,
             in1 & in2, "retained", np.where(in1 == 1, "churned", "new"))})
 
     return combine_agg(flags, ["status"], classify, [("status", "count")],
-                       _named("status", "n_users"))
+                       named("status", "n_users"))
 
 
 USER_CHURN_SQL = """
@@ -2976,7 +2967,7 @@ def bucketed_join_rollup(sf_dir: str, n_buckets: int = 8,
         BucketJoin, batch_format="pyarrow", concurrency=2)
     agg = (combine_agg(joined, ["nationkey"], lambda t: t,
                        [("value_c", "count"), ("value_c", "sum")],
-                       _named("nationkey", "n_events", "sum_value_c"))
+                       named("nationkey", "n_events", "sum_value_c"))
            .to_pandas().sort_values("nationkey").reset_index(drop=True))
     return pa.table({
         "nationkey": pa.array(agg["nationkey"].astype("int64")),
@@ -3086,7 +3077,7 @@ def upsert_compaction(sf_dir: str) -> pa.Table:
                                     fit_partitions(16), merge_part, m_empty),
                        ["nat"], lambda t: t,
                        [("bal_c", "count"), ("bal_c", "sum")],
-                       _named("nat", "n", "bal_c"))
+                       named("nat", "n", "bal_c"))
            .to_pandas().sort_values("nat").reset_index(drop=True))
     return pa.table({
         "nationkey": pa.array(agg["nat"].astype("int64")),
@@ -3164,7 +3155,7 @@ def day_pruned_window_stats(sf_dir: str, day_lo: str = "2024-01-10",
     agg = (combine_agg(window, ["event_type"],
                        lambda t: t.select(["event_type", "value_c"]),
                        [("value_c", "count"), ("value_c", "sum")],
-                       _named("event_type", "n_events", "sum_value_c"))
+                       named("event_type", "n_events", "sum_value_c"))
            .to_pandas().sort_values("event_type").reset_index(drop=True))
     return pa.table({
         "event_type": pa.array(agg["event_type"], type=pa.string()),
@@ -3204,7 +3195,7 @@ def events_hourly_gapfill(sf_dir: str) -> pa.Table:
                          "hr": us // np.int64(3_600_000_000)})
 
     counts = combine_agg(ds, ["event_type", "hr"], bucket, [("hr", "count")],
-                         _named("event_type", "hr", "n")).to_pandas()
+                         named("event_type", "hr", "n")).to_pandas()
 
     import pandas as pd
     lo, hi = int(counts["hr"].min()), int(counts["hr"].max())
@@ -3270,7 +3261,7 @@ def pmi_bigrams_topk(sf_dir: str, k: int = 20,
                          "tok_b": flat.slice(1)}).filter(valid)
 
     agg = combine_agg(ds, ["tok_a", "tok_b"], bigrams, [("tok_b", "count")],
-                      _named("tok_a", "tok_b", "n"))
+                      named("tok_a", "tok_b", "n"))
 
     out_empty = pa.table({"tok_a": pa.array([], type=pa.string()),
                           "tok_b": pa.array([], type=pa.string()),
@@ -3457,7 +3448,7 @@ def bigram_lm_by_lang(sf_dir: str) -> pa.Table:
     agg = (combine_agg(partition_by(partials, ["fpa"], fit_partitions(16),
                                     score_partition, out_empty),
                        ["lang"], lambda t: t, [("n", "sum"), ("lp", "sum")],
-                       _named("lang", "n_bigrams", "sum_lp"))
+                       named("lang", "n_bigrams", "sum_lp"))
            .to_pandas().sort_values("lang"))
     return pa.table({
         "lang": pa.array(agg["lang"].tolist(), type=pa.string()),
@@ -3537,7 +3528,7 @@ def global_order_ranks(sf_dir: str, sample_mod: int = 997,
 
     counts = combine_agg(rows, ["b"],
                          lambda t: add_bucket(t).select(["b"]),
-                         [("b", "count")], _named("b", "n")).to_pandas()
+                         [("b", "count")], named("b", "n")).to_pandas()
     per_bucket = np.zeros(nb, dtype=np.int64)
     per_bucket[counts["b"].to_numpy()] = counts["n"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(per_bucket)[:-1]))
@@ -3606,7 +3597,7 @@ def nearest_centroid_confusion(sf_dir: str) -> "ray.data.Dataset":
     cent_tbl = combine_agg(ds, ["label", "dim"],
                            lambda t: _label_dim_units(t, 1000.0),
                            [("units", "count"), ("units", "sum")],
-                           _named("label", "dim", "n", "s")).to_pandas()
+                           named("label", "dim", "n", "s")).to_pandas()
     labels = np.sort(cent_tbl["label"].unique()).astype(np.int64)
     n_dim = int(cent_tbl["dim"].max()) + 1
     lpos = {int(l): i for i, l in enumerate(labels)}
@@ -3640,7 +3631,7 @@ def nearest_centroid_confusion(sf_dir: str) -> "ray.data.Dataset":
 
     return combine_agg(ds, ["label", "pred"], assign,
                        [("d2", "count"), ("d2", "sum")],
-                       _named("label", "pred", "n", "sum_d2")
+                       named("label", "pred", "n", "sum_d2")
                        ).sort(["label", "pred"])
 
 
@@ -3959,7 +3950,7 @@ def compact_small_files_stats(sf_dir: str, n_fragments: int = 64,
     comp = ray.data.read_parquet(f"{root}/compacted")
     return combine_agg(comp, ["event_type"], lambda t: t,
                        [("val_c", "count"), ("val_c", "sum")],
-                       _named("event_type", "n_events", "sum_value_cents")
+                       named("event_type", "n_events", "sum_value_cents")
                        ).sort("event_type")
 
 
@@ -3991,7 +3982,7 @@ def zscore_outlier_counts(sf_dir: str, k_sigma: int = 3) -> "ray.data.Dataset":
 
     mom = combine_agg(ev, ["event_type"], moments,
                       [("c", "count"), ("c", "sum"), ("c2", "sum")],
-                      _named("event_type", "n", "s", "q")).to_pandas()
+                      named("event_type", "n", "s", "q")).to_pandas()
     stats = {r.event_type: (int(r.n), int(r.s), int(r.q))
              for r in mom.itertuples()}
     stats_ref = ray.put(stats)
@@ -4012,7 +4003,7 @@ def zscore_outlier_counts(sf_dir: str, k_sigma: int = 3) -> "ray.data.Dataset":
 
     return combine_agg(ev, ["event_type"], flag_partial,
                        [("out", "count"), ("out", "sum")],
-                       _named("event_type", "n_events", "n_outliers")
+                       named("event_type", "n_events", "n_outliers")
                        ).sort("event_type")
 
 
@@ -4151,7 +4142,7 @@ def salted_join_rollup(sf_dir: str, n_salts: int = 4) -> "ray.data.Dataset":
 
     return combine_agg(joined, ["nat"], lambda t: t,
                        [("val_c", "count"), ("val_c", "sum")],
-                       _named("nation", "n_events", "sum_value_cents")
+                       named("nation", "n_events", "sum_value_cents")
                        ).sort("nation")
 
 
@@ -4181,7 +4172,7 @@ def lang_source_chi2(sf_dir: str) -> "ray.data.Dataset":
     from ..stages.partition import partition_by
     ds = _read(sf_dir, "documents", ["lang", "source"])
     agg = combine_agg(ds, ["lang", "source"], lambda t: t,
-                      [("source", "count")], _named("lang", "source", "n"))
+                      [("source", "count")], named("lang", "source", "n"))
 
     out_empty = pa.table({"lang": pa.array([], type=pa.string()),
                           "source": pa.array([], type=pa.string()),
@@ -4365,7 +4356,7 @@ def unigram_logprob_stats(sf_dir: str) -> "ray.data.Dataset":
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     counts = combine_agg(ds, ["tok"], _tokens, [("tok", "count")],
-                         _named("tok", "n")).to_pandas()
+                         named("tok", "n")).to_pandas()
     vocab = np.asarray(counts["tok"], dtype=np.str_)
     vn = counts["n"].to_numpy().astype(np.int64)
     order = np.argsort(vocab)
@@ -4392,8 +4383,8 @@ def unigram_logprob_stats(sf_dir: str) -> "ray.data.Dataset":
 
     return combine_agg(ds, ["lang"], doc_scores,
                        [("lp", "count"), ("lp", "sum"), ("lp", "min")],
-                       _named("lang", "n_docs", "sum_logprob_micro",
-                              "min_doc_logprob_micro")).sort("lang")
+                       named("lang", "n_docs", "sum_logprob_micro",
+                             "min_doc_logprob_micro")).sort("lang")
 
 
 UNIGRAM_LOGPROB_SQL = """
@@ -4563,7 +4554,7 @@ def lineitem_unpivot_stats(sf_dir: str) -> "ray.data.Dataset":
 
     return combine_agg(ds, ["measure", "l_returnflag"], melt,
                        [("cents", "count"), ("cents", "sum")],
-                       _named("measure", "l_returnflag", "n", "sum_cents"))
+                       named("measure", "l_returnflag", "n", "sum_cents"))
 
 
 LINEITEM_UNPIVOT_SQL = """
@@ -4609,7 +4600,7 @@ def split_assign_stats(sf_dir: str) -> "ray.data.Dataset":
 
     return combine_agg(ds, ["split", "lang"], assign,
                        [("n_chars", "count"), ("n_chars", "sum")],
-                       _named("split", "lang", "n_docs", "sum_chars"))
+                       named("split", "lang", "n_docs", "sum_chars"))
 
 
 SPLIT_ASSIGN_SQL = """
@@ -4652,7 +4643,7 @@ def equi_depth_buckets(sf_dir: str, k: int = 8) -> pa.Table:
         return pa.table({"bucket": np.searchsorted(inner, v, side="left")})
 
     out = combine_agg(ds, ["bucket"], bucket, [("bucket", "count")],
-                      _named("bucket", "n")).to_pandas()  # <= k rows
+                      named("bucket", "n")).to_pandas()  # <= k rows
     n = np.zeros(k, dtype=np.int64)
     n[out["bucket"].to_numpy()] = out["n"].to_numpy()
     return pa.table({
@@ -4768,7 +4759,7 @@ def source_vocab_overlap(sf_dir: str) -> pa.Table:
                             pair_kernel, empty_pairs)
     agg = combine_agg(per_part, ["source_a", "source_b"], lambda t: t,
                       [("n_common", "sum")],
-                      _named("source_a", "source_b", "n_common"))
+                      named("source_a", "source_b", "n_common"))
     rows = agg.take_all()  # <= sources^2 rows
     totals = {r["source_a"]: int(r["n_common"]) for r in rows
               if r["source_a"] == r["source_b"]}
@@ -4967,7 +4958,7 @@ def pq_encode_stats(sf_dir: str, m: int = 4, k: int = 16) -> "ray.data.Dataset":
 
     return combine_agg(ds, ["sub", "code"], encode,
                        [("d2", "count"), ("d2", "sum")],
-                       _named("sub", "code", "n_assigned", "sum_d2")
+                       named("sub", "code", "n_assigned", "sum_d2")
                        ).sort(["sub", "code"])
 
 
@@ -5169,8 +5160,8 @@ def kmeans_iter_stats(sf_dir: str, k: int = 8) -> pa.Table:
             ds, ["cluster"], assign,
             [("inertia", "count"), ("inertia", "sum")]
             + [(f"s{j}", "sum") for j in range(d)],
-            _named("cluster", "n", "inertia",
-                   *(f"s{j}" for j in range(d)))).to_pandas()
+            named("cluster", "n", "inertia",
+                  *(f"s{j}" for j in range(d)))).to_pandas()
         # a cluster no vector chose has no row: n, inertia and sums 0
         at = res["cluster"].to_numpy()
         n = np.zeros(k, dtype=np.int64)
@@ -5287,7 +5278,7 @@ def loo_target_encoding(sf_dir: str, max_event_id: int = 500) -> "ray.data.Datas
 
     cats = combine_agg(full, ["event_type"], micro_units,
                        [("u", "sum"), ("u", "count")],
-                       _named("event_type", "s", "n")).to_pandas()
+                       named("event_type", "s", "n")).to_pandas()
     lut = {r.event_type: (int(r.s), int(r.n)) for r in cats.itertuples()}
     lut_ref = ray.put(lut)
 
@@ -5405,7 +5396,7 @@ def knn_vote_confusion(sf_dir: str, k: int = 5,
         return pa.table({"label": true, "pred": pred.astype(np.int64)})
 
     return combine_agg(src, ["label", "pred"], vote, [("pred", "count")],
-                       _named("label", "pred", "n")).sort(["label", "pred"])
+                       named("label", "pred", "n")).sort(["label", "pred"])
 
 
 KNN_VOTE_SQL = """
@@ -5587,7 +5578,7 @@ def lang_source_mi(sf_dir: str) -> pa.Table:
     ds = _read(sf_dir, "documents", ["lang", "source"])
     hist = combine_agg(ds, ["lang", "source"], lambda t: t,
                        [("source", "count")],
-                       _named("lang", "source", "cnt")).to_pandas()
+                       named("lang", "source", "cnt")).to_pandas()
     n = np.float64(hist["cnt"].sum())
     row_tot = hist.groupby("lang")["cnt"].transform("sum") \
         .to_numpy(dtype=np.float64)
@@ -5657,7 +5648,7 @@ def rendezvous_shard_stats(sf_dir: str, n_shards: int = 8) -> pa.Table:
     agg = (combine_agg(ds, ["shard"], assign,
                        [("n_chars", "count"), ("n_chars", "sum"),
                         ("moved", "sum")],
-                       _named("shard", "n_docs", "n_chars", "n_moved"))
+                       named("shard", "n_docs", "n_chars", "n_moved"))
            .to_pandas().sort_values("shard").reset_index(drop=True))
     return pa.table({
         "shard": pa.array(agg["shard"].astype(np.int64)),
@@ -5863,7 +5854,7 @@ def decayed_type_popularity(sf_dir: str) -> "ray.data.Dataset":
 
     return combine_agg(ds, ["event_type"], weight,
                        [("w", "count"), ("w", "sum")],
-                       _named("event_type", "n_events", "decayed_ppm")
+                       named("event_type", "n_events", "decayed_ppm")
                        ).sort("event_type")
 
 
@@ -5964,8 +5955,8 @@ def schema_evolution_read_stats(sf_dir: str,
     return combine_agg(unified, ["schema_ver"], flags,
                        [("has", "count"), ("has", "sum"),
                         ("value_c", "sum")],
-                       _named("schema_ver", "n_rows", "n_with_props",
-                              "sum_value_c")).sort("schema_ver")
+                       named("schema_ver", "n_rows", "n_with_props",
+                             "sum_value_c")).sort("schema_ver")
 
 
 SCHEMA_EVOLUTION_SQL = """
@@ -6021,7 +6012,7 @@ def seasonal_naive_mae(sf_dir: str) -> "ray.data.Dataset":
         feats, ["event_type", "hr"],
         lambda t: t.filter(pc.invert(t["is_test"])),
         [("value_c", "sum"), ("value_c", "count")],
-        _named("event_type", "hr", "s", "n")).to_pandas()
+        named("event_type", "hr", "s", "n")).to_pandas()
     # truncated integer means, same // semantics as the SQL
     cell = {(r.event_type, int(r.hr)): int(r.s) // int(r.n)
             for r in model.itertuples()}
@@ -6045,7 +6036,7 @@ def seasonal_naive_mae(sf_dir: str) -> "ray.data.Dataset":
 
     return combine_agg(feats, ["event_type"], score,
                        [("err", "count"), ("err", "sum")],
-                       _named("event_type", "n_test", "sum_abs_err_c")
+                       named("event_type", "n_test", "sum_abs_err_c")
                        ).sort("event_type")
 
 
@@ -6106,7 +6097,7 @@ def ab_test_arm_stats(sf_dir: str,
                         arm_of)
     agg = combine_agg(users, ["arm"], lambda t: t,
                       [("conv", "count"), ("conv", "sum")],
-                      _named("arm", "n_users", "n_converted"))
+                      named("arm", "n_users", "n_converted"))
     rows = sorted(agg.take_all(), key=lambda r: r["arm"])
     n = [int(r["n_users"]) for r in rows]
     c = [int(r["n_converted"]) for r in rows]
@@ -6277,7 +6268,7 @@ def activity_streak_stats(sf_dir: str) -> "ray.data.Dataset":
                             islands, best_empty)
     return combine_agg(per_user, ["streak_days"], lambda t: t,
                        [("streak_days", "count")],
-                       _named("streak_days", "n_users")).sort("streak_days")
+                       named("streak_days", "n_users")).sort("streak_days")
 
 
 ACTIVITY_STREAK_SQL = """
@@ -6315,7 +6306,7 @@ def prefix_autocomplete_topk(sf_dir: str, plen: int = 3,
     O(prefixes x k) final rows."""
     ds = _read(sf_dir, "documents", ["text"])
     vocab = combine_agg(ds, ["tok"], _tokens, [("tok", "count")],
-                        _named("tok", "cnt"))
+                        named("tok", "cnt"))
 
     out_empty = pa.table({"prefix": pa.array([], type=pa.string()),
                           "tok": pa.array([], type=pa.string()),
@@ -6535,7 +6526,7 @@ def local_supplier_volume(sf_dir: str,
                           out_empty)
     return combine_agg(joined, ["n_name"], lambda t: t,
                        [("rev_c", "count"), ("rev_c", "sum")],
-                       _named("n_name", "n_lines", "revenue_c")
+                       named("n_name", "n_lines", "revenue_c")
                        ).sort("n_name")
 
 
@@ -6596,7 +6587,7 @@ def revenue_gini(sf_dir: str, n_buckets: int | None = None) -> pa.Table:
 
     counts = combine_agg(rows, ["b"],
                          lambda t: add_bucket(t).select(["b"]),
-                         [("b", "count")], _named("b", "n")).to_pandas()
+                         [("b", "count")], named("b", "n")).to_pandas()
     per_bucket = np.zeros(nb, dtype=np.int64)
     per_bucket[counts["b"].to_numpy()] = counts["n"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(per_bucket)[:-1]))
@@ -6706,7 +6697,7 @@ def top_session_paths(sf_dir: str, gap_minutes: int = 30,
     partials = partition_by(prepped, ["user_id"], fit_partitions(32),
                             paths, empty)
     merged = combine_agg(partials, ["path"], lambda t: t,
-                         [("path", "count")], _named("path", "cnt"))
+                         [("path", "count")], named("path", "cnt"))
 
     out_empty = pa.table({"path": pa.array([], type=pa.string()),
                           "cnt": pa.array([], type=pa.int64()),
@@ -6773,7 +6764,7 @@ def embedding_gram_stats(sf_dir: str) -> "ray.data.Dataset":
     matrix itself."""
     ds = _read(sf_dir, "embeddings", ["embedding"])
     return combine_agg(ds, ["i", "j"], _gram_upper, [("s", "sum")],
-                       _named("i", "j", "s")).sort(["i", "j"])
+                       named("i", "j", "s")).sort(["i", "j"])
 
 
 def _gram_upper(t: pa.Table) -> pa.Table:
@@ -6827,7 +6818,7 @@ def gram_power_iteration(sf_dir: str) -> pa.Table:
     """
     ds = _read(sf_dir, "embeddings", ["embedding"])
     tri = combine_agg(ds, ["i", "j"], _gram_upper, [("s", "sum")],
-                      _named("i", "j", "s")).to_pandas()
+                      named("i", "j", "s")).to_pandas()
     d = int(tri["j"].max()) + 1
     G = [[0] * d for _ in range(d)]
     for r in tri.itertuples():
@@ -7022,7 +7013,7 @@ def bpe_pair_counts(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
         return pa.table({"code": pa.array(code[valid])})
 
     merged = combine_agg(ds, ["code"], block_pairs, [("code", "count")],
-                         _named("code", "cnt"))
+                         named("code", "cnt"))
 
     out_empty = pa.table({"pair": pa.array([], type=pa.string()),
                           "cnt": pa.array([], type=pa.int64()),
@@ -7102,10 +7093,10 @@ def dedup_normalized_stats(sf_dir: str) -> pa.Table:
                                     fingerprint64(norm)])})
 
     texts = combine_agg(ds, ["kind", "fp"], fps, [("fp", "count")],
-                        _named("kind", "fp", "cnt"))
+                        named("kind", "fp", "cnt"))
     agg = combine_agg(texts, ["kind"], lambda t: t,
                       [("cnt", "count"), ("cnt", "sum")],
-                      _named("kind", "n_distinct", "n_rows")).take_all()
+                      named("kind", "n_distinct", "n_rows")).take_all()
     by_kind = {int(r["kind"]): (int(r["n_distinct"]), int(r["n_rows"]))
                for r in agg}
     n_docs = by_kind.get(0, (0, 0))[1]
@@ -7172,8 +7163,8 @@ def jsonl_roundtrip_stats(sf_dir: str,
     return combine_agg(back, ["event_type"], typed,
                        [("value_c", "count"), ("value_c", "sum"),
                         ("event_id", "sum")],
-                       _named("event_type", "n", "sum_value_c",
-                              "sum_event_id")).sort("event_type")
+                       named("event_type", "n", "sum_value_c",
+                             "sum_event_id")).sort("event_type")
 
 
 JSONL_ROUNDTRIP_SQL = """
@@ -7199,7 +7190,7 @@ def stratified_allocation_plan(sf_dir: str, total_k: int = 100) -> pa.Table:
     ds = _read(sf_dir, "documents", ["lang", "source"])
     counts = (combine_agg(ds, ["lang", "source"], lambda t: t,
                           [("source", "count")],
-                          _named("lang", "source", "n"))
+                          named("lang", "source", "n"))
               .to_pandas().sort_values(["lang", "source"])
               .reset_index(drop=True))
     n = counts["n"].to_numpy(dtype=np.int64)
@@ -7452,7 +7443,7 @@ def feature_hashing_report(sf_dir: str, n_buckets: int = 1024) -> pa.Table:
     words = partition_by(vocab, ["fp"], fit_partitions(32),
                          word_buckets, bucket_empty)
     agg = combine_agg(words, ["bucket"], lambda t: t, [("bucket", "count")],
-                      _named("bucket", "n_words")).to_pandas()
+                      named("bucket", "n_words")).to_pandas()
     n_words = agg["n_words"].to_numpy(dtype=np.int64)
     vocab_size = int(n_words.sum())
     occupied = int((n_words > 0).sum())
@@ -7694,7 +7685,7 @@ def tukey_outlier_counts(sf_dir: str) -> pa.Table:
 
     agg = (combine_agg(rows, ["l_returnflag"], fences,
                        [("low", "count"), ("low", "sum"), ("high", "sum")],
-                       _named("l_returnflag", "n", "n_low", "n_high"))
+                       named("l_returnflag", "n", "n_low", "n_high"))
            .to_pandas().sort_values("l_returnflag")
            .reset_index(drop=True))
     return pa.table({
@@ -7758,7 +7749,7 @@ def benford_digit_audit(sf_dir: str) -> pa.Table:
             "digit": c.astype(np.str_).astype("U1").astype(np.int64)})
 
     agg = combine_agg(ds, ["digit"], first_digit, [("digit", "count")],
-                      _named("digit", "n")).to_pandas()
+                      named("digit", "n")).to_pandas()
     by = {int(r.digit): int(r.n) for r in agg.itertuples()}
     obs = [by.get(d, 0) for d in range(1, 10)]
     total = sum(obs)
@@ -7817,7 +7808,7 @@ def customer_frequency_spectrum(sf_dir: str) -> pa.Table:
                             "k": t["o_custkey_count"]}))
     agg = (combine_agg(per_user, ["kb"], lambda t: t,
                        [("k", "count"), ("k", "sum")],
-                       _named("k", "n_users", "n_events"))
+                       named("k", "n_users", "n_events"))
            .to_pandas().sort_values("k").reset_index(drop=True))
     total = int(agg["n_events"].sum())
     n1 = int(agg.loc[agg["k"] == 1, "n_events"].sum())
@@ -7885,7 +7876,7 @@ def spearman_hourly_corr(sf_dir: str) -> pa.Table:
 
     agg = combine_agg(ds, ["event_type", "h"], _event_hours,
                       [("h", "count")],
-                      _named("event_type", "h", "n")).to_pandas()
+                      named("event_type", "h", "n")).to_pandas()
     h0, h1 = int(agg["h"].min()), int(agg["h"].max())
     n_hours = h1 - h0 + 1
     types = sorted(agg["event_type"].unique())
@@ -8029,7 +8020,7 @@ def _two_sample_bins(sf_dir: str, type_a: str, type_b: str,
                          "b": pc.subtract(pa.scalar(1, pa.int64()), is_a)})
 
     agg = combine_agg(vals, ["bin"], binned, [("a", "sum"), ("b", "sum")],
-                      _named("bin", "na", "nb")).to_pandas()
+                      named("bin", "na", "nb")).to_pandas()
     na = np.zeros(n_bins, dtype=np.int64)
     nb = np.zeros(n_bins, dtype=np.int64)
     na[agg["bin"].to_numpy(dtype=np.int64)] = agg["na"]
@@ -8108,7 +8099,7 @@ def km_user_survival(sf_dir: str, horizon_hours: int = 72) -> pa.Table:
 
     per_user = combine_agg(ds, ["user_id"], prep,
                            [("f_us", "min"), ("p_us", "min")],
-                           _named("user_id", "f_us", "p_us"))
+                           named("user_id", "f_us", "p_us"))
 
     def outcome(t: pa.Table) -> pa.Table:
         f = t["f_us"].to_numpy(zero_copy_only=False)
@@ -8121,7 +8112,7 @@ def km_user_survival(sf_dir: str, horizon_hours: int = 72) -> pa.Table:
 
     agg = (combine_agg(per_user, ["h"], outcome,
                        [("death", "sum"), ("cens", "sum")],
-                       _named("h", "n_deaths", "n_cens"))
+                       named("h", "n_deaths", "n_cens"))
            .to_pandas().sort_values("h").reset_index(drop=True))
     n_users = int((agg["n_deaths"] + agg["n_cens"]).sum())
     n_at = (agg["n_deaths"] + agg["n_cens"]).to_numpy(dtype=np.int64)
@@ -8219,7 +8210,7 @@ def theilsen_daily_trend(sf_dir: str) -> pa.Table:
                                                   pa.int64()))})
 
     agg = combine_agg(ds, ["event_type", "d"], days, [("d", "count")],
-                      _named("event_type", "d", "n")).to_pandas()
+                      named("event_type", "d", "n")).to_pandas()
     rows = []
     for ty in sorted(agg["event_type"].unique()):
         sub = agg[agg["event_type"] == ty].sort_values("d")
@@ -8308,7 +8299,7 @@ def moment_shape_by_type(sf_dir: str, n_bins: int = 1024) -> pa.Table:
 
     agg = combine_agg(vals, ["event_type", "bin"], binned,
                       [("bin", "count")],
-                      _named("event_type", "bin", "c")).to_pandas()
+                      named("event_type", "bin", "c")).to_pandas()
     import math
     rows = []
     for ty in sorted(agg["event_type"].unique()):
@@ -8412,7 +8403,7 @@ def cusum_hourly_alarms(sf_dir: str) -> pa.Table:
 
     agg = combine_agg(ds, ["event_type", "h"], _event_hours,
                       [("h", "count")],
-                      _named("event_type", "h", "n")).to_pandas()
+                      named("event_type", "h", "n")).to_pandas()
     h0, h1 = int(agg["h"].min()), int(agg["h"].max())
     nh = h1 - h0 + 1
     rows = []
@@ -8539,9 +8530,9 @@ def gopher_rules_report(sf_dir: str) -> pa.Table:
     agg = (combine_agg(ds, ["lang"], rules,
                        [("ok", "count"), ("f1", "sum"), ("f2", "sum"),
                         ("f3", "sum"), ("f4", "sum"), ("ok", "sum")],
-                       _named("lang", "n_docs", "n_fail_wordcount",
-                              "n_fail_wordlen", "n_fail_symbol",
-                              "n_fail_stopword", "n_pass"))
+                       named("lang", "n_docs", "n_fail_wordcount",
+                             "n_fail_wordlen", "n_fail_symbol",
+                             "n_fail_stopword", "n_pass"))
            .to_pandas().sort_values("lang").reset_index(drop=True))
     return pa.table({
         "lang": pa.array(agg["lang"], type=pa.string()),
@@ -8595,7 +8586,7 @@ def vocab_growth_curve(sf_dir: str) -> pa.Table:
 
     agg = combine_agg(ds, ["token"], toks,
                       [("doc", "min"), ("doc", "count")],
-                      _named("token", "first_doc", "occ"))
+                      named("token", "first_doc", "occ"))
 
     def decile(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -8605,7 +8596,7 @@ def vocab_growth_curve(sf_dir: str) -> pa.Table:
 
     out = (combine_agg(agg, ["decile"], decile,
                        [("occ", "count"), ("occ", "sum")],
-                       _named("decile", "new_tokens", "occurrences"))
+                       named("decile", "new_tokens", "occurrences"))
            .to_pandas().sort_values("decile").reset_index(drop=True))
     nt = np.zeros(10, dtype=np.int64)
     oc = np.zeros(10, dtype=np.int64)
@@ -8663,7 +8654,7 @@ def fano_dispersion_by_type(sf_dir: str) -> pa.Table:
 
     agg = combine_agg(ds, ["event_type", "h"], _event_hours,
                       [("h", "count")],
-                      _named("event_type", "h", "n")).to_pandas()
+                      named("event_type", "h", "n")).to_pandas()
     h0, h1 = int(agg["h"].min()), int(agg["h"].max())
     nh = h1 - h0 + 1
     rows = []
@@ -8722,7 +8713,7 @@ def hhi_source_concentration(sf_dir: str) -> pa.Table:
     ds = _read(sf_dir, "documents", ["lang", "source"])
     agg = combine_agg(ds, ["lang", "source"], lambda t: t,
                       [("source", "count")],
-                      _named("lang", "source", "n")).to_pandas()
+                      named("lang", "source", "n")).to_pandas()
     rows = []
     for lang in sorted(agg["lang"].unique()):
         sub = agg[agg["lang"] == lang]
@@ -8776,7 +8767,7 @@ def eb_shrunk_user_rates(sf_dir: str, m: int = 20,
 
     per_user = combine_agg(ds, ["user_id"], prep,
                            [("p", "sum"), ("p", "count")],
-                           _named("user_id", "p", "n")).materialize()
+                           named("user_id", "p", "n")).materialize()
     tot = per_user.aggregate(Sum("p", alias_name="tp"),
                              Sum("n", alias_name="tn"))
     prior_ppm = int(tot["tp"]) * 1_000_000 // int(tot["tn"])
@@ -8853,7 +8844,7 @@ def temperature_mix_weights(sf_dir: str, temp_num: int = 7,
     import math
     ds = _read(sf_dir, "documents", ["lang"])
     agg = (combine_agg(ds, ["lang"], lambda t: t, [("lang", "count")],
-                       _named("lang", "n"))
+                       named("lang", "n"))
            .to_pandas().sort_values("lang").reset_index(drop=True))
     langs = list(agg["lang"])
     ns = [int(v) for v in agg["n"]]
@@ -9213,7 +9204,7 @@ def char_bigram_entropy_by_lang(sf_dir: str) -> pa.Table:
                          "bg": np.concatenate(keys)})
 
     model = combine_agg(ds, ["lang", "bg"], bigrams, [("bg", "count")],
-                        _named("lang", "bg", "c"))
+                        named("lang", "bg", "c"))
 
     def add_ctxkey(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "bg" not in t.column_names:
@@ -9257,11 +9248,11 @@ def char_bigram_entropy_by_lang(sf_dir: str) -> pa.Table:
         ["ctxkey"], fit_partitions(16), score_partition, empty)
     stats = combine_agg(partials, ["lang"], lambda t: t,
                         [("c", "count"), ("c", "sum"), ("code_len", "sum")],
-                        _named("lang", "distinct_bigrams", "n_bigrams",
-                               "xent_micro")).to_pandas()
+                        named("lang", "distinct_bigrams", "n_bigrams",
+                              "xent_micro")).to_pandas()
     nd = combine_agg(_read(sf_dir, "documents", ["lang"]), ["lang"],
                      lambda t: t, [("lang", "count")],
-                     _named("lang", "n_docs")).to_pandas()
+                     named("lang", "n_docs")).to_pandas()
     merged = nd.merge(stats, on="lang", how="left").fillna(0)
     merged = merged.sort_values("lang").reset_index(drop=True)
     return pa.table({
@@ -9446,7 +9437,7 @@ def dup_cluster_size_hist(sf_dir: str,
                         lambda t: pa.table({"n": t[f"{col}_count"]}))
     out = (combine_agg(sizes, ["n"], lambda t: t,
                        [("n", "count"), ("n", "sum")],
-                       _named("cluster_size", "n_clusters", "n_docs"))
+                       named("cluster_size", "n_clusters", "n_docs"))
            .to_pandas().sort_values("cluster_size"))
     return pa.table({
         "cluster_size": pa.array(out["cluster_size"].astype(np.int64)),
@@ -9497,7 +9488,7 @@ def source_similarity_matrix(sf_dir: str) -> pa.Table:
                                             pa.array(src_domain))})
 
     vec = combine_agg(ds, ["fp", "src"], tokens, [("src", "count")],
-                      _named("fp", "src", "c"))
+                      named("fp", "src", "c"))
 
     empty = pa.table({"i": pa.array([], type=pa.int64()),
                       "j": pa.array([], type=pa.int64()),
@@ -9519,7 +9510,7 @@ def source_similarity_matrix(sf_dir: str) -> pa.Table:
 
     parts = partition_by(vec, ["fp"], fit_partitions(16), gram, empty)
     g = combine_agg(parts, ["i", "j"], lambda t: t, [("v", "sum")],
-                    _named("i", "j", "v")).to_pandas()
+                    named("i", "j", "v")).to_pandas()
     full = np.zeros((n_src, n_src), dtype=np.int64)
     for _, r in g.iterrows():
         full[int(r.i), int(r.j)] = int(r.v)
@@ -9650,7 +9641,7 @@ def pinball_eval_hourly(sf_dir: str, q_num: int = 9,
 
     return combine_agg(feats, ["event_type"], score,
                        [("loss", "count"), ("loss", "sum")],
-                       _named("event_type", "n_test", "pinball_x10"))
+                       named("event_type", "n_test", "pinball_x10"))
 
 
 PINBALL_EVAL_SQL = """
@@ -9740,7 +9731,7 @@ def postings_gap_stats(sf_dir: str) -> pa.Table:
     out = partition_by(postings, ["fp"], fit_partitions(16), gaps, empty)
     res = (combine_agg(out, ["bitlen"], lambda t: t,
                        [("gap", "count"), ("gap", "sum")],
-                       _named("bitlen", "n_gaps", "sum_gaps"))
+                       named("bitlen", "n_gaps", "sum_gaps"))
            .to_pandas().sort_values("bitlen"))
     return pa.table({
         "bitlen": pa.array(res["bitlen"].astype(np.int64)),
@@ -9798,7 +9789,7 @@ def changepoint_binary_split(sf_dir: str) -> pa.Table:
                          "vc": _int_units(t["value"], 100)})
 
     h = (combine_agg(ds, ["hour"], hourly, [("vc", "sum"), ("vc", "count")],
-                     _named("hour", "s", "n"))
+                     named("hour", "s", "n"))
          .to_pandas().sort_values("hour").reset_index(drop=True))
     s = h["s"].to_numpy(dtype=np.int64)
     n = h["n"].to_numpy(dtype=np.int64)
@@ -9912,7 +9903,7 @@ def association_rules(sf_dir: str) -> pa.Table:
                        zero_copy_batch=True),
         ["user_id"], fit_partitions(32), fold_masks, empty),
         ["mask"], lambda t: t, [("mask", "count")],
-        _named("mask", "n_users")).to_pandas()
+        named("mask", "n_users")).to_pandas()
     mask_v = hist["mask"].to_numpy(dtype=np.int64)
     cnt_v = hist["n_users"].to_numpy(dtype=np.int64)
     total = int(cnt_v.sum())
@@ -9991,7 +9982,7 @@ def length_quality_corr(sf_dir: str) -> pa.Table:
     agg = (combine_agg(ds, ["lang"], moments,
                        [("sx", "count")] + [(c, "sum") for c in (
                            "sx", "sy", "sxy", "sxx", "syy")],
-                       _named("lang", "n", "sx", "sy", "sxy", "sxx", "syy"))
+                       named("lang", "n", "sx", "sy", "sxy", "sxx", "syy"))
            .to_pandas().sort_values("lang").reset_index(drop=True))
     n = agg["n"].to_numpy(np.float64)
     sx = agg["sx"].to_numpy(np.float64)
@@ -10104,7 +10095,7 @@ def hourly_autocorrelation(sf_dir: str,
                          "vc": _int_units(t["value"], 100)})
 
     h = (combine_agg(ds, ["hour"], hourly, [("vc", "sum")],
-                     _named("hour", "s"))
+                     named("hour", "s"))
          .to_pandas().sort_values("hour").reset_index(drop=True))
     hours = h["hour"].to_numpy(dtype=np.int64)
     s = h["s"].to_numpy(dtype=np.int64)
@@ -10184,7 +10175,7 @@ def k_anonymity_audit(sf_dir: str, at_risk_k: int = 5) -> pa.Table:
     ds = _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment"])
     n = combine_agg(ds, ["c_nationkey", "c_mktsegment"], lambda t: t,
                     [("c_nationkey", "count")],
-                    _named("nk", "seg", "n")).to_pandas()["n"].to_numpy()
+                    named("nk", "seg", "n")).to_pandas()["n"].to_numpy()
     risk = n < at_risk_k
     return pa.table({
         "n_classes": pa.array([len(n)], type=pa.int64()),
@@ -10249,7 +10240,7 @@ def cuped_adjusted_outcomes(sf_dir: str) -> pa.Table:
 
     per_user = combine_agg(ds, ["user_id"], pre_post,
                            [("pre", "sum"), ("post", "sum")],
-                           _named("user_id", "pre", "post"))
+                           named("user_id", "pre", "post"))
 
     def moments(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
@@ -10263,7 +10254,7 @@ def cuped_adjusted_outcomes(sf_dir: str) -> pa.Table:
     agg = (combine_agg(per_user, ["arm"], moments,
                        [("pre", "count"), ("pre", "sum"), ("post", "sum"),
                         ("pp", "sum"), ("po", "sum")],
-                       _named("arm", "n", "sp", "so", "spp", "spo"))
+                       named("arm", "n", "sp", "so", "spp", "spo"))
            .to_pandas().sort_values("arm").reset_index(drop=True))
     N = float(agg["n"].sum())
     SP = float(agg["sp"].sum())
@@ -10370,8 +10361,8 @@ def filter_threshold_grid(sf_dir: str) -> "ray.data.Dataset":
 
     return combine_agg(ds, ["min_tokens", "max_punct_per_100"], sweep,
                        [("kept", "sum"), ("chars", "sum")],
-                       _named("min_tokens", "max_punct_per_100",
-                              "kept_docs", "kept_chars"))
+                       named("min_tokens", "max_punct_per_100",
+                             "kept_docs", "kept_chars"))
 
 
 FILTER_GRID_SQL = """
@@ -10416,7 +10407,7 @@ def rolling_extrema_hourly(sf_dir: str, window: int = 24) -> pa.Table:
                          "vc": _int_units(t["value"], 100)})
 
     h = (combine_agg(ds, ["hour"], hourly, [("vc", "sum")],
-                     _named("hour", "s"))
+                     named("hour", "s"))
          .to_pandas().sort_values("hour").reset_index(drop=True))
     hours = h["hour"].to_numpy(dtype=np.int64)
     s = h["s"].to_numpy(dtype=np.int64)
@@ -10613,7 +10604,7 @@ def mann_kendall_trend(sf_dir: str) -> pa.Table:
                          "day": pa.array(us // DAY_US)})
 
     grid = (combine_agg(ds, ["event_type", "day"], daily,
-                        [("day", "count")], _named("event_type", "day", "n"))
+                        [("day", "count")], named("event_type", "day", "n"))
             .to_pandas().sort_values(["event_type", "day"]))
 
     types, s_out, n_out, var18_out, tau_out = [], [], [], [], []
@@ -10733,7 +10724,7 @@ def _flag_qty_hist(sf_dir: str, flag_a: str, flag_b: str):
         })
 
     return (combine_agg(ds, ["q"], flags, [("a", "sum"), ("b", "sum")],
-                        _named("q", "na", "nb"))
+                        named("q", "na", "nb"))
             .to_pandas().sort_values("q"))
 
 
@@ -10792,7 +10783,7 @@ def wilson_lb_types(sf_dir: str,
 
     agg = (combine_agg(ds, ["event_type"], part,
                        [("k", "count"), ("k", "sum")],
-                       _named("event_type", "n", "k"))
+                       named("event_type", "n", "k"))
            .to_pandas().sort_values("event_type"))
     n = agg["n"].to_numpy(dtype=np.float64)
     k = agg["k"].to_numpy(dtype=np.float64)
@@ -10922,7 +10913,7 @@ def ndcg_retrieval_eval(sf_dir: str,
     cand = (docs.map_batches(candidates, batch_format="pyarrow",
                              zero_copy_batch=True).to_pandas())
     rtot = (combine_agg(docs, ["ti"], rel_rows, [("rel", "sum")],
-                        _named("ti", "n_rel"))
+                        named("ti", "n_rel"))
             .to_pandas().set_index("ti")["n_rel"])
 
     rows = {c: [] for c in ("term", "n_rel", "dcg_e9", "idcg_e9",
@@ -11089,7 +11080,7 @@ def conformal_coverage(sf_dir: str, alpha: float = 0.1) -> pa.Table:
 
     agg = (combine_agg(e.filter(expr="pct >= 8"), ["event_type"], cover,
                        [("hit", "count"), ("hit", "sum")],
-                       _named("event_type", "n_test", "n_covered"))
+                       named("event_type", "n_test", "n_covered"))
            .to_pandas().sort_values("event_type"))
     nt = agg["n_test"].to_numpy(dtype=np.int64)
     nc = agg["n_covered"].to_numpy(dtype=np.int64)
@@ -11433,7 +11424,7 @@ def zipf_slope_tokens(sf_dir: str, k: int = 100) -> pa.Table:
     empty = pa.table({"tok": pa.array([], type=pa.string()),
                       "n": pa.array([], type=pa.int64())})
     freq = combine_agg(docs, ["tok"], _tokens, [("tok", "count")],
-                       _named("tok", "n"))
+                       named("tok", "n"))
 
     def prereduce(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -11622,7 +11613,7 @@ def cohens_kappa_langid(sf_dir: str) -> pa.Table:
 
     conf = combine_agg(ds, ["true_lang", "pred_lang"], predict,
                        [("pred_lang", "count")],
-                       _named("true_lang", "pred_lang", "n")).to_pandas()
+                       named("true_lang", "pred_lang", "n")).to_pandas()
     n_tot = int(conf["n"].sum())
     agree = int(conf.loc[conf["true_lang"] == conf["pred_lang"],
                          "n"].sum())
@@ -11668,7 +11659,7 @@ def haar_energy_hourly(sf_dir: str) -> pa.Table:
         return pa.table({"hour": pa.array(us // HOUR_US)})
 
     h = combine_agg(ds, ["hour"], hourly, [("hour", "count")],
-                    _named("hour", "n")).to_pandas()
+                    named("hour", "n")).to_pandas()
     hours = h["hour"].to_numpy(dtype=np.int64)
     lo = int(hours.min())
     grid = np.zeros(_HAAR_N, dtype=np.int64)
@@ -11740,7 +11731,7 @@ def runs_test_hourly(sf_dir: str) -> pa.Table:
 
     grid = combine_agg(ds, ["event_type", "h"], _event_hours,
                        [("h", "count")],
-                       _named("event_type", "hour", "n")).to_pandas()
+                       named("event_type", "hour", "n")).to_pandas()
     lo = int(grid["hour"].min())
     hi = int(grid["hour"].max())
     span = hi - lo + 1
@@ -11850,7 +11841,7 @@ def lorenz_deciles(sf_dir: str) -> pa.Table:
     f = (combine_agg(per_user, ["d"], at_or_below,
                      [("le", "sum"), ("rev_le", "sum"), ("rev", "count"),
                       ("rev", "sum")],
-                     _named("d", "n_le", "rev_le", "n", "rev"))
+                     named("d", "n_le", "rev_le", "n", "rev"))
          .to_pandas().sort_values("d"))
     tot_rev = int(f["rev"].iloc[0])
     return pa.table({
@@ -11941,7 +11932,7 @@ def brand_year_revenue(sf_dir: str) -> pa.Table:
     agg = (combine_agg(li.map_batches(Roll, batch_format="pyarrow",
                                       zero_copy_batch=True, concurrency=2),
                        ["b", "year"], lambda t: t, [("rev", "sum")],
-                       _named("b", "year", "rev"))
+                       named("b", "year", "rev"))
            .to_pandas().sort_values(["b", "year"]))
     b = agg["b"].to_numpy(dtype=np.int64)
     year = agg["year"].to_numpy(dtype=np.int64)
@@ -12045,7 +12036,7 @@ def cross_source_dup_matrix(sf_dir: str) -> pa.Table:
     pairs = combine_agg(partition_by(mems, ["h"], fit_partitions(16),
                                      expand, pair_empty),
                         ["a", "b"], lambda t: t, [("b", "count")],
-                        _named("a", "b", "n")).to_pandas()
+                        named("a", "b", "n")).to_pandas()
 
     def srcs(t: pa.Table) -> pa.Table:
         return pa.table({"source": pc.unique(
@@ -12102,7 +12093,7 @@ def vocab_coverage_curve(sf_dir: str,
     empty = pa.table({"tok": pa.array([], type=pa.string()),
                       "n": pa.array([], type=pa.int64())})
     freq = combine_agg(docs, ["tok"], _tokens, [("tok", "count")],
-                       _named("tok", "n")).materialize()
+                       named("tok", "n")).materialize()
     total = int(freq.sum("n") or 0)
     vocab_size = int(freq.count())
 
@@ -12193,7 +12184,7 @@ def rfm_segments(sf_dir: str) -> pa.Table:
     pu = combine_agg(orders, ["cust"], per_order,
                      [("last_day", "max"), ("money", "count"),
                       ("money", "sum")],
-                     _named("cust", "last_day", "freq", "money")
+                     named("cust", "last_day", "freq", "money")
                      ).materialize()
     anchor = int(pu.max("last_day"))
 
@@ -12228,7 +12219,7 @@ def rfm_segments(sf_dir: str) -> pa.Table:
                          .astype(np.int64)})
 
     agg = (combine_agg(feats, ["rfm_code"], census, [("rfm_code", "count")],
-                       _named("rfm_code", "n_users"))
+                       named("rfm_code", "n_users"))
            .to_pandas().sort_values("rfm_code"))
     return pa.table({
         "rfm_code": pa.array(agg["rfm_code"].to_numpy(dtype=np.int64)),
@@ -12311,7 +12302,7 @@ def bootstrap_mean_ci(sf_dir: str, n_resamples: int = 16) -> pa.Table:
                          "wm": w * np.repeat(m, B), "w": w})
 
     agg = (combine_agg(ds, ["b"], weighted, [("wm", "sum"), ("w", "sum")],
-                       _named("b", "wsum", "wn"))
+                       named("b", "wsum", "wn"))
            .to_pandas().sort_values("b"))
     wsum = agg["wsum"].to_numpy(dtype=np.int64)
     wn = agg["wn"].to_numpy(dtype=np.int64)
@@ -12365,7 +12356,7 @@ def ams_f2_estimate(sf_dir: str, n_estimators: int = 9) -> pa.Table:
     counts = combine_agg(
         ds, ["u"],
         lambda t: pa.table({"u": pc.cast(t["user_id"], pa.int64())}),
-        [("u", "count")], _named("u", "c"))
+        [("u", "count")], named("u", "c"))
 
     def project(t: pa.Table) -> pa.Table:
         """One row per (user, estimator)."""
@@ -12380,7 +12371,7 @@ def ams_f2_estimate(sf_dir: str, n_estimators: int = 9) -> pa.Table:
                          "z": (1 - 2 * bit) * c, "f2": c * c})
 
     agg = (combine_agg(counts, ["j"], project, [("z", "sum"), ("f2", "sum")],
-                       _named("j", "z", "f2"))
+                       named("j", "z", "f2"))
            .to_pandas().sort_values("j"))
     z = agg["z"].to_numpy(dtype=np.int64)
     exact = int(agg["f2"].iloc[0])
@@ -12437,7 +12428,7 @@ def hapax_ratio_by_source(sf_dir: str) -> pa.Table:
                                              pa.int64())}))
     agg = (combine_agg(vocab, ["source"], lambda t: t,
                        [("hapax", "sum"), ("hapax", "count")],
-                       _named("source", "hapax", "vocab"))
+                       named("source", "hapax", "vocab"))
            .to_pandas().sort_values("source"))
     hp = agg["hapax"].to_numpy(dtype=np.int64)
     vb = agg["vocab"].to_numpy(dtype=np.int64)
@@ -12480,7 +12471,7 @@ def l_diversity_audit(sf_dir: str, l_threshold: int = 3) -> pa.Table:
     ds = _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment"])
     cells = combine_agg(ds, ["c_nationkey", "c_mktsegment"], lambda t: t,
                         [("c_nationkey", "count")],
-                        _named("nk", "seg", "n")).to_pandas()
+                        named("nk", "seg", "n")).to_pandas()
     g = cells.groupby("nk").agg(n_rows=("n", "sum"),
                                 l_div=("seg", "nunique")).reset_index()
     g = g.sort_values("nk")
@@ -12592,7 +12583,7 @@ def dict_encoding_report(sf_dir: str) -> pa.Table:
                             "saving_ppm")}
     for table, col in _DICT_COLS:
         agg = combine_agg(_read(sf_dir, table, [col]), [col], lambda t: t,
-                          [(col, "count")], _named("v", "n")).to_pandas()
+                          [(col, "count")], named("v", "n")).to_pandas()
         vals = agg["v"].to_numpy()
         n = agg["n"].to_numpy(dtype=np.int64)
         lens = np.array([len(str(v).encode()) for v in vals],
@@ -12672,7 +12663,7 @@ def capture_recapture_users(sf_dir: str, type_a: str = "click",
         })
 
     per = combine_agg(ds, ["u"], seen, [("a", "max"), ("b", "max")],
-                      _named("u", "a", "b"))
+                      named("u", "a", "b"))
 
     empty = pa.table({c: pa.array([], type=pa.int64())
                       for c in ("n1", "n2", "m", "tot")})
@@ -12750,7 +12741,7 @@ def simpsons_flip_report(sf_dir: str,
 
     agg = combine_agg(ds, ["stype", "arm"], arms,
                       [("k", "count"), ("k", "sum")],
-                      _named("stype", "arm", "n", "k")).to_pandas()
+                      named("stype", "arm", "n", "k")).to_pandas()
     piv = agg.pivot_table(index="stype", columns="arm",
                           values=["n", "k"], fill_value=0,
                           aggfunc="sum")
@@ -12838,7 +12829,7 @@ def weekend_share_by_priority(sf_dir: str) -> pa.Table:
 
     agg = combine_agg(ds, ["prio", "wk"], weekend,
                       [("rev", "count"), ("rev", "sum")],
-                      _named("prio", "wk", "n", "rev")).to_pandas()
+                      named("prio", "wk", "n", "rev")).to_pandas()
     piv = agg.pivot_table(index="prio", columns="wk",
                           values=["n", "rev"], fill_value=0,
                           aggfunc="sum").sort_index()
@@ -12998,7 +12989,7 @@ def audience_overlap_matrix(sf_dir: str) -> pa.Table:
     hist = combine_agg(partition_by(pairs, ["u"], fit_partitions(16),
                                     to_mask, mask_empty),
                        ["mask"], lambda t: t, [("mask", "count")],
-                       _named("mask", "n")).to_pandas()
+                       named("mask", "n")).to_pandas()
     masks = hist["mask"].to_numpy(dtype=np.int64)
     cnts = hist["n"].to_numpy(dtype=np.int64)
     k = len(types_all)
@@ -13074,7 +13065,7 @@ def weight_ess_report(sf_dir: str) -> pa.Table:
 
     agg = (combine_agg(ds, ["event_type"], weights,
                        [("w", "count"), ("w", "sum"), ("ww", "sum")],
-                       _named("event_type", "n", "sw", "sww"))
+                       named("event_type", "n", "sw", "sww"))
            .to_pandas().sort_values("event_type"))
     n = agg["n"].to_numpy(dtype=np.int64)
     sw = agg["sw"].astype(object).to_numpy()
@@ -13131,7 +13122,7 @@ def ratio_metric_delta(sf_dir: str) -> pa.Table:
         ds, ["u"],
         lambda t: pa.table({"u": pc.cast(t["user_id"], pa.int64()),
                             "s": _int_units(t["value"], 100)}),
-        [("s", "sum"), ("s", "count")], _named("u", "s", "n"))
+        [("s", "sum"), ("s", "count")], named("u", "s", "n"))
 
     def moments(t: pa.Table) -> pa.Table:
         u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -13144,7 +13135,7 @@ def ratio_metric_delta(sf_dir: str) -> pa.Table:
     agg = (combine_agg(per, ["arm"], moments,
                        [("s", "count")] + [(c, "sum") for c in (
                            "s", "n", "s2", "n2", "sn")],
-                       _named("arm", "k", "ss", "sn", "sss", "snn", "ssn"))
+                       named("arm", "k", "ss", "sn", "sss", "snn", "ssn"))
            .to_pandas().sort_values("arm"))
     out = {c: [] for c in ("arm", "n_users", "ratio_x100",
                            "se_x100")}
@@ -13237,7 +13228,7 @@ def cochran_armitage_trend(sf_dir: str) -> pa.Table:
                          "k": pa.array((c > med).astype(np.int64))})
 
     agg = (combine_agg(e, ["prio"], above, [("k", "count"), ("k", "sum")],
-                       _named("prio", "n", "k"))
+                       named("prio", "n", "k"))
            .to_pandas().sort_values("prio"))
     # weight = leading digit of the priority label ('1-URGENT' -> 1)
     w = np.array([int(str(p)[0]) for p in agg["prio"]],
@@ -13420,7 +13411,7 @@ def order_aging_report(sf_dir: str, bucket_days: int = 30) -> pa.Table:
 
     agg = (combine_agg(e, ["status", "bucket"], aged,
                        [("rev", "count"), ("rev", "sum")],
-                       _named("status", "bucket", "n", "rev"))
+                       named("status", "bucket", "n", "rev"))
            .to_pandas().sort_values(["status", "bucket"]))
     return pa.table({
         "o_orderstatus": pa.array(agg["status"].tolist(),
@@ -13489,7 +13480,7 @@ def learned_index_audit(sf_dir: str,
     bt = rows.map_batches(bucketed, batch_format="pyarrow",
                           zero_copy_batch=True).materialize()
     counts = combine_agg(bt, ["b"], lambda t: t.select(["b"]),
-                         [("b", "count")], _named("b", "n")).to_pandas()
+                         [("b", "count")], named("b", "n")).to_pandas()
     per_bucket = np.zeros(nb, dtype=np.int64)
     per_bucket[counts["b"].to_numpy(dtype=np.int64)] = \
         counts["n"].to_numpy(dtype=np.int64)
@@ -13643,7 +13634,7 @@ def negative_sampling_audit(sf_dir: str) -> pa.Table:
                          "fn": pa.array((lab[neg] == own).astype(np.int64))})
 
     agg = (combine_agg(ds, ["label"], audit, [("fn", "count"), ("fn", "sum")],
-                       _named("label", "n", "n_false_neg"))
+                       named("label", "n", "n_false_neg"))
            .to_pandas().sort_values("label"))
     nn = agg["n"].to_numpy(dtype=np.int64)
     fn = agg["n_false_neg"].to_numpy(dtype=np.int64)
@@ -13686,7 +13677,7 @@ def lang_entropy_by_source(sf_dir: str) -> pa.Table:
     ds = _read(sf_dir, "documents", ["source", "lang"])
     agg = combine_agg(ds, ["source", "lang"], lambda t: t,
                       [("lang", "count")],
-                      _named("source", "lang", "n")).to_pandas()
+                      named("source", "lang", "n")).to_pandas()
     out = {c: [] for c in ("source", "n_docs", "n_langs",
                            "entropy_micronats")}
     for src, g in agg.groupby("source", sort=True):
@@ -13761,7 +13752,7 @@ def embedding_isotropy_report(sf_dir: str) -> pa.Table:
 
     agg = (combine_agg(ds, ["label", "dim"], components,
                        [("s", "sum"), ("s", "count"), ("qq", "sum")],
-                       _named("label", "dim", "s", "n", "qq"))
+                       named("label", "dim", "s", "n", "qq"))
            .to_pandas().sort_values(["label", "dim"]))
     out = {c: [] for c in ("label", "n", "anisotropy_ppm")}
     d_count = int(agg["dim"].max()) + 1
@@ -13906,7 +13897,7 @@ def fair_mass_by_source(sf_dir: str) -> pa.Table:
                                     out_empty),
                        ["source"], lambda t: t,
                        [("copies", "sum"), ("fair", "sum")],
-                       _named("source", "n_docs", "fair_micro"))
+                       named("source", "n_docs", "fair_micro"))
            .to_pandas().sort_values("source"))
     return pa.table({
         "source": pa.array(agg["source"].tolist(), type=pa.string()),
@@ -13996,7 +13987,7 @@ def segment_priority_cramers_v(sf_dir: str) -> pa.Table:
     agg = combine_agg(partition_by(both, ["key"], fit_partitions(16),
                                    resolve, empty),
                       ["seg", "prio"], lambda t: t, [("n", "sum")],
-                      _named("seg", "prio", "n")).to_pandas()
+                      named("seg", "prio", "n")).to_pandas()
     piv = agg.pivot_table(index="seg", columns="prio", values="n",
                           fill_value=0, aggfunc="sum")
     obs = piv.to_numpy(dtype=np.int64)
@@ -14084,7 +14075,7 @@ def median_of_means_value(sf_dir: str, k_groups: int = 15) -> pa.Table:
             "m": _int_units(t["value"], 1_000_000)})
 
     agg = (combine_agg(ds, ["g"], grouped, [("m", "sum"), ("m", "count")],
-                       _named("g", "s", "n"))
+                       named("g", "s", "n"))
            .to_pandas().sort_values("g"))
     s = agg["s"].to_numpy(dtype=np.int64)
     n = agg["n"].to_numpy(dtype=np.int64)
@@ -14137,7 +14128,7 @@ def hourweek_profile(sf_dir: str) -> pa.Table:
         return pa.table({"cell": dow * 24 + hour_abs % 24})
 
     agg = combine_agg(ds, ["cell"], cells, [("cell", "count")],
-                      _named("cell", "n")).to_pandas()
+                      named("cell", "n")).to_pandas()
     n = np.zeros(168, dtype=np.int64)
     n[agg["cell"].to_numpy(dtype=np.int64)] = \
         agg["n"].to_numpy(dtype=np.int64)
@@ -14191,7 +14182,7 @@ def lexical_sophistication_by_source(sf_dir: str) -> pa.Table:
     from ..functions.text import token_value_arrays, token_value_lookup
     docs = _read(sf_dir, "documents", ["source", "text"])
     freq = combine_agg(docs, ["tok"], _tokens, [("tok", "count")],
-                       _named("tok", "n")).to_pandas()
+                       named("tok", "n")).to_pandas()
     toks_all = freq["tok"].to_numpy()
     nf = freq["n"].to_numpy(dtype=np.int64)
     order = np.lexsort((toks_all, -nf))     # most frequent first
@@ -14209,7 +14200,7 @@ def lexical_sophistication_by_source(sf_dir: str) -> pa.Table:
 
     agg = (combine_agg(docs, ["source"], token_ranks,
                        [("rank", "sum"), ("rank", "count")],
-                       _named("source", "sum_rank", "n_tokens"))
+                       named("source", "sum_rank", "n_tokens"))
            .to_pandas().sort_values("source"))
     sr = agg["sum_rank"].to_numpy(dtype=np.int64)
     nt = agg["n_tokens"].to_numpy(dtype=np.int64)
@@ -14330,7 +14321,7 @@ def price_endings_report(sf_dir: str) -> pa.Table:
         return pa.table({"ending": cents % 100})
 
     agg = combine_agg(ds, ["ending"], ending, [("ending", "count")],
-                      _named("ending", "n")).to_pandas()
+                      named("ending", "n")).to_pandas()
     n = np.zeros(100, dtype=np.int64)
     n[agg["ending"].to_numpy(dtype=np.int64)] = \
         agg["n"].to_numpy(dtype=np.int64)
@@ -14412,7 +14403,7 @@ def bigram_lm_perplexity(sf_dir: str) -> pa.Table:
 
     counts = combine_agg(docs, ["w1", "w2"], train_bigrams,
                          [("w2", "count")],
-                         _named("w1", "w2", "n")).to_pandas()
+                         named("w1", "w2", "n")).to_pandas()
     # vocabulary = distinct SECOND tokens seen in train (the
     # prediction space); row totals per first token
     vocab = int(counts["w2"].nunique())
@@ -14667,7 +14658,7 @@ def poisson_surprise_hours(sf_dir: str, k: int = 5) -> pa.Table:
 
     grid = combine_agg(ds, ["event_type", "h"], _event_hours,
                        [("h", "count")],
-                       _named("event_type", "hour", "n")).to_pandas()
+                       named("event_type", "hour", "n")).to_pandas()
     lo = int(grid["hour"].min()); hi = int(grid["hour"].max())
     span = hi - lo + 1
     rows = {c: [] for c in ("event_type", "hour", "n",
@@ -14751,7 +14742,7 @@ def sax_motif_counts(sf_dir: str, k: int = 5) -> pa.Table:
         return pa.table({"hour": pa.array(us // HOUR_US)})
 
     h = (combine_agg(ds, ["hour"], hourly, [("hour", "count")],
-                     _named("hour", "n"))
+                     named("hour", "n"))
          .to_pandas().sort_values("hour"))
     hours = h["hour"].to_numpy(dtype=np.int64)
     lo, hi = int(hours.min()), int(hours.max())
@@ -14860,7 +14851,7 @@ def returns_rate_by_brand(sf_dir: str) -> pa.Table:
                        ["b"], lambda t: t,
                        [("ret", "count"), ("ret", "sum"), ("rev", "sum"),
                         ("rev_ret", "sum")],
-                       _named("b", "n", "n_ret", "rev", "rev_ret"))
+                       named("b", "n", "n_ret", "rev", "rev_ret"))
            .to_pandas().sort_values("b"))
     b = agg["b"].to_numpy(dtype=np.int64)
     n = agg["n"].to_numpy(dtype=np.int64)
@@ -14910,7 +14901,7 @@ def mix_anomaly_hours(sf_dir: str, k: int = 5) -> pa.Table:
 
     grid = combine_agg(ds, ["event_type", "h"], _event_hours,
                        [("h", "count")],
-                       _named("event_type", "hour", "n")).to_pandas()
+                       named("event_type", "hour", "n")).to_pandas()
     piv = grid.pivot_table(index="hour", columns="event_type",
                            values="n", fill_value=0, aggfunc="sum")
     obs = piv.to_numpy(dtype=np.int64)
@@ -15212,7 +15203,7 @@ def length_token_copula_grid(sf_dir: str) -> pa.Table:
         return pa.table({"cell": (bc * 5 + bt).astype(np.int64)})
 
     agg = combine_agg(e, ["cell"], census, [("cell", "count")],
-                      _named("cell", "n")).to_pandas()
+                      named("cell", "n")).to_pandas()
     n = np.zeros(25, dtype=np.int64)
     n[agg["cell"].to_numpy(dtype=np.int64)] = \
         agg["n"].to_numpy(dtype=np.int64)
@@ -15603,7 +15594,7 @@ def nation_share_of_region(sf_dir: str) -> pa.Table:
 
     agg = (combine_agg(sup, ["nk"], balance,
                        [("bal", "sum"), ("bal", "count")],
-                       _named("nk", "bal", "n"))
+                       named("nk", "bal", "n"))
            .to_pandas().sort_values("nk"))
     nk_arr = agg["nk"].to_numpy(dtype=np.int64)
     bal = agg["bal"].to_numpy(dtype=np.int64)
@@ -15684,7 +15675,7 @@ def youden_threshold_scan(sf_dir: str) -> pa.Table:
         })
 
     h = (combine_agg(ds, ["tc"], labeled, [("pos", "sum"), ("neg", "sum")],
-                     _named("tc", "pos", "neg"))
+                     named("tc", "pos", "neg"))
          .to_pandas().sort_values("tc"))
     tc = h["tc"].to_numpy(dtype=np.int64)
     pos = h["pos"].to_numpy(dtype=np.int64)
@@ -15856,7 +15847,7 @@ def zonemap_pruning_audit(sf_dir: str, chunk_bits: int = 12) -> pa.Table:
 
     agg = combine_agg(ds, ["chunk"], prep,
                       [("us", "min"), ("us", "max"), ("us", "count")],
-                      _named("chunk", "mn", "mx", "n")).to_pandas()
+                      named("chunk", "mn", "mx", "n")).to_pandas()
     mn = agg["mn"].to_numpy(dtype=np.int64)
     mx = agg["mx"].to_numpy(dtype=np.int64)
     nrow = agg["n"].to_numpy(dtype=np.int64)
@@ -15895,7 +15886,7 @@ def zonemap_pruning_audit(sf_dir: str, chunk_bits: int = 12) -> pa.Table:
         return pa.table({"w": w[w >= 0]})
 
     mt = combine_agg(ds, ["w"], window, [("w", "count")],
-                     _named("w", "n")).to_pandas()
+                     named("w", "n")).to_pandas()
     mrows = np.zeros(len(win_ref), dtype=np.int64)
     mrows[mt["w"].to_numpy(dtype=np.int64)] = \
         mt["n"].to_numpy(dtype=np.int64)
@@ -16181,7 +16172,7 @@ def weekday_pattern_census(sf_dir: str, k: int = 8) -> pa.Table:
                                    ["user_id"], fit_partitions(32), masks,
                                    empty),
                       ["mask"], lambda t: t, [("mask", "count")],
-                      _named("mask", "n")).to_pandas()
+                      named("mask", "n")).to_pandas()
     order = np.lexsort((agg["mask"].to_numpy(),
                         -agg["n"].to_numpy()))[:k]
     m = agg["mask"].to_numpy(dtype=np.int64)[order]
@@ -16350,7 +16341,7 @@ def session_entry_types(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
                                     empty),
                        ["event_type"], lambda t: t,
                        [("event_type", "count")],
-                       _named("event_type", "n"))
+                       named("event_type", "n"))
            .to_pandas().sort_values("event_type"))
     n = agg["n"].to_numpy(dtype=np.int64)
     tot = int(n.sum())
@@ -16397,7 +16388,7 @@ def weekly_revenue_wow(sf_dir: str) -> pa.Table:
                          "rev": _int_units(t["o_totalprice"], 100)})
 
     h = (combine_agg(ds, ["week"], weekly, [("rev", "sum")],
-                     _named("week", "rev"))
+                     named("week", "rev"))
          .to_pandas().sort_values("week"))
     weeks = h["week"].to_numpy(dtype=np.int64)
     lo, hi = int(weeks.min()), int(weeks.max())
@@ -16507,7 +16498,7 @@ def priority_mix_by_year(sf_dir: str) -> pa.Table:
             "prio": t["o_orderpriority"]})
 
     agg = (combine_agg(ds, ["year", "prio"], yearly, [("prio", "count")],
-                       _named("year", "prio", "n"))
+                       named("year", "prio", "n"))
            .to_pandas().sort_values(["year", "prio"]))
     ytot = agg.groupby("year")["n"].transform("sum").to_numpy(
         dtype=np.int64)
@@ -16552,7 +16543,7 @@ def abc_classification(sf_dir: str) -> pa.Table:
         li, ["part"],
         lambda t: pa.table({"part": pc.cast(t["l_partkey"], pa.int64()),
                             "rev": _int_units(t["l_extendedprice"], 100)}),
-        [("rev", "sum")], _named("part", "rev")).to_pandas()
+        [("rev", "sum")], named("part", "rev")).to_pandas()
     part = agg["part"].to_numpy(dtype=np.int64)
     rev = agg["rev"].to_numpy(dtype=np.int64)
     order = np.lexsort((part, -rev))
@@ -16722,7 +16713,7 @@ def daily_type_entropy(sf_dir: str) -> pa.Table:
 
     grid = combine_agg(ds, ["day", "event_type"], daily,
                        [("event_type", "count")],
-                       _named("day", "event_type", "n")).to_pandas()
+                       named("day", "event_type", "n")).to_pandas()
     out = {c: [] for c in ("day", "n_events", "entropy_micronats")}
     for day, g in grid.groupby("day", sort=True):
         c = g["n"].to_numpy(dtype=np.int64).astype(np.float64)
@@ -16792,7 +16783,7 @@ def part_rank_movers(sf_dir: str, year0: int = 1999,
         })
 
     agg = combine_agg(li, ["part", "y"], prep, [("rev", "sum")],
-                      _named("part", "y", "rev")).to_pandas()
+                      named("part", "y", "rev")).to_pandas()
     g0 = agg[agg["y"] == 0]
     g1 = agg[agg["y"] == 1]
     both = set(g0["part"]).intersection(set(g1["part"]))
@@ -16996,7 +16987,7 @@ def monthly_seasonal_index(sf_dir: str) -> pa.Table:
                          "rev": _int_units(t["o_totalprice"], 100)})
 
     agg = combine_agg(ds, ["month"], monthly, [("rev", "sum")],
-                      _named("month", "rev")).to_pandas()
+                      named("month", "rev")).to_pandas()
     rev = np.zeros(12, dtype=np.int64)
     rev[agg["month"].to_numpy(dtype=np.int64) - 1] = \
         agg["rev"].to_numpy(dtype=np.int64)
@@ -17154,7 +17145,7 @@ def discount_by_qty_bucket(sf_dir: str) -> pa.Table:
                          .astype(np.int64)})
 
     agg = combine_agg(ds, ["b"], bucketed, [("bp", "count"), ("bp", "sum")],
-                      _named("b", "n", "bp")).to_pandas()
+                      named("b", "n", "bp")).to_pandas()
     n = np.zeros(5, dtype=np.int64)
     bp = np.zeros(5, dtype=np.int64)
     n[agg["b"].to_numpy()] = agg["n"].to_numpy()
@@ -17249,7 +17240,7 @@ def incremental_daily_revenue(sf_dir: str,
     def day_agg(ds: "ray.data.Dataset", prep) -> "ray.data.Dataset":
         return combine_agg(ds, ["day_idx"], prep,
                            [("revenue_cents", "sum")],
-                           _named("day_idx", "revenue_cents"))
+                           named("day_idx", "revenue_cents"))
 
     done_marker = f"{root}/_SUCCESS"
     if not os.path.exists(done_marker):
@@ -17259,12 +17250,10 @@ def incremental_daily_revenue(sf_dir: str,
             f"{sf_dir}/orders.parquet",
             columns=["o_orderdate", "o_totalprice"],
             filter=(pads.field("o_orderdate") < cut_dt))
-        tbl = pa.concat_tables(
-            [ray.get(r) for r in day_agg(base, daily).to_arrow_refs()],
-            promote_options="default")
+        tbl = collect(day_agg(base, daily))
         os.makedirs(root, exist_ok=True)
-        _pq.write_table(
-            tbl.cast(empty.schema), f"{root}/base.parquet.tmp")
+        _pq.write_table(tbl.cast(empty.schema) if tbl.num_rows else empty,
+                        f"{root}/base.parquet.tmp")
         os.replace(f"{root}/base.parquet.tmp", f"{root}/base.parquet")
         open(done_marker, "w").close()      # atomic publish
 
@@ -17322,7 +17311,7 @@ def t_closeness_audit(sf_dir: str, n_bins: int = 8) -> pa.Table:
 
     grid = combine_agg(ds, ["lang", "source", "bin"], cells,
                        [("bin", "count")],
-                       _named("lang", "source", "bin", "c")).to_pandas()
+                       named("lang", "source", "bin", "c")).to_pandas()
     import pandas as pd
     piv = grid.pivot_table(index=["lang", "source"], columns="bin",
                            values="c", fill_value=0, aggfunc="sum")
@@ -17434,7 +17423,7 @@ def psi_drift_binned(sf_dir: str, split: str = "2024-01-16",
 
     grid = combine_agg(ds, ["event_type", "bin", "period"], cells,
                        [("period", "count")],
-                       _named("event_type", "bin", "period", "cnt")
+                       named("event_type", "bin", "period", "cnt")
                        ).to_pandas()
     import pandas as pd
     piv = grid.pivot_table(index=["event_type", "bin"],
@@ -17550,7 +17539,7 @@ def diff_in_diff_report(sf_dir: str,
 
     grid = (combine_agg(ds, ["cell"], cells,
                         [("micro", "sum"), ("micro", "count")],
-                        _named("cell", "s", "n"))
+                        named("cell", "s", "n"))
             .to_pandas().set_index("cell"))
     means = {}
     for cell in range(4):
@@ -17666,7 +17655,7 @@ def rake_keywords_topk(sf_dir: str, k: int = 15,
 
     wstats = combine_agg(ds, ["tok"], word_degrees,
                          [("deg", "count"), ("deg", "sum")],
-                         _named("tok", "freq", "deg")).to_pandas()
+                         named("tok", "freq", "deg")).to_pandas()
     ws = (wstats["deg"].to_numpy(dtype=np.int64) * 1_000_000
           // wstats["freq"].to_numpy(dtype=np.int64))
     fp_sorted, vals = token_value_arrays(
@@ -17705,7 +17694,7 @@ def rake_keywords_topk(sf_dir: str, k: int = 15,
 
     grouped = combine_agg(ds, ["phrase"], phrase_scores,
                           [("score", "count"), ("score", "max")],
-                          _named("phrase", "n_occurrences", "score_micro"))
+                          named("phrase", "n_occurrences", "score_micro"))
     out = _topk(grouped, [("score_micro", "descending"),
                           ("phrase", "ascending")], k).to_pandas()
     return pa.table({
@@ -17862,9 +17851,9 @@ def q13_custdist(sf_dir: str) -> pa.Table:
                                               pa.int64())})
 
     counts = combine_agg(orders, ["o_custkey"], non_urgent,
-                         [("o_custkey", "count")], _named("o_custkey", "n"))
+                         [("o_custkey", "count")], named("o_custkey", "n"))
     h = combine_agg(counts, ["n"], lambda t: t, [("n", "count")],
-                    _named("c_count", "custdist")).to_pandas()
+                    named("c_count", "custdist")).to_pandas()
     n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()
     cc = h["c_count"].to_numpy(dtype=np.int64)
     cd = h["custdist"].to_numpy(dtype=np.int64)
@@ -17933,7 +17922,7 @@ def q17_small_quantity_revenue(sf_dir: str,
 
     st = (combine_agg(lineitem, ["pk"], brand_rows,
                       [("sq", "sum"), ("sq", "count")],
-                      _named("pk", "sq", "cnt"))
+                      named("pk", "sq", "cnt"))
           .to_pandas().sort_values("pk"))
     tk = st["pk"].to_numpy(dtype=np.int64)
     tsq = st["sq"].to_numpy(dtype=np.int64)
@@ -18035,8 +18024,8 @@ def epoch_shuffle_stats(sf_dir: str, n_shards: int = 8) -> pa.Table:
     agg = (combine_agg(ds, ["epoch", "shard"], placements,
                        [("doc_id", "count"), ("doc_id", "sum"),
                         ("chk", "sum")],
-                       _named("epoch", "shard", "n_docs", "sum_doc_id",
-                              "hash_check"))
+                       named("epoch", "shard", "n_docs", "sum_doc_id",
+                             "hash_check"))
            .to_pandas().sort_values(["epoch", "shard"])
            .reset_index(drop=True))
     return pa.table({
@@ -18084,7 +18073,7 @@ def percentile_norm_by_source(sf_dir: str) -> pa.Table:
 
     hist = combine_agg(ds, ["lang", "n_chars"], lambda t: t,
                        [("n_chars", "count")],
-                       _named("lang", "n_chars", "c")).to_pandas()
+                       named("lang", "n_chars", "c")).to_pandas()
     langs = np.sort(hist["lang"].unique().astype(np.str_))
     lcode = np.searchsorted(langs, hist["lang"].to_numpy(dtype=np.str_))
     vals = hist["n_chars"].to_numpy(dtype=np.int64)
@@ -18127,7 +18116,7 @@ def percentile_norm_by_source(sf_dir: str) -> pa.Table:
 
     agg = (combine_agg(ds, ["source"], percent_rank,
                        [("ppm", "count"), ("ppm", "sum")],
-                       _named("source", "n_docs", "sum_pr_ppm"))
+                       named("source", "n_docs", "sum_pr_ppm"))
            .to_pandas().sort_values("source").reset_index(drop=True))
     n = agg["n_docs"].to_numpy(dtype=np.int64)
     sm = agg["sum_pr_ppm"].to_numpy(dtype=np.int64)
@@ -18173,10 +18162,10 @@ def hhh_type_user(sf_dir: str, phi_den: int = 200) -> pa.Table:
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     pairs = combine_agg(ds, ["event_type", "user_id"], lambda t: t,
                         [("user_id", "count")],
-                        _named("event_type", "user_id", "n"))
+                        named("event_type", "user_id", "n"))
     type_tot = combine_agg(pairs, ["event_type"], lambda t: t,
                            [("n", "sum")],
-                           _named("event_type", "raw")).to_pandas()
+                           named("event_type", "raw")).to_pandas()
     n_total = int(type_tot["raw"].sum())
     thresh = (n_total + phi_den - 1) // phi_den
 
@@ -18286,7 +18275,7 @@ def feature_info_gain(sf_dir: str) -> pa.Table:
         })
 
     agg = combine_agg(ds, ["feature", "val", "y"], labeled, [("y", "count")],
-                      _named("feature", "val", "y", "n")).to_pandas()
+                      named("feature", "val", "y", "n")).to_pandas()
 
     n_total = float(agg["n"].sum() / 4)  # each row counted once per feature
     # label entropy from any one feature's marginals
@@ -18391,7 +18380,7 @@ def dp_noisy_counts(sf_dir: str, eps_x1000: int = 100,
     ds = _read(sf_dir, "events", ["event_type"])
     counts = combine_agg(ds, ["event_type"], lambda t: t,
                          [("event_type", "count")],
-                         _named("event_type", "n_exact")).to_pandas()
+                         named("event_type", "n_exact")).to_pandas()
     b = 1000.0 / eps_x1000  # b = 1/eps
     from ..hashing import md5_pair_uint64
     keys = [f"{t}:{seed_tag}" for t in counts["event_type"]]
@@ -18450,7 +18439,7 @@ def huber_location_by_flag(sf_dir: str, k_cents: int = 20000,
 
     base = (combine_agg(ds, ["flag"], cents_stage,
                         [("cents", "sum"), ("cents", "count")],
-                        _named("flag", "s", "n"))
+                        named("flag", "s", "n"))
             .to_pandas().sort_values("flag"))
     flags = base["flag"].tolist()
     mu = {f: int(s) // int(n)
@@ -18478,7 +18467,7 @@ def huber_location_by_flag(sf_dir: str, k_cents: int = 20000,
 
         it = combine_agg(ds, ["flag"], wstage,
                          [("wx", "sum"), ("w", "sum")],
-                         _named("flag", "swx", "sw")).to_pandas()
+                         named("flag", "swx", "sw")).to_pandas()
         mu = {f: int(swx) // int(sw)
               for f, swx, sw in zip(it["flag"], it["swx"], it["sw"])}
 
@@ -18561,10 +18550,10 @@ def template_prefix_clusters(sf_dir: str, n_tokens: int = 2,
 
     per_src = combine_agg(ds, ["prefix", "source"], prep,
                           [("source", "count")],
-                          _named("prefix", "source", "n"))
+                          named("prefix", "source", "n"))
     agg = combine_agg(per_src, ["prefix"], lambda t: t,
                       [("n", "sum"), ("n", "count")],
-                      _named("prefix", "n_docs", "n_sources")).to_pandas()
+                      named("prefix", "n_docs", "n_sources")).to_pandas()
     agg = agg.sort_values(["n_docs", "prefix"],
                           ascending=[False, True]).head(k)
     return pa.table({
@@ -18680,7 +18669,7 @@ def doc_novelty_stats(sf_dir: str, shingle_n: int = 3) -> pa.Table:
                                        attach_df, part_empty),
                           ["doc_id", "src"], lambda t: t,
                           [("uniq", "count"), ("uniq", "sum")],
-                          _named("doc_id", "src", "n_sh", "n_uniq"))
+                          named("doc_id", "src", "n_sh", "n_uniq"))
 
     def share(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -18691,7 +18680,7 @@ def doc_novelty_stats(sf_dir: str, shingle_n: int = 3) -> pa.Table:
 
     agg = (combine_agg(per_doc, ["source"], share,
                        [("share", "sum"), ("share", "count")],
-                       _named("source", "s", "n"))
+                       named("source", "s", "n"))
            .to_pandas().sort_values("source"))
     return pa.table({
         "source": pa.array(agg["source"], type=pa.string()),

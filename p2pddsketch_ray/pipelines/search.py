@@ -22,7 +22,9 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Max, Sum
+
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg
 
 QUERY_TERMS = ("table", "value", "sort", "merge")
 
@@ -40,8 +42,7 @@ def build_inverted_index(sf_dir: str, root: str,
     once and folded to per-(doc, term) counts with a single np.unique
     over integer composites -- no per-row Python; the write shuffles
     nothing (hive partition_cols on the block's own rows)."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     nb = n_buckets
 
     empty = pa.table({"term": pa.array([], type=pa.string()),
@@ -91,8 +92,8 @@ def inverted_index_lookup(sf_dir: str, terms=QUERY_TERMS,
     the top document by (tf desc, doc_id asc).
 
     Scale shape: the lookup reads O(probed buckets / n_buckets) of the
-    index bytes; per-block partials fold matching postings to one row
-    per term (df/tf sums + a lexicographic argmax composite, all
+    index bytes; ``combine_agg`` folds each batch's matching postings to
+    one row per term (df/tf sums + a lexicographic argmax composite, all
     associative), so the exchange is O(terms x blocks)."""
     root = root or "/tmp/p2pdds_gate/inverted_index"
     shutil.rmtree(root, ignore_errors=True)
@@ -107,52 +108,30 @@ def inverted_index_lookup(sf_dir: str, terms=QUERY_TERMS,
     ds = ray.data.read_parquet(paths, columns=["term", "doc_id", "tf"])
 
     term_set = pa.array(sorted(terms), type=pa.string())
-    empty = pa.table({"term": pa.array([], type=pa.string()),
-                      "df": pa.array([], type=pa.int64()),
-                      "tf_sum": pa.array([], type=pa.int64()),
-                      "top": pa.array([], type=pa.int64())})
 
-    def partial(t: pa.Table) -> pa.Table:
-        m = pc.is_in(t["term"], value_set=term_set)
-        t = t.filter(m)
-        if t.num_rows == 0:
-            return empty
-        tf = pc.cast(t["tf"], pa.int64()).to_numpy(zero_copy_only=False)
-        did = t["doc_id"].to_numpy(zero_copy_only=False)
-        term = np.asarray(t["term"].to_pylist(), dtype=np.str_)
-        ut, inv = np.unique(term, return_inverse=True)
-        df = np.bincount(inv).astype(np.int64)
-        s = np.zeros(ut.shape[0], np.int64)
-        np.add.at(s, inv, tf)
+    def prep(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t["term"], value_set=term_set))
+        tf = pc.cast(t["tf"], pa.int64())
         # argmax composite: max tf, then min doc_id (doc_id < 2^32)
-        comp = tf * np.int64(1 << 32) - did
-        mx = np.full(ut.shape[0], np.iinfo(np.int64).min)
-        np.maximum.at(mx, inv, comp)
-        return pa.table({"term": pa.array(ut.tolist(), type=pa.string()),
-                         "df": pa.array(df), "tf_sum": pa.array(s),
-                         "top": pa.array(mx)})
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("term")
-           .aggregate(Sum("df", alias_name="df"),
-                      Sum("tf_sum", alias_name="total_tf"),
-                      Max("top", alias_name="top")))
+        top = pc.subtract(pc.multiply(tf, pa.scalar(1 << 32, pa.int64())),
+                          pc.cast(t["doc_id"], pa.int64()))
+        return pa.table({"term": t["term"], "tf": tf, "top": top})
 
     def finalize(t: pa.Table) -> pa.Table:
-        comp = pc.cast(t["top"], pa.int64()).to_numpy(
-            zero_copy_only=False)
+        comp = t["top_max"].to_numpy(zero_copy_only=False)
         top_tf = -(-comp // (1 << 32))  # ceil: doc subtraction borrows
         top_doc = top_tf * np.int64(1 << 32) - comp
         return pa.table({
             "term": t["term"],
-            "df": pc.cast(t["df"], pa.int64()),
-            "total_tf": pc.cast(t["total_tf"], pa.int64()),
+            "df": t["tf_count"],
+            "total_tf": t["tf_sum"],
             "top_doc": pa.array(top_doc),
             "top_tf": pa.array(top_tf),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow").sort("term")
+    return combine_agg(ds, ["term"], prep,
+                       [("tf", "count"), ("tf", "sum"), ("top", "max")],
+                       finalize).sort("term")
 
 
 INVERTED_INDEX_SQL = """

@@ -36,6 +36,8 @@ import ray.data
 
 from ..config import DEFAULT_BIN_LIMIT, DEFAULT_OFFSET, PRACTICAL_ALPHA
 from ..sketches.ddsketch import DDSketch
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg, named
 from ..stages.sketch_build import collect, merged_table
 
 
@@ -284,8 +286,7 @@ def hll_sliding_users(sf_dir: str, *, window_hours: int = 24,
     hours (h - W, h]."""
     from ..sketches.hll import HyperLogLog
 
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "user_id"])
+    events = read_table(sf_dir, "events", ["ts", "user_id"])
 
     from ..hashing import murmur64
     from ..sketches.hll import register_updates
@@ -342,7 +343,7 @@ def hll_sliding_users(sf_dir: str, *, window_hours: int = 24,
 
     m = 1 << p
     rows = []
-    for ref in hourly.to_arrow_refs():
+    for ref in hourly.materialize().to_arrow_refs():
         t = ray.get(ref)
         if t.num_rows == 0:
             continue
@@ -397,8 +398,7 @@ def hll_sliding_users_grouped(sf_dir: str, group_col: str = "event_type",
     from ..sketches.hll import HyperLogLog, register_updates
     from ..stages.partition import fit_partitions, partition_by
 
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "user_id", group_col])
+    events = read_table(sf_dir, "events", ["ts", "user_id", group_col])
     m = 1 << p
 
     def partials(t: pa.Table) -> pa.Table:
@@ -453,7 +453,7 @@ def hll_sliding_users_grouped(sf_dir: str, group_col: str = "event_type",
         merge_empty)
 
     per_group: dict[int, list] = {}
-    for ref in hourly.to_arrow_refs():
+    for ref in hourly.materialize().to_arrow_refs():
         t = ray.get(ref)
         if t.num_rows == 0:
             continue
@@ -523,8 +523,7 @@ def sliding_anomaly_counts(sf_dir: str, *, window_hours: int = 24,
 
     from ..sketches.ddsketch import compute_keys
 
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "value"])
+    events = read_table(sf_dir, "events", ["ts", "value"])
     win = sliding_window_quantiles(events, "ts", "value",
                                    window_hours=window_hours,
                                    quantiles=(q,), alpha=alpha,
@@ -538,18 +537,10 @@ def sliding_anomaly_counts(sf_dir: str, *, window_hours: int = 24,
     probe = DDSketch(alpha, bin_limit, 1073741824, "uniform")
     ln_gamma, offset = probe.ln_gamma, probe.offset
 
-    typed = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                  columns=["event_type", "ts", "value"])
-
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_events": pa.array([], type=pa.int64()),
-                      "n_anomalies": pa.array([], type=pa.int64())})
+    typed = read_table(sf_dir, "events", ["event_type", "ts", "value"])
 
     def flag(t: pa.Table) -> pa.Table:
-        if t["value"].null_count:
-            t = t.filter(pc.is_valid(t["value"]))
-        if t.num_rows == 0:
-            return empty
+        t = t.filter(pc.is_valid(t["value"]))
         hs, th = _ray.get(thr_ref)
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         hour = us // 3_600_000_000
@@ -558,27 +549,13 @@ def sliding_anomaly_counts(sf_dir: str, *, window_hours: int = 24,
         pos = np.searchsorted(hs, hour)
         # every event's hour has a window row by construction
         anom = k > th[pos]
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(et, return_inverse=True)
-        return pa.table({
-            "event_type": pa.array(ut, type=pa.string()),
-            "n_events": pa.array(np.bincount(inv).astype(np.int64)),
-            "n_anomalies": pa.array(np.bincount(
-                inv, weights=anom.astype(np.int64)).astype(np.int64)),
-        })
+        return pa.table({"event_type": t["event_type"],
+                         "anom": pa.array(anom.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-    agg = (typed.map_batches(flag, batch_format="pyarrow",
-                             zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("n_anomalies", alias_name="n_anomalies")))
-    out = agg.to_pandas().sort_values("event_type").reset_index(drop=True)
-    return pa.table({
-        "event_type": pa.array(out["event_type"], type=pa.string()),
-        "n_events": pa.array(out["n_events"].astype("int64")),
-        "n_anomalies": pa.array(out["n_anomalies"].astype("int64")),
-    })
+    return collect(combine_agg(
+        typed, ["event_type"], flag, [("anom", "count"), ("anom", "sum")],
+        named("event_type", "n_events", "n_anomalies"))
+    ).sort_by("event_type")
 
 
 def cms_sliding_user_est(sf_dir: str, *, window_hours: int = 24,
@@ -598,33 +575,20 @@ def cms_sliding_user_est(sf_dir: str, *, window_hours: int = 24,
     counted, exactly as a full CMS would); the hour co-partition merge
     leaves O(hours x depth x topk) rows and the driver walk holds the
     dense hours x cells int64 matrix (~hours x 40 cells).  The probe
-    set itself is the exact distributed top-k census (per-block
-    prereduce, O(users) groupby, bounded driver pull).
+    set itself is the exact distributed top-k census (O(users) grouped
+    count, per-block top-k prereduce, bounded driver pull).
 
     Window semantics match the DDSketch/HLL walks: window(h) covers
     hours (h - W, h].
     """
-    from ray.data.aggregate import Sum
-
     from ..hashing import murmur64
     from ..sketches.countmin import DEFAULT_SEEDS
     from ..stages.partition import fit_partitions, partition_by
 
     seeds = DEFAULT_SEEDS[:depth]
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "user_id"])
+    events = read_table(sf_dir, "events", ["ts", "user_id"])
 
     # exact top-k users (count desc, user_id asc), distributed census
-    cnt_empty = pa.table({"user_id": pa.array([], type=pa.int64()),
-                          "n": pa.array([], type=pa.int64())})
-
-    def user_partial(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        uk, cnts = np.unique(uid, return_counts=True)
-        return pa.table({"user_id": pa.array(uk),
-                         "n": pa.array(cnts.astype(np.int64))})
-
     def local_top(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         n = t["n"].to_numpy(zero_copy_only=False)
@@ -632,10 +596,8 @@ def cms_sliding_user_est(sf_dir: str, *, window_hours: int = 24,
         return pa.table({"user_id": pa.array(uid[order]),
                          "n": pa.array(n[order])})
 
-    per_user = (events.map_batches(user_partial,
-                                   batch_format="pyarrow",
-                                   zero_copy_batch=True)
-                .groupby("user_id").aggregate(Sum("n", alias_name="n"))
+    per_user = (combine_agg(events, ["user_id"], lambda t: t,
+                            [("user_id", "count")], named("user_id", "n"))
                 .map_batches(local_top, batch_format="pyarrow")
                 .to_pandas())
     uid = per_user["user_id"].to_numpy(dtype=np.int64)
@@ -870,19 +832,16 @@ def dgim_sliding_count_by_type(sf_dir: str,
     driver math; (3) ALL (type, rank) boundary lookups resolve in
     SHARED histogram-bisection rounds (_resolve_exact_targets with a
     group column -- one data pass per round regardless of type count);
-    (4) the exact windowed counts ride one combiner pass.  Windows are
+    (4) the exact windowed counts ride one ``combine_agg`` pass.  Windows are
     anchored at each type's own max timestamp, mirroring the global
     query's stream-end anchor.
 
     Scale shape: driver state is O(types * log N) rows; the exchanges
     are kilobyte histogram blobs and O(types * windows) count partials.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     from .quantiles import _float_order_keys, _resolve_exact_targets
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
+    ds = read_table(sf_dir, "events", ["ts", "event_type"])
 
     def us_col(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.int64()), pa.float64())
@@ -891,39 +850,20 @@ def dgim_sliding_count_by_type(sf_dir: str,
     stream = ds.map_batches(us_col, batch_format="pyarrow",
                             zero_copy_batch=True).materialize()
 
-    def block_stats(t: pa.Table) -> pa.Table:
+    def order_keys(t: pa.Table) -> pa.Table:
         v = t["us"].to_numpy(zero_copy_only=False)
-        keys = _float_order_keys(v)
-        enc = t["ty"].combine_chunks().dictionary_encode()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        uniq = enc.dictionary
-        cnt = np.bincount(codes, minlength=len(uniq))
-        kmin = np.full(len(uniq), np.iinfo(np.uint64).max,
-                       dtype=np.uint64)
-        kmax = np.zeros(len(uniq), dtype=np.uint64)
-        mxus = np.full(len(uniq), -np.inf, dtype=np.float64)
-        np.minimum.at(kmin, codes, keys)
-        np.maximum.at(kmax, codes, keys)
-        np.maximum.at(mxus, codes, v)
-        return pa.table({"ty": uniq,
-                         "cnt": pa.array(cnt, type=pa.int64()),
-                         "kmin": pa.array(kmin, type=pa.uint64()),
-                         "kmax": pa.array(kmax, type=pa.uint64()),
-                         "mx": pa.array(mxus)})
+        return pa.table({"ty": t["ty"], "us": t["us"],
+                         "k": pa.array(_float_order_keys(v),
+                                       type=pa.uint64())})
 
-    stats = (stream.map_batches(block_stats, batch_format="pyarrow",
-                                zero_copy_batch=True)
-             .groupby("ty")
-             .aggregate(Sum("cnt", alias_name="n"),
-                        Min("kmin", alias_name="kmin"),
-                        Max("kmax", alias_name="kmax"),
-                        Max("mx", alias_name="mx"))
-             .take_all())
+    stats = combine_agg(stream, ["ty"], order_keys,
+                        [("k", "count"), ("k", "min"), ("k", "max"),
+                         ("us", "max")],
+                        named("ty", "n", "kmin", "kmax", "mx")).take_all()
     stats.sort(key=lambda r: r["ty"])
 
     # driver math per type: canonical bucket state (shared helper;
-    # groupby rows always have n >= 1)
+    # grouped rows always have n >= 1)
     targets, meta = [], {}
     for row in stats:
         ty, n = row["ty"], int(row["n"])
@@ -945,7 +885,7 @@ def dgim_sliding_count_by_type(sf_dir: str,
         # targets were appended newest->oldest per type, in order
         info["newest_ts"] = by_ty[ty]
 
-    # exact windowed counts: per-block bincount partials per (type, w)
+    # exact windowed counts: one in-window flag per (event, w)
     tys = sorted(meta)
     cut = np.array([[meta[ty]["max_us"] - w * 3_600_000_000
                      for w in window_hours] for ty in tys],
@@ -956,20 +896,14 @@ def dgim_sliding_count_by_type(sf_dir: str,
         us = t["us"].to_numpy(zero_copy_only=False)
         codes = pc.index_in(t["ty"], value_set=ty_arr).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        cols = {}
-        for wi, w in enumerate(window_hours):
-            above = us > cut[codes, wi]
-            cols[f"w{w}"] = pa.array(
-                np.bincount(codes[above], minlength=len(tys)),
-                type=pa.int64())
-        return pa.table({"ty": ty_arr, **cols})
+        return pa.table({"ty": t["ty"], **{
+            f"w{w}": pa.array((us > cut[codes, wi]).astype(np.int64))
+            for wi, w in enumerate(window_hours)}})
 
-    ex = (stream.map_batches(exact_pass, batch_format="pyarrow",
-                             zero_copy_batch=True)
-          .groupby("ty")
-          .aggregate(*[Sum(f"w{w}", alias_name=f"w{w}")
-                       for w in window_hours])
-          .take_all())
+    ex = combine_agg(stream, ["ty"], exact_pass,
+                     [(f"w{w}", "sum") for w in window_hours],
+                     named("ty", *[f"w{w}" for w in window_hours])
+                     ).take_all()
     ex_by_ty = {r["ty"]: r for r in ex}
 
     out = {"event_type": [], "window_hours": [], "n_buckets": [],
@@ -1169,23 +1103,13 @@ def cms_sliding_user_est_by_type(sf_dir: str, *, window_hours: int = 24,
     grouped DGIM).  Probe sets come from one exact distributed census
     with a per-type block top-k prereduce.
     """
-    from ray.data.aggregate import Sum
-
     from ..hashing import murmur64
     from ..sketches.countmin import DEFAULT_SEEDS
     from ..stages.partition import fit_partitions, partition_by
 
     seeds = DEFAULT_SEEDS[:depth]
     dw = depth * width
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["ts", "user_id", "event_type"])
-
-    def user_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"ty": t["event_type"], "u": t["user_id"]}) \
-            .group_by(["ty", "u"]).aggregate([([], "count_all")])
-        return pa.table({"ty": g["ty"], "u": g["u"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
+    events = read_table(sf_dir, "events", ["ts", "user_id", "event_type"])
 
     def local_top(t: pa.Table) -> pa.Table:
         # per-type block top-k prereduce (run-rank arithmetic)
@@ -1206,9 +1130,10 @@ def cms_sliding_user_est_by_type(sf_dir: str, *, window_hours: int = 24,
                          "u": pa.array(u[keep]),
                          "n": pa.array(n[keep])})
 
-    census = (events.map_batches(user_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-              .groupby(["ty", "u"]).aggregate(Sum("n", alias_name="n"))
+    census = (combine_agg(
+        events, ["ty", "u"],
+        lambda t: pa.table({"ty": t["event_type"], "u": t["user_id"]}),
+        [("u", "count")], named("ty", "u", "n"))
               .map_batches(local_top, batch_format="pyarrow")
               .to_pandas())
     types = sorted(census["ty"].unique())
@@ -1288,18 +1213,14 @@ def cms_sliding_user_est_by_type(sf_dir: str, *, window_hours: int = 24,
         })
 
     # per-type hour spans (stream-end anchors per group): one tiny agg
-    from ray.data.aggregate import Max, Min
-
     def hour_partial(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64())
         return pa.table({"ty": t["event_type"],
                          "hr": pc.divide(us, pa.scalar(3_600_000_000))})
 
-    spans = (events.map_batches(hour_partial, batch_format="pyarrow",
-                                zero_copy_batch=True)
-             .groupby("ty").aggregate(Min("hr", alias_name="mn"),
-                                      Max("hr", alias_name="mx"))
-             .take_all())
+    spans = combine_agg(events, ["ty"], hour_partial,
+                        [("hr", "min"), ("hr", "max")],
+                        named("ty", "mn", "mx")).take_all()
     span_of = {r["ty"]: (int(r["mn"]), int(r["mx"])) for r in spans}
 
     sparse = partition_by(
@@ -1423,8 +1344,7 @@ def dds_decayed_value(sf_dir: str, *, halflife_hours: int = 12,
 
     from .quantiles import dds_quantiles_global
 
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "value"])
+    ev = read_table(sf_dir, "events", ["ts", "value"])
 
     def hr_col(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64())

@@ -47,7 +47,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..sources.tables import read_table
+from ..stages.combine import combine_agg, named
 from ..stages.partition import fit_partitions, partition_by
+from ..stages.sketch_build import collect
 
 
 def _as_int64(col) -> np.ndarray:
@@ -225,6 +228,60 @@ def asof_join(left_ds, right_ds, *, left_on: str, right_on: str,
     return partition_by(both, ["_key"], parts, join_partition, empty)
 
 
+def _limbs(gap_us: np.ndarray) -> dict:
+    """Non-negative microsecond gaps as two limbs, whole seconds (``s``)
+    and the microsecond remainder (``r``): each limb's GLOBAL sum stays
+    in int64 where one microsecond sum does not (the sf1-regime
+    overflow)."""
+    return {"s": pa.array(gap_us // 1_000_000),
+            "r": pa.array(gap_us % 1_000_000)}
+
+
+def _gap_totals(t: pa.Table, gap: str) -> dict:
+    """``sum_{gap}_s`` and ``{gap}_rem_us`` (0..999999) from the merged
+    limb sums ``s_sum`` and ``r_sum``: one carry normalization recovers
+    the exact total.  Both limbs sum non-negative terms, so a negative
+    one is a sum that wrapped past 2^63."""
+    s = t["s_sum"].to_numpy(zero_copy_only=False)
+    r = t["r_sum"].to_numpy(zero_copy_only=False)
+    if (s < 0).any() or (r < 0).any():
+        raise OverflowError(f"{gap} limb sum wrapped past int64")
+    return {f"sum_{gap}_s": pa.array(s + r // 1_000_000),
+            f"{gap}_rem_us": pa.array(r % 1_000_000)}
+
+
+def _matched_limbs(t: pa.Table) -> pa.Table:
+    """One row per matched as-of pair of ``t``: its (event_type,
+    o_orderpriority), the order's integer cents and the limbs of
+    ts - o_orderdate."""
+    t = t.filter(t["_matched"])  # matched rows only: no nulls remain
+    price = t["o_totalprice"].to_numpy(zero_copy_only=False)
+    return pa.table({
+        "event_type": t["event_type"],
+        "o_orderpriority": t["o_orderpriority"],
+        "cents": pa.array(np.floor(price * 100.0 + 0.5).astype(np.int64)),
+        **_limbs(_as_int64(t["ts"]) - _as_int64(t["o_orderdate"]))})
+
+
+def _asof_rollup(joined, gap: str) -> "ray.data.Dataset":
+    """Per (event_type, o_orderpriority) of an as-of join's matched
+    rows: n, sum_price_cents, and the total gap as ``sum_{gap}_s`` plus
+    ``{gap}_rem_us``."""
+    def finalize(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "event_type": t["event_type"],
+            "o_orderpriority": t["o_orderpriority"],
+            "n": t["cents_count"],
+            "sum_price_cents": t["cents_sum"],
+            **_gap_totals(t, gap),
+        })
+
+    return combine_agg(joined, ["event_type", "o_orderpriority"],
+                       _matched_limbs,
+                       [("cents", "count"), ("cents", "sum"),
+                        ("s", "sum"), ("r", "sum")], finalize)
+
+
 def events_asof_orders(sf_dir: str) -> pa.Table:
     """Driver query: align every event with that user's most recent order
     at event time (inclusive), then roll up per (event_type,
@@ -247,12 +304,10 @@ def events_asof_orders(sf_dir: str) -> pa.Table:
     stays in int64 up to ~9.2e12 rows.  Both limbs sum non-negative
     terms, so finalize raises on a negative limb: the sign a sum takes
     after wrapping past 2^63 once."""
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "user_id", "event_type"])
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_orderkey", "o_totalprice",
-                 "o_orderpriority"])
+    events = read_table(sf_dir, "events", ["ts", "user_id", "event_type"])
+    orders = read_table(sf_dir, "orders",
+                        ["o_custkey", "o_orderdate", "o_orderkey",
+                         "o_totalprice", "o_orderpriority"])
 
     # deterministic tie-break: one order per (custkey, orderdate), max
     # o_orderkey wins (mirrored by the oracle's row_number() CTE) --
@@ -267,64 +322,7 @@ def events_asof_orders(sf_dir: str) -> pa.Table:
                     "o_orderpriority"],
         right_tiebreak="o_orderkey")
 
-    # per-batch combiner: fold each joined batch to (type, priority)
-    # partial sums, then one tiny groupby finishes -- the shuffle moves
-    # O(types x priorities) rows per block
-    def combine(t: pa.Table) -> pa.Table:
-        t = t.filter(t["_matched"])  # matched rows only: no nulls remain
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        op = t["o_orderpriority"].to_numpy(zero_copy_only=False)
-        price = t["o_totalprice"].to_numpy(zero_copy_only=False)
-        cents = np.floor(price * 100.0 + 0.5).astype(np.int64)
-        lag = _as_int64(t["ts"]) - _as_int64(t["o_orderdate"])
-        pair = np.char.add(np.char.add(et.astype(str), "\x1f"),
-                           op.astype(str))
-        upair, inv = np.unique(pair, return_inverse=True)
-        n = np.bincount(inv, minlength=upair.shape[0]).astype(np.int64)
-        # int64 scatter-add, NOT bincount(weights=...): bincount sums in
-        # float64 and microsecond lags overflow exact-integer range 2^53
-        c = np.zeros(upair.shape[0], dtype=np.int64)
-        np.add.at(c, inv, cents)
-        # two-limb lag split: each limb's GLOBAL sum stays in int64
-        # (a single microsecond sum does not -- sf1-regime overflow)
-        lg_s = np.zeros(upair.shape[0], dtype=np.int64)
-        np.add.at(lg_s, inv, lag // 1_000_000)
-        lg_r = np.zeros(upair.shape[0], dtype=np.int64)
-        np.add.at(lg_r, inv, lag % 1_000_000)
-        parts = [p.split("\x1f") for p in upair.tolist()]
-        return pa.table({
-            "event_type": pa.array([p[0] for p in parts], type=pa.string()),
-            "o_orderpriority": pa.array([p[1] for p in parts],
-                                        type=pa.string()),
-            "n": pa.array(n), "sum_price_cents": pa.array(c),
-            "lag_s": pa.array(lg_s), "lag_r": pa.array(lg_r),
-        })
-
-    from ray.data.aggregate import Sum
-    agg = (joined
-           .map_batches(combine, batch_format="pyarrow")
-           .groupby(["event_type", "o_orderpriority"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sum_price_cents", alias_name="sum_price_cents"),
-                      Sum("lag_s", alias_name="lag_s"),
-                      Sum("lag_r", alias_name="lag_r")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        # carry normalization: exact total = lag_s * 1e6 + lag_r
-        s = t["lag_s"].to_numpy(zero_copy_only=False).astype(np.int64)
-        r = t["lag_r"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if (s < 0).any() or (r < 0).any():
-            raise OverflowError("as-of lag limb sum wrapped past int64")
-        return pa.table({
-            "event_type": t["event_type"],
-            "o_orderpriority": t["o_orderpriority"],
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_price_cents": pc.cast(t["sum_price_cents"], pa.int64()),
-            "sum_lag_s": pa.array(s + r // 1_000_000),
-            "lag_rem_us": pa.array(r % 1_000_000),
-        })
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return _asof_rollup(joined, "lag")
 
 
 EVENTS_ASOF_ORDERS_SQL = """
@@ -362,13 +360,11 @@ def orders_asof_next_event(sf_dir: str) -> pa.Table:
     as `events_asof_orders`, direction flipped; the fused tie-dedup
     keeps the MIN event_id per (user, ts) to mirror the oracle's
     row_number() ASC CTE."""
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_totalprice",
-                 "o_orderpriority"])
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "user_id",
-                                            "event_type", "event_id"])
+    orders = read_table(sf_dir, "orders",
+                        ["o_custkey", "o_orderdate", "o_totalprice",
+                         "o_orderpriority"])
+    events = read_table(sf_dir, "events",
+                        ["ts", "user_id", "event_type", "event_id"])
 
     joined = asof_join(
         orders, events, left_on="o_custkey", right_on="user_id",
@@ -378,60 +374,7 @@ def orders_asof_next_event(sf_dir: str) -> pa.Table:
         right_cols=["ts", "event_type", "event_id"],
         right_tiebreak="event_id", direction="forward")
 
-    def combine(t: pa.Table) -> pa.Table:
-        t = t.filter(t["_matched"])
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        op = t["o_orderpriority"].to_numpy(zero_copy_only=False)
-        price = t["o_totalprice"].to_numpy(zero_copy_only=False)
-        cents = np.floor(price * 100.0 + 0.5).astype(np.int64)
-        lead = _as_int64(t["ts"]) - _as_int64(t["o_orderdate"])
-        pair = np.char.add(np.char.add(et.astype(str), "\x1f"),
-                           op.astype(str))
-        upair, inv = np.unique(pair, return_inverse=True)
-        n = np.bincount(inv, minlength=upair.shape[0]).astype(np.int64)
-        c = np.zeros(upair.shape[0], dtype=np.int64)
-        np.add.at(c, inv, cents)
-        # two-limb lead split (same int64-overflow class the sf1 tier
-        # caught in events_asof_orders: one microsecond sum does not
-        # survive the 10x regime, let alone 10^12 rows)
-        lg_s = np.zeros(upair.shape[0], dtype=np.int64)
-        np.add.at(lg_s, inv, lead // 1_000_000)
-        lg_r = np.zeros(upair.shape[0], dtype=np.int64)
-        np.add.at(lg_r, inv, lead % 1_000_000)
-        parts = [p.split("\x1f") for p in upair.tolist()]
-        return pa.table({
-            "event_type": pa.array([p[0] for p in parts],
-                                   type=pa.string()),
-            "o_orderpriority": pa.array([p[1] for p in parts],
-                                        type=pa.string()),
-            "n": pa.array(n), "sum_price_cents": pa.array(c),
-            "lead_s": pa.array(lg_s), "lead_r": pa.array(lg_r),
-        })
-
-    from ray.data.aggregate import Sum
-    agg = (joined
-           .map_batches(combine, batch_format="pyarrow")
-           .groupby(["event_type", "o_orderpriority"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sum_price_cents",
-                          alias_name="sum_price_cents"),
-                      Sum("lead_s", alias_name="lead_s"),
-                      Sum("lead_r", alias_name="lead_r")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        s = t["lead_s"].to_numpy(zero_copy_only=False).astype(np.int64)
-        r = t["lead_r"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "event_type": t["event_type"],
-            "o_orderpriority": t["o_orderpriority"],
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_price_cents": pc.cast(t["sum_price_cents"],
-                                       pa.int64()),
-            "sum_lead_s": pa.array(s + r // 1_000_000),
-            "lead_rem_us": pa.array(r % 1_000_000),
-        })
-
-    out = (agg.map_batches(finalize, batch_format="pyarrow")
+    out = (_asof_rollup(joined, "lead")
            .to_pandas()
            .sort_values(["event_type", "o_orderpriority"])
            .reset_index(drop=True))
@@ -506,8 +449,8 @@ def range_join_agg(point_ds, range_ds, *, point_ts: str, value_col: str,
        ``np.searchsorted`` calls against the sorted composites plus a
        prefix-sum gather for the value sum -- no per-range Python;
     4. per-replica partials (<= 2 small rows per range) flow through one
-       ``groupby(range_key).sum`` whose shuffle moves O(ranges) 24-byte
-       rows, never the points.
+       ``combine_agg`` sum per range_key whose shuffle moves O(ranges)
+       24-byte rows, never the points.
 
     Replicas of one range live in different buckets and a bucket's points
     all satisfy ``bucket == floor(ts / W)``, so the two replica slices are
@@ -589,10 +532,9 @@ def range_join_agg(point_ds, range_ds, *, point_ts: str, value_col: str,
     parts = (num_partitions if num_partitions is not None
              else fit_partitions(32))
     partials = partition_by(both, ["_bucket"], parts, kernel, empty)
-    from ray.data.aggregate import Sum
-    return (partials.groupby(range_key)
-            .aggregate(Sum("_n", alias_name="_n"),
-                       Sum("_sum", alias_name="_sum")))
+    return combine_agg(partials, [range_key], lambda t: t,
+                       [("_n", "sum"), ("_sum", "sum")],
+                       named(range_key, "_n", "_sum"))
 
 
 def orders_event_window_stats(sf_dir: str,
@@ -601,10 +543,8 @@ def orders_event_window_stats(sf_dir: str,
     the ``window_days`` window starting at its order date and their total
     value in integer micro-units.  Exercises the interval join with LEFT
     semantics; integer sums keep the rollup merge-order-proof."""
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "value"])
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_orderkey", "o_orderdate"])
+    events = read_table(sf_dir, "events", ["ts", "value"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     agg = range_join_agg(
         events, orders, point_ts="ts", value_col="value",
         range_key="o_orderkey", range_start="o_orderdate",
@@ -649,21 +589,18 @@ def user_event_lag_stats(sf_dir: str) -> "ray.data.Dataset":
     same time-split escape hatch if a user ever outgrows a partition),
     then ONE vectorized kernel per partition: lexsort by (user, ts,
     event_id), shift-compare to find same-user predecessors, integer
-    micro-unit diffs.  Partials are (event_type, n, sum, sum) rows, so
-    the final shuffle moves O(types) rows per partition.
+    micro-unit diffs, one row per event; ``combine_agg`` sums them per
+    event_type, so the final shuffle moves O(types) rows per batch.
 
     Values are diffed in integer micro-units (exact, associative); the
     (ts, event_id) ordering makes the lag deterministic under ties.
     """
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type", "value"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type", "value"])
 
     empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_with_prev": pa.array([], type=pa.int64()),
-                      "sum_dvalue_units": pa.array([], type=pa.int64()),
-                      "gap_s": pa.array([], type=pa.int64()),
-                      "gap_r": pa.array([], type=pa.int64())})
+                      **{c: pa.array([], type=pa.int64())
+                         for c in ("prev", "du", "s", "r")}})
 
     def prep(t: pa.Table) -> pa.Table:
         units = np.floor(
@@ -690,48 +627,29 @@ def user_event_lag_stats(sf_dir: str) -> "ray.data.Dataset":
         gap = np.zeros(order.shape[0], dtype=np.int64)
         du[1:] = units_s[1:] - units_s[:-1]
         gap[1:] = ts_s[1:] - ts_s[:-1]
-        et = t["event_type"].to_numpy(zero_copy_only=False)[order]
-        ue, inv = np.unique(et, return_inverse=True)
-        n = np.zeros(ue.shape[0], dtype=np.int64)
-        np.add.at(n, inv[has_prev], 1)
-        sdu = np.zeros(ue.shape[0], dtype=np.int64)
-        np.add.at(sdu, inv[has_prev], du[has_prev])
-        # two-limb gap split (the sf1-caught int64-overflow class:
-        # one microsecond sum dies at scale; seconds + remainder don't)
-        sg_s = np.zeros(ue.shape[0], dtype=np.int64)
-        np.add.at(sg_s, inv[has_prev], gap[has_prev] // 1_000_000)
-        sg_r = np.zeros(ue.shape[0], dtype=np.int64)
-        np.add.at(sg_r, inv[has_prev], gap[has_prev] % 1_000_000)
+        du[~has_prev] = 0
+        gap[~has_prev] = 0
         return pa.table({
-            "event_type": pa.array(ue.tolist(), type=pa.string()),
-            "n_with_prev": pa.array(n),
-            "sum_dvalue_units": pa.array(sdu),
-            "gap_s": pa.array(sg_s), "gap_r": pa.array(sg_r),
-        })
+            "event_type": t["event_type"].take(pa.array(order)),
+            "prev": pa.array(has_prev.astype(np.int64)),
+            "du": pa.array(du), **_limbs(gap)})
 
     prepped = events.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
     partials = partition_by(prepped, ["user_id"], fit_partitions(32),
                             lag_kernel, empty)
-    from ray.data.aggregate import Sum
-    agg = (partials.groupby("event_type")
-           .aggregate(Sum("n_with_prev", alias_name="n_with_prev"),
-                      Sum("sum_dvalue_units", alias_name="sum_dvalue_units"),
-                      Sum("gap_s", alias_name="gap_s"),
-                      Sum("gap_r", alias_name="gap_r")))
 
     def finalize(t: pa.Table) -> pa.Table:
-        s = t["gap_s"].to_numpy(zero_copy_only=False).astype(np.int64)
-        r = t["gap_r"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
             "event_type": t["event_type"],
-            "n_with_prev": pc.cast(t["n_with_prev"], pa.int64()),
-            "sum_dvalue_units": pc.cast(t["sum_dvalue_units"], pa.int64()),
-            "sum_gap_s": pa.array(s + r // 1_000_000),
-            "gap_rem_us": pa.array(r % 1_000_000),
+            "n_with_prev": t["prev_sum"],
+            "sum_dvalue_units": t["du_sum"],
+            **_gap_totals(t, "gap"),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(partials, ["event_type"], lambda t: t,
+                       [("prev", "sum"), ("du", "sum"), ("s", "sum"),
+                        ("r", "sum")], finalize)
 
 
 USER_EVENT_LAG_SQL = """
@@ -772,9 +690,8 @@ def user_running_totals(sf_dir: str) -> "ray.data.Dataset":
     (cumsum minus the group's starting offset) -- prefix sums with
     resets, no per-user Python.  Integer micro-units keep the running
     sums exact and order-proof."""
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "value"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "value"])
 
     empty = pa.table({"event_id": pa.array([], type=pa.int64()),
                       "user_id": pa.array([], type=pa.int64()),
@@ -844,9 +761,8 @@ def user_moving_window(sf_dir: str, window: int = 4) -> "ray.data.Dataset":
     cumsum, then the windowed sum is a cumsum DIFFERENCE (inclusive
     cumsum minus the exclusive cumsum at the clamped window start) --
     no per-row loop, no per-user Python, exact int64 micro-units."""
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "value"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "value"])
 
     empty = pa.table({"event_id": pa.array([], type=pa.int64()),
                       "user_id": pa.array([], type=pa.int64()),
@@ -927,9 +843,8 @@ def user_event_sequences(sf_dir: str) -> "ray.data.Dataset":
     scatter per vocab entry (|vocab| iterations, not |rows|); the result
     column is built directly from offsets+data buffers.  No per-user
     Python, no string concatenation in a loop."""
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type"])
 
     empty = pa.table({"user_id": pa.array([], type=pa.int64()),
                       "n_events": pa.array([], type=pa.int64()),
@@ -1031,9 +946,8 @@ def funnel_counts(sf_dir: str,
     the user counts for every step whose t_k exists.  Tie-break within
     equal timestamps by event_id (the same total order the other
     ordered-window kernels use)."""
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type"])
 
     n_steps = len(steps)
     empty = pa.table({f"n_step{i + 1}": pa.array([], type=pa.int64())
@@ -1120,13 +1034,12 @@ def cohort_retention(sf_dir: str) -> "ray.data.Dataset":
     Per partition: distinct (user, week) pairs via lexsort run
     detection, per-user first week via minimum.reduceat, then each
     distinct pair emits its (cohort_week, week_offset) -- no per-user
-    Python.  Shuffle rows are bounded by cohorts x offsets."""
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "user_id"])
+    Python -- and ``combine_agg`` counts them, so shuffle rows are
+    bounded by cohorts x offsets per batch."""
+    events = read_table(sf_dir, "events", ["ts", "user_id"])
 
     empty = pa.table({"cohort_week": pa.array([], type=pa.int64()),
-                      "week_offset": pa.array([], type=pa.int64()),
-                      "n_users": pa.array([], type=pa.int64())})
+                      "week_offset": pa.array([], type=pa.int64())})
 
     def prep(t: pa.Table) -> pa.Table:
         us = pa.array(_as_int64(t["ts"]), type=pa.int64())
@@ -1149,36 +1062,26 @@ def cohort_retention(sf_dir: str) -> "ray.data.Dataset":
         starts = np.nonzero(new_grp)[0]
         counts = np.diff(np.append(starts, uid_u.shape[0]))
         first = np.repeat(np.minimum.reduceat(wk_u, starts), counts)
-        comp = first * np.int64(1 << 20) + (wk_u - first)
-        uc, cnt = np.unique(comp, return_counts=True)
         return pa.table({
-            "cohort_week": pa.array((uc >> np.int64(20))
-                                    .astype(np.int64)),
-            "week_offset": pa.array((uc & np.int64((1 << 20) - 1))
-                                    .astype(np.int64)),
-            "n_users": pa.array(cnt.astype(np.int64)),
+            "cohort_week": pa.array(first.astype(np.int64)),
+            "week_offset": pa.array((wk_u - first).astype(np.int64)),
         })
 
     prepped = events.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
     per_part = partition_by(prepped, ["user_id"], fit_partitions(32),
                             cohort_kernel, empty)
-    from ray.data.aggregate import Sum
-    agg = (per_part.groupby(["cohort_week", "week_offset"])
-           .aggregate(Sum("n_users", alias_name="n_users")))
 
     def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
         return pa.table({
-            "cohort_week": pc.multiply(
-                pc.cast(t["cohort_week"], pa.int64()),
-                pa.scalar(604_800, type=pa.int64())),
-            "week_offset": pc.cast(t["week_offset"], pa.int64()),
-            "n_users": pc.cast(t["n_users"], pa.int64()),
+            "cohort_week": pc.multiply(t["cohort_week"],
+                                       pa.scalar(604_800, type=pa.int64())),
+            "week_offset": t["week_offset"],
+            "n_users": t["week_offset_count"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(per_part, ["cohort_week", "week_offset"],
+                       lambda t: t, [("week_offset", "count")], finalize)
 
 
 COHORT_RETENTION_SQL = """
@@ -1206,8 +1109,7 @@ def active_user_counts(sf_dir: str, window_days: int = 7) -> pa.Table:
 
     Days outside the observed [min_day, max_day] range are clipped, so
     a day appears iff some user was active within its window."""
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "user_id"])
+    events = read_table(sf_dir, "events", ["ts", "user_id"])
 
     def prep(t: pa.Table) -> pa.Table:
         us = pa.array(_as_int64(t["ts"]), type=pa.int64())
@@ -1227,6 +1129,8 @@ def active_user_counts(sf_dir: str, window_days: int = 7) -> pa.Table:
                       "wau": pa.array([], type=pa.int64())})
 
     def cover_kernel(t: pa.Table) -> pa.Table:
+        # one row per distinct (user, day), flagged dau, and one per
+        # distinct (user, covered window day), flagged wau
         if t.num_rows == 0:
             return empty
         uid = t["user_id"].to_numpy(zero_copy_only=False)
@@ -1236,10 +1140,8 @@ def active_user_counts(sf_dir: str, window_days: int = 7) -> pa.Table:
         keep = np.ones(uid_s.shape[0], dtype=bool)
         keep[1:] = (uid_s[1:] != uid_s[:-1]) | (day_s[1:] != day_s[:-1])
         uid_u, day_u = uid_s[keep], day_s[keep]          # distinct pairs
-        # dau contributions: one per distinct (user, day)
-        du, dcnt = np.unique(day_u, return_counts=True)
-        # wau contributions: expand each pair to [day, day+W-1], dedup
-        # per user (two pairs of one user may cover overlapping days)
+        # wau rows: expand each pair to [day, day+W-1], dedup per user
+        # (two pairs of one user may cover overlapping days)
         W = window_days
         cov_day = (day_u[:, None]
                    + np.arange(W, dtype=np.int64)[None, :]).ravel()
@@ -1250,22 +1152,18 @@ def active_user_counts(sf_dir: str, window_days: int = 7) -> pa.Table:
         cd, cu = cov_day[order2], cov_uid[order2]
         keep2 = np.ones(cd.shape[0], dtype=bool)
         keep2[1:] = (cu[1:] != cu[:-1]) | (cd[1:] != cd[:-1])
-        wu, wcnt = np.unique(cd[keep2], return_counts=True)
-        days = np.union1d(du, wu)
-        dau = np.zeros(days.shape[0], dtype=np.int64)
-        dau[np.searchsorted(days, du)] = dcnt
-        wau = np.zeros(days.shape[0], dtype=np.int64)
-        wau[np.searchsorted(days, wu)] = wcnt
-        return pa.table({"day": pa.array(days),
-                         "dau": pa.array(dau),
-                         "wau": pa.array(wau)})
+        wd = cd[keep2]
+        is_dau = np.concatenate([np.ones(day_u.shape[0], dtype=np.int64),
+                                 np.zeros(wd.shape[0], dtype=np.int64)])
+        return pa.table({"day": pa.array(np.concatenate([day_u, wd])),
+                         "dau": pa.array(is_dau),
+                         "wau": pa.array(1 - is_dau)})
 
     per_part = partition_by(prepped, ["user_id"], fit_partitions(32),
                             cover_kernel, empty)
-    from ray.data.aggregate import Sum
-    agg = (per_part.groupby("day")
-           .aggregate(Sum("dau", alias_name="dau"),
-                      Sum("wau", alias_name="wau")))
+    agg = combine_agg(per_part, ["day"], lambda t: t,
+                      [("dau", "sum"), ("wau", "sum")],
+                      named("day", "dau", "wau"))
     out = agg.to_pandas().sort_values("day").reset_index(drop=True)
     return pa.table({
         "day_start": pa.array(out["day"].astype("int64") * 86_400),
@@ -1308,8 +1206,7 @@ def user_interval_coverage(sf_dir: str,
     dominate all previous rows, so islands can never leak across
     users.  Output is O(users), exchanged once."""
     width_us = np.int64(width_s) * np.int64(1_000_000)
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     empty = pa.table({"user_id": pa.array([], type=pa.int64()),
                       "n_islands": pa.array([], type=pa.int64()),
@@ -1388,17 +1285,15 @@ def event_transition_matrix(sf_dir: str) -> "ray.data.Dataset":
     next-event prediction features and anomaly baselines.
 
     Scale shape: same user co-partition + one lexsort kernel as the
-    lag/window family (one partition sees a user's whole history);
-    per-partition output is O(types^2) count rows, the final exchange
-    O(types^2 x partitions), and the probability is derived AFTER the
-    global sum with integer division only (order-proof)."""
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"])
+    lag/window family (one partition sees a user's whole history); each
+    consecutive pair is one row, ``combine_agg`` counts them (an
+    O(types^2 x batches) exchange), and the probability is derived
+    AFTER the global sum with integer division only (order-proof)."""
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type"])
 
     empty = pa.table({"from_type": pa.array([], type=pa.string()),
-                      "to_type": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64())})
+                      "to_type": pa.array([], type=pa.string())})
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -1414,29 +1309,19 @@ def event_transition_matrix(sf_dir: str) -> "ray.data.Dataset":
         eid = t["event_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, ts, uid))
         uid_s = uid[order]
-        et = np.asarray(t["event_type"].to_pylist(),
-                        dtype=np.str_)[order]
-        same = uid_s[1:] == uid_s[:-1]
-        if not same.any():
-            return empty
-        ue, code = np.unique(et, return_inverse=True)
-        nt = np.int64(ue.shape[0])
-        comp = code[:-1][same] * nt + code[1:][same]
-        u, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "from_type": pa.array(ue[u // nt].tolist(),
-                                  type=pa.string()),
-            "to_type": pa.array(ue[u % nt].tolist(), type=pa.string()),
-            "n": pa.array(cnt.astype(np.int64)),
-        })
+        # one row per consecutive same-user pair, in (ts, event_id) order
+        prev = order[:-1][uid_s[1:] == uid_s[:-1]]
+        nxt = order[1:][uid_s[1:] == uid_s[:-1]]
+        return pa.table({"from_type": t["event_type"].take(pa.array(prev)),
+                         "to_type": t["event_type"].take(pa.array(nxt))})
 
     prepped = events.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
     partials = partition_by(prepped, ["user_id"], fit_partitions(32),
                             pair_kernel, empty)
-    from ray.data.aggregate import Sum
-    agg = (partials.groupby(["from_type", "to_type"])
-           .aggregate(Sum("n", alias_name="n")))
+    agg = combine_agg(partials, ["from_type", "to_type"], lambda t: t,
+                      [("to_type", "count")],
+                      named("from_type", "to_type", "n"))
 
     out_empty = pa.table({"from_type": pa.array([], type=pa.string()),
                           "to_type": pa.array([], type=pa.string()),
@@ -1492,17 +1377,16 @@ def peak_concurrency_stats(sf_dir: str, dur_s: int = 60,
 
     Scale shape: the sweep's running sum is made distributed the same
     way global_order_ranks distributes row_number -- +1/-1 delta points
-    are time-bucket co-partitioned, pass 1 folds each bucket to its
-    NET delta (one O(buckets) exchange whose driver prefix gives every
-    bucket its entry offset), pass 2 sorts only within buckets and
-    emits one (local peak, first time) candidate per bucket; the
-    global answer is a max over O(buckets) candidates.  Ties are fixed
-    by ordering (t, delta) with ends before starts, so concurrency at
-    a shared boundary never double-counts."""
+    are time-bucket co-partitioned, pass 1 sums each bucket to its NET
+    delta (one O(buckets) ``combine_agg`` exchange whose driver prefix
+    gives every bucket its entry offset), pass 2 sorts only within
+    buckets and emits one (local peak, first time) candidate per bucket;
+    the global answer is a max over O(buckets) candidates.  Ties are
+    fixed by ordering (t, delta) with ends before starts, so concurrency
+    at a shared boundary never double-counts."""
     dur_us = np.int64(dur_s) * 1_000_000
     bkt_us = np.int64(bucket_s) * 1_000_000
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts"])
+    events = read_table(sf_dir, "events", ["ts"])
 
     def deltas(t: pa.Table) -> pa.Table:
         ts = _as_int64(t["ts"])
@@ -1515,8 +1399,8 @@ def peak_concurrency_stats(sf_dir: str, dur_s: int = 60,
     dl = events.map_batches(deltas, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    from ray.data.aggregate import Sum
-    net = (dl.groupby("b").aggregate(Sum("d", alias_name="net"))
+    net = (combine_agg(dl, ["b"], lambda t: t, [("d", "sum")],
+                       named("b", "net"))
            .to_pandas().sort_values("b"))
     bs = net["b"].to_numpy().astype(np.int64)
     nets = net["net"].to_numpy().astype(np.int64)
@@ -1584,18 +1468,17 @@ def session_copresence_counts(sf_dir: str,
     partition, as all session kernels here); per partition, sessions
     get ids from one cumsum and each session folds to a TYPE BITMASK
     (event-type vocabulary << 64 by construction), so pair counting is
-    a bit test per (pair, session) -- no per-session Python, no pair
-    explosion; the exchange carries O(types^2) count rows plus one
-    session-total row per partition."""
+    a bit test per (pair, session) -- no per-session Python; each
+    session emits one row per type pair it holds plus one session-total
+    row, and ``combine_agg`` counts them, so the exchange carries
+    O(types^2) count rows per batch."""
     gap_us = np.int64(gap_minutes) * 60_000_000
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type"])
 
     SENTINEL = "__sessions__"
     empty = pa.table({"type_a": pa.array([], type=pa.string()),
-                      "type_b": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64())})
+                      "type_b": pa.array([], type=pa.string())})
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -1621,29 +1504,27 @@ def session_copresence_counts(sf_dir: str,
         n_sess = int(sid[-1]) + 1 if sid.shape[0] else 0
         masks = np.zeros(n_sess, np.int64)
         np.bitwise_or.at(masks, sid, np.int64(1) << code)
-        rows_a, rows_b, rows_n = [], [], []
+        names = pa.array(list(ue) + [SENTINEL], type=pa.string())
+        # every session's sentinel row, then its pairs' rows
+        rows_a = [np.full(n_sess, ue.shape[0], dtype=np.int64)]
+        rows_b = [rows_a[0]]
         for i in range(ue.shape[0]):
             for j in range(i + 1, ue.shape[0]):   # types^2, tiny
                 both = np.int64((1 << i) | (1 << j))
                 cnt = int(((masks & both) == both).sum())
-                if cnt:
-                    rows_a.append(ue[i]); rows_b.append(ue[j])
-                    rows_n.append(cnt)
-        rows_a.append(SENTINEL); rows_b.append(SENTINEL)
-        rows_n.append(n_sess)
+                rows_a.append(np.full(cnt, i, dtype=np.int64))
+                rows_b.append(np.full(cnt, j, dtype=np.int64))
         return pa.table({
-            "type_a": pa.array(rows_a, type=pa.string()),
-            "type_b": pa.array(rows_b, type=pa.string()),
-            "n": pa.array(np.asarray(rows_n, dtype=np.int64)),
+            "type_a": names.take(pa.array(np.concatenate(rows_a))),
+            "type_b": names.take(pa.array(np.concatenate(rows_b))),
         })
 
     prepped = events.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
     partials = partition_by(prepped, ["user_id"], fit_partitions(32),
                             copresence, empty)
-    from ray.data.aggregate import Sum
-    agg = (partials.groupby(["type_a", "type_b"])
-           .aggregate(Sum("n", alias_name="n")))
+    agg = combine_agg(partials, ["type_a", "type_b"], lambda t: t,
+                      [("type_b", "count")], named("type_a", "type_b", "n"))
 
     out_empty = pa.table({"type_a": pa.array([], type=pa.string()),
                           "type_b": pa.array([], type=pa.string()),
@@ -1721,9 +1602,8 @@ def user_time_weighted_value(sf_dir: str) -> "ray.data.Dataset":
     data shape and the sum is PER USER (bounded by one user's history,
     not corpus breadth), leaving int64 ~2^28 headroom at 10^9-event
     user histories."""
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "value"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "value"])
 
     empty = pa.table({"user_id": pa.array([], type=pa.int64()),
                       "n_weighted": pa.array([], type=pa.int64()),
@@ -1809,15 +1689,12 @@ def hourly_backfill_stats(sf_dir: str, late_mod: int = 997,
     stats); the untouched rows stream straight from the materialized
     parquet.  Driver memory is O(affected hours), never O(view)."""
     import shutil
-    import ray.data
-    from ray.data.aggregate import Sum
 
     root = root or "/tmp/p2pdds_gate/backfill"
     shutil.rmtree(root, ignore_errors=True)
 
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "event_type", "value"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "event_type", "value"])
 
     empty = pa.table({"event_type": pa.array([], type=pa.string()),
                       "hour": pa.array([], type=pa.int64()),
@@ -1825,86 +1702,44 @@ def hourly_backfill_stats(sf_dir: str, late_mod: int = 997,
                       "value_cents": pa.array([], type=pa.int64())})
 
     def partials(t: pa.Table, keep: str) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+        # (event_type, hour, cents) of every event of the ``keep`` slice
         eid = t["event_id"].to_numpy(zero_copy_only=False)
         late = (eid % late_mod) == 0
         sel = late if keep == "late" else ~late
         if keep == "affected_full":
             sel = np.ones(t.num_rows, dtype=bool)
         sub = t.filter(pa.array(sel))
-        if sub.num_rows == 0:
-            return empty
-        hour = _as_int64(sub["ts"]) // 3_600_000_000
-        cents = np.floor(
-            sub["value"].to_numpy(zero_copy_only=False) * 100 + 0.5
-        ).astype(np.int64)
-        et = sub["event_type"].to_numpy(zero_copy_only=False)
-        ut, tinv = np.unique(et, return_inverse=True)
-        uh, hinv = np.unique(hour, return_inverse=True)
-        comp = tinv * np.int64(uh.size) + hinv
-        ucomp, cinv = np.unique(comp, return_inverse=True)
-        n = np.bincount(cinv, minlength=ucomp.size).astype(np.int64)
-        s = np.zeros(ucomp.size, dtype=np.int64)
-        np.add.at(s, cinv, cents)
         return pa.table({
-            "event_type": pa.array(
-                ut[ucomp // np.int64(uh.size)].tolist(), type=pa.string()),
-            "hour": pa.array(uh[ucomp % np.int64(uh.size)]),
-            "n_events": pa.array(n),
-            "value_cents": pa.array(s),
-        })
+            "event_type": sub["event_type"],
+            "hour": pa.array(_as_int64(sub["ts"]) // 3_600_000_000),
+            "cents": pa.array(np.floor(
+                sub["value"].to_numpy(zero_copy_only=False) * 100 + 0.5
+            ).astype(np.int64))})
 
     def rollup(src, fn):
-        agg = (src.map_batches(fn, batch_format="pyarrow",
-                               zero_copy_batch=True)
-               .groupby(["event_type", "hour"])
-               .aggregate(Sum("n_events", alias_name="n_events"),
-                          Sum("value_cents", alias_name="value_cents")))
-        return agg.map_batches(
-            lambda t: pa.table({
-                "event_type": t["event_type"],
-                "hour": pc.cast(t["hour"], pa.int64()),
-                "n_events": pc.cast(t["n_events"], pa.int64()),
-                "value_cents": pc.cast(t["value_cents"], pa.int64()),
-            }) if t.num_rows else empty,
-            batch_format="pyarrow")
+        return combine_agg(src, ["event_type", "hour"], fn,
+                           [("cents", "count"), ("cents", "sum")],
+                           named("event_type", "hour", "n_events",
+                                 "value_cents"))
 
     # 1) materialize the on-time view
     rollup(events, lambda t: partials(t, "ontime")).write_parquet(root)
 
     # 2) the late slice's affected hours (tiny: O(|delta hours|))
-    late_hours = rollup(events, lambda t: partials(t, "late"))
-    affected = np.unique(np.concatenate([
-        t["hour"].to_numpy(zero_copy_only=False)
-        for t in (ray.get(r) for r in late_hours.to_arrow_refs())
-        if t.num_rows] or [np.empty(0, dtype=np.int64)]))
+    late_hours = collect(rollup(events, lambda t: partials(t, "late")))
+    affected = (np.unique(late_hours["hour"].to_numpy(zero_copy_only=False))
+                if late_hours.num_rows else np.empty(0, dtype=np.int64))
 
     # 3) recompute ONLY affected hours from the full stream
     def affected_only(t: pa.Table) -> pa.Table:
         full = partials(t, "affected_full")
-        if full.num_rows == 0 or affected.size == 0:
-            return empty
         h = full["hour"].to_numpy(zero_copy_only=False)
         idx = np.searchsorted(affected, h)
         idx[idx == affected.size] = 0
         return full.filter(pa.array(affected[idx] == h))
 
     recomputed = ray.data.from_arrow(empty) \
-        if affected.size == 0 else \
-        (events.map_batches(affected_only, batch_format="pyarrow",
-                            zero_copy_batch=True)
-         .groupby(["event_type", "hour"])
-         .aggregate(Sum("n_events", alias_name="n_events"),
-                    Sum("value_cents", alias_name="value_cents"))
-         .map_batches(
-             lambda t: pa.table({
-                 "event_type": t["event_type"],
-                 "hour": pc.cast(t["hour"], pa.int64()),
-                 "n_events": pc.cast(t["n_events"], pa.int64()),
-                 "value_cents": pc.cast(t["value_cents"], pa.int64()),
-             }) if t.num_rows else empty,
-             batch_format="pyarrow"))
+        if affected.size == 0 else rollup(events, affected_only)
 
     # 4) untouched rows come from the MATERIALIZED copy only
     def untouched(t: pa.Table) -> pa.Table:
@@ -1949,101 +1784,51 @@ def impute_value_hourly(sf_dir: str, miss_mod: int = 20) -> "ray.data.Dataset":
     identical rows; trunc-division (not floor) matches SQL ``//`` for
     any sign."""
     from ..hashing import murmur64
-    from ray.data.aggregate import Sum
 
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "event_type", "value"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "event_type", "value"])
+
+    def micro_units(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return ((murmur64(eid) % np.uint64(miss_mod)) == 0,
+                np.floor(t["value"].to_numpy(zero_copy_only=False) * 1e6
+                         + 0.5).astype(np.int64))
 
     # -- pass 1: observed per-type sufficient stats (tiny) ---------------
-    st_empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                         "n_obs": pa.array([], type=pa.int64()),
-                         "sum_obs": pa.array([], type=pa.int64())})
+    def observed(t: pa.Table) -> pa.Table:
+        miss, micro = micro_units(t)
+        return pa.table({"event_type": t["event_type"].filter(
+            pa.array(~miss)), "micro": pa.array(micro[~miss])})
 
-    def obs_stats(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return st_empty
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        obs = (murmur64(eid) % np.uint64(miss_mod)) != 0
-        sub = t.filter(pa.array(obs))
-        if sub.num_rows == 0:
-            return st_empty
-        micro = np.floor(
-            sub["value"].to_numpy(zero_copy_only=False) * 1e6 + 0.5
-        ).astype(np.int64)
-        et = sub["event_type"].to_numpy(zero_copy_only=False)
-        ut, tinv = np.unique(et, return_inverse=True)
-        s = np.zeros(ut.size, dtype=np.int64)
-        np.add.at(s, tinv, micro)
-        return pa.table({
-            "event_type": pa.array(ut.tolist(), type=pa.string()),
-            "n_obs": pa.array(np.bincount(
-                tinv, minlength=ut.size).astype(np.int64)),
-            "sum_obs": pa.array(s)})
-
-    stats = (events.map_batches(obs_stats, batch_format="pyarrow",
-                                zero_copy_batch=True)
-             .groupby("event_type")
-             .aggregate(Sum("n_obs", alias_name="n_obs"),
-                        Sum("sum_obs", alias_name="sum_obs"))
-             .take_all())  # O(types) rows
+    stats = combine_agg(events, ["event_type"], observed,
+                        [("micro", "count"), ("micro", "sum")],
+                        named("event_type", "n_obs", "sum_obs")
+                        ).take_all()  # O(types) rows
     fills = {}
     for r in stats:
         s, n = int(r["sum_obs"]), int(r["n_obs"])
         fills[r["event_type"]] = (1 if s >= 0 else -1) * (abs(s) // n)
+    fill_types = pa.array(list(fills), type=pa.string())
+    # a type with no observed value fills 0
+    fill_vals = np.array(list(fills.values()) + [0], dtype=np.int64)
 
     # -- pass 2: broadcast fills into the hourly rollup ------------------
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "hour": pa.array([], type=pa.int64()),
-                      "n_events": pa.array([], type=pa.int64()),
-                      "n_imputed": pa.array([], type=pa.int64()),
-                      "sum_micro": pa.array([], type=pa.int64())})
-
-    def imputed_partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        miss = (murmur64(eid) % np.uint64(miss_mod)) == 0
-        micro = np.floor(
-            t["value"].to_numpy(zero_copy_only=False) * 1e6 + 0.5
-        ).astype(np.int64)
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        ut, tinv = np.unique(et, return_inverse=True)
-        fill_by_code = np.array([fills.get(s, 0) for s in ut],
-                                dtype=np.int64)
-        micro = np.where(miss, fill_by_code[tinv], micro)
-        hour = _as_int64(t["ts"]) // 3_600_000_000
-        uh, hinv = np.unique(hour, return_inverse=True)
-        comp = tinv * np.int64(uh.size) + hinv
-        ucomp, cinv = np.unique(comp, return_inverse=True)
-        n = np.bincount(cinv, minlength=ucomp.size).astype(np.int64)
-        ni = np.zeros(ucomp.size, dtype=np.int64)
-        np.add.at(ni, cinv, miss.astype(np.int64))
-        s = np.zeros(ucomp.size, dtype=np.int64)
-        np.add.at(s, cinv, micro)
+    def imputed(t: pa.Table) -> pa.Table:
+        miss, micro = micro_units(t)
+        code = pc.fill_null(pc.index_in(t["event_type"],
+                                        value_set=fill_types),
+                            len(fills)).to_numpy(zero_copy_only=False)
         return pa.table({
-            "event_type": pa.array(
-                ut[ucomp // np.int64(uh.size)].tolist(), type=pa.string()),
-            "hour": pa.array(uh[ucomp % np.int64(uh.size)]),
-            "n_events": pa.array(n),
-            "n_imputed": pa.array(ni),
-            "sum_micro": pa.array(s)})
-
-    agg = (events.map_batches(imputed_partials, batch_format="pyarrow",
-                              zero_copy_batch=True)
-           .groupby(["event_type", "hour"])
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("n_imputed", alias_name="n_imputed"),
-                      Sum("sum_micro", alias_name="sum_micro")))
-    return agg.map_batches(
-        lambda t: pa.table({
             "event_type": t["event_type"],
-            "hour": pc.cast(t["hour"], pa.int64()),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "n_imputed": pc.cast(t["n_imputed"], pa.int64()),
-            "sum_micro": pc.cast(t["sum_micro"], pa.int64()),
-        }) if t.num_rows else empty,
-        batch_format="pyarrow")
+            "hour": pa.array(_as_int64(t["ts"]) // 3_600_000_000),
+            "miss": pa.array(miss.astype(np.int64)),
+            "micro": pa.array(np.where(miss, fill_vals[code], micro))})
+
+    return combine_agg(events, ["event_type", "hour"], imputed,
+                       [("micro", "count"), ("miss", "sum"),
+                        ("micro", "sum")],
+                       named("event_type", "hour", "n_events", "n_imputed",
+                             "sum_micro"))
 
 
 IMPUTE_VALUE_SQL = """
@@ -2091,9 +1876,8 @@ def scd2_state_history(sf_dir: str) -> "ray.data.Dataset":
     ts ties; run successor order is the run sequence itself (replicated
     in SQL by lead() OVER seg ordinal), so values match bit-for-bit.
     """
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type"])
 
     empty = pa.table({
         "user_id": pa.array([], type=pa.int64()),
@@ -2193,19 +1977,17 @@ def last_touch_attribution(sf_dir: str,
     maximum.accumulate over touch positions gives each row its user's
     most recent touch (segment-start guard stops cross-user leaks; the
     accumulate never needs per-user resets), gaps and the window test
-    are array ops.  Partials are O(touch types) rows per partition.
+    are array ops.  Each conversion is one (touch type, gap) row.
     The (ts, event_id) order makes same-timestamp races deterministic:
     a touch sharing a conversion's timestamp attributes only if its
     event_id is smaller."""
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type"])
     touch_set = set(touch_types)
 
     empty = pa.table({"touch_type": pa.array([], type=pa.string()),
-                      "n_conversions": pa.array([], type=pa.int64()),
-                      "gap_s": pa.array([], type=pa.int64()),
-                      "gap_r": pa.array([], type=pa.int64())})
+                      "s": pa.array([], type=pa.int64()),
+                      "r": pa.array([], type=pa.int64())})
 
     def prep(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["event_type"],
@@ -2242,46 +2024,25 @@ def last_touch_attribution(sf_dir: str,
         gap[ok] = ts_s[ok] - ts_s[safe[ok]]
         ok &= gap <= window_us
         conv_idx = np.nonzero(is_conv)[0]
-        lab = np.full(conv_idx.shape[0], "none", dtype=object)
         hit = ok[conv_idx]
+        lab = np.full(conv_idx.shape[0], "none", dtype=object)
         lab[hit] = et_s[safe[conv_idx[hit]]]
-        g = np.zeros(conv_idx.shape[0], dtype=np.int64)
-        g[hit] = gap[conv_idx[hit]]
-        ulab, inv = np.unique(lab.astype(str), return_inverse=True)
-        cnt = np.bincount(inv).astype(np.int64)
-        # two-limb gap split (the sf1-caught int64-overflow class)
-        sg_s = np.zeros(ulab.shape[0], dtype=np.int64)
-        np.add.at(sg_s, inv, g // 1_000_000)
-        sg_r = np.zeros(ulab.shape[0], dtype=np.int64)
-        np.add.at(sg_r, inv, g % 1_000_000)
-        return pa.table({
-            "touch_type": pa.array(ulab.tolist(), type=pa.string()),
-            "n_conversions": pa.array(cnt),
-            "gap_s": pa.array(sg_s), "gap_r": pa.array(sg_r),
-        })
+        return pa.table({"touch_type": pa.array(lab, type=pa.string()),
+                         **_limbs(np.where(hit, gap[conv_idx], 0))})
 
     prepped = events.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
     partials = partition_by(prepped, ["user_id"], fit_partitions(32),
                             attribute, empty)
-    from ray.data.aggregate import Sum
-    agg = (partials.groupby("touch_type")
-           .aggregate(Sum("n_conversions", alias_name="n_conversions"),
-                      Sum("gap_s", alias_name="gap_s"),
-                      Sum("gap_r", alias_name="gap_r")))
 
     def finalize(t: pa.Table) -> pa.Table:
-        s = t["gap_s"].to_numpy(zero_copy_only=False).astype(np.int64)
-        r = t["gap_r"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "touch_type": t["touch_type"],
-            "n_conversions": pc.cast(t["n_conversions"], pa.int64()),
-            "sum_gap_s": pa.array(s + r // 1_000_000),
-            "gap_rem_us": pa.array(r % 1_000_000),
-        })
+        return pa.table({"touch_type": t["touch_type"],
+                         "n_conversions": t["s_count"],
+                         **_gap_totals(t, "gap")})
 
-    return (agg.map_batches(finalize, batch_format="pyarrow")
-            .sort("touch_type"))
+    return combine_agg(partials, ["touch_type"], lambda t: t,
+                       [("s", "count"), ("s", "sum"), ("r", "sum")],
+                       finalize).sort("touch_type")
 
 
 LAST_TOUCH_SQL = """
@@ -2401,42 +2162,25 @@ def props_vocab_drift(sf_dir: str, k: int = 15) -> "ray.data.Dataset":
     engines agree.
 
     Scale shape: one tiny Min/Max pass fixes the boundary; the count
-    pass folds per-block (props, half) partials; shares and the keep-k
+    pass is one ``combine_agg`` per props token; shares and the keep-k
     ranking fold an O(vocab) table."""
-    from ray.data.aggregate import Max as _Max, Min as _Min, Sum
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "props"])
+    from ray.data.aggregate import Max as _Max, Min as _Min
+    ds = read_table(sf_dir, "events", ["ts", "props"])
     mm = ds.aggregate(_Min("ts"), _Max("ts"))
     lo = int(pa.scalar(mm["min(ts)"]).cast(pa.int64()).as_py())
     hi = int(pa.scalar(mm["max(ts)"]).cast(pa.int64()).as_py())
     mid = (lo + hi) // 2
 
-    empty = pa.table({"props": pa.array([], type=pa.string()),
-                      "n_first": pa.array([], type=pa.int64()),
-                      "n_second": pa.array([], type=pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
+    def halves(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         second = (us > mid).astype(np.int64)
-        tok = t["props"].to_numpy(zero_copy_only=False)
-        ut, inv = np.unique(tok, return_inverse=True)
-        nf = np.zeros(ut.shape[0], dtype=np.int64)
-        ns = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(nf, inv, 1 - second)
-        np.add.at(ns, inv, second)
-        return pa.table({"props": pa.array(ut.tolist(),
-                                           type=pa.string()),
-                         "n_first": pa.array(nf),
-                         "n_second": pa.array(ns)})
+        return pa.table({"props": pc.cast(t["props"], pa.string()),
+                         "first": pa.array(1 - second),
+                         "second": pa.array(second)})
 
-    merged = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby("props")
-              .aggregate(Sum("n_first", alias_name="n_first"),
-                         Sum("n_second", alias_name="n_second"))
-              .to_pandas())
+    merged = combine_agg(ds, ["props"], halves,
+                         [("first", "sum"), ("second", "sum")],
+                         named("props", "n_first", "n_second")).to_pandas()
     tf = int(merged["n_first"].sum())
     ts_ = int(merged["n_second"].sum())
     nf = merged["n_first"].to_numpy(dtype=np.int64)
@@ -2486,6 +2230,27 @@ ORDER BY 5
 """
 
 
+def _chunk_seeds(ds: "ray.data.Dataset",
+                 chunk_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(chunks, seeds): every occupied chunk (event_id >> chunk_bits) of
+    ``ds`` ascending, and the max ts over all EARLIER chunks (-2^62 for
+    the first) -- the exclusive prefix max a chunked running-max scan
+    starts each chunk from."""
+    def chunk_ts(t: pa.Table) -> pa.Table:
+        return pa.table({"chunk": pa.array(_as_int64(t["event_id"])
+                                           >> chunk_bits),
+                         "ts": pa.array(_as_int64(t["ts"]))})
+
+    summ = (combine_agg(ds, ["chunk"], chunk_ts, [("ts", "max")],
+                        named("chunk", "max_ts"))
+            .to_pandas().sort_values("chunk"))
+    maxes = summ["max_ts"].to_numpy(dtype=np.int64)
+    seeds = np.concatenate(([-(2 ** 62)],
+                            np.maximum.accumulate(maxes)[:-1]))
+    return (summ["chunk"].to_numpy(dtype=np.int64),
+            seeds[:maxes.shape[0]].astype(np.int64))
+
+
 def ooo_lateness_stats(sf_dir: str, chunk_bits: int = 12) -> "ray.data.Dataset":
     """OUT-OF-ORDER lateness audit: how disordered is the event stream
     relative to arrival order (event_id)?  For every event, lateness =
@@ -2501,7 +2266,7 @@ def ooo_lateness_stats(sf_dir: str, chunk_bits: int = 12) -> "ray.data.Dataset":
 
     1. chunk = event_id >> chunk_bits partitions the id RANGE into
        fixed, data-independent segments;
-    2. pass 1: per-batch (chunk, max_ts) partials -> groupby(chunk).max
+    2. pass 1: a ``combine_agg`` max of ts per chunk
        -> O(id_range / 2^chunk_bits) rows to the driver, which computes
        the EXCLUSIVE prefix max per chunk and broadcasts it (ray.put);
     3. pass 2: hash co-partition on chunk; per partition, rows sort by
@@ -2509,8 +2274,8 @@ def ooo_lateness_stats(sf_dir: str, chunk_bits: int = 12) -> "ray.data.Dataset":
        rows of EARLIER chunks co-resident in the partition cannot leak
        wrongly because every chunk's seed already dominates everything
        before it; one vectorized np.maximum.accumulate, no row loop;
-    4. per-partition partials per event_type -> a cardinality-bounded
-       groupby(event_type) fold.
+    4. one row per event -> a cardinality-bounded ``combine_agg`` per
+       event_type.
 
     ``chunk_bits`` sizes the driver's prefix table: 2^12-id chunks suit
     the gate's dense ids; at 10^12 ids raise it to >= 20 so the driver
@@ -2518,40 +2283,13 @@ def ooo_lateness_stats(sf_dir: str, chunk_bits: int = 12) -> "ray.data.Dataset":
     integer microseconds (epoch_us), so the DuckDB window-function
     oracle hashes identically.
     """
-    from ray.data.aggregate import Max, Sum
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "event_type"])
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "ts", "event_type"])
-
-    def chunk_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"chunk": pa.array([], type=pa.int64()),
-                             "max_ts": pa.array([], type=pa.int64())})
-        eid = _as_int64(t["event_id"])
-        ts = _as_int64(t["ts"])
-        chunk = eid >> chunk_bits
-        uk, inv = np.unique(chunk, return_inverse=True)
-        mx = np.full(len(uk), -(2 ** 62), dtype=np.int64)
-        np.maximum.at(mx, inv, ts)
-        return pa.table({"chunk": pa.array(uk), "max_ts": pa.array(mx)})
-
-    summ = (ds.map_batches(chunk_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("chunk").aggregate(Max("max_ts", alias_name="max_ts"))
-            .to_pandas().sort_values("chunk").reset_index(drop=True))
-    chunks = summ["chunk"].to_numpy(dtype=np.int64)
-    maxes = summ["max_ts"].to_numpy(dtype=np.int64)
-    LOW = -(2 ** 62)
-    seeds = (np.concatenate(([LOW], np.maximum.accumulate(maxes)[:-1]))
-             if len(maxes) else np.array([], dtype=np.int64))
-    seed_ref = ray.put((chunks, seeds.astype(np.int64)))
+    seed_ref = ray.put(_chunk_seeds(ds, chunk_bits))
 
     empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_events": pa.array([], type=pa.int64()),
-                      "n_late": pa.array([], type=pa.int64()),
-                      "late_s": pa.array([], type=pa.int64()),
-                      "late_r": pa.array([], type=pa.int64()),
-                      "max_late_us": pa.array([], type=pa.int64())})
+                      **{c: pa.array([], type=pa.int64())
+                         for c in ("is_late", "s", "r", "late_us")}})
 
     def add_chunk(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -2572,52 +2310,31 @@ def ooo_lateness_stats(sf_dir: str, chunk_bits: int = 12) -> "ray.data.Dataset":
         prev = np.concatenate(([-(2 ** 62)], run[:-1]))
         prev = np.maximum(prev, seed_row)
         late = np.maximum(prev - ts_s, 0)
-        # two-limb lateness split (the sf1-caught int64-overflow
-        # class: a single microsecond sum dies at stream scale)
-        staged = pa.table({
+        return pa.table({
             "event_type": pc.take(t["event_type"],
                                   pa.array(order, type=pa.int64())),
-            "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
             "is_late": pa.array((late > 0).astype(np.int64)),
-            "late_s": pa.array(late // 1_000_000),
-            "late_r": pa.array(late % 1_000_000),
+            **_limbs(late),
             "late_us": pa.array(late),
-        })
-        g = staged.group_by("event_type").aggregate(
-            [("one", "sum"), ("is_late", "sum"), ("late_s", "sum"),
-             ("late_r", "sum"), ("late_us", "max")])
-        return pa.table({
-            "event_type": g["event_type"],
-            "n_events": pc.cast(g["one_sum"], pa.int64()),
-            "n_late": pc.cast(g["is_late_sum"], pa.int64()),
-            "late_s": pc.cast(g["late_s_sum"], pa.int64()),
-            "late_r": pc.cast(g["late_r_sum"], pa.int64()),
-            "max_late_us": pc.cast(g["late_us_max"], pa.int64()),
         })
 
     parts = partition_by(
         ds.map_batches(add_chunk, batch_format="pyarrow"),
         ["chunk"], fit_partitions(32), late_partition, empty)
-    agg = (parts.groupby("event_type")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("n_late", alias_name="n_late"),
-                      Sum("late_s", alias_name="late_s"),
-                      Sum("late_r", alias_name="late_r"),
-                      Max("max_late_us", alias_name="max_late_us")))
 
     def finalize(t: pa.Table) -> pa.Table:
-        s = t["late_s"].to_numpy(zero_copy_only=False).astype(np.int64)
-        r = t["late_r"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
             "event_type": t["event_type"],
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "n_late": pc.cast(t["n_late"], pa.int64()),
-            "sum_late_s": pa.array(s + r // 1_000_000),
-            "late_rem_us": pa.array(r % 1_000_000),
-            "max_late_us": pc.cast(t["max_late_us"], pa.int64()),
+            "n_events": t["late_us_count"],
+            "n_late": t["is_late_sum"],
+            **_gap_totals(t, "late"),
+            "max_late_us": t["late_us_max"],
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(parts, ["event_type"], lambda t: t,
+                       [("late_us", "count"), ("is_late", "sum"),
+                        ("s", "sum"), ("r", "sum"), ("late_us", "max")],
+                       finalize)
 
 
 OOO_LATENESS_SQL = """
@@ -2757,6 +2474,25 @@ FROM tot
 """
 
 
+def _hourly_cents(sf_dir: str) -> np.ndarray:
+    """Event revenue in integer cents per epoch hour, on the dense grid
+    of hours from the first event's to the last's (zero where none)."""
+    def cents(t: pa.Table) -> pa.Table:
+        v = t["value"].to_numpy(zero_copy_only=False)
+        return pa.table({
+            "hour": pa.array(_as_int64(t["ts"]) // 3_600_000_000),
+            "c": pa.array(np.floor(v * 100.0 + 0.5).astype(np.int64))})
+
+    h = combine_agg(read_table(sf_dir, "events", ["ts", "value"]),
+                    ["hour"], cents, [("c", "sum")],
+                    named("hour", "c")).to_pandas()
+    hours = h["hour"].to_numpy(dtype=np.int64)
+    lo = int(hours.min())
+    grid = np.zeros(int(hours.max()) - lo + 1, dtype=np.int64)
+    grid[hours - lo] = h["c"].to_numpy(dtype=np.int64)
+    return grid
+
+
 def ewma_forecast_hourly(sf_dir: str) -> pa.Table:
     """INTEGER EWMA (alpha = 1/2) one-step-ahead forecast of the
     hourly revenue series with its mean absolute error -- the
@@ -2765,32 +2501,10 @@ def ewma_forecast_hourly(sf_dir: str) -> pa.Table:
     is an integer, so the sequential recursion is replicable by a
     recursive CTE).
 
-    Scale shape: one per-hour cents combiner (cardinality-bounded),
-    then an O(hours) driver recurrence.
+    Scale shape: one per-hour cents ``combine_agg``
+    (cardinality-bounded), then an O(hours) driver recurrence.
     """
-    from ray.data.aggregate import Sum as _Sum
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "value"])
-    HOUR_US = np.int64(3_600_000_000)
-
-    def hourly(t: pa.Table) -> pa.Table:
-        us = _as_int64(t["ts"])
-        v = t["value"].to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        staged = pa.table({"hour": pa.array(us // HOUR_US),
-                           "c": pa.array(cents)})
-        g = staged.group_by("hour").aggregate([("c", "sum")])
-        return pa.table({"hour": g["hour"],
-                         "c": pc.cast(g["c_sum"], pa.int64())})
-
-    h = (ds.map_batches(hourly, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("hour").aggregate(_Sum("c", alias_name="c"))
-         .to_pandas().sort_values("hour"))
-    hours = h["hour"].to_numpy(dtype=np.int64)
-    lo, hi = int(hours.min()), int(hours.max())
-    grid = np.zeros(hi - lo + 1, dtype=np.int64)
-    grid[hours - lo] = h["c"].to_numpy(dtype=np.int64)
+    grid = _hourly_cents(sf_dir)
     s = int(grid[0])
     abs_err = 0
     for v in grid[1:]:
@@ -2855,9 +2569,8 @@ def funnel_windowed_counts(sf_dir: str,
     Scale shape: identical user co-partition + vectorized reduceat
     scan; the window check adds one comparison per candidate.
     """
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type"])
     W = np.int64(window_hours) * 3_600_000_000
 
     n_steps = len(steps)
@@ -2955,34 +2668,22 @@ def leadlag_xcorr(sf_dir: str, type_a: str = "click",
     gap-filled grid per lag; the Pearson value is ONE mirrored double
     per lag.
 
-    Scale shape: one (type, hour) count combiner, cardinality-bounded
-    groupby, O(lags x hours) driver fold.
+    Scale shape: one (type, hour) ``combine_agg`` count
+    (cardinality-bounded), O(lags x hours) driver fold.
     """
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["event_type", "ts"])
+    events = read_table(sf_dir, "events", ["event_type", "ts"])
     HOUR_US = np.int64(3_600_000_000)
 
     def hourly(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["event_type"],
                         value_set=pa.array([type_a, type_b]))
         t = t.filter(keep)
-        us = _as_int64(t["ts"])
-        staged = pa.table({"event_type": t["event_type"],
-                           "hour": pa.array(us // HOUR_US),
-                           "n": pa.array(np.ones(t.num_rows,
-                                                 dtype=np.int64))})
-        g = staged.group_by(["event_type", "hour"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "hour": g["hour"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
+        return pa.table({"event_type": t["event_type"],
+                         "hour": pa.array(_as_int64(t["ts"]) // HOUR_US)})
 
-    from ray.data.aggregate import Sum
-    grid = (events.map_batches(hourly, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .groupby(["event_type", "hour"])
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
+    grid = combine_agg(events, ["event_type", "hour"], hourly,
+                       [("hour", "count")],
+                       named("event_type", "hour", "n")).to_pandas()
     lo = int(grid["hour"].min())
     hi = int(grid["hour"].max())
     span = hi - lo + 1
@@ -3072,14 +2773,12 @@ def retry_storm_stats(sf_dir: str, window_s: int = 1) -> pa.Table:
     Scale shape: user co-partition + one lexsort kernel (the ordered-
     window family); O(types) rows out per partition.
     """
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type", "value"])
+    events = read_table(sf_dir, "events",
+                        ["event_id", "ts", "user_id", "event_type", "value"])
     W = np.int64(window_s) * 1_000_000
 
     empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n_events": pa.array([], type=pa.int64()),
-                      "n_retries": pa.array([], type=pa.int64())})
+                      "retry": pa.array([], type=pa.int64())})
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -3108,22 +2807,18 @@ def retry_storm_stats(sf_dir: str, window_s: int = 1) -> pa.Table:
         same[1:] = ((u_s[1:] == u_s[:-1]) & (c_s[1:] == c_s[:-1])
                     & (v_s[1:] == v_s[:-1])
                     & (t_s[1:] - t_s[:-1] <= W))
-        n_per = np.bincount(c_s, minlength=ue.size)
-        r_per = np.bincount(c_s[same], minlength=ue.size)
         return pa.table({
-            "event_type": pa.array(ue.tolist(), type=pa.string()),
-            "n_events": pa.array(n_per.astype(np.int64)),
-            "n_retries": pa.array(r_per.astype(np.int64)),
+            "event_type": t["event_type"].take(pa.array(order)),
+            "retry": pa.array(same.astype(np.int64)),
         })
 
     prepped = events.map_batches(prep, batch_format="pyarrow",
                                  zero_copy_batch=True)
     per = partition_by(prepped, ["user_id"], fit_partitions(32),
                        kernel, empty)
-    from ray.data.aggregate import Sum
-    agg = (per.groupby("event_type")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("n_retries", alias_name="n_retries"))
+    agg = (combine_agg(per, ["event_type"], lambda t: t,
+                       [("retry", "count"), ("retry", "sum")],
+                       named("event_type", "n_events", "n_retries"))
            .to_pandas().sort_values("event_type"))
     return pa.table({
         "event_type": pa.array(agg["event_type"].tolist(),
@@ -3168,8 +2863,7 @@ def slo_burn_report(sf_dir: str, p: float = 0.99,
     driver walk for the streak.
     """
     from .quantiles import exact_quantiles_grouped
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", ["ts", "value"])
     HOUR_US = np.int64(3_600_000_000)
 
     def staged(t: pa.Table) -> pa.Table:
@@ -3249,42 +2943,12 @@ def watermark_lateness_curve(sf_dir: str,
     scan as ooo_lateness_stats (block-boundary immune by
     construction).
     """
-    from ray.data.aggregate import Max, Sum
-    from ..stages.partition import fit_partitions, partition_by
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "ts"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts"])
     delays = np.array(_WATERMARK_DELAYS_US, dtype=np.int64)
-
-    def chunk_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"chunk": pa.array([], type=pa.int64()),
-                             "max_ts": pa.array([], type=pa.int64())})
-        eid = _as_int64(t["event_id"])
-        ts = _as_int64(t["ts"])
-        chunk = eid >> chunk_bits
-        uk, inv = np.unique(chunk, return_inverse=True)
-        mx = np.full(len(uk), -(2 ** 62), dtype=np.int64)
-        np.maximum.at(mx, inv, ts)
-        return pa.table({"chunk": pa.array(uk),
-                         "max_ts": pa.array(mx)})
-
-    summ = (ds.map_batches(chunk_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("chunk")
-            .aggregate(Max("max_ts", alias_name="max_ts"))
-            .to_pandas().sort_values("chunk").reset_index(drop=True))
-    chunks = summ["chunk"].to_numpy(dtype=np.int64)
-    maxes = summ["max_ts"].to_numpy(dtype=np.int64)
-    LOW = -(2 ** 62)
-    seeds = (np.concatenate(([LOW],
-                             np.maximum.accumulate(maxes)[:-1]))
-             if len(maxes) else np.array([], dtype=np.int64))
-    seed_ref = ray.put((chunks, seeds.astype(np.int64)))
+    seed_ref = ray.put(_chunk_seeds(ds, chunk_bits))
 
     empty = pa.table({"delay_us": pa.array([], type=pa.int64()),
-                      "n_dropped": pa.array([], type=pa.int64()),
-                      "n_events": pa.array([], type=pa.int64())})
+                      "dropped": pa.array([], type=pa.int64())})
 
     def add_chunk(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -3318,21 +2982,20 @@ def watermark_lateness_curve(sf_dir: str,
         # does not order chunks, so reset to the chunk seed there
         prev[new_chunk] = seed[new_chunk]
         late = prev - ts_s
-        n_drop = (late[None, :] > delays[:, None]).sum(axis=1)
+        # one row per (delay, event): is it dropped at that delay?
         return pa.table({
-            "delay_us": pa.array(delays),
-            "n_dropped": pa.array(n_drop.astype(np.int64)),
-            "n_events": pa.array(np.full(len(delays), ts_s.size,
-                                         dtype=np.int64)),
+            "delay_us": pa.array(np.repeat(delays, ts_s.size)),
+            "dropped": pa.array((late[None, :] > delays[:, None])
+                                .ravel().astype(np.int64)),
         })
 
     with_chunk = ds.map_batches(add_chunk, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    agg = (partition_by(with_chunk, ["chunk"], fit_partitions(32),
-                        drops, empty)
-           .groupby("delay_us")
-           .aggregate(Sum("n_dropped", alias_name="n_dropped"),
-                      Sum("n_events", alias_name="n_events"))
+    agg = (combine_agg(partition_by(with_chunk, ["chunk"],
+                                    fit_partitions(32), drops, empty),
+                       ["delay_us"], lambda t: t,
+                       [("dropped", "sum"), ("dropped", "count")],
+                       named("delay_us", "n_dropped", "n_events"))
            .to_pandas().sort_values("delay_us"))
     nd = agg["n_dropped"].to_numpy(dtype=np.int64)
     ne = agg["n_events"].to_numpy(dtype=np.int64)
@@ -3377,11 +3040,9 @@ def metronome_bot_report(sf_dir: str, min_gaps: int = 5) -> pa.Table:
     Scale shape: user co-partition ordered kernel -> per-user integer
     gap moments -> one scalar fold.
     """
-    from ray.data.aggregate import Sum
     from ..stages.partition import fit_partitions, partition_by
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "ts", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id"])
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -3471,33 +3132,32 @@ FROM pu
 """
 
 
+def _user_days(t: pa.Table) -> pa.Table:
+    """The distinct (user_id, epoch day) pairs of a batch of events."""
+    return pa.table({
+        "user_id": pc.cast(t["user_id"], pa.int64()),
+        "day": pa.array(_as_int64(t["ts"]) // 86_400_000_000),
+    }).group_by(["user_id", "day"]).aggregate([])
+
+
 def trailing_distinct_users(sf_dir: str, window_days: int = 7) -> pa.Table:
     """EXACT trailing-``window_days`` distinct active users per day --
     the rolling-DAU/WAU curve computed exactly (the HLL query gives the
     approximate tier).  A user active on day d is "covered" on days
     d..d+6; the per-day distinct count is then the sum of a +-1 DIFF
     ARRAY over each user's MERGED coverage intervals, so the exchange
-    carries O(days) integers per partition instead of user sets.
+    carries O(days) integers per batch instead of user sets.
 
     Scale shape: user co-partition; per user, sort active days, merge
-    overlapping coverage intervals vectorized, accumulate a partition-
-    local diff array; driver folds O(days) arrays and prefix-sums.
+    overlapping coverage intervals vectorized, one +-1 row per interval
+    edge; a ``combine_agg`` sums them per day and the driver
+    prefix-sums O(days).
     """
-    from ray.data.aggregate import Sum
     from ..stages.partition import fit_partitions, partition_by
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
     DAY_US = np.int64(86_400_000_000)
     W = int(window_days)
-
-    def prep(t: pa.Table) -> pa.Table:
-        us = _as_int64(t["ts"])
-        staged = pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "day": pa.array(us // DAY_US),
-        })
-        return staged.group_by(["user_id", "day"]).aggregate([])
 
     mm = (ds.map_batches(
         lambda t: pa.table({
@@ -3530,21 +3190,21 @@ def trailing_distinct_users(sf_dir: str, window_days: int = 7) -> pa.Table:
         # interval starts: rows where not merged into the previous
         starts = np.flatnonzero(~same)
         ends_idx = np.append(starts[1:] - 1, u_s.size - 1)
-        ivl_start = d_s[starts]
-        ivl_end = d_s[ends_idx] + W - 1
-        diff = np.zeros(span + 1, dtype=np.int64)
-        np.add.at(diff, np.clip(ivl_start - lo_day, 0, span), 1)
-        np.add.at(diff, np.clip(ivl_end - lo_day + 1, 0, span), -1)
-        nz = np.flatnonzero(diff[:span])
-        return pa.table({"day": pa.array(nz.astype(np.int64)),
-                         "d": pa.array(diff[nz])})
+        # one +1 row per interval start, one -1 row past its end (the
+        # day index past the grid drops out)
+        day = np.concatenate([
+            np.clip(d_s[starts] - lo_day, 0, span),
+            np.clip(d_s[ends_idx] + W - lo_day, 0, span)]).astype(np.int64)
+        d = np.repeat(np.array([1, -1], dtype=np.int64), starts.size)
+        return pa.table({"day": pa.array(day[day < span]),
+                         "d": pa.array(d[day < span])})
 
-    mem = ds.map_batches(prep, batch_format="pyarrow",
+    mem = ds.map_batches(_user_days, batch_format="pyarrow",
                          zero_copy_batch=True)
-    agg = (partition_by(mem, ["user_id"], fit_partitions(32), diffs,
-                        empty)
-           .groupby("day").aggregate(Sum("d", alias_name="d"))
-           .to_pandas().sort_values("day"))
+    agg = combine_agg(partition_by(mem, ["user_id"], fit_partitions(32),
+                                   diffs, empty),
+                      ["day"], lambda t: t, [("d", "sum")],
+                      named("day", "d")).to_pandas()
     diff = np.zeros(span, dtype=np.int64)
     diff[agg["day"].to_numpy(dtype=np.int64)] = \
         agg["d"].to_numpy(dtype=np.int64)
@@ -3584,15 +3244,12 @@ def late_order_counts(sf_dir: str, grace_days: int = 60) -> pa.Table:
     lineitem to per-block (key, max shipdate) partials; one
     co-partition resolves the EXISTS vectorized.
     """
-    from ray.data.aggregate import Sum
     from ..stages.partition import fit_partitions, partition_by
 
     GRACE_US = np.int64(grace_days) * 86_400_000_000
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_orderkey", "l_shipdate"])
+    orders = read_table(sf_dir, "orders",
+                        ["o_orderkey", "o_orderdate", "o_orderpriority"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
     o_empty = pa.table({"key": pa.array([], type=pa.int64()),
                         "ts": pa.array([], type=pa.int64()),
@@ -3628,10 +3285,10 @@ def late_order_counts(sf_dir: str, grace_days: int = 60) -> pa.Table:
                                   zero_copy_batch=True)))
 
     empty = pa.table({"prio": pa.array([], type=pa.string()),
-                      "n_orders": pa.array([], type=pa.int64()),
-                      "n_late": pa.array([], type=pa.int64())})
+                      "late": pa.array([], type=pa.int64())})
 
     def resolve(t: pa.Table) -> pa.Table:
+        # one (priority, late) row per order
         key = t["key"].to_numpy(zero_copy_only=False)
         ts = t["ts"].to_numpy(zero_copy_only=False)
         side = t["side"].to_numpy(zero_copy_only=False)
@@ -3650,19 +3307,14 @@ def late_order_counts(sf_dir: str, grace_days: int = 60) -> pa.Table:
             late = has & (umax[safe] > ots + GRACE_US)
         else:
             late = np.zeros(ok_.size, dtype=bool)
-        up, pinv = np.unique(op, return_inverse=True)
-        n = np.bincount(pinv, minlength=up.size)
-        nl = np.bincount(pinv[late], minlength=up.size)
-        return pa.table({
-            "prio": pa.array(up.tolist(), type=pa.string()),
-            "n_orders": pa.array(n.astype(np.int64)),
-            "n_late": pa.array(nl.astype(np.int64))})
+        return pa.table({"prio": pa.array(op.tolist(), type=pa.string()),
+                         "late": pa.array(late.astype(np.int64))})
 
-    agg = (partition_by(both, ["key"], fit_partitions(16), resolve,
-                        empty)
-           .groupby("prio")
-           .aggregate(Sum("n_orders", alias_name="n_orders"),
-                      Sum("n_late", alias_name="n_late"))
+    agg = (combine_agg(partition_by(both, ["key"], fit_partitions(16),
+                                    resolve, empty),
+                       ["prio"], lambda t: t,
+                       [("late", "count"), ("late", "sum")],
+                       named("prio", "n_orders", "n_late"))
            .to_pandas().sort_values("prio"))
     n = agg["n_orders"].to_numpy(dtype=np.int64)
     nl = agg["n_late"].to_numpy(dtype=np.int64)
@@ -3699,27 +3351,15 @@ def new_vs_returning_daily(sf_dir: str) -> pa.Table:
     growth-accounting split every DAU chart needs.
 
     Scale shape: user co-partition; per user the first active day is
-    local to the partition, so each partition emits exact per-day
-    (new, returning) partials; one O(days) groupby folds them.
+    local to the partition, so each partition flags every distinct
+    (user, day) new or returning; one O(days) ``combine_agg`` counts.
     """
-    from ray.data.aggregate import Sum
     from ..stages.partition import fit_partitions, partition_by
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
-    DAY_US = np.int64(86_400_000_000)
-
-    def prep(t: pa.Table) -> pa.Table:
-        us = _as_int64(t["ts"])
-        staged = pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "day": pa.array(us // DAY_US),
-        })
-        return staged.group_by(["user_id", "day"]).aggregate([])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     empty = pa.table({"day": pa.array([], type=pa.int64()),
-                      "n_new": pa.array([], type=pa.int64()),
-                      "n_returning": pa.array([], type=pa.int64())})
+                      "new": pa.array([], type=pa.int64())})
 
     def split(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
@@ -3731,22 +3371,17 @@ def new_vs_returning_daily(sf_dir: str) -> pa.Table:
         u_s, d_s = u_s[keep], d_s[keep]
         first = np.ones(u_s.size, dtype=bool)
         first[1:] = u_s[1:] != u_s[:-1]
-        ud, dinv = np.unique(d_s, return_inverse=True)
-        n_new = np.bincount(dinv[first], minlength=ud.size)
-        n_all = np.bincount(dinv, minlength=ud.size)
-        return pa.table({
-            "day": pa.array(ud.astype(np.int64)),
-            "n_new": pa.array(n_new.astype(np.int64)),
-            "n_returning": pa.array(
-                (n_all - n_new).astype(np.int64))})
+        return pa.table({"day": pa.array(d_s.astype(np.int64)),
+                         "new": pa.array(first.astype(np.int64))})
 
-    mem = ds.map_batches(prep, batch_format="pyarrow",
+    mem = ds.map_batches(_user_days, batch_format="pyarrow",
                          zero_copy_batch=True)
-    agg = (partition_by(mem, ["user_id"], fit_partitions(32), split,
-                        empty)
-           .groupby("day")
-           .aggregate(Sum("n_new", alias_name="n_new"),
-                      Sum("n_returning", alias_name="n_returning"))
+    agg = (combine_agg(
+        partition_by(mem, ["user_id"], fit_partitions(32), split, empty),
+        ["day"], lambda t: t, [("new", "sum"), ("new", "count")],
+        lambda t: pa.table({"day": t["day"], "n_new": t["new_sum"],
+                            "n_returning": pc.subtract(t["new_count"],
+                                                       t["new_sum"])}))
            .to_pandas().sort_values("day"))
     return pa.table({
         "day": pa.array(agg["day"].to_numpy(dtype=np.int64)),
@@ -3781,15 +3416,13 @@ def session_depth_survival(sf_dir: str, gap_minutes: int = 30,
     read before funnel work, built on the same gap-based
     sessionization kernel (30-minute inactivity boundary).
 
-    Scale shape: user co-partition, vectorized session splitting,
-    bounded depth histogram partials, O(max_depth) fold.
+    Scale shape: user co-partition, vectorized session splitting, one
+    capped-depth row per session, O(max_depth) ``combine_agg`` count.
     """
-    from ray.data.aggregate import Sum
     from ..stages.partition import fit_partitions, partition_by
 
     gap_us = int(gap_minutes) * 60 * 1_000_000
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -3797,8 +3430,7 @@ def session_depth_survival(sf_dir: str, gap_minutes: int = 30,
             "us": pc.cast(t["ts"], pa.int64()),
         })
 
-    empty = pa.table({"depth": pa.array([], type=pa.int64()),
-                      "n": pa.array([], type=pa.int64())})
+    empty = pa.table({"depth": pa.array([], type=pa.int64())})
 
     def kernel(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
@@ -3810,19 +3442,15 @@ def session_depth_survival(sf_dir: str, gap_minutes: int = 30,
                                                > gap_us)
         starts = np.flatnonzero(new_session)
         lens = np.diff(np.append(starts, u.size))
-        capped = np.minimum(lens, max_depth)
-        cnt = np.bincount(capped, minlength=max_depth + 1)
-        return pa.table({
-            "depth": pa.array(np.arange(max_depth + 1,
-                                        dtype=np.int64)),
-            "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"depth": pa.array(
+            np.minimum(lens, max_depth).astype(np.int64))})
 
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    agg = (partition_by(prepped, ["user_id"], fit_partitions(32),
-                        kernel, empty)
-           .groupby("depth").aggregate(Sum("n", alias_name="n"))
-           .to_pandas().sort_values("depth"))
+    agg = combine_agg(partition_by(prepped, ["user_id"], fit_partitions(32),
+                                   kernel, empty),
+                      ["depth"], lambda t: t, [("depth", "count")],
+                      named("depth", "n")).to_pandas()
     cnt = np.zeros(max_depth + 1, dtype=np.int64)
     cnt[agg["depth"].to_numpy(dtype=np.int64)] = \
         agg["n"].to_numpy(dtype=np.int64)
@@ -3877,27 +3505,15 @@ def resurrected_users_daily(sf_dir: str,
     accounting beside new and returning.
 
     Scale shape: user co-partition; per-user day gaps are local, so
-    each partition emits exact per-day resurrection counts; O(days)
-    groupby.
+    each partition flags every distinct (user, day) resurrected or not;
+    O(days) ``combine_agg``.
     """
-    from ray.data.aggregate import Sum
     from ..stages.partition import fit_partitions, partition_by
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
-    DAY_US = np.int64(86_400_000_000)
-
-    def prep(t: pa.Table) -> pa.Table:
-        us = _as_int64(t["ts"])
-        staged = pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "day": pa.array(us // DAY_US),
-        })
-        return staged.group_by(["user_id", "day"]).aggregate([])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     empty = pa.table({"day": pa.array([], type=pa.int64()),
-                      "n_resurrected": pa.array([], type=pa.int64()),
-                      "n_active": pa.array([], type=pa.int64())})
+                      "res": pa.array([], type=pa.int64())})
 
     def kernel(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
@@ -3907,23 +3523,19 @@ def resurrected_users_daily(sf_dir: str,
         keep = np.ones(u_s.size, dtype=bool)
         keep[1:] = (u_s[1:] != u_s[:-1]) | (d_s[1:] != d_s[:-1])
         u_s, d_s = u_s[keep], d_s[keep]
-        same = u_s[1:] == u_s[:-1]
-        res = same & (d_s[1:] - d_s[:-1] >= dormant_days)
-        ud, dinv = np.unique(d_s, return_inverse=True)
-        n_act = np.bincount(dinv, minlength=ud.size)
-        n_res = np.bincount(dinv[1:][res], minlength=ud.size)
-        return pa.table({
-            "day": pa.array(ud.astype(np.int64)),
-            "n_resurrected": pa.array(n_res.astype(np.int64)),
-            "n_active": pa.array(n_act.astype(np.int64))})
+        res = np.zeros(u_s.size, dtype=np.int64)
+        res[1:] = ((u_s[1:] == u_s[:-1])
+                   & (d_s[1:] - d_s[:-1] >= dormant_days))
+        return pa.table({"day": pa.array(d_s.astype(np.int64)),
+                         "res": pa.array(res)})
 
-    mem = ds.map_batches(prep, batch_format="pyarrow",
+    mem = ds.map_batches(_user_days, batch_format="pyarrow",
                          zero_copy_batch=True)
-    agg = (partition_by(mem, ["user_id"], fit_partitions(32), kernel,
-                        empty)
-           .groupby("day")
-           .aggregate(Sum("n_resurrected", alias_name="n_resurrected"),
-                      Sum("n_active", alias_name="n_active"))
+    agg = (combine_agg(partition_by(mem, ["user_id"], fit_partitions(32),
+                                    kernel, empty),
+                       ["day"], lambda t: t,
+                       [("res", "sum"), ("res", "count")],
+                       named("day", "n_resurrected", "n_active"))
            .to_pandas().sort_values("day"))
     return pa.table({
         "day": pa.array(agg["day"].to_numpy(dtype=np.int64)),
@@ -3957,52 +3569,28 @@ def weekly_arpu(sf_dir: str) -> pa.Table:
     epoch week, in exact micro units -- the normalized engagement
     number that survives user-count swings.
 
-    Scale shape: one (week, user) distinct combiner for actives, one
-    per-week cents combiner for revenue, O(weeks) fold.
+    Scale shape: one per-week cents ``combine_agg`` for revenue; for
+    actives, one distinct (week, user) ``combine_agg`` and one count of
+    its rows per week; O(weeks) fold.
     """
-    from ray.data.aggregate import Sum
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "value"])
     WEEK_US = np.int64(7) * 86_400_000_000
 
-    def rev_partial(t: pa.Table) -> pa.Table:
-        us = _as_int64(t["ts"])
+    def weekly(t: pa.Table) -> pa.Table:
         v = t["value"].to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        staged = pa.table({"week": pa.array(us // WEEK_US),
-                           "rev": pa.array(cents)})
-        g = staged.group_by("week").aggregate([("rev", "sum")])
-        return pa.table({"week": g["week"],
-                         "rev": pc.cast(g["rev_sum"], pa.int64())})
-
-    rev = (ds.map_batches(rev_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("week").aggregate(Sum("rev", alias_name="rev"))
-           .to_pandas())
-
-    def user_partial(t: pa.Table) -> pa.Table:
-        us = _as_int64(t["ts"])
-        staged = pa.table({
-            "week": pa.array(us // WEEK_US),
+        return pa.table({
+            "week": pa.array(_as_int64(t["ts"]) // WEEK_US),
             "user_id": pc.cast(t["user_id"], pa.int64()),
-        })
-        return staged.group_by(["week", "user_id"]).aggregate([])
+            "rev": pa.array(np.floor(v * 100.0 + 0.5).astype(np.int64))})
 
-    from ray.data.aggregate import Count
-    users = (ds.map_batches(user_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["week", "user_id"])
-             .aggregate(Count(alias_name="_c"))
-             .map_batches(
-                 lambda t: (pa.table({
-                     "week": t["week"],
-                     "n": pa.array(np.ones(t.num_rows,
-                                           dtype=np.int64))})
-                     .group_by("week").aggregate([("n", "sum")])
-                     .rename_columns(["week", "n"])),
-                 batch_format="pyarrow")
-             .groupby("week").aggregate(Sum("n", alias_name="n"))
-             .to_pandas())
+    rev = combine_agg(ds, ["week"], weekly, [("rev", "sum")],
+                      named("week", "rev")).to_pandas()
+    week_users = combine_agg(ds, ["week", "user_id"], weekly,
+                             [("user_id", "count")],
+                             lambda t: t.select(["week", "user_id"]))
+    users = combine_agg(week_users, ["week"], lambda t: t,
+                        [("user_id", "count")],
+                        named("week", "n")).to_pandas()
     merged = rev.merge(users, on="week", how="inner").sort_values(
         "week")
     r = merged["rev"].to_numpy(dtype=np.int64)
@@ -4044,13 +3632,10 @@ def trailing_top_user_hourly(sf_dir: str,
     hours (a broadcast sorted array, bounded by the time span), and
     emits one winner per (partition, hour); the final argmax folds
     partitions x hours rows driver-side."""
-    from ray.data.aggregate import Sum as _Sum
-
     from ..stages.partition import fit_partitions, partition_by
 
     HOUR_US = 3_600_000_000
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "user_id"])
+    ds = read_table(sf_dir, "events", ["ts", "user_id"])
 
     def hcells(t: pa.Table) -> pa.Table:
         hr = _as_int64(t["ts"]) // HOUR_US
@@ -4072,8 +3657,11 @@ def trailing_top_user_hourly(sf_dir: str,
 
     # globally-observed hours: bounded by the corpus time span (one row
     # per hour ever active), safe to hold and broadcast
-    hours_pd = (cells.groupby("hour")
-                .aggregate(_Sum("n", alias_name="n")).to_pandas())
+    hours_pd = combine_agg(
+        ds, ["hour"],
+        lambda t: pa.table({"hour": pa.array(_as_int64(t["ts"])
+                                             // HOUR_US)}),
+        [("hour", "count")], named("hour", "n")).to_pandas()
     hours = np.sort(hours_pd["hour"].to_numpy(dtype=np.int64))
     hours_ref = ray.put(hours)
 
@@ -4159,12 +3747,9 @@ def debounced_event_counts(sf_dir: str,
     Scale shape: one user co-partition; inside it a single lexsort by
     (user, type, ts) and a vectorized lag-diff marks survivors; the
     shuffle output is the bounded per-type (kept, dropped) grid."""
-    from ray.data.aggregate import Sum as _Sum
-
     from ..stages.partition import fit_partitions, partition_by
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "user_id", "event_type"])
+    ds = read_table(sf_dir, "events", ["ts", "user_id", "event_type"])
     gap_us = int(gap_s) * 1_000_000
 
     def prep(t: pa.Table) -> pa.Table:
@@ -4174,7 +3759,6 @@ def debounced_event_counts(sf_dir: str,
             "us": pa.array(_as_int64(t["ts"]))})
 
     out_empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                          "kept": pa.array([], type=pa.int64()),
                           "dropped": pa.array([], type=pa.int64())})
 
     def kernel(t: pa.Table) -> pa.Table:
@@ -4190,22 +3774,21 @@ def debounced_event_counts(sf_dir: str,
         gap[0] = gap_us + 1
         gap[1:] = us_s[1:] - us_s[:-1]
         dropped = same & (gap <= gap_us)
-        keep_by_type = np.zeros(ut.shape[0], dtype=np.int64)
-        drop_by_type = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(keep_by_type, t_s[~dropped], 1)
-        np.add.at(drop_by_type, t_s[dropped], 1)
         return pa.table({
-            "event_type": pa.array(ut.tolist(), type=pa.string()),
-            "kept": pa.array(keep_by_type),
-            "dropped": pa.array(drop_by_type)})
+            "event_type": t["event_type"].take(pa.array(order)),
+            "dropped": pa.array(dropped.astype(np.int64))})
 
     pre = partition_by(
         ds.map_batches(prep, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["user_id"], fit_partitions(16), kernel, out_empty)
-    out = (pre.groupby("event_type")
-           .aggregate(_Sum("kept", alias_name="kept"),
-                      _Sum("dropped", alias_name="dropped"))
+    out = (combine_agg(pre, ["event_type"], lambda t: t,
+                       [("dropped", "count"), ("dropped", "sum")],
+                       lambda t: pa.table({
+                           "event_type": t["event_type"],
+                           "kept": pc.subtract(t["dropped_count"],
+                                               t["dropped_sum"]),
+                           "dropped": t["dropped_sum"]}))
            .to_pandas().sort_values("event_type")
            .reset_index(drop=True))
     return pa.table({
@@ -4249,8 +3832,7 @@ def value_ohlc_hourly(sf_dir: str) -> pa.Table:
     from ..stages.partition import fit_partitions, partition_by
 
     HOUR_US = 3_600_000_000
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_id", "value"])
+    ds = read_table(sf_dir, "events", ["ts", "event_id", "value"])
 
     cand_empty = pa.table({
         "hour": pa.array([], type=pa.int64()),
@@ -4401,8 +3983,7 @@ def theil_sen_trend_by_type(sf_dir: str) -> pa.Table:
     1e6 must fit int64, so series whose hourly totals exceed ~9e12
     cents need a coarser slope unit.
     """
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type", "value"])
+    ds = read_table(sf_dir, "events", ["ts", "event_type", "value"])
     HOUR_US = np.int64(3_600_000_000)
 
     def hourly(t: pa.Table) -> pa.Table:
@@ -4506,54 +4087,35 @@ def km_user_survival(sf_dir: str, censor_hours: int = 72) -> pa.Table:
     twin term by term.  If a risk set is wiped out (n == d) the term
     is 0 and ``surv_zero`` flags the curve as 0 from there on.
 
-    Scale shape: per-user first/last via per-block min/max partials +
-    one user groupby (the standard user co-partition); lifetimes are
-    then re-counted into O(distinct hours x 2) rows before anything
-    reaches the driver -- users never do.
+    Scale shape: per-user first/last via one user ``combine_agg``
+    min/max; lifetimes are then counted by a second ``combine_agg`` into
+    O(distinct hours x 2) rows before anything reaches the driver --
+    users never do.
     """
-    from ray.data.aggregate import Max as _Max, Min as _Min, Sum as _Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "user_id"])
+    ds = read_table(sf_dir, "events", ["ts", "user_id"])
     HOUR_US = np.int64(3_600_000_000)
     CENSOR_US = np.int64(censor_hours) * HOUR_US
 
-    def span_partials(t: pa.Table) -> pa.Table:
-        staged = pa.table({"user_id": t["user_id"],
-                           "us": pa.array(_as_int64(t["ts"]))})
-        g = staged.group_by("user_id").aggregate(
-            [("us", "min"), ("us", "max")])
-        return pa.table({"user_id": g["user_id"],
-                         "f": pc.cast(g["us_min"], pa.int64()),
-                         "l": pc.cast(g["us_max"], pa.int64())})
-
     # materialized once: O(users) rows, block-level in the object
-    # store (the max() consume would otherwise re-execute the groupby
+    # store (the max() consume would otherwise re-execute the grouping
     # for the downstream count pass)
-    spans = (ds.map_batches(span_partials, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("user_id")
-             .aggregate(_Min("f", alias_name="f"),
-                        _Max("l", alias_name="l"))
-             .materialize())
+    spans = combine_agg(ds, ["user_id"],
+                        lambda t: pa.table({
+                            "user_id": t["user_id"],
+                            "us": pa.array(_as_int64(t["ts"]))}),
+                        [("us", "min"), ("us", "max")],
+                        named("user_id", "f", "l")).materialize()
     gmax = int(spans.max("l"))
 
-    def lifetime_counts(t: pa.Table) -> pa.Table:
+    def lifetimes(t: pa.Table) -> pa.Table:
         f = t["f"].to_numpy(zero_copy_only=False).astype(np.int64)
         l = t["l"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lt = (l - f) // HOUR_US
-        obs = (gmax - l >= CENSOR_US).astype(np.int64)
-        staged = pa.table({"t": pa.array(lt), "obs": pa.array(obs),
-                           "one": pa.array(np.ones_like(lt))})
-        g = staged.group_by(["t", "obs"]).aggregate([("one", "sum")])
-        return pa.table({"t": g["t"], "obs": g["obs"],
-                         "ct": pc.cast(g["one_sum"], pa.int64())})
+        return pa.table({"t": pa.array((l - f) // HOUR_US),
+                         "obs": pa.array((gmax - l >= CENSOR_US)
+                                         .astype(np.int64))})
 
-    counts = (spans.map_batches(lifetime_counts, batch_format="pyarrow",
-                                zero_copy_batch=True)
-              .groupby(["t", "obs"])
-              .aggregate(_Sum("ct", alias_name="ct"))
-              .to_pandas())
+    counts = combine_agg(spans, ["t", "obs"], lifetimes, [("t", "count")],
+                         named("t", "obs", "ct")).to_pandas()
     # driver fold over O(distinct lifetimes x 2) rows only
     counts = counts.sort_values(["t", "obs"])
     times = counts["t"].to_numpy(dtype=np.int64)
@@ -4642,32 +4204,11 @@ def acf_hourly_revenue(sf_dir: str, max_lag: int = 6) -> pa.Table:
     the SQL twin; acf_ppm = floor(num*1e6 / den) with sign-safe floor
     division.
 
-    Scale shape: one per-hour cents combiner (cardinality-bounded),
-    then an O(lags x hours) driver fold over exact integers.
+    Scale shape: one per-hour cents ``combine_agg``
+    (cardinality-bounded), then an O(lags x hours) driver fold over
+    exact integers.
     """
-    from ray.data.aggregate import Sum as _Sum
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "value"])
-    HOUR_US = np.int64(3_600_000_000)
-
-    def hourly(t: pa.Table) -> pa.Table:
-        us = _as_int64(t["ts"])
-        v = t["value"].to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        staged = pa.table({"hour": pa.array(us // HOUR_US),
-                           "c": pa.array(cents)})
-        g = staged.group_by("hour").aggregate([("c", "sum")])
-        return pa.table({"hour": g["hour"],
-                         "c": pc.cast(g["c_sum"], pa.int64())})
-
-    h = (ds.map_batches(hourly, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .groupby("hour").aggregate(_Sum("c", alias_name="c"))
-         .to_pandas().sort_values("hour"))
-    hours = h["hour"].to_numpy(dtype=np.int64)
-    lo, hi = int(hours.min()), int(hours.max())
-    grid = np.zeros(hi - lo + 1, dtype=np.int64)
-    grid[hours - lo] = h["c"].to_numpy(dtype=np.int64)
+    grid = _hourly_cents(sf_dir)
     x = [int(v) for v in grid]              # exact big ints
     n = len(x)
     S = sum(x)
@@ -4743,14 +4284,12 @@ def events_nearest_order(sf_dir: str) -> pa.Table:
 
     Scale shape: same single co-partition exchange as the other as-of
     queries -- the nearest kernel reads both neighbors from one
-    searchsorted pass, so direction costs nothing extra; the combiner
-    folds each joined block to O(event types) rows.
+    searchsorted pass, so direction costs nothing extra;
+    ``combine_agg`` folds each joined batch to O(event types) rows.
     """
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["ts", "user_id", "event_type"])
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_orderkey"])
+    events = read_table(sf_dir, "events", ["ts", "user_id", "event_type"])
+    orders = read_table(sf_dir, "orders",
+                        ["o_custkey", "o_orderdate", "o_orderkey"])
 
     joined = asof_join(
         events, orders, left_on="user_id", right_on="o_custkey",
@@ -4759,39 +4298,19 @@ def events_nearest_order(sf_dir: str) -> pa.Table:
         right_cols=["o_orderdate", "o_orderkey"],
         right_tiebreak="o_orderkey", direction="nearest")
 
-    empty = pa.table({"event_type": pa.array([], type=pa.string()),
-                      "n": pa.array([], type=pa.int64()),
-                      "n_after": pa.array([], type=pa.int64()),
-                      "sum_abs_gap_ms": pa.array([], type=pa.int64())})
-
-    def combine(t: pa.Table) -> pa.Table:
+    def matched(t: pa.Table) -> pa.Table:
         t = t.filter(t["_matched"])
-        if t.num_rows == 0:
-            return empty
-        et = t["event_type"].to_numpy(zero_copy_only=False)
         ets = _as_int64(t["ts"])
         ots = _as_int64(t["o_orderdate"])
-        gap = np.abs(ets - ots) // 1000
-        after = (ots > ets).astype(np.int64)
-        ut, inv = np.unique(et, return_inverse=True)
-        n = np.bincount(inv, minlength=ut.shape[0]).astype(np.int64)
-        na = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(na, inv, after)
-        # int64 scatter-add (microsecond gaps overflow float53 sums)
-        g = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(g, inv, gap)
-        return pa.table({
-            "event_type": pa.array(ut, type=pa.string()),
-            "n": pa.array(n), "n_after": pa.array(na),
-            "sum_abs_gap_ms": pa.array(g),
-        })
+        return pa.table({"event_type": t["event_type"],
+                         "after": pa.array((ots > ets).astype(np.int64)),
+                         "gap": pa.array(np.abs(ets - ots) // 1000)})
 
-    from ray.data.aggregate import Sum
-    agg = (joined.map_batches(combine, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("n_after", alias_name="n_after"),
-                      Sum("sum_abs_gap_ms", alias_name="sum_abs_gap_ms"))
+    agg = (combine_agg(joined, ["event_type"], matched,
+                       [("gap", "count"), ("after", "sum"),
+                        ("gap", "sum")],
+                       named("event_type", "n", "n_after",
+                             "sum_abs_gap_ms"))
            .to_pandas().sort_values("event_type").reset_index(drop=True))
     return pa.table({
         "event_type": pa.array(agg["event_type"], type=pa.string()),
@@ -4842,13 +4361,12 @@ def scd2_snapshot_counts(sf_dir: str) -> pa.Table:
     (valid_from <= T and (open run or valid_to > T)).
 
     Dataflow: composes scd2_state_history (already O(state changes),
-    streamed) with one filtered in-batch combiner; two scalar ts
+    streamed) with one filtered ``combine_agg`` count; two scalar ts
     aggregates fix T deterministically on both sides.
     """
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
-    tsds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                 columns=["ts"])
+    tsds = read_table(sf_dir, "events", ["ts"])
     agg = tsds.aggregate(Min("ts"), Max("ts"))
     mn = int(pa.scalar(agg["min(ts)"]).cast(pa.timestamp("us"))
              .cast(pa.int64()).as_py())
@@ -4858,25 +4376,15 @@ def scd2_snapshot_counts(sf_dir: str) -> pa.Table:
 
     hist = scd2_state_history(sf_dir)
 
-    empty = pa.table({"state": pa.array([], type=pa.string()),
-                      "n_users": pa.array([], type=pa.int64())})
-
     def at_t(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
         vf = t["valid_from_us"].to_numpy(zero_copy_only=False)
         vt = t["valid_to_us"].to_numpy(zero_copy_only=False)
         live = (vf <= t_us) & ((vt == -1) | (vt > t_us))
-        if not live.any():
-            return empty
-        st = t["state"].to_numpy(zero_copy_only=False)[live]
-        us, cnt = np.unique(st, return_counts=True)
-        return pa.table({"state": pa.array(us, type=pa.string()),
-                         "n_users": pa.array(cnt.astype(np.int64))})
+        return pa.table({"state": pc.cast(t["state"], pa.string())
+                         .filter(pa.array(live))})
 
-    out = (hist.map_batches(at_t, batch_format="pyarrow")
-           .groupby("state").aggregate(Sum("n_users",
-                                           alias_name="n_users"))
+    out = (combine_agg(hist, ["state"], at_t, [("state", "count")],
+                       named("state", "n_users"))
            .to_pandas().sort_values("state").reset_index(drop=True))
     return pa.table({
         "state": pa.array(out["state"], type=pa.string()),

@@ -23,9 +23,9 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
 from ..sources.tables import read_table as _read
+from ..stages.combine import combine_agg, named
 from ..stages.partition import fit_partitions, partition_by
 
 
@@ -85,8 +85,7 @@ def tpch_q4_priority_counts(sf_dir: str, date_lo: str = "1997-07-01",
                                   zero_copy_batch=True)))
 
     part_empty = pa.table({"o_orderpriority": pa.array([],
-                                                       type=pa.string()),
-                           "n": pa.array([], type=pa.int64())})
+                                                       type=pa.string())})
 
     def resolve(t: pa.Table) -> pa.Table:
         side = t["side"].to_numpy(zero_copy_only=False)
@@ -100,16 +99,14 @@ def tpch_q4_priority_counts(sf_dir: str, date_lo: str = "1997-07-01",
         pos = np.searchsorted(rkeys, ok)
         safe = np.minimum(pos, rkeys.size - 1)
         has = (pos < rkeys.size) & (rkeys[safe] == ok)
-        staged = pa.table({"o_orderpriority": pa.array(
+        return pa.table({"o_orderpriority": pa.array(
             oprio[has].astype(object), type=pa.string())})
-        g = staged.group_by("o_orderpriority").aggregate([([], "count_all")])
-        return pa.table({"o_orderpriority": g["o_orderpriority"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
 
     pre = partition_by(both, ["key"], fit_partitions(16), resolve,
                        part_empty)
-    out = (pre.groupby("o_orderpriority")
-           .aggregate(Sum("n", alias_name="order_count"))
+    out = (combine_agg(pre, ["o_orderpriority"], lambda t: t,
+                       [("o_orderpriority", "count")],
+                       named("o_orderpriority", "order_count"))
            .to_pandas().sort_values("o_orderpriority"))
     return pa.table({
         "o_orderpriority": pa.array(out["o_orderpriority"].to_numpy(
@@ -205,22 +202,18 @@ def tpch_q12_priority_by_status(sf_dir: str,
         safe = np.minimum(pos, ok.size - 1)
         has = (pos < ok.size) & (ok[safe] == lk)
         hi = ohi[safe[has]]
-        staged = pa.table({
+        return pa.table({
             "l_linestatus": pa.array(lstat[has].astype(object),
                                      type=pa.string()),
             "hl": pa.array(hi.astype(np.int64)),
             "ll": pa.array((1 - hi).astype(np.int64))})
-        g = staged.group_by("l_linestatus").aggregate(
-            [("hl", "sum"), ("ll", "sum")])
-        return pa.table({"l_linestatus": g["l_linestatus"],
-                         "hl": pc.cast(g["hl_sum"], pa.int64()),
-                         "ll": pc.cast(g["ll_sum"], pa.int64())})
 
     pre = partition_by(both, ["key"], fit_partitions(16), resolve,
                        part_empty)
-    out = (pre.groupby("l_linestatus")
-           .aggregate(Sum("hl", alias_name="high_line_count"),
-                      Sum("ll", alias_name="low_line_count"))
+    out = (combine_agg(pre, ["l_linestatus"], lambda t: t,
+                       [("hl", "sum"), ("ll", "sum")],
+                       named("l_linestatus", "high_line_count",
+                             "low_line_count"))
            .to_pandas().sort_values("l_linestatus"))
     return pa.table({
         "l_linestatus": pa.array(out["l_linestatus"].to_numpy(
@@ -744,17 +737,13 @@ def tpch_q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_1",
             .astype(np.int64)[m]
         a_to_b = (s_nat[m] == a).astype(np.int64)
         cell = (1 - a_to_b) * NYR + (yr - YR0)
-        acc = np.zeros(2 * NYR, dtype=np.int64)
-        np.add.at(acc, cell, rev)
-        live = np.flatnonzero(acc != 0)
-        return pa.table({"cell": pa.array(live),
-                         "revenue_c": pa.array(acc[live])})
+        return pa.table({"cell": pa.array(cell),
+                         "revenue_c": pa.array(rev)})
 
     folded = partition_by(both2, ["k"], fit_partitions(32), join_fold,
                           out_empty)
-    agg = (folded.groupby("cell")
-           .aggregate(Sum("revenue_c", alias_name="revenue_c"))
-           .to_pandas())
+    agg = combine_agg(folded, ["cell"], lambda t: t, [("revenue_c", "sum")],
+                      named("cell", "revenue_c")).to_pandas()
     cells = agg["cell"].to_numpy(dtype=np.int64)
     revs = agg["revenue_c"].to_numpy(dtype=np.int64)
     dir_ab = cells < NYR
@@ -964,20 +953,15 @@ def tpch_q8_market_share(sf_dir: str, nation: str = "NATION_8",
             .astype(np.int64)[hit]
         natc = t["nat_c"].to_numpy(zero_copy_only=False)[is_l] \
             .astype(np.int64)[hit]
-        tot = np.zeros(NYR, dtype=np.int64)
-        nat_acc = np.zeros(NYR, dtype=np.int64)
-        np.add.at(tot, yr, rev)
-        np.add.at(nat_acc, yr, natc)
-        live = np.flatnonzero(tot != 0)
-        return pa.table({"yr": pa.array(live + YR0),
-                         "total_c": pa.array(tot[live]),
-                         "nation_c": pa.array(nat_acc[live])})
+        return pa.table({"yr": pa.array(yr + YR0),
+                         "total_c": pa.array(rev),
+                         "nation_c": pa.array(natc)})
 
     folded = partition_by(both2, ["k"], fit_partitions(32), join_fold,
                           out_empty)
-    agg = (folded.groupby("yr")
-           .aggregate(Sum("total_c", alias_name="total_c"),
-                      Sum("nation_c", alias_name="nation_c"))
+    agg = (combine_agg(folded, ["yr"], lambda t: t,
+                       [("total_c", "sum"), ("nation_c", "sum")],
+                       named("yr", "total_c", "nation_c"))
            .to_pandas().sort_values("yr"))
     yr = agg["yr"].to_numpy(dtype=np.int64)
     tot = agg["total_c"].to_numpy(dtype=np.int64)
@@ -1029,9 +1013,9 @@ def tpch_q15_top_supplier(sf_dir: str, date_lo: str = "1997-01-01",
     view + scalar-max + equality-join-back pattern whose correctness
     trap is ties (a LIMIT 1 would be wrong).
 
-    Scale shape: the date filter and a per-block (suppkey, cents)
-    combiner run in the stateless prep map, so the only exchange is
-    the O(suppliers) groupby; the max and the tie filter run on that
+    Scale shape: the date filter and the cents run in ``combine_agg``'s
+    prep, which folds each batch per suppkey, so the only exchange is
+    the O(suppliers) grouped sum; the max and the tie filter run on that
     already-small aggregate without leaving the dataset plan, and
     supplier names attach via a broadcast sorted array at the very
     end (supplier is the small dim, as in Q5/Q7).
@@ -1045,33 +1029,18 @@ def tpch_q15_top_supplier(sf_dir: str, date_lo: str = "1997-01-01",
                ["l_suppkey", "l_extendedprice", "l_discount",
                 "l_shipdate"])
 
-    empty = pa.table({"s_suppkey": pa.array([], type=pa.int64()),
-                      "total_revenue_c": pa.array([],
-                                                  type=pa.int64())})
-
-    def combine(t: pa.Table) -> pa.Table:
+    def revenue(t: pa.Table) -> pa.Table:
         us = pc.cast(t["l_shipdate"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        keep = (us >= lo_us) & (us < hi_us)
-        if not keep.any():
-            return empty
-        t = t.filter(pa.array(keep))
+        t = t.filter(pa.array((us >= lo_us) & (us < hi_us)))
         p = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         d = t["l_discount"].to_numpy(zero_copy_only=False)
         rev = np.floor(p * (1.0 - d) * 100.0 + 0.5).astype(np.int64)
-        sk = pc.cast(t["l_suppkey"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        uk, inv = np.unique(sk, return_inverse=True)
-        acc = np.zeros(uk.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, rev)
-        return pa.table({"s_suppkey": pa.array(uk),
-                         "total_revenue_c": pa.array(acc)})
+        return pa.table({"s_suppkey": pc.cast(t["l_suppkey"], pa.int64()),
+                         "rev": pa.array(rev)})
 
-    per_sup = (li.map_batches(combine, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("s_suppkey")
-               .aggregate(Sum("total_revenue_c",
-                              alias_name="total_revenue_c")))
+    per_sup = combine_agg(li, ["s_suppkey"], revenue, [("rev", "sum")],
+                          named("s_suppkey", "total_revenue_c"))
     best = per_sup.max("total_revenue_c")
 
     top = (per_sup.filter(
@@ -1200,12 +1169,14 @@ def tpch_q22_sales_opportunity(
                           "numcust": pa.array([], type=pa.int64()),
                           "totacctbal_c": pa.array([],
                                                    type=pa.int64())})
+    rows_empty = pa.table({"cntrycode": pa.array([], type=pa.int64()),
+                           "bal_c": pa.array([], type=pa.int64())})
 
     def anti_fold(t: pa.Table) -> pa.Table:
         k = t["k"].to_numpy(zero_copy_only=False)
         is_c = pc.is_valid(t["nat"]).to_numpy(zero_copy_only=False)
         if not is_c.any():
-            return out_empty
+            return rows_empty
         ok = np.unique(k[~is_c])
         ck = k[is_c]
         if ok.size:
@@ -1215,28 +1186,22 @@ def tpch_q22_sales_opportunity(
         else:
             no_orders = np.ones(ck.shape[0], dtype=bool)
         if not no_orders.any():
-            return out_empty
+            return rows_empty
         nat = t["nat"].to_numpy(zero_copy_only=False)[is_c] \
             .astype(np.int64)[no_orders]
         bal = t["bal_c"].to_numpy(zero_copy_only=False)[is_c] \
             .astype(np.int64)[no_orders]
-        cell = np.searchsorted(code_arr, nat)
-        n = np.bincount(cell, minlength=code_arr.shape[0]) \
-            .astype(np.int64)
-        b = np.zeros(code_arr.shape[0], dtype=np.int64)
-        np.add.at(b, cell, bal)
-        live = np.flatnonzero(n > 0)
-        return pa.table({"cntrycode": pa.array(code_arr[live]),
-                         "numcust": pa.array(n[live]),
-                         "totacctbal_c": pa.array(b[live])})
+        return pa.table({
+            "cntrycode": pa.array(code_arr[np.searchsorted(code_arr, nat)]),
+            "bal_c": pa.array(bal)})
 
     folded = partition_by(both, ["k"], fit_partitions(32), anti_fold,
-                          out_empty)
-    agg = (folded.groupby("cntrycode")
-           .aggregate(Sum("numcust", alias_name="numcust"),
-                      Sum("totacctbal_c", alias_name="totacctbal_c"))
-           .to_pandas())
-    if agg.empty:        # empty groupby drops the column schema
+                          rows_empty)
+    agg = combine_agg(folded, ["cntrycode"], lambda t: t,
+                      [("bal_c", "count"), ("bal_c", "sum")],
+                      named("cntrycode", "numcust", "totacctbal_c")
+                      ).to_pandas()
+    if agg.empty:        # a zero-row result carries no columns
         return out_empty
     agg = agg.sort_values("cntrycode")
     return pa.table({
@@ -1325,8 +1290,7 @@ def tpch_q21_waiting_supplier(sf_dir: str, topk: int = 10) -> pa.Table:
             .union(li.map_batches(l_norm, batch_format="pyarrow",
                                   zero_copy_batch=True)))
 
-    out_empty = pa.table({"s_suppkey": pa.array([], type=pa.int64()),
-                          "numwait": pa.array([], type=pa.int64())})
+    out_empty = pa.table({"s_suppkey": pa.array([], type=pa.int64())})
 
     def fold(t: pa.Table) -> pa.Table:
         k = t["k"].to_numpy(zero_copy_only=False)
@@ -1358,17 +1322,13 @@ def tpch_q21_waiting_supplier(sf_dir: str, topk: int = 10) -> pa.Table:
         is_f = fkeys[pos] == ok[starts]
         qual = is_f & (nsupp >= 2) & (nr == 1)
         emit = qual[grp] & (r == 1)
-        if not emit.any():
-            return out_empty
-        uk, cnts = np.unique(sk[emit], return_counts=True)
-        return pa.table({"s_suppkey": pa.array(uk),
-                         "numwait": pa.array(cnts.astype(np.int64))})
+        return pa.table({"s_suppkey": pa.array(sk[emit])})
 
     folded = partition_by(both, ["k"], fit_partitions(32), fold,
                           out_empty)
-    agg = (folded.groupby("s_suppkey")
-           .aggregate(Sum("numwait", alias_name="numwait"))
-           .to_pandas())
+    agg = combine_agg(folded, ["s_suppkey"], lambda t: t,
+                      [("s_suppkey", "count")],
+                      named("s_suppkey", "numwait")).to_pandas()
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_name"])
@@ -1423,9 +1383,9 @@ def tpch_q16_parts_supplier_census(
     partkey->descriptor-id map and the denylist to a sorted array, so
     lineitem drops non-qualifying rows and collapses to distinct
     (descriptor, supplier) composite cells per block BEFORE the only
-    exchange; the composite-key kernel re-dedups and emits per-
-    descriptor partial counts, and the groupby output is bounded by
-    the descriptor census (brands x types x sizes).  Assumes suppkey
+    exchange; the composite-key kernel re-dedups and emits one row per
+    distinct cell, and the ``combine_agg`` count per descriptor is
+    bounded by the descriptor census (brands x types x sizes).  Assumes suppkey
     < 2^40 (asserted) so the composite fits int64.
     """
     import pyarrow.parquet as pq
@@ -1492,25 +1452,18 @@ def tpch_q16_parts_supplier_census(
     staged = li.map_batches(cells, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    part_empty = pa.table({"desc_id": pa.array([], type=pa.int64()),
-                           "supplier_cnt": pa.array([],
-                                                    type=pa.int64())})
+    part_empty = pa.table({"desc_id": pa.array([], type=pa.int64())})
 
-    def census(t: pa.Table) -> pa.Table:
+    def distinct_cells(t: pa.Table) -> pa.Table:
+        # one row per distinct (description, supplier) cell
         c = np.unique(t["cell"].to_numpy(zero_copy_only=False))
-        if c.size == 0:
-            return part_empty
-        d = c >> np.int64(40)
-        uk, cnts = np.unique(d, return_counts=True)
-        return pa.table({"desc_id": pa.array(uk),
-                         "supplier_cnt": pa.array(
-                             cnts.astype(np.int64))})
+        return pa.table({"desc_id": pa.array(c >> np.int64(40))})
 
     folded = partition_by(staged, ["cell"], fit_partitions(32),
-                          census, part_empty)
-    agg = (folded.groupby("desc_id")
-           .aggregate(Sum("supplier_cnt", alias_name="supplier_cnt"))
-           .to_pandas())
+                          distinct_cells, part_empty)
+    agg = combine_agg(folded, ["desc_id"], lambda t: t,
+                      [("desc_id", "count")],
+                      named("desc_id", "supplier_cnt")).to_pandas()
     did = agg["desc_id"].to_numpy(dtype=np.int64)
     cnt = agg["supplier_cnt"].to_numpy(dtype=np.int64)
     b = brands[rep[did]]
@@ -1554,9 +1507,9 @@ def tpch_q11_important_parts(sf_dir: str, nation: str = "NATION_3",
     non-vacuous at every test scale).
 
     Scale shape: the nation's suppliers fold to a broadcast sorted
-    array; lineitem drops other-nation rows and pre-folds per-part
-    cents in the stateless map, so the only exchange is the
-    O(touched parts) groupby; the global total is a sum over that
+    array; lineitem drops other-nation rows in ``combine_agg``'s prep,
+    which folds each batch per part, so the only exchange is the
+    O(touched parts) grouped sum; the global total is a sum over that
     same aggregate (never a second fact pass) and the HAVING filter
     is exact integer cross-multiplication pushed into the dataset.
     """
@@ -1589,25 +1542,15 @@ def tpch_q11_important_parts(sf_dir: str, nation: str = "NATION_3",
         pos = np.minimum(pos, max(skl.shape[0] - 1, 0))
         hit = skl[pos] == sk if skl.size else np.zeros(sk.size,
                                                        dtype=bool)
-        if not hit.any():
-            return empty
         t = t.filter(pa.array(hit))
         p = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         d = t["l_discount"].to_numpy(zero_copy_only=False)
         rev = np.floor(p * (1.0 - d) * 100.0 + 0.5).astype(np.int64)
-        pk = pc.cast(t["l_partkey"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        uk, inv = np.unique(pk, return_inverse=True)
-        acc = np.zeros(uk.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, rev)
-        return pa.table({"p_partkey": pa.array(uk),
-                         "value_c": pa.array(acc)})
+        return pa.table({"p_partkey": pc.cast(t["l_partkey"], pa.int64()),
+                         "value_c": pa.array(rev)})
 
-    per = (li.map_batches(per_part, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("p_partkey")
-           .aggregate(Sum("value_c", alias_name="value_c"))
-           .materialize())
+    per = combine_agg(li, ["p_partkey"], per_part, [("value_c", "sum")],
+                      named("p_partkey", "value_c")).materialize()
     total = int(per.sum("value_c") or 0)
     nparts = per.count()
     if nparts == 0:
@@ -1910,7 +1853,6 @@ def tpch_q9_product_profit(sf_dir: str,
                                       zero_copy_batch=True)))
 
     YR0, NYR = 1990, 20
-    NNAT = nat_keys.shape[0]
     out_empty = pa.table({"cell": pa.array([], type=pa.int64()),
                           "profit_c": pa.array([], type=pa.int64())})
 
@@ -1936,20 +1878,13 @@ def tpch_q9_product_profit(sf_dir: str,
             .astype(np.int64)[hit]
         amt = t["amount_c"].to_numpy(zero_copy_only=False)[is_l] \
             .astype(np.int64)[hit]
-        cell = nat_i * NYR + yr
-        acc = np.zeros(NNAT * NYR, dtype=np.int64)
-        np.add.at(acc, cell, amt)
-        seen = np.zeros(NNAT * NYR, dtype=bool)
-        seen[cell] = True
-        live = np.flatnonzero(seen)
-        return pa.table({"cell": pa.array(live),
-                         "profit_c": pa.array(acc[live])})
+        return pa.table({"cell": pa.array(nat_i * NYR + yr),
+                         "profit_c": pa.array(amt)})
 
     folded = partition_by(both, ["k"], fit_partitions(32), join_fold,
                           out_empty)
-    agg = (folded.groupby("cell")
-           .aggregate(Sum("profit_c", alias_name="profit_c"))
-           .to_pandas())
+    agg = combine_agg(folded, ["cell"], lambda t: t, [("profit_c", "sum")],
+                      named("cell", "profit_c")).to_pandas()
     cells = agg["cell"].to_numpy(dtype=np.int64)
     prof = agg["profit_c"].to_numpy(dtype=np.int64)
     nn = nat_names[cells // NYR]

@@ -7,9 +7,12 @@ count-min, Bloom, KLL and MinHash all plug into the same Ray Data stages:
 
 * build:   ``map_batches(...)`` calls ``add_batch`` per Arrow batch and
            emits one ``to_row()`` per (block, group) -- the partial.
-* merge:   ``groupby(key).map_groups`` / ``AggregateFnV2`` calls ``merge``
-           over partial rows -- Ray's partial+final tree combine replaces
-           the reference's gossip rounds (main.cpp:475-658).
+* merge:   a distributed tree reduce of the partial rows
+           (``stages.sketch_build.tree_merge``) or a per-key grouping of
+           them (a sort then one merge per block, or
+           ``groupby(key).map_groups``) calls ``merge`` -- the
+           partial-then-merge tree replaces the reference's gossip rounds
+           (main.cpp:475-658).
 * query:   ``finalize``-side methods (quantile / estimate / contains ...).
 
 Contract: ``merge`` must be associative and commutative, and ``to_row`` /

@@ -105,3 +105,9 @@ def combine_agg(ds: "ray.data.Dataset", keys: Sequence[str],
     empty = reduce(_partial(schema.base_schema.empty_table(), prep, keys,
                             aggs))
     return out.union(ray.data.from_arrow(empty))
+
+
+def named(*names: str):
+    """A ``combine_agg`` finalize that only renames: the key columns,
+    then one merged column per aggregate, to ``names`` in that order."""
+    return lambda t: t.rename_columns(list(names))

@@ -13,6 +13,8 @@ from typing import Callable
 
 import pyarrow as pa
 
+from .sketch_build import tree_merge
+
 
 def sketch_partials_ds(ds, columns: list[str],
                        make_sketch: Callable[[], object],
@@ -45,28 +47,11 @@ def _merge_blob_block(t: pa.Table) -> pa.Table:
 
 
 def merge_partials(partials_ds, *, fanin: int = 32):
-    """Distributed tree reduce of the tiny partial blobs: a block-local
-    leaf merge fused into the build stage (no shuffle), repartition+merge
-    rounds only while more than ``fanin`` blocks remain, then a driver
-    fold of <= fanin blobs -- driver work bounded by the constant fanin
-    for any input block count."""
-    import ray
-    leaves = partials_ds.map_batches(
-        _merge_blob_block, batch_format="pyarrow",
-        batch_size=None).materialize()
-    while leaves.num_blocks() > fanin:
-        leaves = leaves.repartition(fanin).map_batches(
-            _merge_blob_block, batch_format="pyarrow",
-            batch_size=None).materialize()
-    merged = None
-    for ref in leaves.to_arrow_refs():
-        t = ray.get(ref)
-        for blob in t["blob"].to_pylist():
-            s = pickle.loads(blob)
-            merged = s if merged is None else merged.merge(s)
-    if merged is None:
-        raise ValueError("empty dataset")
-    return merged
+    """The one accumulator of a Dataset of pickled partials: a
+    ``tree_merge`` with ``_merge_blob_block`` leaves, then a driver fold
+    of the <= ``fanin`` blobs it leaves."""
+    root = tree_merge(partials_ds, _merge_blob_block, fanin=fanin)
+    return pickle.loads(_merge_blob_block(root)["blob"][0].as_py())
 
 
 def build_and_merge(ds, columns, make_sketch, add_batch, batch_size=65536):

@@ -27,6 +27,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from .combine import combine_agg, named
+
 
 # ---------------------------------------------------------------------------
 # uncompressed-container codecs (pure numpy/struct -- no codec libraries)
@@ -223,11 +225,6 @@ def binary_features_by_group(ds, payload_col: str, group_col: str,
     ``mean_features`` (the decoder output, verified by unit tests; a real
     image/audio decoder drops in via ``decode="real"``).
     """
-    import numpy as np
-
-    import ray.data  # noqa: F401  (Dataset API)
-    from ray.data.aggregate import Count, Sum
-
     def to_payload(t: pa.Table) -> pa.Table:
         col = t[payload_col]
         if pa.types.is_string(col.type):
@@ -251,35 +248,32 @@ def binary_features_by_group(ds, payload_col: str, group_col: str,
                 np.floor(flat[:, b] * 1e6 + 0.5).astype(np.int64))
         return pa.table(cols)
 
-    aggs = [Count(alias_name="n_docs"),
-            Sum("payload_size", alias_name="sum_payload_bytes")]
-    aggs += [Sum(f"f{b}_micro", alias_name=f"f{b}_micro")
-             for b in range(n_bins)]
-    agg = (ds.map_batches(to_payload, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .map_batches(featurize, batch_format="pyarrow",
-                        batch_size=batch_size)
-           .groupby(group_col).aggregate(*aggs))
+    rows = (ds.map_batches(to_payload, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .map_batches(featurize, batch_format="pyarrow",
+                         batch_size=batch_size))
 
     def finalize(t: pa.Table) -> pa.Table:
-        n = pa.compute.cast(t["n_docs"], pa.float64())
+        n = pa.compute.cast(t["payload_size_count"], pa.float64())
         mean_cols = [
             pa.compute.divide(
                 pa.compute.divide(
-                    pa.compute.cast(t[f"f{b}_micro"], pa.float64()),
+                    pa.compute.cast(t[f"f{b}_micro_sum"], pa.float64()),
                     pa.scalar(1e6)), n)
             for b in range(n_bins)]
         mat = np.stack([np.asarray(c) for c in mean_cols], axis=1)
         return pa.table({
             group_col: t[group_col],
-            "n_docs": pa.compute.cast(t["n_docs"], pa.int64()),
-            "sum_payload_bytes": pa.compute.cast(t["sum_payload_bytes"],
-                                                 pa.int64()),
+            "n_docs": t["payload_size_count"],
+            "sum_payload_bytes": t["payload_size_sum"],
             "mean_features": pa.FixedSizeListArray.from_arrays(
                 mat.reshape(-1), n_bins),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return combine_agg(rows, [group_col], lambda t: t,
+                       [("payload_size", "count"), ("payload_size", "sum")]
+                       + [(f"f{b}_micro", "sum") for b in range(n_bins)],
+                       finalize)
 
 
 class BinaryFeatureExtract:
@@ -514,8 +508,6 @@ def frame_sample_stats_by_group(ds, payload_col: str, group_col: str,
     FrameSample -> per-group rollup (docs, frames, sampled frames,
     sampled bytes).  All four outputs are exact integer arithmetic on
     payload lengths, so the plumbing is fully SQL-replicable."""
-    from ray.data.aggregate import Count, Sum
-
     def to_payload(t: pa.Table) -> pa.Table:
         col = t[payload_col]
         if pa.types.is_string(col.type):
@@ -537,24 +529,20 @@ def frame_sample_stats_by_group(ds, payload_col: str, group_col: str,
                 pa.compute.binary_length(out["sampled"]), pa.int64()),
         })
 
-    agg = (ds.map_batches(to_payload, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .map_batches(sample, batch_format="pyarrow",
-                        batch_size=batch_size)
-           .groupby(group_col)
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("n_frames", alias_name="sum_frames"),
-                      Sum("n_sampled", alias_name="sum_sampled"),
-                      Sum("sampled_bytes", alias_name="sum_sampled_bytes")))
+    rows = (ds.map_batches(to_payload, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .map_batches(sample, batch_format="pyarrow",
+                         batch_size=batch_size))
+    return combine_agg(rows, [group_col], lambda t: t,
+                       [("n_frames", "count"), ("n_frames", "sum"),
+                        ("n_sampled", "sum"), ("sampled_bytes", "sum")],
+                       named(group_col, "n_docs", "sum_frames",
+                             "sum_sampled", "sum_sampled_bytes"))
 
-    def finalize(t: pa.Table) -> pa.Table:
-        cols = {group_col: t[group_col]}
-        for c in ("n_docs", "sum_frames", "sum_sampled",
-                  "sum_sampled_bytes"):
-            cols[c] = pa.compute.cast(t[c], pa.int64())
-        return pa.table(cols)
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+# docs, payload bytes and thumbnail checksum of per-document resize rows
+_THUMB_AGGS = [("payload_size", "count"), ("payload_size", "sum"),
+               ("checksum", "sum")]
 
 
 def resize_stats_by_group(ds, payload_col: str, group_col: str, *,
@@ -567,8 +555,6 @@ def resize_stats_by_group(ds, payload_col: str, group_col: str, *,
     of byte * (cell index + 1)).  The checksum pins every sampled byte
     of every thumbnail, so the whole ragged gather (per-doc heights,
     clipped tails) is SQL-replicable cell by cell."""
-    from ray.data.aggregate import Count, Sum
-
     def to_payload(t: pa.Table) -> pa.Table:
         col = t[payload_col]
         if pa.types.is_string(col.type):
@@ -591,25 +577,16 @@ def resize_stats_by_group(ds, payload_col: str, group_col: str, *,
                 "checksum": pa.array(mat @ weights, type=pa.int64()),
             })
 
-    agg = (ds.map_batches(to_payload, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .map_batches(_ResizeChecksum, batch_format="pyarrow",
-                        batch_size=batch_size, concurrency=2,
-                        fn_constructor_kwargs={"column": "payload",
-                                               "stride": stride,
-                                               "target": target})
-           .groupby(group_col)
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("payload_size", alias_name="sum_payload"),
-                      Sum("checksum", alias_name="thumb_checksum")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        cols = {group_col: t[group_col]}
-        for c in ("n_docs", "sum_payload", "thumb_checksum"):
-            cols[c] = pa.compute.cast(t[c], pa.int64())
-        return pa.table(cols)
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    rows = (ds.map_batches(to_payload, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .map_batches(_ResizeChecksum, batch_format="pyarrow",
+                         batch_size=batch_size, concurrency=2,
+                         fn_constructor_kwargs={"column": "payload",
+                                                "stride": stride,
+                                                "target": target}))
+    return combine_agg(rows, [group_col], lambda t: t, _THUMB_AGGS,
+                       named(group_col, "n_docs", "sum_payload",
+                             "thumb_checksum"))
 
 # ---------------------------------------------------------------------------
 # real-decode queries: deterministic container fixtures -> decode -> rollup
@@ -643,7 +620,6 @@ def bmp_decode_stats(sf_dir: str, max_doc_id: int = 40) -> pa.Table:
     import pyarrow.dataset as pads
 
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"],
@@ -676,24 +652,15 @@ def bmp_decode_stats(sf_dir: str, max_doc_id: int = 40) -> pa.Table:
                              "r": pa.array(r), "g": pa.array(g),
                              "b": pa.array(b)})
 
-    agg = (ds.map_batches(synth, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .map_batches(_ChannelSums, batch_format="pyarrow",
-                        batch_size=64, concurrency=2)
-           .groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("n_px", alias_name="sum_pixels"),
-                      Sum("r", alias_name="sum_r"),
-                      Sum("g", alias_name="sum_g"),
-                      Sum("b", alias_name="sum_b")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        cols = {"lang": t["lang"]}
-        for c in ("n_docs", "sum_pixels", "sum_r", "sum_g", "sum_b"):
-            cols[c] = pa.compute.cast(t[c], pa.int64())
-        return pa.table(cols)
-
-    return agg.map_batches(finalize, batch_format="pyarrow").sort("lang")
+    rows = (ds.map_batches(synth, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .map_batches(_ChannelSums, batch_format="pyarrow",
+                         batch_size=64, concurrency=2))
+    return combine_agg(rows, ["lang"], lambda t: t,
+                       [("n_px", "count"), ("n_px", "sum"), ("r", "sum"),
+                        ("g", "sum"), ("b", "sum")],
+                       named("lang", "n_docs", "sum_pixels", "sum_r",
+                             "sum_g", "sum_b")).sort("lang")
 
 
 def _bmp_decode_sql(max_doc_id: int = 40) -> str:
@@ -738,7 +705,6 @@ def wav_decode_stats(sf_dir: str, max_doc_id: int = 40,
     import pyarrow.dataset as pads
 
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
     from ..hashing import murmur64
 
@@ -778,24 +744,15 @@ def wav_decode_stats(sf_dir: str, max_doc_id: int = 40,
             "sum_abs": pa.array(sums.astype(np.int64)),
         })
 
-    agg = (ds.map_batches(synth, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .map_batches(sample_stats, batch_format="pyarrow",
-                        batch_size=64)
-           .groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("n_frames", alias_name="sum_frames"),
-                      Sum("n_sampled", alias_name="sum_sampled"),
-                      Sum("sum_abs", alias_name="sum_abs_sampled")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        cols = {"lang": t["lang"]}
-        for c in ("n_docs", "sum_frames", "sum_sampled",
-                  "sum_abs_sampled"):
-            cols[c] = pa.compute.cast(t[c], pa.int64())
-        return pa.table(cols)
-
-    return agg.map_batches(finalize, batch_format="pyarrow").sort("lang")
+    rows = (ds.map_batches(synth, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .map_batches(sample_stats, batch_format="pyarrow",
+                         batch_size=64))
+    return combine_agg(rows, ["lang"], lambda t: t,
+                       [("n_frames", "count"), ("n_frames", "sum"),
+                        ("n_sampled", "sum"), ("sum_abs", "sum")],
+                       named("lang", "n_docs", "sum_frames", "sum_sampled",
+                             "sum_abs_sampled")).sort("lang")
 
 
 def _wav_decode_sql(max_doc_id: int = 40, every: int = 4) -> str:
@@ -836,7 +793,6 @@ def ppm_resize_checksum(sf_dir: str, max_doc_id: int = 40,
     import pyarrow.dataset as pads
 
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"],
@@ -863,21 +819,12 @@ def ppm_resize_checksum(sf_dir: str, max_doc_id: int = 40,
             "checksum": pa.array(mat @ weights, type=pa.int64()),
         })
 
-    agg = (ds.map_batches(synth, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .map_batches(checksum, batch_format="pyarrow", batch_size=64)
-           .groupby("lang")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("payload_size", alias_name="sum_payload"),
-                      Sum("checksum", alias_name="thumb_checksum")))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        cols = {"lang": t["lang"]}
-        for c in ("n_docs", "sum_payload", "thumb_checksum"):
-            cols[c] = pa.compute.cast(t[c], pa.int64())
-        return pa.table(cols)
-
-    return agg.map_batches(finalize, batch_format="pyarrow").sort("lang")
+    rows = (ds.map_batches(synth, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .map_batches(checksum, batch_format="pyarrow", batch_size=64))
+    return combine_agg(rows, ["lang"], lambda t: t, _THUMB_AGGS,
+                       named("lang", "n_docs", "sum_payload",
+                             "thumb_checksum")).sort("lang")
 
 
 def _ppm_resize_sql(max_doc_id: int = 40, target: int = 4) -> str:

@@ -61,26 +61,6 @@ def test_sketch_io_roundtrip(tmp_path):
     assert s2.to_bytes() == s.to_bytes()
 
 
-def test_generic_sketch_aggregate_hll(ray_session):
-    import ray.data
-    from p2pddsketch_ray.sketches.hll import HyperLogLog
-    from p2pddsketch_ray.stages.generic_agg import SketchAggregate
-    ds = ray.data.read_parquet("/root/testdata/sf0.001/events.parquet",
-                               columns=["event_type", "user_id"])
-    out = (ds.groupby("event_type")
-           .aggregate(SketchAggregate(
-               on="user_id", factory=lambda: HyperLogLog(p=12),
-               finalize=lambda h: round(h.estimate(), 6),
-               alias_name="distinct_users_est"))).to_pandas()
-    # verify per-group estimate against exact distinct counts
-    import pandas as pd
-    df = pq.read_table("/root/testdata/sf0.001/events.parquet").to_pandas()
-    exact = df.groupby("event_type")["user_id"].nunique()
-    for _, row in out.iterrows():
-        e = exact[row["event_type"]]
-        assert abs(row["distinct_users_est"] - e) / max(e, 1) < 0.15
-
-
 def test_cli_synthetic_normal(tmp_path):
     out_json = str(tmp_path / "res.json")
     proc = subprocess.run(

@@ -140,7 +140,7 @@ def test_empty_input_unknown_schema(ray_session, table):
 
 # every registered query on combine_agg: the exact relational family,
 # the exact quantile / rank-select queries over its stats, and every
-# relational pipeline whose grouped aggregate moved off Ray's
+# registered query whose grouped aggregate moved off Ray's
 # groupby().aggregate()
 MIGRATED = ["pricing_summary", "customer_nation_rollup",
             "events_hourly_window", "docs_by_lang", "distinct_user_count",
@@ -148,82 +148,120 @@ MIGRATED = ["pricing_summary", "customer_nation_rollup",
             "lang_id_counts", "dedup_exact_docs", "dedup_exact_keep",
             "exact_quantiles_price", "exact_quantiles_by_flag",
             "weighted_median_by_flag", "dgim_sliding_count",
-            "ab_test_arm_stats", "abc_classification",
-            "activity_span_quantiles", "activity_streak_stats",
-            "ams_f2_estimate", "association_rules", "audience_overlap_matrix",
+            "ab_test_arm_stats", "abc_classification", "acf_hourly_revenue",
+            "active_user_counts", "activity_span_quantiles",
+            "activity_streak_stats", "ams_f2_estimate", "association_rules",
+            "audience_overlap_matrix", "benchmark_decontamination",
             "benford_digit_audit", "bigram_lm_by_lang", "bigram_lm_perplexity",
-            "bootstrap_mean_ci", "bpe_pair_counts", "brand_year_revenue",
+            "bloom_semijoin_orders", "bmp_decode_stats", "bootstrap_mean_ci",
+            "bpe_pair_counts", "brand_year_revenue", "brier_decomposition",
             "bucketed_join_rollup", "capture_recapture_users",
+            "cdc_chunk_stats", "centroid_distance_matrix",
             "changepoint_binary_split", "char_bigram_entropy_by_lang",
-            "cochran_armitage_trend", "cohens_kappa_langid",
+            "chunk_dedup_stats", "cmm_user_counts", "cms_error_report",
+            "cms_join_size_estimate", "cms_sliding_by_type",
+            "cms_sliding_user_est", "cochran_armitage_trend",
+            "cohens_kappa_langid", "cohort_retention",
             "combined_daily_activity", "compact_small_files_stats",
-            "conformal_coverage", "copurchase_part_pairs",
-            "cross_source_dup_matrix", "cube_pricing",
-            "cuped_adjusted_outcomes", "curated_corpus_stats",
+            "conformal_coverage", "copresence_assortativity",
+            "copresence_triangles", "copurchase_part_pairs",
+            "countsketch_topk_confirm", "cross_source_dup_matrix",
+            "cube_pricing", "cuped_adjusted_outcomes", "curated_corpus_stats",
             "customer_event_activity", "customer_frequency_spectrum",
             "customers_without_events", "cusum_hourly_alarms",
             "cvm_drift_binned", "daily_type_entropy",
-            "day_pruned_window_stats", "decayed_type_popularity",
-            "dedup_normalized_stats", "dict_encoding_report",
+            "day_pruned_window_stats", "debounced_event_counts",
+            "decayed_type_popularity", "dedup_normalized_stats",
+            "dgim_sliding_count_by_type", "dict_encoding_report",
             "diff_in_diff_report", "discount_by_qty_bucket",
             "distinct_users_per_type", "doc_novelty_stats",
             "docs_lang_source_pivot", "dp_noisy_counts",
-            "dup_cluster_size_hist", "eb_shrunk_user_rates",
+            "dup_cluster_size_hist", "dup_span_stats", "eb_shrunk_user_rates",
             "embedding_covariance_topk", "embedding_gram_stats",
             "embedding_isotropy_report", "emd_drift_binned",
             "epoch_shuffle_stats", "equi_depth_buckets",
-            "events_hourly_gapfill", "fair_mass_by_source",
+            "event_transition_matrix", "events_asof_orders",
+            "events_hourly_gapfill", "events_nearest_order",
+            "ewma_forecast_hourly", "fair_mass_by_source",
             "fano_dispersion_by_type", "feature_hashing_report",
-            "feature_info_gain", "filter_threshold_grid", "global_order_ranks",
-            "gopher_rules_report", "gram_power_iteration",
-            "grouped_regression_trend", "haar_energy_hourly",
-            "hapax_ratio_by_source", "hhh_type_user",
+            "feature_info_gain", "filter_threshold_grid", "fuzzy_props_pairs",
+            "global_order_ranks", "gopher_rules_report",
+            "gram_power_iteration", "grouped_regression_trend",
+            "haar_energy_hourly", "hapax_ratio_by_source", "hhh_type_user",
             "hhi_source_concentration", "hodges_lehmann_shift",
             "hour_entropy_by_type", "hourly_autocorrelation",
-            "hourweek_profile", "huber_location_by_flag",
-            "incremental_daily_revenue", "incremental_dedup_stats",
+            "hourly_backfill_stats", "hourweek_profile",
+            "huber_location_by_flag", "hyperminhash_type_jaccard",
+            "impute_value_hourly", "incremental_daily_revenue",
+            "incremental_dedup_stats", "inverted_index_lookup",
             "join_fanout_histogram", "jsonl_roundtrip_stats",
-            "k_anonymity_audit", "km_user_survival", "kmeans_iter_stats",
-            "knn_vote_confusion", "ks_drift_binned", "l_diversity_audit",
-            "label_centroids", "lang_entropy_by_source", "lang_source_chi2",
-            "lang_source_mi", "learned_index_audit", "length_quality_corr",
-            "length_token_copula_grid", "lexical_sophistication_by_source",
+            "k_anonymity_audit", "kcore_part_graph", "km_user_survival",
+            "kmeans_iter_stats", "knn_vote_confusion", "ks_drift_binned",
+            "l_diversity_audit", "label_centroids", "lang_entropy_by_source",
+            "lang_source_chi2", "lang_source_mi", "last_touch_attribution",
+            "late_order_counts", "leadlag_xcorr", "learned_index_audit",
+            "length_quality_corr", "length_token_copula_grid",
+            "lexical_sophistication_by_source", "linear_counting_users",
             "lineitem_unpivot_stats", "local_supplier_volume",
-            "loo_target_encoding", "lorenz_deciles", "mann_kendall_trend",
-            "mannwhitney_qty_flags", "median_of_means_value",
-            "mix_anomaly_hours", "moment_shape_by_type",
-            "monthly_seasonal_index", "nation_share_of_region",
-            "ndcg_retrieval_eval", "nearest_centroid_confusion",
-            "negative_sampling_audit", "order_aging_report",
-            "orders_customer_join_agg", "part_rank_movers",
+            "loo_1nn_accuracy", "loo_target_encoding", "lorenz_deciles",
+            "mann_kendall_trend", "mannwhitney_qty_flags",
+            "markov_entropy_rate", "markov_next_accuracy",
+            "markov_stationary_ppm", "matryoshka_truncation_hist",
+            "median_of_means_value", "mg_heavy_users",
+            "minhash_blocking_report", "minhash_neardup_docs",
+            "mix_anomaly_hours", "model_score_stats", "moment_shape_by_type",
+            "monthly_seasonal_index", "multimodal_doc_features",
+            "multimodal_frame_sample", "multimodal_resize_stats",
+            "nation_share_of_region", "ndcg_retrieval_eval",
+            "neardup_components", "neardup_keep_best_quality",
+            "neardup_keep_stats", "nearest_centroid_confusion",
+            "negative_sampling_audit", "new_vs_returning_daily",
+            "ngram_jaccard_pairs", "ooo_lateness_stats", "order_aging_report",
+            "orders_asof_next_event", "orders_customer_join_agg",
+            "orders_event_window_stats", "pagerank_part_supplier",
+            "part_rank_movers", "peak_concurrency_stats",
             "percentile_norm_by_source", "pinball_eval_hourly",
             "pmi_bigrams_topk", "poisson_surprise_hours", "postings_gap_stats",
-            "pq_encode_stats", "prefix_autocomplete_topk",
-            "price_endings_report", "priority_mix_by_year",
-            "props_extract_stats", "psi_drift_binned", "quantile_prune_docs",
-            "rake_keywords_topk", "ratio_metric_delta", "redact_props_stats",
+            "ppm_resize_checksum", "pq_encode_stats",
+            "prefix_autocomplete_topk", "price_endings_report",
+            "priority_mix_by_year", "props_extract_stats", "props_vocab_drift",
+            "psi_drift_binned", "quantile_prune_docs", "rake_keywords_topk",
+            "ratio_metric_delta", "redact_props_stats",
             "rendezvous_shard_stats", "repetition_stats_by_lang",
+            "resurrected_users_daily", "retry_storm_stats",
             "returned_revenue_top_customers", "returns_rate_by_brand",
             "revenue_gini", "revenue_topshare", "rfm_segments",
             "rolling_extrema_hourly", "runs_test_hourly", "salted_join_rollup",
             "sampled_events_by_type", "sax_motif_counts",
-            "schema_evolution_read_stats", "seasonal_naive_mae",
-            "segment_priority_cramers_v", "session_entry_types",
-            "simpsons_flip_report", "source_similarity_matrix",
+            "scd2_snapshot_counts", "schema_evolution_read_stats",
+            "score_lift_report", "seasonal_naive_mae",
+            "segment_priority_cramers_v", "session_copresence_counts",
+            "session_depth_survival", "session_entry_types",
+            "simpsons_flip_report", "sketch_cdf_by_type",
+            "sliding_anomaly_counts", "source_similarity_matrix",
             "source_vocab_overlap", "spearman_hourly_corr",
             "split_assign_stats", "stratified_allocation_plan",
             "supplier_region_rollup", "t_closeness_audit",
-            "temperature_mix_weights", "template_prefix_clusters",
-            "tfidf_top_term_per_doc", "theilsen_daily_trend",
-            "tokenizer_fertility_by_lang", "top_session_paths",
-            "top_tokens_by_lang", "tpch_q13_custdist",
-            "tpch_q17_small_qty_revenue", "tukey_outlier_counts",
-            "unigram_logprob_stats", "upsert_compaction",
-            "user_activity_quartiles", "user_churn_sets", "validation_report",
+            "table_profile_sketched", "temperature_mix_weights",
+            "template_prefix_clusters", "tfidf_top_term_per_doc",
+            "theilsen_daily_trend", "tokenizer_fertility_by_lang",
+            "top_duplicated_docs", "top_session_paths", "top_tokens_by_lang",
+            "tpch_q11_important_parts", "tpch_q12_priority_by_status",
+            "tpch_q13_custdist", "tpch_q15_top_supplier",
+            "tpch_q16_parts_supplier_census", "tpch_q17_small_qty_revenue",
+            "tpch_q21_waiting_supplier", "tpch_q4_priority_counts",
+            "tpch_q8_market_share", "tpch_q9_product_profit",
+            "trailing_distinct_users", "trailing_top_user_hourly",
+            "tukey_outlier_counts", "unigram_logprob_stats",
+            "universe_join_sample", "upsert_compaction",
+            "user_activity_quartiles", "user_churn_sets",
+            "user_event_lag_stats", "validation_report",
             "value_histogram_by_type", "value_hour_sufficient_stats",
             "vocab_coverage_curve", "vocab_growth_curve",
+            "watermark_lateness_curve", "wav_decode_stats",
             "weekday_pattern_census", "weekend_share_by_priority",
-            "weekly_revenue_wow", "weight_ess_report", "wilson_lb_types",
+            "weekly_arpu", "weekly_revenue_wow", "weight_ess_report",
+            "wilson_lb_types", "winnow_fingerprint_stats",
             "youden_threshold_scan", "zipf_slope_tokens",
             "zonemap_pruning_audit", "zscore_outlier_counts"]
 
@@ -243,8 +281,21 @@ def oracle():
 
 
 @pytest.mark.parametrize("name", MIGRATED)
-def test_migrated_query_matches_duckdb(ray_session, oracle, name):
+def test_migrated_query_matches_duckdb(ray_session, oracle, monkeypatch,
+                                       name):
+    """Each query matches its DuckDB twin without any keyed Ray
+    ``groupby().aggregate()``: scalar ``Dataset.aggregate`` (a grouping
+    by None) and ``map_groups`` still pass."""
+    from ray.data.grouped_data import GroupedData
+
     from tools.check_oracle import compare, to_pandas
+    aggregate = GroupedData.aggregate
+
+    def scalar_only(self, *aggs):
+        assert self._key is None, f"keyed Ray aggregate by {self._key}"
+        return aggregate(self, *aggs)
+
+    monkeypatch.setattr(GroupedData, "aggregate", scalar_only)
     queries, sql, con = oracle
     got = to_pandas(queries[name](SF))
     assert len(got)

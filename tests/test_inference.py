@@ -29,8 +29,8 @@ def test_linear_scorer_kernel_exact():
     assert logits.dtype == np.int64
 
 
-def test_scorer_partial_rollup_groups():
-    """__call__ folds a batch to exact per-(lang, class) partials."""
+def test_scorer_rows_per_document():
+    """__call__ emits every document's lang, class and exact logit."""
     from p2pddsketch_ray.pipelines import inference as I
     t = pa.table({
         "text": pa.array(["a b", "c d", "e f"]),
@@ -38,11 +38,13 @@ def test_scorer_partial_rollup_groups():
         "n_chars": pa.array([3, 3, 3], type=pa.int64()),
     })
     s = I.LinearDocScorer(dict(I.MODEL_WEIGHTS))
-    out = s(t).to_pandas()
+    out = s(t).to_pydict()
     logits = s.predict(t)
-    assert out["n"].sum() == 3
-    assert out["s"].sum() == logits.sum()
-    assert set(out["lang"]) == {"en", "de"}
+    assert out["logit"] == logits.tolist()
+    assert out["lang"] == ["en", "en", "de"]
+    assert out["cls"] == [
+        I.CLASS_NAMES[int(lg >= I.CLS_LO) + int(lg >= I.CLS_HI)].as_py()
+        for lg in logits]
 
 
 def test_model_score_stats_matches_duckdb(ray_session):

@@ -91,24 +91,6 @@ def test_grouped_quantiles_match_per_group_oracle(lineitem_ds):
             row["l_returnflag"], row["q"])
 
 
-def test_grouped_matches_aggregate_fn_v2(lineitem_ds):
-    """The AggregateFnV2 one-liner and the explicit two-stage pipeline must
-    produce identical estimates."""
-    from p2pddsketch_ray.stages.sketch_agg import DDSketchQuantiles
-    assert DDSketchQuantiles is not None
-    agg_out = (lineitem_ds.groupby("l_returnflag")
-               .aggregate(DDSketchQuantiles(on="l_extendedprice", quantiles=QS,
-                                            alpha=PRACTICAL_ALPHA,
-                                            alias_name="ests"))
-               ).to_pandas().set_index("l_returnflag")
-    grouped = dds_quantiles_grouped(lineitem_ds, "l_extendedprice",
-                                    ["l_returnflag"], QS,
-                                    alpha=PRACTICAL_ALPHA).to_pandas()
-    for flag, sub in grouped.groupby("l_returnflag"):
-        ests = sub.sort_values("q")["est"].tolist()
-        assert ests == pytest.approx(list(agg_out.loc[flag, "ests"]), abs=0.0)
-
-
 def test_null_values_dropped(ray_session):
     import ray.data
     import pandas as pd
@@ -2600,6 +2582,40 @@ def test_filter_eval_prf_hand_case(ray_session, tmp_path):
     assert out["precision_ppm"] == [500_000]
     assert out["recall_ppm"] == [500_000]
     assert out["f1_ppm"] == [500_000]
+
+
+def _plan_names(op) -> list[str]:
+    names, todo = [], [op]
+    while todo:
+        op = todo.pop()
+        names.append(op.name)
+        todo.extend(op.input_dependencies)
+    return names
+
+
+@pytest.mark.parametrize("name", ["exact_quantiles_price",
+                                  "exact_quantiles_by_flag",
+                                  "filter_eval_prf"])
+def test_no_plan_reruns_for_its_schema(ray_session, monkeypatch, name):
+    """A pull from an unmaterialized Dataset (``to_arrow_refs``) runs the
+    plan, then runs it again under ``limit=1`` to fetch its schema; that
+    second run's cancelled tasks can abort the driver.  Every pull of
+    these queries comes from a materialized Dataset, so no executed plan
+    ends in ``limit=1``."""
+    import __ray_entry__ as E
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+    plans = []
+    execute = StreamingExecutor.execute
+
+    def recorded(self, dag, *args, **kwargs):
+        plans.append(_plan_names(dag))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recorded)
+    E.queries()[name](SF).to_pandas()
+    assert plans
+    assert [p for p in plans if "limit=1" in p[0]] == []
 
 
 def test_kappa_perfect_agreement_is_1e6(ray_session, tmp_path):
