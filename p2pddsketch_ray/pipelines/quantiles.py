@@ -3,12 +3,14 @@
 Replaces the reference's whole main() simulation (main.cpp:214-396):
 
     read -> project metric column -> map_batches(partial sketches)
-         -> sort(keys).map_batches(merge + quantile per block) # grouped
-         -> (or) sort(keys).map_batches(merged_table)  # grouped sketches
+         -> keyed_merge(merge + quantile per table)     # grouped
+         -> (or) keyed_merge(merged_table)              # grouped sketches
          -> (or) distributed tree reduce of partial rows       # global
 
 Every grouped merge of partial rows here is one ``merged_rows`` call per
-sorted block (stages.sketch_build), never a ``map_groups`` call per group.
+exchanged table (stages.sketch_build), never a ``map_groups`` call per
+group; ``stages.exchange.keyed_merge`` carries the partials there, in one
+task while they are small, else by a sort shuffle.
 
 The only shuffle moves serialized partials (<= ~6 KB per (block, group)):
 classic partial aggregation, so a Zipf-skewed group key (lang ~ 60% 'en')
@@ -28,6 +30,7 @@ from ..config import (DEFAULT_ALPHA, DEFAULT_BIN_LIMIT, DEFAULT_OFFSET,
 from ..sketches.ddsketch import DDSketch
 from ..sources.tables import read_table
 from ..stages.combine import combine_agg, named
+from ..stages.exchange import keyed_merge
 from ..stages.sketch_build import (collect, merge_by_group, merged_table,
                                    partial_builder, partial_columns,
                                    quantile_finalizer, sketches_by_group)
@@ -148,13 +151,14 @@ def dds_quantiles_grouped(ds: "ray.data.Dataset", value_col: str,
                           quantiles: Sequence[float] = HEADLINE_QUANTILES,
                           *, round_digits: int | None = None,
                           **sketch_kwargs) -> "ray.data.Dataset":
-    """Grouped quantiles: sort only the partial rows by the group key, then
-    merge+query every group of a sorted block in one call.  Output: one
-    row per (group, q) with columns group_cols + [q, bucket_key, est]."""
+    """Grouped quantiles: exchange only the partial rows by the group key
+    (``keyed_merge``), then merge+query every group of an exchanged table
+    in one call.  Output: one row per (group, q) with columns
+    group_cols + [q, bucket_key, est], ascending by group."""
     partials = build_partials_ds(ds, value_col, group_cols, **sketch_kwargs)
-    return partials.sort(list(group_cols)).map_batches(
-        quantile_finalizer(group_cols, quantiles, round_digits),
-        batch_format="pyarrow", batch_size=None)
+    return keyed_merge(partials, group_cols,
+                       quantile_finalizer(group_cols, quantiles,
+                                          round_digits))
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +964,7 @@ def dds_alpha_error_sweep(sf_dir: str, q: float = 0.95,
     alpha") as a driver query.
 
     Scale shape: the multi-alpha build reads the column once; the
-    merge is one sort shuffle of the partial rows by ``ai``; the exact
+    merge is one keyed exchange of the partial rows by ``ai``; the exact
     audit adds the histogram-bisection passes (no sort, no
     materialization)."""
     ds = read_table(sf_dir, "lineitem", ["l_extendedprice"])

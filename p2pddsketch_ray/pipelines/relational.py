@@ -8,9 +8,10 @@ oracle in __ray_entry__.oracle_sql.
 Every grouped exact aggregate (sum / count / min / max) runs on
 ``stages.combine.combine_agg``: the pipeline's ``prep`` emits one row per
 input item (no hand fold), one Arrow ``group_by`` folds the batch to one
-partial row per key (so the shuffle moves O(keys) rows per batch, not one
-per input row), a sort shuffle brings each key's partials into one block,
-and one more ``group_by`` per block merges them before the pipeline's
+partial row per key (so the exchange moves O(keys) rows per batch, not one
+per input row), ``stages.exchange.keyed_merge`` brings each key's partials
+into one table (one task while they are small, else a sort shuffle), and
+one more ``group_by`` per table merges them before the pipeline's
 ``finalize``, which only names, casts or derives columns (``named``
 when it just renames).  Only scalar ``Dataset.aggregate`` calls and
 driver-side pandas roll-ups remain outside it.

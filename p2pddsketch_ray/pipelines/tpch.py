@@ -27,6 +27,7 @@ import ray.data
 from ..sources.tables import read_table as _read
 from ..stages.combine import combine_agg, named
 from ..stages.partition import fit_partitions, partition_by
+from ..stages.sketch_build import collect
 
 
 def _cents(col) -> np.ndarray:
@@ -538,10 +539,12 @@ def tpch_q19_bracket_revenue(sf_dir: str) -> pa.Table:
     folded = (li.map_batches(partial, batch_format="pyarrow",
                              zero_copy_batch=True)
               .sum(["revenue_cents", "n_lineitems"]))
+    # no qualifying lineitem: Ray's sum of no rows is None, SQL's
+    # COALESCE(sum, 0) and count(*) are 0
     return pa.table({
-        "revenue_cents": pa.array([int(folded["sum(revenue_cents)"])],
+        "revenue_cents": pa.array([int(folded["sum(revenue_cents)"] or 0)],
                                   type=pa.int64()),
-        "n_lineitems": pa.array([int(folded["sum(n_lineitems)"])],
+        "n_lineitems": pa.array([int(folded["sum(n_lineitems)"] or 0)],
                                 type=pa.int64())})
 
 
@@ -742,10 +745,15 @@ def tpch_q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_1",
 
     folded = partition_by(both2, ["k"], fit_partitions(32), join_fold,
                           out_empty)
-    agg = combine_agg(folded, ["cell"], lambda t: t, [("revenue_c", "sum")],
-                      named("cell", "revenue_c")).to_pandas()
-    cells = agg["cell"].to_numpy(dtype=np.int64)
-    revs = agg["revenue_c"].to_numpy(dtype=np.int64)
+    # no two-nation lineitem: partition_by's output has no rows and no
+    # schema, so neither has the aggregate
+    agg = collect(combine_agg(folded, ["cell"], lambda t: t,
+                              [("revenue_c", "sum")],
+                              named("cell", "revenue_c")))
+    if not agg.num_rows:
+        agg = out_empty
+    cells = agg["cell"].to_numpy()
+    revs = agg["revenue_c"].to_numpy()
     dir_ab = cells < NYR
     yrs = YR0 + np.where(dir_ab, cells, cells - NYR)
     supp = np.where(dir_ab, nation_a, nation_b)

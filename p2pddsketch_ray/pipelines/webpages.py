@@ -201,12 +201,13 @@ def webpage_quantiles(paths, metric: str = "text_len",
 
     ONE distributed build pass: per-(block, lang) partial sketches are
     built once and materialized (kilobyte rows); the per-lang answers come
-    from a ``sort(lang)`` shuffle of those rows, each sorted block merged
-    and queried in one ``quantile_finalizer`` call, and the global answer
-    from a distributed tree reduce of the same rows (identical to an
-    ungrouped build because the exact-sum merge is associative over any
-    partitioning of the multiset).  The driver only receives the final
-    answer rows, never the partial set."""
+    from the keyed exchange of those rows (``keyed_merge``), each exchanged
+    table merged and queried in one ``quantile_finalizer`` call, and the
+    global answer from a distributed tree reduce of the same rows
+    (identical to an ungrouped build because the exact-sum merge is
+    associative over any partitioning of the multiset).  The driver only
+    receives the final answer rows, never the partial set."""
+    from ..stages.exchange import keyed_merge
     from ..stages.sketch_build import (collect, quantile_finalizer,
                                        tree_merge_sketches)
     from .quantiles import build_partials_ds
@@ -222,8 +223,7 @@ def webpage_quantiles(paths, metric: str = "text_len",
 
     grouped = None
     if by_lang:
-        grouped = collect(partials.sort("lang").map_batches(
-            quantile_finalizer(["lang"], quantiles), batch_format="pyarrow",
-            batch_size=None)).sort_by([("lang", "ascending"),
-                                       ("q", "ascending")])
+        grouped = collect(keyed_merge(
+            partials, ["lang"], quantile_finalizer(["lang"], quantiles))
+        ).sort_by([("lang", "ascending"), ("q", "ascending")])
     return glob, grouped

@@ -1,12 +1,15 @@
-"""Exact grouped aggregation by combine-then-sort.
+"""Exact grouped aggregation by combine-then-merge.
 
 ``combine_agg`` is the combiner the exact pipelines share.  Each batch is
-folded to one partial row per key by one Arrow ``group_by``; a sort
-shuffle brings every partial row of a key into one block; one more
-``group_by`` per block merges the partials (sums and counts add, mins and
-maxes keep theirs) and the caller's ``finalize`` shapes the block's
-answer.  All of it is vectorized Arrow: no Python runs per group, and
-the shuffle moves one row per (batch, key) instead of one per input row.
+folded to one partial row per key by one Arrow ``group_by``; the keyed
+exchange (``stages.exchange.keyed_merge``) brings every partial row of a
+key into one table: one Ray task when the partials are small, which they
+are unless the keys are near-unique, a sort shuffle past its bound.  One
+more ``group_by`` per table merges the partials (sums and counts add,
+mins and maxes keep theirs) and the caller's ``finalize`` shapes that
+table's answer.  All of it is vectorized Arrow: no Python runs per group,
+and the exchange moves one row per (batch, key) instead of one per input
+row.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Sequence
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
+from .exchange import keyed_merge
 
 # how the partials of each aggregate merge
 _MERGE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -42,8 +45,9 @@ def _partial(batch: pa.Table, prep, keys: list[str],
     out = _group(prep(batch), keys, aggs)
     for k in keys:
         col = out[k]
-        # Ray's sort shuffle compares the boundary sample as numpy
-        # values; a null is NaN in a numeric column, None elsewhere
+        # a sort shuffle (keyed_merge past its bound) compares the
+        # boundary sample as numpy values; a null is NaN in a numeric
+        # column, None elsewhere
         if col.null_count and not (pa.types.is_integer(col.type)
                                    or pa.types.is_floating(col.type)):
             raise ValueError(
@@ -57,6 +61,8 @@ def _reduce(block: pa.Table, keys: list[str], aggs: list[tuple[str, str]],
     names = [f"{c}_{fn}" for c, fn in aggs]
     merged = _group(block, keys,
                     [(n, _MERGE[fn]) for n, (_, fn) in zip(names, aggs)])
+    if keys:  # a group_by by several keys does not keep a sorted order
+        merged = merged.sort_by([(k, "ascending") for k in keys])
     return finalize(merged.rename_columns(keys + names))
 
 
@@ -70,21 +76,23 @@ def combine_agg(ds: "ray.data.Dataset", keys: Sequence[str],
     ``prep(batch)`` turns an input batch into a table holding the
     ``keys`` and the aggregated columns.  ``aggs`` is a list of
     ``(column, fn)`` with ``fn`` one of sum, min, max or count (rows,
-    nulls included).  ``finalize`` gets one merged table per sorted
-    block: the key columns, then ``{column}_{fn}`` per aggregate, one row
-    per key, and returns that block's output.
+    nulls included).  ``finalize`` gets one merged table per exchanged
+    table: the key columns, then ``{column}_{fn}`` per aggregate, one row
+    per key, and returns that table's output.
 
-    The sort shuffle leaves every row of a key in one block, so each key
-    is merged exactly once.  Without keys the one-row partials of every
-    batch merge in one block.  Null keys form one group in integer and
-    float columns; other key types with nulls raise ``ValueError``,
-    because the sort cannot order them.
+    ``keyed_merge`` leaves every partial row of a key in one table, so
+    each key is merged exactly once, and the output rows come in
+    ascending key order (nulls last).  Without keys the one-row partials
+    of every batch merge in one task.  Null keys form one group in
+    integer and float columns; other key types with nulls raise
+    ``ValueError``, because the sort shuffle cannot order them.
 
-    Ray calls no block body on a block without rows, so when the schema
-    of ``ds`` is known without running it (a read), ``prep`` and
-    ``finalize`` also run once on a zero-row table on the caller, and
-    the output carries that result as one more block: an input without
-    rows gives zero rows with the schema of a non-empty output.
+    An input without rows gives zero rows with the schema of a non-empty
+    output: ``finalize`` of a merged zero-row table.  Ray calls no block
+    body on a block without rows, so when no partial was made, ``prep``
+    runs once on a zero-row table of ``ds``'s schema on the caller, if
+    that schema is known without running ``ds`` (a read); otherwise the
+    output has no columns.
     """
     keys = list(keys)
     aggs = [(c, fn) for c, fn in aggs]
@@ -92,19 +100,15 @@ def combine_agg(ds: "ray.data.Dataset", keys: Sequence[str],
     if bad:
         raise ValueError(f"combine_agg: unknown aggregate(s) {bad}; "
                          f"expected one of {sorted(_MERGE)}")
-    partials = ds.map_batches(partial(_partial, prep=prep, keys=keys,
-                                      aggs=aggs),
-                              batch_format="pyarrow", zero_copy_batch=True)
-    exchanged = partials.sort(keys) if keys else partials.repartition(1)
-    reduce = partial(_reduce, keys=keys, aggs=aggs, finalize=finalize)
-    out = exchanged.map_batches(reduce, batch_format="pyarrow",
-                                batch_size=None)
+    fold = partial(_partial, prep=prep, keys=keys, aggs=aggs)
+    partials = ds.map_batches(fold, batch_format="pyarrow",
+                              zero_copy_batch=True)
     schema = ds.schema(fetch_if_missing=False)
-    if schema is None:
-        return out
-    empty = reduce(_partial(schema.base_schema.empty_table(), prep, keys,
-                            aggs))
-    return out.union(ray.data.from_arrow(empty))
+    empty = (None if schema is None
+             else lambda: fold(schema.base_schema.empty_table()))
+    return keyed_merge(partials, keys,
+                       partial(_reduce, keys=keys, aggs=aggs,
+                               finalize=finalize), empty)
 
 
 def named(*names: str):

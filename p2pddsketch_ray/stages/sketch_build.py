@@ -11,15 +11,16 @@ phases (SURVEY.md section 3.3):
   deterministic and resumable (SURVEY.md section 4).
 * ``distributedCommunication`` (main.cpp:475-658, gossip rounds until
   convergence) becomes one deterministic reduction over those tiny rows:
-  a ``sort(keys)`` shuffle that leaves each group's rows contiguous in one
-  block, then one call per block that merges every group of it --
+  the keyed exchange (``stages.exchange.keyed_merge``: one task while the
+  partials are small, else a ``sort(keys)`` shuffle) leaves each group's
+  rows in one table, then one call per table merges every group of it --
   ``merge_by_group`` (``merged_table``: one merged sketch row per group)
   or ``quantile_finalizer`` (merged and queried) -- or a distributed tree
   merge (``tree_merge``) for the global (single-group) case and for the
   fused webpages build.  Partials are <= bin_limit
   bins ~ 6 KB each, so the merge stage moves kilobytes, not data.  Every
   per-group merge of partial rows in the library goes through
-  ``merged_rows``, whatever carries the rows there (sort shuffle,
+  ``merged_rows``, whatever carries the rows there (``keyed_merge``,
   ``partition_by``, a driver-side table).
 
 A DDSketch merge is a bin-wise sum, so both halves are columnar:
@@ -315,11 +316,13 @@ def merged_table(block: pa.Table, group_cols: Sequence[str] = ()
 
 def merge_by_group(partials, group_cols: Sequence[str]):
     """Dataset of one merged sketch row per group of a partial-row
-    Dataset: a sort shuffle leaves each group's rows in one block, and
-    ``merged_table`` merges every group of a block at once."""
-    return partials.sort(list(group_cols)).map_batches(
-        partial(merged_table, group_cols=tuple(group_cols)),
-        batch_format="pyarrow", batch_size=None)
+    Dataset, in ascending group order: the keyed exchange
+    (``stages.exchange.keyed_merge``: one task for small partials, a sort
+    shuffle past its bound) leaves each group's rows in one table, and
+    ``merged_table`` merges every group of a table at once."""
+    from .exchange import keyed_merge
+    return keyed_merge(partials, group_cols,
+                       partial(merged_table, group_cols=tuple(group_cols)))
 
 
 def collect(ds) -> pa.Table:

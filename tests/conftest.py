@@ -17,3 +17,14 @@ def ray_session():
     ctx.execution_options.verbose_progress = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture(params=["one_task", "sort"])
+def exchange_path(request, monkeypatch):
+    """Run a test on each path of ``stages.exchange.keyed_merge``: the
+    one-task merge that test-sized partials take, and the sort shuffle
+    that partials over its bound take (keyless merges take one task)."""
+    from p2pddsketch_ray.stages import exchange
+    if request.param == "sort":
+        monkeypatch.setattr(exchange, "SMALL_BYTES", -1)
+    return request.param

@@ -1,5 +1,6 @@
-"""``combine_agg`` (per-batch Arrow combiner, sort shuffle, one merge per
-sorted block) against one ``pa.Table.group_by`` over the whole input."""
+"""``combine_agg`` (per-batch Arrow combiner, keyed exchange, one merge per
+exchanged table) against one ``pa.Table.group_by`` over the whole input,
+on both exchange paths (one task, sort shuffle)."""
 
 import numpy as np
 import pyarrow as pa
@@ -47,16 +48,18 @@ def run(table, keys, aggs, blocks):
                        lambda t: t).to_arrow_refs()
 
 
-def gathered(refs, keys):
+def gathered(refs):
+    """The output's non-empty blocks in output order."""
     import ray
-    out = pa.concat_tables(t for t in ray.get(refs) if t.num_rows)
-    return out.sort_by([(k, "ascending") for k in keys]) if keys else out
+    return pa.concat_tables(t for t in ray.get(refs) if t.num_rows)
 
 
 @pytest.mark.parametrize("blocks", [1, 5, 12])
 @pytest.mark.parametrize("keys", [["s"], ["k"], ["s", "k"], []], ids=str)
-def test_combine_agg_equals_one_group_by(ray_session, table, keys, blocks):
-    got = gathered(run(table, keys, AGGS, blocks), keys)
+def test_combine_agg_equals_one_group_by(ray_session, exchange_path, table,
+                                         keys, blocks):
+    """Both exchange paths give the rows in ascending key order."""
+    got = gathered(run(table, keys, AGGS, blocks))
     want = expected(table, keys, AGGS)
     if keys:
         want = want.sort_by([(k, "ascending") for k in keys])
@@ -66,7 +69,7 @@ def test_combine_agg_equals_one_group_by(ray_session, table, keys, blocks):
     assert pc.sum(got["i_count"]).as_py() == table.num_rows
 
 
-def test_combine_agg_finalize_per_block(ray_session, table):
+def test_combine_agg_finalize_per_block(ray_session, exchange_path, table):
     """finalize sees each key once, with the merged columns named
     {column}_{fn}."""
     import ray.data
@@ -80,22 +83,23 @@ def test_combine_agg_finalize_per_block(ray_session, table):
                                                    return_counts=True))}
 
 
-def test_null_int_keys_form_one_group(ray_session):
+def test_null_int_keys_form_one_group(ray_session, exchange_path):
+    """The null group comes last on both exchange paths."""
     rng = np.random.default_rng(2)
     n = 2000
     k = rng.integers(0, 5, n)
     t = pa.table({"k": pa.array(k, mask=rng.random(n) < 0.2),
                   "x": np.ones(n, dtype=np.int64)})
-    got = gathered(run(t, ["k"], [("x", "sum")], 9), ["k"])
+    got = gathered(run(t, ["k"], [("x", "sum")], 9))
     want = expected(t, ["k"], [("x", "sum")]).sort_by("k")
     assert got.to_pydict() == want.to_pydict()
-    assert got["k"].null_count == 1
+    assert got["k"].null_count == 1 and got["k"][-1].as_py() is None
 
 
 def test_null_string_keys_raise(ray_session):
     t = pa.table({"s": ["a", None, "b", None], "x": [1, 2, 3, 4]})
     with pytest.raises(Exception, match="key column 's'.*has nulls"):
-        gathered(run(t, ["s"], [("x", "sum")], 2), ["s"])
+        gathered(run(t, ["s"], [("x", "sum")], 2))
 
 
 def test_unknown_aggregate_raises():
@@ -104,7 +108,7 @@ def test_unknown_aggregate_raises():
 
 
 @pytest.mark.parametrize("keys", [["s"], ["s", "k"], []], ids=str)
-def test_empty_input(ray_session, table, keys):
+def test_empty_input(ray_session, exchange_path, table, keys):
     """Every row dropped by prep: zero rows, with the schema of a
     non-empty output."""
     import ray
@@ -117,7 +121,6 @@ def test_empty_input(ray_session, table, keys):
     assert want.names == keys + [f"{c}_{fn}" for c, fn in aggs]
     assert out.count() == 0
     assert out.schema().base_schema == want
-    # the sort's empty partitions come through as blocks without columns
     blocks = ray.get(out.to_arrow_refs())
     assert sum(b.num_rows for b in blocks) == 0
     assert [b.schema for b in blocks if b.num_columns] == [want]

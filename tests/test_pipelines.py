@@ -16,6 +16,7 @@ from p2pddsketch_ray.sketches.ddsketch import DDSketch
 from .test_ddsketch import exact_quantile, rel_err
 
 SF = "/root/testdata/sf0.001"
+SF_01 = "/root/testdata/sf0.01"
 QS = (0.1, 0.5, 0.9, 0.99)
 
 
@@ -2584,38 +2585,35 @@ def test_filter_eval_prf_hand_case(ray_session, tmp_path):
     assert out["f1_ppm"] == [500_000]
 
 
-def _plan_names(op) -> list[str]:
-    names, todo = [], [op]
-    while todo:
-        op = todo.pop()
-        names.append(op.name)
-        todo.extend(op.input_dependencies)
-    return names
-
-
 @pytest.mark.parametrize("name", ["exact_quantiles_price",
                                   "exact_quantiles_by_flag",
                                   "filter_eval_prf"])
-def test_no_plan_reruns_for_its_schema(ray_session, monkeypatch, name):
+def test_no_plan_reruns_for_its_schema(ray_session, name):
     """A pull from an unmaterialized Dataset (``to_arrow_refs``) runs the
     plan, then runs it again under ``limit=1`` to fetch its schema; that
     second run's cancelled tasks can abort the driver.  Every pull of
     these queries comes from a materialized Dataset, so no executed plan
     ends in ``limit=1``."""
     import __ray_entry__ as E
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor)
-    plans = []
-    execute = StreamingExecutor.execute
-
-    def recorded(self, dag, *args, **kwargs):
-        plans.append(_plan_names(dag))
-        return execute(self, dag, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", recorded)
-    E.queries()[name](SF).to_pandas()
+    from tools.plans import recorded_plans
+    with recorded_plans() as plans:
+        E.queries()[name](SF).to_pandas()
     assert plans
     assert [p for p in plans if "limit=1" in p[0]] == []
+
+
+@pytest.mark.parametrize("name", ["pricing_summary", "events_hourly_window",
+                                  "token_stats_by_lang", "dedup_exact_docs"])
+def test_small_partials_merge_without_sort_or_union(ray_session, name):
+    """The exact pipelines' partials at sf0.01 are kilobytes, under
+    ``keyed_merge``'s bound: they merge in one task, so no executed plan
+    sorts, and no typed zero-row block is unioned onto the output."""
+    import __ray_entry__ as E
+    from tools.plans import recorded_plans
+    with recorded_plans() as plans:
+        got = E.queries()[name](SF_01).to_pandas()
+    assert len(got) and plans
+    assert [p for p in plans if "Sort" in p or "Union" in p] == []
 
 
 def test_kappa_perfect_agreement_is_1e6(ray_session, tmp_path):

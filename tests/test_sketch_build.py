@@ -154,9 +154,10 @@ def test_group_codes_order_and_values():
     assert ids.tolist() == [1, 0] and values["d"].type == pa.date32()
 
 
-def test_null_int_key_stays_int(ray_session):
+def test_null_int_key_stays_int(ray_session, exchange_path):
     """An int64 key with a null groups as 1, 2, null (not as doubles with
-    a NaN group) in the partials and in the grouped quantiles."""
+    a NaN group) in the partials and in the grouped quantiles, the null
+    group last on both exchange paths."""
     import ray
 
     from p2pddsketch_ray.pipelines.quantiles import dds_quantiles_grouped
@@ -169,8 +170,7 @@ def test_null_int_key_stays_int(ray_session):
     assert parts["n"].to_pylist() == [20, 20, 20]
     out = collect(dds_quantiles_grouped(
         ray.data.from_arrow(t).repartition(3), "v", ["g"], (0.0, 1.0),
-        alpha=0.01, bin_limit=2048)).sort_by([("g", "ascending"),
-                                              ("q", "ascending")])
+        alpha=0.01, bin_limit=2048))
     assert out["g"].type == pa.int64()
     assert out["g"].to_pylist() == [1, 1, 2, 2, None, None]
     lo, hi = out["est"].to_pylist()[4:]
@@ -394,9 +394,11 @@ def test_merged_rows_rejects_rows_outside_groups(batch):
     assert merged_rows(parts.slice(0, 0), []) == []
 
 
-def test_dds_quantiles_grouped_many_blocks(ray_session, keyed_batch):
-    """Many input blocks and more sort partitions than groups: one row set
-    per group, equal to one DDSketch over each group's values."""
+def test_dds_quantiles_grouped_many_blocks(ray_session, exchange_path,
+                                           keyed_batch):
+    """Many input blocks (and on the sort path more sort partitions than
+    groups): one row set per group in ascending group order, equal to one
+    DDSketch over each group's values."""
     import ray
 
     from p2pddsketch_ray.pipelines.quantiles import dds_quantiles_grouped
@@ -408,7 +410,6 @@ def test_dds_quantiles_grouped_many_blocks(ray_session, keyed_batch):
                 ds, "v", keys, QS, alpha=0.01,
                 bin_limit=2048).materialize().to_arrow_refs())
             if t.num_rows)
-        got = got.sort_by([(c, "ascending") for c in keys + ["q"]])
         valid = table.filter(table["v"].is_valid())
         groups = sorted(set(zip(*[valid[c].to_pylist() for c in keys])))
         assert got.num_rows == len(groups) * len(QS)
@@ -505,10 +506,12 @@ def test_empty_block_outputs_have_the_nonempty_schema(keyed_batch, keys):
         assert empty.schema == full.schema
 
 
-def test_merge_by_group_many_blocks(ray_session, keyed_batch):
-    """Partials of many input blocks, merged by a sort shuffle with more
-    partitions than groups: one sketch per group (a tuple key for two
-    columns, None for the null group), equal to one DDSketch over the
+def test_merge_by_group_many_blocks(ray_session, exchange_path,
+                                    keyed_batch):
+    """Partials of many input blocks, merged in one task or by a sort
+    shuffle with more partitions than groups: one sketch per group (a
+    tuple key for two columns, None for the null group), in ascending
+    group order with the null group last, equal to one DDSketch over the
     group's values."""
     import ray
 
@@ -520,8 +523,10 @@ def test_merge_by_group_many_blocks(ray_session, keyed_batch):
         partials = build_partials_ds(
             ray.data.from_arrow(table).repartition(12), "v", keys,
             alpha=0.01, bin_limit=2048)
-        got = sketches_by_group(collect(merge_by_group(partials, keys)),
-                                keys)
+        merged = collect(merge_by_group(partials, keys))
+        order = merged.sort_by([(c, "ascending") for c in keys])
+        assert merged.select(keys).equals(order.select(keys))
+        got = sketches_by_group(merged, keys)
         rows = rows_by_group(valid, keys)
         assert len(rows) > 2
         assert got.keys() == {k if len(keys) > 1 else k[0] for k in rows}

@@ -1,4 +1,5 @@
-"""Hand cases for the Q4/Q12/Q14/Q18/Q19-shaped pipelines."""
+"""Hand cases for the Q4/Q12/Q14/Q18/Q19-shaped pipelines, and the empty
+answers of Q7/Q19 against their DuckDB twins."""
 
 import numpy as np
 import pyarrow as pa
@@ -401,3 +402,30 @@ def test_tpch_q20_mean_multiple_dominance(ray_session, tmp_path):
     }), str(tmp_path / "lineitem.parquet"))
     out = tpch_q20_dominant_suppliers(str(tmp_path)).to_pydict()
     assert out["s_name"] == ["S1"]
+
+
+def test_tpch_empty_answers_match_duckdb_at_sf0_001(ray_session):
+    """At sf0.001 no lineitem falls in a Q19 bracket and none ships
+    between NATION_1 and NATION_2: Q19 gives 0 revenue over 0 lineitems
+    (the SQL COALESCE), Q7 gives zero rows with its typed columns."""
+    import duckdb
+
+    import __ray_entry__ as E
+    from tools.check_oracle import TABLES, compare, to_pandas
+    sf = "/root/testdata/sf0.001"
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * "
+                    f"FROM read_parquet('{sf}/{t}.parquet')")
+    sql = E.oracle_sql()
+    q19 = to_pandas(E.queries()["tpch_q19_bracket_revenue"](sf))
+    assert q19.to_dict("list") == {"revenue_cents": [0], "n_lineitems": [0]}
+    q7 = to_pandas(E.queries()["tpch_q7_volume_shipping"](sf))
+    assert len(q7) == 0
+    assert q7.columns.tolist() == ["supp_nation", "cust_nation", "l_year",
+                                   "revenue_c"]
+    assert q7.dtypes.tolist() == [object, object, np.int64, np.int64]
+    for name, got in (("tpch_q19_bracket_revenue", q19),
+                      ("tpch_q7_volume_shipping", q7)):
+        assert compare(name, got, con.execute(sql[name]).df()) == []
+    con.close()

@@ -6,9 +6,12 @@ deserves optimization.
 Usage:
     python tools/profile_query.py <query_name> [sf_dir]
 
-Prints the query's wall time, its result row count, and (when the
-result is a Dataset) the Ray Data stats summary with per-operator
-times.  Owns its Ray session (guarded init), like bench.py.
+Prints the query's wall time, its result row count, the operator
+chain of every plan the query executed (input to output), how many of
+those plans sorted (``Sort``) and how many re-ran a plan under
+``limit=1`` to fetch its schema, and (when the result is a Dataset) the
+Ray Data stats summary with per-operator times.  Owns its Ray session
+(guarded init), like bench.py.
 """
 
 from __future__ import annotations
@@ -36,16 +39,23 @@ def main() -> int:
         print(f"unknown query {name!r}; available: {sorted(qs)}")
         return 2
 
+    from tools.plans import chain, counts, recorded_plans
     t0 = time.perf_counter()
-    res = qs[name](sf_dir)
-    is_ds = hasattr(res, "stats")
-    if is_ds:
-        res = res.materialize()
-        n = res.count()
-    else:
-        n = res.num_rows if hasattr(res, "num_rows") else len(res)
+    with recorded_plans() as plans:
+        res = qs[name](sf_dir)
+        is_ds = hasattr(res, "stats")
+        if is_ds:
+            res = res.materialize()
+            n = res.count()
+        else:
+            n = res.num_rows if hasattr(res, "num_rows") else len(res)
     wall = time.perf_counter() - t0
     print(f"{name}: {wall:.2f}s wall, {n} rows")
+    for i, plan in enumerate(plans):
+        print(f"  plan {i}: {chain(plan)}")
+    c = counts(plans)
+    print(f"  {c['plans']} plans executed, {c['sort']} with Sort, "
+          f"{c['limit=1']} limit=1 re-runs")
     if is_ds:
         print(res.stats())
     ray.shutdown()
