@@ -31,15 +31,8 @@ def configure_for_cluster(num_cpus: int | None = None) -> None:
     try:
         from ray.data.context import DataContext
         if num_cpus is None:
-            try:
-                import ray
-                if ray.is_initialized():
-                    num_cpus = int(ray.cluster_resources().get(
-                        "CPU", os.cpu_count() or 8))
-            except Exception:
-                pass
-        if num_cpus is None:
-            num_cpus = os.cpu_count() or 8
+            from .stages.partition import cluster_cpus
+            num_cpus = cluster_cpus(os.cpu_count() or 8)
         ctx = DataContext.get_current()
         parallelism = max(2, min(64, int(num_cpus)))
         ctx.default_hash_shuffle_parallelism = parallelism

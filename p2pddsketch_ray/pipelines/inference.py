@@ -28,6 +28,7 @@ from ray.data.aggregate import Max, Min
 
 from ..sources.tables import read_table
 from ..stages.combine import combine_agg, named
+from ..stages.partition import cluster_cpus
 
 # "trained" model: integer weights over (bias, n_chars, n_toks, n_a, n_e)
 MODEL_WEIGHTS = {"bias": 2000, "w_chars": -3, "w_toks": 40,
@@ -94,7 +95,8 @@ def model_score_stats(sf_dir: str) -> "ray.data.Dataset":
     ds = read_table(sf_dir, "documents", ["lang", "text", "n_chars"])
     weights_ref = ray.put(dict(MODEL_WEIGHTS))
     scored = ds.map_batches(LinearDocScorer, batch_format="pyarrow",
-                            zero_copy_batch=True, concurrency=2,
+                            zero_copy_batch=True,
+                            concurrency=min(2, cluster_cpus()),
                             fn_constructor_kwargs={
                                 "weights_ref": weights_ref})
     return combine_agg(
@@ -158,7 +160,8 @@ def score_lift_report(sf_dir: str, n_bins: int = 10,
                 "mx": pa.array([int(logit.max())], type=pa.int64())})
 
     mm = (read().map_batches(MinMax, batch_format="pyarrow",
-                             zero_copy_batch=True, concurrency=2,
+                             zero_copy_batch=True,
+                             concurrency=min(2, cluster_cpus()),
                              fn_constructor_args=(w_ref,))
           .aggregate(Min("mn"), Max("mx")))
     mn, mx = int(mm["min(mn)"]), int(mm["max(mx)"])
@@ -179,7 +182,8 @@ def score_lift_report(sf_dir: str, n_bins: int = 10,
                              "logit": pa.array(logit.astype(np.int64))})
 
     binned = read().map_batches(BinFold, batch_format="pyarrow",
-                                zero_copy_batch=True, concurrency=2,
+                                zero_copy_batch=True,
+                                concurrency=min(2, cluster_cpus()),
                                 fn_constructor_args=(w_ref,))
     grid = (combine_agg(binned, ["bin"], lambda t: t,
                         [("pos", "count"), ("pos", "sum"),
@@ -278,7 +282,8 @@ def brier_decomposition(sf_dir: str, n_bins: int = 10,
                              "p": pa.array(p), "sse": pa.array(err * err)})
 
     binned = ds.map_batches(_BinStage, batch_format="pyarrow",
-                            zero_copy_batch=True, concurrency=2,
+                            zero_copy_batch=True,
+                            concurrency=min(2, cluster_cpus()),
                             fn_constructor_kwargs={
                                 "weights_ref": weights_ref})
     agg = (combine_agg(binned, ["bin"], lambda t: t,

@@ -35,7 +35,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..sources.tables import read_table as _read
 from ..stages.combine import combine_agg, named
-from ..stages.partition import fit_partitions
+from ..stages.partition import cluster_cpus, fit_partitions
 from ..stages.sketch_build import collect
 
 
@@ -2965,7 +2965,7 @@ def bucketed_join_rollup(sf_dir: str, n_buckets: int = 8,
                              "value_c": pa.array(val[ok])})
 
     joined = ray.data.read_parquet(f"{root}/events").map_batches(
-        BucketJoin, batch_format="pyarrow", concurrency=2)
+        BucketJoin, batch_format="pyarrow", concurrency=min(2, cluster_cpus()))
     agg = (combine_agg(joined, ["nationkey"], lambda t: t,
                        [("value_c", "count"), ("value_c", "sum")],
                        named("nationkey", "n_events", "sum_value_c"))
@@ -3893,7 +3893,8 @@ def incremental_dedup_stats(sf_dir: str, hash_tier: str = "fp64",
                          "n_admitted": pc.subtract(n, d)})
 
     return combine_agg(docs.map_batches(IndexProbe, batch_format="pyarrow",
-                                        zero_copy_batch=True, concurrency=2),
+                                        zero_copy_batch=True,
+                                        concurrency=min(2, cluster_cpus())),
                        ["lang"], lambda t: t,
                        [("dup", "count"), ("dup", "sum")],
                        finalize).sort("lang")
@@ -11931,7 +11932,8 @@ def brand_year_revenue(sf_dir: str) -> pa.Table:
                              "rev": pa.array(rev)})
 
     agg = (combine_agg(li.map_batches(Roll, batch_format="pyarrow",
-                                      zero_copy_batch=True, concurrency=2),
+                                      zero_copy_batch=True,
+                                      concurrency=min(2, cluster_cpus())),
                        ["b", "year"], lambda t: t, [("rev", "sum")],
                        named("b", "year", "rev"))
            .to_pandas().sort_values(["b", "year"]))
@@ -14848,7 +14850,8 @@ def returns_rate_by_brand(sf_dir: str) -> pa.Table:
                              "rev_ret": pa.array(rev * ret)})
 
     agg = (combine_agg(li.map_batches(Roll, batch_format="pyarrow",
-                                      zero_copy_batch=True, concurrency=2),
+                                      zero_copy_batch=True,
+                                      concurrency=min(2, cluster_cpus())),
                        ["b"], lambda t: t,
                        [("ret", "count"), ("ret", "sum"), ("rev", "sum"),
                         ("rev_ret", "sum")],

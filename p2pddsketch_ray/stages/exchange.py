@@ -20,6 +20,14 @@ gigabytes.  ``keyed_merge`` sizes the exchange to those partials:
 Both paths give ``body`` its rows in the same order: ascending by the
 keys, nulls last, rows of one key in block order.  So the output rows
 come in the same order too, for a ``body`` that keeps its rows' order.
+
+Every path returns its output materialized.  A ``from_arrow_refs`` or
+``from_arrow`` Dataset without a snapshot starts one more streaming
+execution on each pull (``to_pandas()``, ``to_arrow_refs()``);
+``materialize()`` gives it one without starting any.  So a query of a
+read, a fold and one ``keyed_merge`` executes one plan, the read and the
+fold, fused when the read makes one block per CPU
+(``sources.tables.read_table``).
 """
 
 from __future__ import annotations
@@ -62,7 +70,8 @@ def keyed_merge(partials: "ray.data.Dataset", keys: Sequence[str],
     the partials' schema; ``empty()`` gives that zero-row table when the
     partials carry no schema either (Ray runs no block body on an input
     without rows), and without ``empty`` the output is then a Dataset
-    without rows or columns.  The output is materialized.
+    without rows or columns.  The output is materialized on every path,
+    so pulling it executes no plan.
     """
     keys = list(keys)
     partials = partials.materialize()
@@ -74,12 +83,12 @@ def keyed_merge(partials: "ray.data.Dataset", keys: Sequence[str],
             zero = empty()
         else:
             return partials
-        return ray.data.from_arrow(body(zero))
+        return ray.data.from_arrow(body(zero)).materialize()
     if not keys or partials.size_bytes() <= SMALL_BYTES:
         # block refs only: no partial row comes to the driver
         blocks = [ref for bundle in partials.iter_internal_ref_bundles()
                   for ref, meta in bundle.blocks if meta.num_rows]
         return ray.data.from_arrow_refs(
-            [_merge_one_task.remote(body, keys, *blocks)])
+            [_merge_one_task.remote(body, keys, *blocks)]).materialize()
     return partials.sort(keys).map_batches(body, batch_format="pyarrow",
-                                           batch_size=None)
+                                           batch_size=None).materialize()

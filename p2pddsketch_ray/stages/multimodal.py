@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 
 from .combine import combine_agg, named
+from .partition import cluster_cpus
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +581,8 @@ def resize_stats_by_group(ds, payload_col: str, group_col: str, *,
     rows = (ds.map_batches(to_payload, batch_format="pyarrow",
                            zero_copy_batch=True)
             .map_batches(_ResizeChecksum, batch_format="pyarrow",
-                         batch_size=batch_size, concurrency=2,
+                         batch_size=batch_size,
+                         concurrency=min(2, cluster_cpus()),
                          fn_constructor_kwargs={"column": "payload",
                                                 "stride": stride,
                                                 "target": target}))
@@ -655,7 +657,7 @@ def bmp_decode_stats(sf_dir: str, max_doc_id: int = 40) -> pa.Table:
     rows = (ds.map_batches(synth, batch_format="pyarrow",
                            zero_copy_batch=True)
             .map_batches(_ChannelSums, batch_format="pyarrow",
-                         batch_size=64, concurrency=2))
+                         batch_size=64, concurrency=min(2, cluster_cpus())))
     return combine_agg(rows, ["lang"], lambda t: t,
                        [("n_px", "count"), ("n_px", "sum"), ("r", "sum"),
                         ("g", "sum"), ("b", "sum")],

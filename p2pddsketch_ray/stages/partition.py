@@ -18,15 +18,20 @@ import numpy as np
 import pyarrow as pa
 
 
+def cluster_cpus(default: int = 8) -> int:
+    """The CPU count of the Ray cluster (at least 1), ``default`` when Ray
+    is not started or cannot tell."""
+    try:
+        import ray as _ray
+        return max(1, int(_ray.cluster_resources().get("CPU", default)))
+    except Exception:
+        return default
+
+
 def fit_partitions(requested: int) -> int:
     """Cap the coarse partition count to the cluster CPU count -- more
     groups than workers only adds per-group overhead."""
-    try:
-        import ray as _ray
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(requested, cpus))
+    return max(2, min(requested, cluster_cpus()))
 
 
 def partition_by(ds, cols: list[str], num_partitions: int,

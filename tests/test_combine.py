@@ -96,6 +96,20 @@ def test_null_int_keys_form_one_group(ray_session, exchange_path):
     assert got["k"].null_count == 1 and got["k"][-1].as_py() is None
 
 
+@pytest.mark.parametrize("rows", [3000, 0])
+def test_output_is_materialized(ray_session, exchange_path, table, rows):
+    """Pulling a ``combine_agg`` output executes no plan: every path of
+    the exchange returns it materialized."""
+    import ray.data
+    from tools.plans import recorded_plans
+    ds = ray.data.from_arrow(table.slice(0, rows)).repartition(3)
+    out = combine_agg(ds, ["k"], lambda t: t, [("i", "sum")], lambda t: t)
+    with recorded_plans() as plans:
+        got = out.to_pandas()
+    assert len(got) == (40 if rows else 0)
+    assert plans == []
+
+
 def test_null_string_keys_raise(ray_session):
     t = pa.table({"s": ["a", None, "b", None], "x": [1, 2, 3, 4]})
     with pytest.raises(Exception, match="key column 's'.*has nulls"):

@@ -2607,13 +2607,40 @@ def test_no_plan_reruns_for_its_schema(ray_session, name):
 def test_small_partials_merge_without_sort_or_union(ray_session, name):
     """The exact pipelines' partials at sf0.01 are kilobytes, under
     ``keyed_merge``'s bound: they merge in one task, so no executed plan
-    sorts, and no typed zero-row block is unioned onto the output."""
+    sorts, and no typed zero-row block is unioned onto the output.  The
+    merged answer comes back materialized, so the query executes one
+    plan, its read and fold: the caller's pull runs none."""
     import __ray_entry__ as E
     from tools.plans import recorded_plans
     with recorded_plans() as plans:
         got = E.queries()[name](SF_01).to_pandas()
     assert len(got) and plans
     assert [p for p in plans if "Sort" in p or "Union" in p] == []
+    assert len(plans) == 1 and plans[0][-1] == "Input", plans
+
+
+def test_one_cpu_read_fuses_with_its_fold(ray_session, monkeypatch):
+    """On one CPU a one-file table is read as one block, so its read and
+    the fold after it run as one fused task."""
+    import __ray_entry__ as E
+    from p2pddsketch_ray.sources import tables
+    from tools.plans import chain, recorded_plans
+    monkeypatch.setattr(tables, "cluster_cpus", lambda default=8: 1)
+    with recorded_plans() as plans:
+        E.queries()["pricing_summary"](SF_01).to_pandas()
+    assert [chain(p) for p in plans] == [
+        "Input -> ReadParquet->MapBatches(_partial)"]
+
+
+def test_read_table_makes_a_block_per_cpu(ray_session):
+    """A one-file table is read into at most one block per cluster CPU
+    (4 here), not Ray's default of at least 2 x CPUs."""
+    import pyarrow.parquet as pq
+    from p2pddsketch_ray.sources.tables import read_table
+    ds = read_table(SF_01, "lineitem", ["l_quantity"]).materialize()
+    assert 1 <= ds.num_blocks() <= 4
+    assert ds.count() == pq.read_metadata(
+        f"{SF_01}/lineitem.parquet").num_rows
 
 
 def test_kappa_perfect_agreement_is_1e6(ray_session, tmp_path):

@@ -2,9 +2,10 @@
 
 ``recorded_plans()`` wraps every streaming execution started inside it
 and keeps each executed plan as its list of operator names, output
-operator first (``plan_names``).  A plan that ends in ``limit=1`` is Ray
-fetching a Dataset's schema by running its plan a second time; a plan
-holding ``Sort`` paid a sort shuffle.
+operator first (``plan_names``), and, once the block exits, the Ray Data
+stats summary of that execution (``Plans.summaries``).  A plan that
+ends in ``limit=1`` is Ray fetching a Dataset's schema by running its
+plan a second time; a plan holding ``Sort`` paid a sort shuffle.
 """
 
 from __future__ import annotations
@@ -23,17 +24,29 @@ def plan_names(op) -> list[str]:
     return names
 
 
+class Plans(list):
+    """``plan_names`` of every recorded plan, in execution order, and
+    ``summaries``: each plan's Ray Data stats summary (per-operator
+    times, rows and bytes, after those of the materialized Datasets it
+    started from), filled in when the block exits."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.summaries: list[str] = []
+
+
 @contextmanager
 def recorded_plans():
-    """Yield a list that collects ``plan_names`` of every plan executed
-    until the block exits."""
+    """Yield a ``Plans`` that collects every plan executed until the
+    block exits."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor)
-    plans: list[list[str]] = []
+    plans, executors = Plans(), []
     execute = StreamingExecutor.execute
 
     def recorded(self, dag, *args, **kwargs):
         plans.append(plan_names(dag))
+        executors.append(self)
         return execute(self, dag, *args, **kwargs)
 
     StreamingExecutor.execute = recorded
@@ -41,6 +54,9 @@ def recorded_plans():
         yield plans
     finally:
         StreamingExecutor.execute = execute
+        plans.summaries.extend(
+            ex.get_stats().to_summary().to_string()
+            for ex in executors)
 
 
 def chain(names: list[str]) -> str:

@@ -1,16 +1,16 @@
 """Profile any driver query's Ray Data execution: run one `queries()`
-entry and print the per-stage wall-clock breakdown from ``ds.stats()``
--- the measure-don't-guess loop for deciding which stage of a pipeline
-deserves optimization.
+entry and print the per-stage wall-clock breakdown of every plan it
+executed -- the measure-don't-guess loop for deciding which stage of a
+pipeline deserves optimization.
 
 Usage:
     python tools/profile_query.py <query_name> [sf_dir]
 
 Prints the query's wall time, its result row count, the operator
-chain of every plan the query executed (input to output), how many of
-those plans sorted (``Sort``) and how many re-ran a plan under
-``limit=1`` to fetch its schema, and (when the result is a Dataset) the
-Ray Data stats summary with per-operator times.  Owns its Ray session
+chain of every plan the query executed (input to output) with that
+execution's Ray Data stats summary (per-operator times, rows and
+bytes), how many of those plans sorted (``Sort``) and how many re-ran a
+plan under ``limit=1`` to fetch its schema.  Owns its Ray session
 (guarded init), like bench.py.
 """
 
@@ -43,21 +43,19 @@ def main() -> int:
     t0 = time.perf_counter()
     with recorded_plans() as plans:
         res = qs[name](sf_dir)
-        is_ds = hasattr(res, "stats")
-        if is_ds:
+        if hasattr(res, "stats"):
             res = res.materialize()
             n = res.count()
         else:
             n = res.num_rows if hasattr(res, "num_rows") else len(res)
     wall = time.perf_counter() - t0
     print(f"{name}: {wall:.2f}s wall, {n} rows")
-    for i, plan in enumerate(plans):
+    for i, (plan, summary) in enumerate(zip(plans, plans.summaries)):
         print(f"  plan {i}: {chain(plan)}")
+        print("    " + summary.strip().replace("\n", "\n    "))
     c = counts(plans)
     print(f"  {c['plans']} plans executed, {c['sort']} with Sort, "
           f"{c['limit=1']} limit=1 re-runs")
-    if is_ds:
-        print(res.stats())
     ray.shutdown()
     return 0
 
